@@ -2,10 +2,11 @@
 of perturbed behavior subspaces, rolling one-step prediction, and CSV output.
 
 The perturbed family is nested: one tangent direction is drawn from
-``seed_perturb`` and every member sits on that geodesic at its own target
-distance.  This makes the average error a smooth, near-linear function of
-the distance, as opposed to independent per-member directions whose
-direction-dependent sensitivity scatters the trend.
+``seed_perturb``, factored once per sweep into a `Geodesic`, and every
+member sits on that geodesic at its own target distance.  This makes the
+average error a smooth, near-linear function of the distance, as opposed to
+independent per-member directions whose direction-dependent sensitivity
+scatters the trend.
 
 Seeds are split into three independent streams (offline/online data input,
 measurement noise, perturbation direction).  The online streams use the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,10 +31,10 @@ from ._kv import read_pairs
 from ._linalg import spectral_norm
 from .bounds import one_step_bound
 from .errors import HypothesisViolationError
-from .grassmann import BehaviorBasis, chordal_distance, orthonormal_basis, perturb_subspace
+from .grassmann import BehaviorBasis, Geodesic, check_distance, orthonormal_basis
 from .hankel import persistently_exciting_input, stacked_data_matrix
 from .lti import NoiseSpec, StateSpaceModel, Trajectory, load_model, simulate
-from .predictor import context_windows, pseudoinverse
+from .predictor import _pinv_parts, context_windows
 
 __all__ = [
     "ExperimentConfig",
@@ -91,21 +93,27 @@ class ExperimentConfig:
             raise ValueError(f"offline length T={self.T} is shorter than Tini+Tf={L}")
         if self.T_sim < L:
             raise ValueError(f"online length T_sim={self.T_sim} is shorter than Tini+Tf={L}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.kappa_grid is not None:
             grid = tuple(float(k) for k in self.kappa_grid)
             if not grid:
                 raise ValueError("kappa_grid must not be empty")
-            if any(k < 0 for k in grid):
-                raise ValueError("kappa_grid values must be nonnegative")
+            if not all(math.isfinite(k) and k >= 0 for k in grid):
+                raise ValueError(f"kappa_grid values must be finite and nonnegative, got {grid}")
             object.__setattr__(self, "kappa_grid", grid)
             object.__setattr__(self, "N", len(grid))
         else:
             if self.N < 1:
                 raise ValueError(f"N must be at least 1, got {self.N}")
-            if self.kappa_max <= 0:
-                raise ValueError(f"kappa_max must be positive, got {self.kappa_max}")
+            if not (math.isfinite(self.kappa_max) and self.kappa_max > 0):
+                raise ValueError(f"kappa_max must be finite and positive, got {self.kappa_max}")
+        # Every target must be reachable from a basis of rank r = mL+n in
+        # dimension q = (m+p)L, checked before any simulation runs.
+        m, p, n = self.model.m, self.model.p, self.model.n
+        q, r = (m + p) * L, m * L + n
+        for kappa in self.kappas:
+            check_distance(q, r, kappa)
 
     @property
     def kappas(self) -> tuple[float, ...]:
@@ -189,11 +197,13 @@ class SingleRecord:
 @dataclass(frozen=True, eq=False)
 class ExperimentWorkspace:
     """Everything shared by the trials of one configuration: the baseline
-    basis from offline data, the measured online trajectory, the sliding
-    contexts, and the baseline one-step predictions."""
+    basis from offline data, the geodesic the perturbed family lies on, the
+    measured online trajectory, the sliding contexts, and the baseline
+    one-step predictions."""
 
     config: ExperimentConfig
     basis: BehaviorBasis
+    geodesic: Geodesic
     offline: Trajectory
     measured: Trajectory
     steps: tuple[int, ...]
@@ -206,10 +216,9 @@ def _one_step_map(basis: BehaviorBasis) -> tuple[np.ndarray, float, float]:
     """Row map b -> first predicted output, plus the diagnostics feeding the
     computable bound: (map, sigma_min of context rows, norm of the first
     future-output block-row)."""
-    M = basis.context_block
-    sigma_min = float(np.linalg.svd(M, compute_uv=False)[-1])
+    pinv, _, sigma_min = _pinv_parts(basis.context_block, None)
     first_rows = basis.y_future[: basis.basis.p]
-    return first_rows @ pseudoinverse(M), sigma_min, spectral_norm(first_rows)
+    return first_rows @ pinv, sigma_min, spectral_norm(first_rows)
 
 
 def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
@@ -242,6 +251,7 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
     return ExperimentWorkspace(
         config=config,
         basis=basis,
+        geodesic=Geodesic.draw(basis, config.seed_perturb),
         offline=offline,
         measured=measured,
         steps=tuple(steps),
@@ -264,20 +274,20 @@ class TrialOutput:
     basis: BehaviorBasis
     kappa: float
     sigma_min_Mhat: float
+    predictions: np.ndarray  # (steps, p) one-step predictions of the member
 
 
 def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
     """Evaluate perturbation index n (1-based) of the configured family.
 
     Member n lies at target distance kappas[n-1] along the shared geodesic
-    direction drawn from seed_perturb.
+    drawn from seed_perturb; its reported kappa is the measured distance.
     """
     config = workspace.config
     if not 1 <= n <= config.N:
         raise ValueError(f"trial index n={n} out of range 1..{config.N}")
     target = config.kappas[n - 1]
-    perturbed = perturb_subspace(workspace.basis, target, seed=config.seed_perturb)
-    kappa = chordal_distance(workspace.basis, perturbed)
+    perturbed, kappa = workspace.geodesic.member(target)
     pred_map, sigma_min, norm_first = _one_step_map(perturbed)
     predictions = workspace.context_matrix @ pred_map.T
     errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
@@ -318,6 +328,7 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
         basis=perturbed,
         kappa=kappa,
         sigma_min_Mhat=sigma_min,
+        predictions=predictions,
     )
 
 
@@ -360,13 +371,11 @@ def run_single(
     """
     workspace = prepare(config)
     out = run_trial(workspace, n)
-    pred_map, _, _ = _one_step_map(out.basis)
-    predictions = workspace.context_matrix @ pred_map.T
     records = [
         SingleRecord(
             t=t,
             baseline=workspace.baseline[i],
-            perturbed=predictions[i],
+            perturbed=out.predictions[i],
             error=out.records[i].prediction_error,
             bound=out.records[i].bound,
         )

@@ -1,6 +1,6 @@
 """Subspace geometry for behavior spaces: orthonormal bases, principal
 angles, chordal distance, Procrustes alignment, and perturbed subspaces at a
-prescribed distance.
+prescribed distance along a geodesic whose distance is known in closed form.
 
 Angles are computed from two SVDs: cosines from the product of the bases,
 sines from the projection of one basis onto the orthogonal complement of the
@@ -27,6 +27,8 @@ __all__ = [
     "principal_angles",
     "chordal_distance",
     "align_basis",
+    "check_distance",
+    "Geodesic",
     "perturb_subspace",
     "save_basis",
     "load_basis",
@@ -131,11 +133,6 @@ def _angle_parts(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cosines, sines
 
 
-def _chordal(A: np.ndarray, B: np.ndarray) -> float:
-    _, sines = _angle_parts(A, B)
-    return float(np.linalg.norm(sines))
-
-
 def principal_angles(U: BehaviorBasis, V: BehaviorBasis) -> PrincipalAngles:
     """Principal angles between two equal-rank behavior subspaces.
 
@@ -157,8 +154,9 @@ def chordal_distance(U: BehaviorBasis, V: BehaviorBasis) -> float:
     depend on the choice of orthonormal bases.
     """
     _check_comparable(U, V)
-    d = _chordal(U.matrix, V.matrix)
     A, B = U.matrix, V.matrix
+    _, sines = _angle_parts(A, B)
+    d = float(np.linalg.norm(sines))
     projector_form = np.linalg.norm(A @ A.T - B @ B.T) / np.sqrt(2.0)
     if abs(d - projector_form) > 1e-10:
         raise ArithmeticError(
@@ -182,22 +180,15 @@ def align_basis(U: BehaviorBasis, Uhat: BehaviorBasis) -> BehaviorBasis:
     return BehaviorBasis(Uhat.basis.with_data(Uhat.matrix @ rotation))
 
 
-def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis:
-    """A random subspace at chordal distance ``kappa`` from ``U``.
-
-    Draws a random tangent direction (columns orthogonal to the span of U),
-    orthonormalizes it by SVD, and walks the corresponding geodesic
-    U(t) = U V cos(t*Theta) V' + W sin(t*Theta) V' with angle rates
-    Theta scaled so every principal angle stays within [0, pi/2] at t = 1.
-    The step length is solved by monotone bisection on the measured chordal
-    distance, to |d - kappa| <= 1e-6 * max(1, kappa).  Deterministic for a
-    fixed seed.
-    """
-    q, r = U.q, U.r
+def check_distance(q: int, r: int, kappa: float) -> None:
+    """Reject a target chordal distance that no rank-r subspace of R^q can
+    lie at from another: ``kappa`` must be finite, in [0, sqrt(r)), and at
+    most sqrt(min(r, q - r)), the largest distance that the complement of
+    dimension q - r leaves room for."""
     if kappa < 0 or kappa > np.sqrt(r) * (1 - 1e-6):
         raise ValueError(f"kappa={kappa} out of range [0, sqrt(r))")
-    if kappa == 0:
-        return U
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa={kappa} is not a finite number")
     reachable = np.sqrt(min(r, q - r))
     if kappa > reachable:
         raise ValueError(
@@ -205,39 +196,105 @@ def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis
             f"for subspaces of rank {r} in dimension {q}"
         )
 
-    rng = np.random.default_rng(seed)
-    base = U.matrix
-    direction = rng.standard_normal((q, r))
-    direction -= base @ (base.T @ direction)
-    W, svals, Vt = np.linalg.svd(direction, full_matrices=False)
-    rates = (np.pi / 2) * (svals / svals[0])
-    V = Vt.T
 
-    def point(t: float) -> np.ndarray:
-        angle = t * rates
-        return ((base @ V) * np.cos(angle)) @ V.T + (W * np.sin(angle)) @ V.T
+@dataclass(frozen=True, eq=False)
+class Geodesic:
+    """A Grassmann geodesic leaving ``origin`` in a fixed tangent direction
+    (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 1998):
 
-    tol = 1e-6 * max(1.0, kappa)
-    lo, hi = 0.0, 1.0
-    top = _chordal(base, point(hi))
-    if top + tol < kappa:
-        raise ConvergenceError(
-            f"drawn geodesic reaches distance {top:.6g} at full step, "
-            f"short of the requested kappa={kappa}"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        candidate = point(mid)
-        d = _chordal(base, candidate)
-        if abs(d - kappa) <= tol:
-            return BehaviorBasis(U.basis.with_data(candidate))
-        if d < kappa:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"bisection failed to reach kappa={kappa} within 200 iterations"
-    )
+        U(t) = U V cos(t*Theta) V' + W sin(t*Theta) V',   t in [0, 1],
+
+    with W orthonormal and orthogonal to span U, and angle rates Theta
+    scaled so the largest is pi/2.  The principal angles between U and U(t)
+    are exactly t*Theta, so the chordal distance ||sin(t*Theta)||_2 is known
+    in closed form and rises monotonically in t.  Finding the member at a
+    target distance is then a scalar solve; building it is one matrix
+    product.  The arrays are read-only, so one geodesic can serve concurrent
+    callers.
+    """
+
+    origin: BehaviorBasis
+    start: np.ndarray  # U V, (q, r)
+    heading: np.ndarray  # W, (q, r)
+    rotation: np.ndarray  # V', (r, r)
+    rates: np.ndarray  # Theta, (r,), nonincreasing, rates[0] = pi/2
+
+    @classmethod
+    def draw(cls, U: BehaviorBasis, seed: int) -> "Geodesic":
+        """The geodesic in a random tangent direction: a standard normal
+        q x r draw from ``seed``, projected onto the orthogonal complement of
+        span U and orthonormalized by one SVD."""
+        rng = np.random.default_rng(seed)
+        base = U.matrix
+        direction = rng.standard_normal((U.q, U.r))
+        direction -= base @ (base.T @ direction)
+        W, svals, Vt = np.linalg.svd(direction, full_matrices=False)
+        # A basis spanning the whole space leaves a zero direction; its
+        # geodesic only ever serves kappa = 0.
+        rates = (np.pi / 2) * (svals / max(svals[0], np.finfo(float).tiny))
+        arrays = (base @ Vt.T, W, Vt, rates)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return cls(U, *arrays)
+
+    def distance(self, t: float) -> float:
+        """Chordal distance from the origin to the point at step ``t``."""
+        return float(np.linalg.norm(np.sin(t * self.rates)))
+
+    def step(self, kappa: float) -> float:
+        """The step t in [0, 1] whose distance is closest to ``kappa``.
+
+        Bisects the monotone closed form until the bracket holds two
+        adjacent floats, so t is exact to rounding.  Raises ValueError for a
+        target no subspace can reach and ConvergenceError for one beyond
+        this geodesic's end point.
+        """
+        check_distance(self.origin.q, self.origin.r, kappa)
+        top = self.distance(1.0)
+        if top + 1e-6 * max(1.0, kappa) < kappa:
+            raise ConvergenceError(
+                f"drawn geodesic reaches distance {top:.6g} at full step, "
+                f"short of the requested kappa={kappa}"
+            )
+        lo, hi = 0.0, 1.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if self.distance(mid) < kappa:
+                lo = mid
+            else:
+                hi = mid
+        return lo if kappa - self.distance(lo) <= self.distance(hi) - kappa else hi
+
+    def point(self, t: float) -> BehaviorBasis:
+        """The subspace at step ``t``."""
+        angle = t * self.rates
+        data = (self.start * np.cos(angle) + self.heading * np.sin(angle)) @ self.rotation
+        return BehaviorBasis(self.origin.basis.with_data(data))
+
+    def member(self, kappa: float) -> tuple[BehaviorBasis, float]:
+        """The subspace at chordal distance ``kappa`` from the origin, with
+        its distance as measured by `chordal_distance`.
+
+        The measurement verifies the closed form: a miss beyond
+        1e-6 * max(1, kappa) raises ConvergenceError.
+        """
+        perturbed = self.origin if kappa == 0 else self.point(self.step(kappa))
+        measured = chordal_distance(self.origin, perturbed)
+        if not abs(measured - kappa) <= 1e-6 * max(1.0, kappa):
+            raise ConvergenceError(
+                f"member for kappa={kappa} measures distance {measured!r}"
+            )
+        return perturbed, measured
+
+
+def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis:
+    """A random subspace at chordal distance ``kappa`` from ``U``.
+
+    The member at ``kappa`` of the geodesic drawn from ``seed`` (see
+    `Geodesic`): its distance is solved in closed form, exact to rounding,
+    and verified by one measurement to |d - kappa| <= 1e-6 * max(1, kappa).
+    ``kappa = 0`` returns ``U`` itself.  Deterministic for a fixed seed.
+    """
+    return Geodesic.draw(U, seed).member(kappa)[0]
 
 
 # ---------------------------------------------------------------------------

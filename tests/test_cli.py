@@ -223,3 +223,27 @@ class TestExperimentCommands:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("model = model.txt\nTini = 2\nTf = 2\nT_sim = 12\nN = 2\noutput_dir = o\n")
         assert main(["experiment", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("sigma = nan", "sigma"),
+            ("sigma = inf", "sigma"),
+            ("kappa_max = nan", "kappa_max"),
+            ("kappa_max = inf", "kappa_max"),
+            ("kappa_grid = 0.1,nan", "kappa_grid"),
+            ("kappa_grid = inf", "kappa_grid"),
+            # rank 6 in dimension 8: at most sqrt(2) is reachable
+            ("kappa_grid = 0.1,2.0", "unreachable"),
+        ],
+    )
+    def test_bad_config_exit_2_before_simulation(self, tmp_path, monkeypatch, capsys, line, message):
+        def offline_stage(*args, **kwargs):
+            raise AssertionError("the offline stage ran")
+
+        monkeypatch.setattr("subpred.experiment.simulate", offline_stage)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"Tini = 2\nTf = 2\nT_sim = 12\nN = 2\n{line}\noutput_dir = o\n")
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -41,6 +41,17 @@ class TestConfig:
         cfg = load_config(tmp_path / "exp.cfg")
         np.testing.assert_array_equal(cfg.model.A, example_model.A)
 
+    def test_unreachable_target_rejected(self):
+        # default model, Tini = Tf = 4: rank 10 in dimension 16
+        reachable = np.sqrt(6.0)
+        ExperimentConfig(model=default_model(), kappa_grid=(0.0, reachable))
+        with pytest.raises(ValueError, match="unreachable"):
+            ExperimentConfig(model=default_model(), kappa_grid=(0.1, reachable + 1e-9))
+        with pytest.raises(ValueError, match="unreachable"):
+            ExperimentConfig(model=default_model(), kappa_max=2.5)
+        with pytest.raises(ValueError, match="out of range"):
+            ExperimentConfig(model=default_model(), Tini=2, Tf=2, T_sim=12, kappa_grid=(3.0,))
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("bogus = 1\n")
@@ -121,6 +132,13 @@ class TestRunExperiment:
         out = run_trial(workspace, 4)
         assert abs(out.kappa - chordal_distance(workspace.basis, out.basis)) <= 1e-12
         assert abs(out.kappa - small_config.kappas[3]) <= 1e-6
+
+    def test_single_uses_the_trial_predictions(self, small_config):
+        workspace = prepare(small_config)
+        out = run_trial(workspace, 6)
+        records, kappa = run_single(small_config, n=6, write=False)
+        assert kappa == out.kappa
+        np.testing.assert_array_equal(np.array([rec.perturbed for rec in records]), out.predictions)
 
     def test_trial_index_validated(self, small_config):
         workspace = prepare(small_config)

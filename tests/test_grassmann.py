@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,8 @@ from subpred import (
     principal_angles,
     save_basis,
 )
-from subpred.errors import RankDeficientError
-from subpred.grassmann import BehaviorBasis
+from subpred.errors import ConvergenceError, RankDeficientError
+from subpred.grassmann import BehaviorBasis, Geodesic
 from subpred.hankel import PartitionedMatrix
 
 DIMS = (1, 1, 2, 2)  # m, p, Tini, Tf -> ambient dimension 8
@@ -271,6 +273,114 @@ class TestPerturbSubspace:
         U = random_basis(rng, DIMS, 3)
         V = perturb_subspace(U, 0.7, seed=4)
         assert np.linalg.norm(V.matrix.T @ V.matrix - np.eye(3)) <= 1e-10
+
+
+def _behavior_basis(model, Tini, Tf, sigma=0.0):
+    """Basis estimated from offline data as the experiment builds it."""
+    from subpred import NoiseSpec, simulate, stacked_data_matrix
+    from subpred.hankel import persistently_exciting_input
+
+    L = Tini + Tf
+    u = persistently_exciting_input(model.m, 40 * L, order=model.n + L, seed=0)
+    noise = NoiseSpec.relative_gaussian(sigma, 1) if sigma else NoiseSpec.none()
+    traj = simulate(model, u, noise=noise)
+    X = stacked_data_matrix(traj.inputs, traj.outputs, Tini, Tf)
+    return orthonormal_basis(X, model.m * L + model.n)
+
+
+class TestGeodesic:
+    @pytest.fixture(
+        params=["mimo-random", "mimo-behavior", "siso-default"],
+    )
+    def basis(self, request, rng, example_model):
+        from helpers import random_model
+
+        if request.param == "mimo-random":
+            return random_basis(rng, (2, 2, 3, 3), 8)
+        if request.param == "mimo-behavior":
+            model = random_model(np.random.default_rng(5), n=4, m=2, p=3)
+            return _behavior_basis(model, 3, 3, sigma=0.02)
+        # the default experiment: rank 10 in dimension 16, so the tangent
+        # direction has rank q - r = 6 < r
+        return _behavior_basis(example_model, 4, 4, sigma=0.02)
+
+    def test_closed_form_matches_measured_distance(self, basis):
+        geodesic = Geodesic.draw(basis, seed=3)
+        for t in np.linspace(0.0, 1.0, 11):
+            measured = chordal_distance(basis, geodesic.point(t))
+            assert abs(geodesic.distance(t) - measured) <= 1e-12
+        for kappa in (1e-9, 1e-3, 0.1, 0.7, geodesic.distance(1.0)):
+            member, measured = geodesic.member(kappa)
+            assert measured == chordal_distance(basis, member)
+            assert abs(measured - kappa) <= 1e-12
+
+    def test_direction_rank_deficient_when_complement_is_small(self, example_model):
+        basis = _behavior_basis(example_model, 4, 4, sigma=0.02)
+        geodesic = Geodesic.draw(basis, seed=3)
+        assert np.count_nonzero(geodesic.rates > 1e-8) == basis.q - basis.r
+
+    def test_distance_increases_along_the_geodesic(self, basis):
+        geodesic = Geodesic.draw(basis, seed=8)
+        kappas = np.linspace(0.0, 0.95 * geodesic.distance(1.0), 15)
+        measured = [geodesic.member(kappa)[1] for kappa in kappas]
+        assert np.all(np.diff(measured) > 0)
+
+    def test_step_is_exact_to_rounding(self, basis):
+        geodesic = Geodesic.draw(basis, seed=2)
+        for kappa in (1e-6, 0.05, 0.5):
+            t = geodesic.step(kappa)
+            assert geodesic.distance(np.nextafter(t, 0.0)) <= kappa <= geodesic.distance(np.nextafter(t, 1.0))
+
+    def test_wrapper_is_bit_identical_to_sweep_member(self, small_config):
+        from subpred.experiment import prepare, run_trial
+
+        workspace = prepare(small_config)
+        for n in (1, 5, small_config.N):
+            out = run_trial(workspace, n)
+            kappa = small_config.kappas[n - 1]
+            V = perturb_subspace(workspace.basis, kappa, seed=small_config.seed_perturb)
+            np.testing.assert_array_equal(V.matrix, out.basis.matrix)
+            assert out.kappa == chordal_distance(workspace.basis, V)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_kappa_rejected(self, rng, bad):
+        U = random_basis(rng, DIMS, 3)
+        geodesic = Geodesic.draw(U, seed=0)
+        for solve in (geodesic.step, geodesic.member, lambda k: perturb_subspace(U, k, seed=0)):
+            with pytest.raises(ValueError):
+                solve(bad)
+
+    def test_measured_miss_raises(self, rng, monkeypatch):
+        import subpred.grassmann as grassmann
+
+        U = random_basis(rng, DIMS, 3)
+        geodesic = Geodesic.draw(U, seed=0)
+        monkeypatch.setattr(grassmann, "chordal_distance", lambda A, B: 0.3 + 2e-6)
+        with pytest.raises(ConvergenceError, match="measures distance"):
+            geodesic.member(0.3)
+
+    def test_target_beyond_geodesic_end_raises(self, rng):
+        # rank 3 in dimension 8: sqrt(3) is reachable in principle, but a
+        # random direction's end point lies closer
+        U = random_basis(rng, DIMS, 3)
+        geodesic = Geodesic.draw(U, seed=0)
+        beyond = 0.5 * (geodesic.distance(1.0) + np.sqrt(3.0) * (1 - 1e-6))
+        with pytest.raises(ConvergenceError, match="short of the requested"):
+            geodesic.member(beyond)
+
+    def test_full_space_basis_serves_zero_distance(self):
+        U = _coordinate_basis(8, range(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert perturb_subspace(U, 0.0, seed=0) is U
+        with pytest.raises(ValueError, match="unreachable"):
+            perturb_subspace(U, 0.1, seed=0)
+
+    def test_arrays_are_read_only(self, rng):
+        geodesic = Geodesic.draw(random_basis(rng, DIMS, 3), seed=0)
+        for arr in (geodesic.start, geodesic.heading, geodesic.rotation, geodesic.rates):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestBasisFiles:
