@@ -1,8 +1,24 @@
 """Parser for the plain-text ``key = value`` grammar used by model, config and
 context files.  Lines are either blank, ``# comment``, or ``key = value``;
-values keep their raw string form for the caller to interpret."""
+values keep their raw string form for the caller to interpret.  Numeric
+entries of every input file go through `finite_floats`."""
 
 from __future__ import annotations
+
+import math
+
+
+def finite_floats(tokens: list[str], where: str) -> list[float]:
+    """Parse number tokens, rejecting anything that is not a finite float
+    (``nan`` and ``inf`` included) with a ValueError prefixed by ``where``."""
+    try:
+        values = [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    for tok, value in zip(tokens, values):
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: non-finite entry {tok.strip()!r}")
+    return values
 
 
 def read_pairs(text: str, source: str = "<string>") -> dict[str, str]:

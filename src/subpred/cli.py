@@ -10,9 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from ._kv import read_pairs
+from ._kv import finite_floats, read_pairs
 from .bounds import BoundInputs, lipschitz_bound, one_step_bound
 from .errors import ConvergenceError, HypothesisViolationError, RankDeficientError
 from .experiment import load_config, run_experiment, run_single
@@ -29,7 +27,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run the full perturbation sweep")
     p_exp.add_argument("--config", required=True, help="configuration file")
-    p_exp.add_argument("--jobs", type=int, default=1, help="concurrent trial workers")
+    p_exp.add_argument(
+        "--jobs", type=int, default=1, help="accepted and ignored; trials run serially"
+    )
 
     p_single = sub.add_parser("single", help="trace a single perturbation")
     p_single.add_argument("--config", required=True)
@@ -83,7 +83,7 @@ def _cmd_distance(args) -> int:
 
 def load_context(path) -> PredictionContext:
     """Read a context file: keys m, p, Tini, Tf and whitespace-separated
-    vectors u_ini, u, y_ini."""
+    vectors u_ini, u, y_ini of finite numbers."""
     text = Path(path).read_text(encoding="utf-8")
     pairs = read_pairs(text, source=str(path))
     required = ("m", "p", "Tini", "Tf", "u_ini", "u", "y_ini")
@@ -94,7 +94,7 @@ def load_context(path) -> PredictionContext:
     if unknown:
         raise ValueError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
     dims = {k: int(pairs[k]) for k in ("m", "p", "Tini", "Tf")}
-    vectors = {k: np.array([float(tok) for tok in pairs[k].split()]) for k in ("u_ini", "u", "y_ini")}
+    vectors = {k: finite_floats(pairs[k].split(), f"{path}: {k}") for k in ("u_ini", "u", "y_ini")}
     return PredictionContext(
         u_ini=vectors["u_ini"], u=vectors["u"], y_ini=vectors["y_ini"], **dims
     )

@@ -12,8 +12,7 @@ Seeds are split into three independent streams (offline/online data input,
 measurement noise, perturbation direction).  The online streams use the
 corresponding seed plus ``ONLINE_SEED_OFFSET`` so they never collide with the
 offline draws.  Every output is a pure function of the configuration, so
-repeated runs are byte-identical and trials can be evaluated concurrently
-without changing the files.
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +32,7 @@ from .errors import HypothesisViolationError
 from .grassmann import BehaviorBasis, Geodesic, check_distance, orthonormal_basis
 from .hankel import persistently_exciting_input, stacked_data_matrix
 from .lti import NoiseSpec, StateSpaceModel, Trajectory, load_model, simulate
-from .predictor import _pinv_parts, context_windows
+from .predictor import _context_matrix, _prediction_map
 
 __all__ = [
     "ExperimentConfig",
@@ -212,15 +210,6 @@ class ExperimentWorkspace:
     baseline: np.ndarray  # (steps, p) one-step predictions of the baseline
 
 
-def _one_step_map(basis: BehaviorBasis) -> tuple[np.ndarray, float, float]:
-    """Row map b -> first predicted output, plus the diagnostics feeding the
-    computable bound: (map, sigma_min of context rows, norm of the first
-    future-output block-row)."""
-    pinv, _, sigma_min = _pinv_parts(basis.context_block, None)
-    first_rows = basis.y_future[: basis.basis.p]
-    return first_rows @ pinv, sigma_min, spectral_norm(first_rows)
-
-
 def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
     """Run the offline and online stages shared by every trial."""
     model = config.model
@@ -235,6 +224,13 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
     )
     data = stacked_data_matrix(offline.inputs, offline.outputs, config.Tini, config.Tf)
     basis = orthonormal_basis(data, r)
+    geodesic = Geodesic.draw(basis, config.seed_perturb)
+    target = max(config.kappas)
+    if not geodesic.reaches(target):
+        raise ValueError(
+            f"kappa={target} unreachable: the geodesic drawn from seed_perturb="
+            f"{config.seed_perturb} reaches distance {geodesic.distance(1.0):.6g} at full step"
+        )
 
     u_online = np.random.default_rng(config.seed_data + ONLINE_SEED_OFFSET).standard_normal(
         (config.T_sim, model.m)
@@ -243,18 +239,16 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
         model, u_online, noise=_noise(config.sigma, config.seed_noise + ONLINE_SEED_OFFSET)
     )
 
-    steps, contexts = zip(*context_windows(measured, config.Tini, config.Tf))
-    context_matrix = np.array([ctx.b for ctx in contexts])
+    context_matrix = _context_matrix(measured, config.Tini, config.Tf)
     b_norms = np.linalg.norm(context_matrix, axis=1)
-    base_map, _, _ = _one_step_map(basis)
-    baseline = context_matrix @ base_map.T
+    baseline = _prediction_map(basis).predict(context_matrix)[:, : model.p]
     return ExperimentWorkspace(
         config=config,
         basis=basis,
-        geodesic=Geodesic.draw(basis, config.seed_perturb),
+        geodesic=geodesic,
         offline=offline,
         measured=measured,
-        steps=tuple(steps),
+        steps=tuple(range(config.Tini, config.T_sim - config.Tf + 1)),
         context_matrix=context_matrix,
         b_norms=b_norms,
         baseline=baseline,
@@ -273,7 +267,6 @@ class TrialOutput:
     summary: SummaryRecord
     basis: BehaviorBasis
     kappa: float
-    sigma_min_Mhat: float
     predictions: np.ndarray  # (steps, p) one-step predictions of the member
 
 
@@ -288,46 +281,32 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
         raise ValueError(f"trial index n={n} out of range 1..{config.N}")
     target = config.kappas[n - 1]
     perturbed, kappa = workspace.geodesic.member(target)
-    pred_map, sigma_min, norm_first = _one_step_map(perturbed)
-    predictions = workspace.context_matrix @ pred_map.T
+    pred_map = _prediction_map(perturbed)  # one SVD: the map and its sigma_min
+    predictions = pred_map.predict(workspace.context_matrix)[:, : config.model.p]
+    sigma_min, norm_first = pred_map.sigma_min, spectral_norm(perturbed.y_future[: config.model.p])
     errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
-
     try:
-        unit_bound = one_step_bound(sigma_min, norm_first, kappa, 1.0)
+        bounds = one_step_bound(sigma_min, norm_first, kappa, 1.0) * workspace.b_norms
     except HypothesisViolationError:
-        unit_bound = None
-
-    records = []
-    bounds_at_t = []
-    for i, t in enumerate(workspace.steps):
-        bound = None if unit_bound is None else unit_bound * float(workspace.b_norms[i])
-        if bound is not None and bound < errors[i]:
+        bounds = None
+    else:
+        for i in np.flatnonzero(bounds < errors):
             logger.warning(
-                "trial n=%d, t=%d: bound %.6g below observed error %.6g", n, t, bound, errors[i]
+                "trial n=%d, t=%d: bound %.6g below observed error %.6g",
+                n, workspace.steps[i], bounds[i], errors[i],
             )
-        records.append(
-            TrialRecord(
-                n=n,
-                kappa=kappa,
-                t=t,
-                prediction_error=float(errors[i]),
-                bound=bound,
-                sigma_min_Mhat=sigma_min,
-            )
-        )
-        bounds_at_t.append(bound)
-    avg_bound = None
-    if unit_bound is not None:
-        avg_bound = float(np.mean(bounds_at_t))
-    summary = SummaryRecord(
-        n=n, kappa=kappa, avg_error=float(np.mean(errors)), avg_bound=avg_bound
+    row_bounds = [None] * len(errors) if bounds is None else bounds.tolist()
+    records = tuple(
+        TrialRecord(n, kappa, t, prediction_error, bound, sigma_min)
+        for t, prediction_error, bound in zip(workspace.steps, errors.tolist(), row_bounds)
     )
+    avg_bound = None if bounds is None else float(np.mean(bounds))
+    summary = SummaryRecord(n=n, kappa=kappa, avg_error=float(np.mean(errors)), avg_bound=avg_bound)
     return TrialOutput(
-        records=tuple(records),
+        records=records,
         summary=summary,
         basis=perturbed,
         kappa=kappa,
-        sigma_min_Mhat=sigma_min,
         predictions=predictions,
     )
 
@@ -335,20 +314,14 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
 def run_experiment(
     config: ExperimentConfig, jobs: int = 1, write: bool = True
 ) -> tuple[list[TrialRecord], list[SummaryRecord]]:
-    """Run every trial of the sweep and (optionally) write ``trials.csv`` and
-    ``summary.csv`` to the configured output directory.
+    """Run every trial of the sweep, in trial order, and (optionally) write
+    ``trials.csv`` and ``summary.csv`` to the configured output directory.
 
-    Trials are independent given the shared workspace, so ``jobs > 1``
-    evaluates them concurrently; results are assembled in trial order and the
-    files do not depend on the schedule.
+    ``jobs`` is accepted and ignored: trials run serially, because a thread
+    pool over them measured slower than the serial loop.
     """
     workspace = prepare(config)
-    indices = range(1, config.N + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(lambda n: run_trial(workspace, n), indices))
-    else:
-        outputs = [run_trial(workspace, n) for n in indices]
+    outputs = [run_trial(workspace, n) for n in range(1, config.N + 1)]
     trials = [rec for out in outputs for rec in out.records]
     summaries = [out.summary for out in outputs]
     if write:
@@ -372,14 +345,8 @@ def run_single(
     workspace = prepare(config)
     out = run_trial(workspace, n)
     records = [
-        SingleRecord(
-            t=t,
-            baseline=workspace.baseline[i],
-            perturbed=out.predictions[i],
-            error=out.records[i].prediction_error,
-            bound=out.records[i].bound,
-        )
-        for i, t in enumerate(workspace.steps)
+        SingleRecord(rec.t, base, pred, rec.prediction_error, rec.bound)
+        for rec, base, pred in zip(out.records, workspace.baseline, out.predictions)
     ]
     if write:
         out_dir = Path(config.output_dir)

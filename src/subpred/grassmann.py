@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kv import finite_floats
 from ._linalg import rank_tolerance
 from .errors import ConvergenceError, RankDeficientError
 from .hankel import PartitionedMatrix
@@ -241,6 +242,11 @@ class Geodesic:
         """Chordal distance from the origin to the point at step ``t``."""
         return float(np.linalg.norm(np.sin(t * self.rates)))
 
+    def reaches(self, kappa: float) -> bool:
+        """Whether the end point lies at ``kappa`` or beyond, within the
+        member tolerance 1e-6 * max(1, kappa)."""
+        return self.distance(1.0) + 1e-6 * max(1.0, kappa) >= kappa
+
     def step(self, kappa: float) -> float:
         """The step t in [0, 1] whose distance is closest to ``kappa``.
 
@@ -250,10 +256,9 @@ class Geodesic:
         this geodesic's end point.
         """
         check_distance(self.origin.q, self.origin.r, kappa)
-        top = self.distance(1.0)
-        if top + 1e-6 * max(1.0, kappa) < kappa:
+        if not self.reaches(kappa):
             raise ConvergenceError(
-                f"drawn geodesic reaches distance {top:.6g} at full step, "
+                f"drawn geodesic reaches distance {self.distance(1.0):.6g} at full step, "
                 f"short of the requested kappa={kappa}"
             )
         lo, hi = 0.0, 1.0
@@ -332,10 +337,7 @@ def load_basis(path) -> BehaviorBasis:
             entries = line.strip().split(",")
             if len(entries) != r:
                 raise ValueError(f"{path}:{lineno}: expected {r} entries, got {len(entries)}")
-            try:
-                rows.append([float(v) for v in entries])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            rows.append(finite_floats(entries, f"{path}:{lineno}"))
     q = (m + p) * (Tini + Tf)
     if len(rows) != q:
         raise ValueError(f"{path}: expected {q} data rows for the declared dims, got {len(rows)}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kv import finite_floats
 from ._linalg import numerical_rank
 from .errors import ConvergenceError
 from .lti import Trajectory
@@ -211,8 +212,9 @@ def load_trajectory(path, m: int, p: int) -> Trajectory:
                 raise ValueError(
                     f"{path}:{lineno}: expected {1 + m + p} columns, got {len(row)}"
                 )
-            inputs.append([float(v) for v in row[1 : 1 + m]])
-            outputs.append([float(v) for v in row[1 + m :]])
+            values = finite_floats(row[1:], f"{path}:{lineno}")
+            inputs.append(values[:m])
+            outputs.append(values[m:])
     if not inputs:
         raise ValueError(f"{path}: no data rows")
     return Trajectory(inputs=np.array(inputs), outputs=np.array(outputs))

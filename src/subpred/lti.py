@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kv import read_pairs
+from ._kv import finite_floats, read_pairs
 from ._linalg import rank_tolerance
 
 __all__ = [
@@ -343,10 +343,7 @@ def _parse_matrix(text: str, rows: int, cols: int, name: str, source: str) -> np
     parsed = []
     width = None
     for i, row in enumerate(row_texts):
-        try:
-            entries = [float(tok) for tok in row.split()]
-        except ValueError as exc:
-            raise ValueError(f"{source}: matrix {name}, row {i + 1}: {exc}") from None
+        entries = finite_floats(row.split(), f"{source}: matrix {name}, row {i + 1}")
         if not entries:
             raise ValueError(f"{source}: matrix {name}, row {i + 1} is empty")
         if width is None:

@@ -5,7 +5,8 @@ Given a partitioned matrix X and a context b = (u_ini, u, y_ini), the
 predicted future output is  y_future_rows(X) @ pinv(context_rows(X)) @ b.
 The prediction depends only on the column space of X, not on the particular
 spanning matrix, as long as the context rows have full column rank; that
-invariance is the core property exercised by the test suite.
+invariance is the core property exercised by the test suite.  Every
+prediction goes through one map per matrix, factored by one SVD.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from typing import Iterator
 
 import numpy as np
 
-from ._linalg import EPS, rank_tolerance
+from ._linalg import EPS
 from .errors import RankDeficientError
 from .grassmann import BehaviorBasis
-from .hankel import PartitionedMatrix
+from .hankel import PartitionedMatrix, stacked_data_matrix
 from .lti import Trajectory
 
 __all__ = [
@@ -33,20 +34,53 @@ __all__ = [
 ]
 
 
-def _pinv_parts(M: np.ndarray, rtol: float | None):
-    """SVD pseudoinverse plus diagnostics (retained rank, smallest sigma)."""
-    M = np.asarray(M, dtype=float)
-    U, svals, Vt = np.linalg.svd(M, full_matrices=False)
-    if rtol is None:
-        rtol = max(M.shape) * EPS
-    if svals.size == 0 or svals[0] == 0.0:
-        return np.zeros((M.shape[1], M.shape[0])), 0, 0.0
-    cutoff = rtol * svals[0]
-    keep = svals > cutoff
-    inv = np.zeros_like(svals)
-    inv[keep] = 1.0 / svals[keep]
-    pinv = (Vt.T * inv) @ U.T
-    return pinv, int(np.count_nonzero(keep)), float(svals[-1])
+@dataclass(frozen=True, eq=False)
+class _PredictionMap:
+    """``matrix`` = future_rows @ pinv(context_rows), plus the retained rank
+    and smallest singular value of the one SVD it is built from.  Singular
+    values at or below ``rtol * sigma_max`` are dropped, which truncates a
+    rank-deficient block.  Without future rows the map is the pseudoinverse.
+    """
+
+    matrix: np.ndarray
+    rank: int
+    sigma_min: float
+
+    @classmethod
+    def factor(cls, context_rows, future_rows=None, rtol: float | None = None):
+        M = np.asarray(context_rows, dtype=float)
+        U, svals, Vt = np.linalg.svd(M, full_matrices=False)
+        if svals.size == 0 or svals[0] == 0.0:
+            pinv, rank, sigma_min = np.zeros(M.shape[::-1]), 0, 0.0
+        else:
+            keep = svals > (max(M.shape) * EPS if rtol is None else rtol) * svals[0]
+            inv = np.zeros_like(svals)
+            inv[keep] = 1.0 / svals[keep]
+            pinv = (Vt.T * inv) @ U.T
+            rank, sigma_min = int(np.count_nonzero(keep)), float(svals[-1])
+        return cls(pinv if future_rows is None else future_rows @ pinv, rank, sigma_min)
+
+    def predict(self, contexts: np.ndarray) -> np.ndarray:
+        """Predictions for one context (len b,) or a stack (..., len b); each
+        row is bit-identical to its context's alone, unlike contexts @ matrix.T."""
+        return (self.matrix @ contexts[..., None])[..., 0]
+
+    def prediction(self, ctx: PredictionContext) -> Prediction:
+        return Prediction(self.predict(ctx.b), self.sigma_min, self.rank, ctx.p)
+
+
+def _prediction_map(X: PartitionedMatrix | BehaviorBasis) -> _PredictionMap:
+    return _PredictionMap.factor(X.context_block, X.y_future)
+
+
+def _full_rank_map(U: BehaviorBasis) -> _PredictionMap:
+    """The map of a basis, rejecting context rows without full column rank."""
+    pred_map = _prediction_map(U)
+    if pred_map.rank < U.r:
+        raise RankDeficientError(
+            f"context rows of the basis are rank deficient: sigma_min = {pred_map.sigma_min:.3e}"
+        )
+    return pred_map
 
 
 def pseudoinverse(M, rtol: float | None = None) -> np.ndarray:
@@ -56,8 +90,7 @@ def pseudoinverse(M, rtol: float | None = None) -> np.ndarray:
     the default rtol is max(rows, cols) * machine_eps.  A zero matrix maps
     to a zero matrix.
     """
-    pinv, _, _ = _pinv_parts(M, rtol)
-    return pinv
+    return _PredictionMap.factor(M, rtol=rtol).matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +165,11 @@ class Prediction:
     p: int
 
 
-def _check_dims(X, ctx: PredictionContext) -> None:
-    if (X.m, X.p, X.Tini, X.Tf) != (ctx.m, ctx.p, ctx.Tini, ctx.Tf):
+def _check_dims(X, dims: tuple[int, int, int, int]) -> None:
+    if X.dims != dims:
         raise ValueError(
-            f"matrix dims (m={X.m}, p={X.p}, Tini={X.Tini}, Tf={X.Tf}) do not match "
-            f"context dims (m={ctx.m}, p={ctx.p}, Tini={ctx.Tini}, Tf={ctx.Tf})"
+            "matrix dims (m={}, p={}, Tini={}, Tf={}) do not match "
+            "context dims (m={}, p={}, Tini={}, Tf={})".format(*X.dims, *dims)
         )
 
 
@@ -144,12 +177,11 @@ def subspace_predict(X: PartitionedMatrix, ctx: PredictionContext) -> Prediction
     """Apply the subspace predictor for an arbitrary partitioned data matrix.
 
     The map is linear in the context and defined for any b, whether or not
-    (u_ini, y_ini) is a genuine trajectory window.
+    (u_ini, y_ini) is a genuine trajectory window.  Rank-deficient context
+    rows are truncated at the shared cutoff.
     """
-    _check_dims(X, ctx)
-    pinv, rank, sigma_min = _pinv_parts(X.context_block, None)
-    y_pred = X.y_future @ (pinv @ ctx.b)
-    return Prediction(y_pred=y_pred, sigma_min=sigma_min, effective_rank=rank, p=ctx.p)
+    _check_dims(X, (ctx.m, ctx.p, ctx.Tini, ctx.Tf))
+    return _prediction_map(X).prediction(ctx)
 
 
 def predict_from_subspace(U: BehaviorBasis, ctx: PredictionContext) -> Prediction:
@@ -157,17 +189,10 @@ def predict_from_subspace(U: BehaviorBasis, ctx: PredictionContext) -> Predictio
 
     Requires the context rows of the basis to have full column rank; the
     prediction then agrees with `subspace_predict` on any full-rank matrix
-    spanning the same subspace.
+    spanning the same subspace.  The rank check and the map share one SVD.
     """
-    _check_dims(U.basis, ctx)
-    M = U.context_block
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[-1] <= rank_tolerance(M.shape, float(svals[0])):
-        raise RankDeficientError(
-            f"context rows of the basis are rank deficient: "
-            f"sigma_min = {svals[-1]:.3e}"
-        )
-    return subspace_predict(U.basis, ctx)
+    _check_dims(U.basis, (ctx.m, ctx.p, ctx.Tini, ctx.Tf))
+    return _full_rank_map(U).prediction(ctx)
 
 
 def one_step(pred: Prediction) -> np.ndarray:
@@ -175,31 +200,38 @@ def one_step(pred: Prediction) -> np.ndarray:
     return pred.y_pred[: pred.p]
 
 
+def _context_matrix(measured: Trajectory, Tini: int, Tf: int) -> np.ndarray:
+    """The context of every sliding window, shape (T - Tini - Tf + 1, len b):
+    row i, the context at t = Tini + i, is column i of the trajectory's own
+    data matrix without its future-output rows."""
+    data = stacked_data_matrix(measured.inputs, measured.outputs, Tini, Tf)
+    return np.ascontiguousarray(data.context_block.T)
+
+
 def context_windows(
     measured: Trajectory, Tini: int, Tf: int
 ) -> Iterator[tuple[int, PredictionContext]]:
-    """Sliding windows (t, context) over a measured trajectory.
+    """Sliding windows (t, context) over a measured trajectory, one view per
+    row of the stacked context matrix that `rolling_one_step` predicts from.
 
     t runs from Tini through T - Tf inclusive, the last step for which the
     future input window still fits inside the data.
     """
-    if min(Tini, Tf) < 1:
-        raise ValueError(f"Tini and Tf must be positive, got ({Tini}, {Tf})")
-    T = measured.length
-    if T < Tini + Tf:
-        raise ValueError(f"trajectory length {T} is shorter than Tini+Tf = {Tini + Tf}")
-    for t in range(Tini, T - Tf + 1):
-        yield t, PredictionContext.from_windows(
-            u_past=measured.inputs[t - Tini : t],
-            u_future=measured.inputs[t : t + Tf],
-            y_past=measured.outputs[t - Tini : t],
-        )
+    m, p = measured.m, measured.p
+    for t, b in enumerate(_context_matrix(measured, Tini, Tf), start=Tini):
+        u_ini, u, y_ini = np.split(b, [m * Tini, m * (Tini + Tf)])
+        yield t, PredictionContext(u_ini, u, y_ini, m, p, Tini, Tf)
 
 
 def rolling_one_step(
     U: BehaviorBasis, measured: Trajectory, Tini: int, Tf: int
 ) -> np.ndarray:
     """One-step predictions over every sliding window of a measured
-    trajectory; shape (T - Tini - Tf + 1, p)."""
-    out = [one_step(predict_from_subspace(U, ctx)) for _, ctx in context_windows(measured, Tini, Tf)]
-    return np.array(out)
+    trajectory; shape (T - Tini - Tf + 1, p).
+
+    The basis's map is factored once and applied to every window; each row
+    equals ``one_step(predict_from_subspace(U, ctx))`` for that window.
+    """
+    contexts = _context_matrix(measured, Tini, Tf)
+    _check_dims(U.basis, (measured.m, measured.p, Tini, Tf))
+    return _full_rank_map(U).predict(contexts)[:, : measured.p]

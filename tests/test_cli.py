@@ -137,6 +137,31 @@ class TestPredictCommand:
         _write_context(ctx_path, [1.0], [1.0], [1.0], 1, 1, 1, 1)
         assert main(["predict", "--basis", str(path), "--context", str(ctx_path)]) == 4
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_context_exit_2(self, tmp_path, example_basis_file, capsys, token):
+        path, _, _ = example_basis_file
+        ctx_path = tmp_path / "ctx.txt"
+        _write_context(ctx_path, np.ones(4), np.zeros(4), np.zeros(4), 1, 1, 4, 4)
+        ctx_path.write_text(ctx_path.read_text().replace("u_ini = 1.0 1.0", f"u_ini = 1 {token}"))
+        assert main(["predict", "--basis", str(path), "--context", str(ctx_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{ctx_path}: u_ini: non-finite entry '{token}'" in captured.err
+
+    def test_non_finite_basis_exit_2(self, tmp_path, example_basis_file, capsys):
+        path, _, _ = example_basis_file
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(["nan"] + lines[3].split(",")[1:])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        ctx_path = tmp_path / "ctx.txt"
+        _write_context(ctx_path, np.zeros(4), np.zeros(4), np.zeros(4), 1, 1, 4, 4)
+        assert main(["predict", "--basis", str(bad), "--context", str(ctx_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}:4: non-finite entry 'nan'" in captured.err
+        assert main(["distance", str(bad), str(path)]) == 2
+
     def test_diagnostics_on_stderr(self, tmp_path, example_basis_file, capsys):
         path, _, _ = example_basis_file
         ctx_path = tmp_path / "ctx.txt"
@@ -223,6 +248,28 @@ class TestExperimentCommands:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("model = model.txt\nTini = 2\nTf = 2\nT_sim = 12\nN = 2\noutput_dir = o\n")
         assert main(["experiment", "--config", str(cfg)]) == 0
+
+    def test_non_finite_model_exit_2(self, tmp_path, monkeypatch, capsys):
+        def offline_stage(*args, **kwargs):
+            raise AssertionError("the offline stage ran")
+
+        monkeypatch.setattr("subpred.experiment.simulate", offline_stage)
+        (tmp_path / "model.txt").write_text(
+            format_model(default_model()).replace("A = 0.8 0.2", "A = 0.8 inf")
+        )
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("model = model.txt\nTini = 2\nTf = 2\nT_sim = 12\nN = 2\noutput_dir = o\n")
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert "matrix A, row 1: non-finite entry 'inf'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_target_beyond_drawn_geodesic_exit_2(self, tmp_path, capsys):
+        # within sqrt(min(r, q-r)) = sqrt(6), beyond the drawn geodesic's end
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("kappa_max = 2.0\noutput_dir = o\n")
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert "reaches distance 1.815" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "line, message",

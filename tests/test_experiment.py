@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from subpred import ExperimentConfig, chordal_distance, load_config, run_experiment, run_single
+from subpred import experiment
 from subpred.experiment import default_model, prepare, run_trial
+from subpred.predictor import context_windows, predict_from_subspace
 
 
 class TestConfig:
@@ -139,6 +141,53 @@ class TestRunExperiment:
         records, kappa = run_single(small_config, n=6, write=False)
         assert kappa == out.kappa
         np.testing.assert_array_equal(np.array([rec.perturbed for rec in records]), out.predictions)
+
+    def test_trial_predictions_match_per_window_prediction(self, tmp_path):
+        from helpers import random_model
+
+        model = random_model(np.random.default_rng(3), n=8, m=3, p=3)
+        cfg = ExperimentConfig(
+            model=model, Tini=10, Tf=10, T=200, T_sim=40, kappa_grid=(0.05, 0.2),
+            output_dir=str(tmp_path / "out"),
+        )
+        workspace = prepare(cfg)
+        windows = list(context_windows(workspace.measured, cfg.Tini, cfg.Tf))
+        assert tuple(t for t, _ in windows) == workspace.steps
+        for n in (1, 2):
+            out = run_trial(workspace, n)
+            for i, (_, ctx) in enumerate(windows):
+                expected = predict_from_subspace(out.basis, ctx).y_pred[: model.p]
+                np.testing.assert_array_equal(out.predictions[i], expected)
+        for i, (_, ctx) in enumerate(windows):
+            expected = predict_from_subspace(workspace.basis, ctx).y_pred[: model.p]
+            np.testing.assert_array_equal(workspace.baseline[i], expected)
+
+    def test_target_beyond_drawn_geodesic_fails_before_online_stage(self, monkeypatch):
+        # allowed by the configuration (limit sqrt(6)), but the geodesic drawn
+        # from the default seed_perturb ends at about 1.815
+        cfg = ExperimentConfig(model=default_model(), kappa_max=2.0)
+        simulations = []
+        simulate = experiment.simulate
+
+        def counting_simulate(*args, **kwargs):
+            simulations.append(len(args[1]))
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "simulate", counting_simulate)
+        with pytest.raises(ValueError, match="kappa=2.0 unreachable.*reaches distance 1.815"):
+            prepare(cfg)
+        assert simulations == [cfg.T]  # the offline stage only
+
+    def test_bound_below_error_logged_per_row(self, small_config, monkeypatch, caplog):
+        # a zero unit bound lies below every positive error
+        monkeypatch.setattr(experiment, "one_step_bound", lambda *args: 0.0)
+        workspace = prepare(small_config)
+        with caplog.at_level("WARNING", logger="subpred.experiment"):
+            out = run_trial(workspace, 3)
+        expected = [f"trial n=3, t={rec.t}:" for rec in out.records if rec.prediction_error > 0]
+        assert len(expected) > 0
+        assert [msg.split(" bound")[0] for msg in caplog.messages] == expected
+        assert all(rec.bound == 0.0 for rec in out.records)
 
     def test_trial_index_validated(self, small_config):
         workspace = prepare(small_config)

@@ -171,3 +171,11 @@ class TestTrajectoryFiles:
         save_trajectory(path, traj)
         with pytest.raises(ValueError, match="header"):
             load_trajectory(path, m=1, p=1)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_entry_rejected(self, tmp_path, token):
+        # no CLI command reads trajectory files, so the parser is checked directly
+        path = tmp_path / "traj.csv"
+        path.write_text(f"t,u_0,y_0\n0,1.0,2.0\n1,0.5,{token}\n")
+        with pytest.raises(ValueError, match=f"traj.csv:3: non-finite entry '{token}'"):
+            load_trajectory(path, m=1, p=1)

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from helpers import conditioned_invertible, random_model, random_orthogonal
 from subpred import (
+    NoiseSpec,
+    StateSpaceModel,
     one_step,
     orthonormal_basis,
     predict_from_subspace,
@@ -254,3 +256,76 @@ class TestRollingOneStep:
         for i, (t, ctx) in enumerate(context_windows(measured, Tini, Tf)):
             direct = predict_from_subspace(U, ctx).y_pred[:1]
             np.testing.assert_array_equal(preds[i], direct)
+
+
+def _noisy_mimo_basis(rng, Tini=10, Tf=10):
+    """Basis of noisy offline data from a random n=8, m=p=3 model."""
+    model = random_model(rng, n=8, m=3, p=3)
+    L = Tini + Tf
+    u = persistently_exciting_input(model.m, 200, order=model.n + L, seed=5)
+    offline = simulate(model, u, noise=NoiseSpec.relative_gaussian(0.02, seed=6))
+    X = stacked_data_matrix(offline.inputs, offline.outputs, Tini, Tf)
+    measured = simulate(
+        model, rng.standard_normal((60, model.m)), noise=NoiseSpec.relative_gaussian(0.02, seed=7)
+    )
+    return orthonormal_basis(X, model.m * L + model.n), measured
+
+
+class TestSharedMap:
+    def test_rolling_equals_per_window_prediction_mimo(self, rng):
+        U, measured = _noisy_mimo_basis(rng)
+        preds = rolling_one_step(U, measured, 10, 10)
+        windows = list(context_windows(measured, 10, 10))
+        assert preds.shape == (len(windows), 3)
+        for i, (_, ctx) in enumerate(windows):
+            np.testing.assert_array_equal(preds[i], predict_from_subspace(U, ctx).y_pred[:3])
+
+    def test_context_windows_match_trajectory_slices(self, rng):
+        _, measured = _noisy_mimo_basis(rng)
+        Tini, Tf = 10, 10
+        windows = list(context_windows(measured, Tini, Tf))
+        # reference: slice every window out of the trajectory directly
+        expected = range(Tini, measured.length - Tf + 1)
+        assert [t for t, _ in windows] == list(expected)
+        for t, ctx in windows:
+            ref = PredictionContext.from_windows(
+                u_past=measured.inputs[t - Tini : t],
+                u_future=measured.inputs[t : t + Tf],
+                y_past=measured.outputs[t - Tini : t],
+            )
+            np.testing.assert_array_equal(ctx.b, ref.b)
+            assert (ctx.m, ctx.p, ctx.Tini, ctx.Tf) == (ref.m, ref.p, ref.Tini, ref.Tf)
+
+    def test_one_svd_per_basis(self, rng, monkeypatch):
+        U, measured = _noisy_mimo_basis(rng)
+        _, ctx = next(context_windows(measured, 10, 10))
+        svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        windows = rolling_one_step(U, measured, 10, 10).shape[0]
+        assert windows > 1
+        assert calls == [U.context_block.shape]
+        calls.clear()
+        predict_from_subspace(U, ctx)
+        assert calls == [U.context_block.shape]
+
+    def test_rank_deficient_basis_rejected_by_rolling(self):
+        mat = np.zeros((4, 2))
+        mat[1, 0] = 1.0  # future-input row
+        mat[3, 1] = 1.0  # future-output row: the context block loses a column
+        basis = BehaviorBasis(PartitionedMatrix(data=mat, m=1, p=1, Tini=1, Tf=1))
+        measured = simulate(
+            StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]]), np.ones((5, 1))
+        )
+        with pytest.raises(RankDeficientError, match="sigma_min"):
+            rolling_one_step(basis, measured, 1, 1)
+
+    def test_rolling_dims_checked(self, rng):
+        U, measured = _noisy_mimo_basis(rng)
+        with pytest.raises(ValueError, match="do not match"):
+            rolling_one_step(U, measured, 9, 11)
