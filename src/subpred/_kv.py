@@ -1,7 +1,7 @@
 """Parser for the plain-text ``key = value`` grammar used by model, config and
 context files.  Lines are either blank, ``# comment``, or ``key = value``;
 values keep their raw string form for the caller to interpret.  Numeric
-entries of every input file go through `finite_floats`."""
+entries of every input file go through `finite_floats` or `integer`."""
 
 from __future__ import annotations
 
@@ -19,6 +19,15 @@ def finite_floats(tokens: list[str], where: str) -> list[float]:
         if not math.isfinite(value):
             raise ValueError(f"{where}: non-finite entry {tok.strip()!r}")
     return values
+
+
+def integer(raw: str, where: str) -> int:
+    """Parse an integer value, raising ValueError prefixed by ``where``
+    (the file and the key) when ``raw`` is not one."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{where} must be an integer, got {raw!r}") from None
 
 
 def read_pairs(text: str, source: str = "<string>") -> dict[str, str]:

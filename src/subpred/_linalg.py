@@ -1,8 +1,8 @@
-"""Shared numerical-rank conventions.
+"""The one SVD call site and its numerical-rank convention.
 
-Every rank decision in the library uses the same relative cutoff:
-a singular value counts toward the rank when it exceeds
-``max(rows, cols) * machine_eps * sigma_max``.
+Every factorization in the library goes through `svd`, and every rank
+decision uses its relative cutoff: a singular value counts toward the rank
+when it exceeds ``max(rows, cols) * machine_eps * sigma_max``.
 """
 
 from __future__ import annotations
@@ -12,25 +12,24 @@ import numpy as np
 EPS = float(np.finfo(np.float64).eps)
 
 
-def rank_tolerance(shape: tuple[int, int], sigma_max: float) -> float:
-    """Absolute singular-value cutoff for a matrix of the given shape."""
-    return max(shape) * EPS * sigma_max
+def svd(matrix, vectors: bool = False):
+    """Thin SVD of ``matrix`` as ``(U, s, Vt, rank)``, with ``rank`` under the
+    shared cutoff (0 for an empty or zero matrix).  ``U`` and ``Vt`` are None
+    unless ``vectors``; without them only the singular values are computed."""
+    matrix = np.asarray(matrix, dtype=float)
+    if vectors:
+        U, s, Vt = np.linalg.svd(matrix, full_matrices=False)
+    else:
+        U, s, Vt = None, np.linalg.svd(matrix, compute_uv=False), None
+    rank = int(np.count_nonzero(s > max(matrix.shape) * EPS * s[0])) if s.size else 0
+    return U, s, Vt, rank
 
 
 def numerical_rank(matrix: np.ndarray) -> int:
     """Rank of ``matrix`` under the shared singular-value cutoff."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        return 0
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals > rank_tolerance(matrix.shape, svals[0])))
+    return svd(matrix)[3]
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest singular value of ``matrix``."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        return 0.0
-    return float(np.linalg.svd(matrix, compute_uv=False)[0])
+    """Largest singular value of ``matrix`` (0 for an empty one)."""
+    return float(svd(matrix)[1].max(initial=0.0))

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import numerical_rank, spectral_norm
+from ._linalg import spectral_norm, svd
 from .errors import HypothesisViolationError, RankDeficientError
 from .hankel import PartitionedMatrix
-from .predictor import pseudoinverse
+from .predictor import _PredictionMap
 
 __all__ = [
     "BoundInputs",
@@ -180,17 +180,18 @@ def first_error_bound_terms(
         raise ValueError(f"direction must be 'approx' or 'truth', got {direction!r}")
     if b_norm < 0:
         raise ValueError(f"b_norm must be nonnegative, got {b_norm}")
-    Mhat, M = Hhat.context_block, H.context_block
-    for name, block in (("approximate", Mhat), ("true", M)):
-        if numerical_rank(block) < block.shape[1]:
+    pinvs = []
+    for name, X in (("approximate", Hhat), ("true", H)):
+        pred_map = _PredictionMap.factor(X.context_block)
+        if pred_map.rank < X.r:
             raise RankDeficientError(f"{name} context block is not of full column rank")
-    pinv_gap = spectral_norm(pseudoinverse(Mhat) - pseudoinverse(M))
+        pinvs.append(pred_map.matrix)
+    pinv_hat, pinv = pinvs
+    pinv_gap = spectral_norm(pinv_hat - pinv)
     if direction == "approx":
-        lead = spectral_norm(Hhat.y_future)
-        tail = spectral_norm(pseudoinverse(M))
+        lead, tail = spectral_norm(Hhat.y_future), spectral_norm(pinv)
     else:
-        lead = spectral_norm(H.y_future)
-        tail = spectral_norm(pseudoinverse(Mhat))
+        lead, tail = spectral_norm(H.y_future), spectral_norm(pinv_hat)
     yf_gap = float(np.linalg.norm(Hhat.y_future - H.y_future))
     full_gap = float(np.linalg.norm(Hhat.data - H.data))
     return FirstBoundTerms(
@@ -215,11 +216,13 @@ def pinv_perturbation_bound(Mhat, M) -> float:
     M = np.asarray(M, dtype=float)
     if Mhat.shape != M.shape:
         raise ValueError(f"shapes differ: {Mhat.shape} vs {M.shape}")
+    smins = []
     for name, mat in (("Mhat", Mhat), ("M", M)):
-        if numerical_rank(mat) < mat.shape[1]:
+        _, svals, _, rank = svd(mat)
+        if rank < mat.shape[1]:
             raise RankDeficientError(f"{name} is not of full column rank")
-    smin_hat = float(np.linalg.svd(Mhat, compute_uv=False)[-1])
-    smin = float(np.linalg.svd(M, compute_uv=False)[-1])
+        smins.append(float(svals[-1]))
+    smin_hat, smin = smins
     worst = max(1.0 / smin_hat**2, 1.0 / smin**2)
     return float(_PINV_PERTURBATION_CONST * worst * spectral_norm(Mhat - M))
 
@@ -232,6 +235,5 @@ def weyl_check(Mhat, M) -> bool:
     M = np.asarray(M, dtype=float)
     if Mhat.shape != M.shape:
         raise ValueError(f"shapes differ: {Mhat.shape} vs {M.shape}")
-    smin_hat = float(np.linalg.svd(Mhat, compute_uv=False)[-1])
-    smin = float(np.linalg.svd(M, compute_uv=False)[-1])
+    smin_hat, smin = (float(svd(mat)[1][-1]) for mat in (Mhat, M))
     return abs(smin_hat - smin) <= spectral_norm(Mhat - M) + 1e-10

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ._kv import finite_floats, read_pairs
+from ._kv import finite_floats, integer, read_pairs
 from .bounds import BoundInputs, lipschitz_bound, one_step_bound
 from .errors import ConvergenceError, HypothesisViolationError, RankDeficientError
 from .experiment import load_config, run_experiment, run_single
@@ -93,7 +93,7 @@ def load_context(path) -> PredictionContext:
     unknown = [k for k in pairs if k not in required]
     if unknown:
         raise ValueError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
-    dims = {k: int(pairs[k]) for k in ("m", "p", "Tini", "Tf")}
+    dims = {k: integer(pairs[k], f"{path}: {k}") for k in ("m", "p", "Tini", "Tf")}
     vectors = {k: finite_floats(pairs[k].split(), f"{path}: {k}") for k in ("u_ini", "u", "y_ini")}
     return PredictionContext(
         u_ini=vectors["u_ini"], u=vectors["u"], y_ini=vectors["y_ini"], **dims

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kv import read_pairs
+from ._kv import integer, read_pairs
 from ._linalg import spectral_norm
 from .bounds import one_step_bound
 from .errors import HypothesisViolationError
@@ -139,7 +139,7 @@ def load_config(path) -> ExperimentConfig:
     kwargs: dict = {}
     for key, raw in pairs.items():
         if key in _CONFIG_INT_KEYS:
-            kwargs[key] = int(raw)
+            kwargs[key] = integer(raw, f"{path}: {key}")
         elif key in _CONFIG_FLOAT_KEYS:
             kwargs[key] = float(raw)
         elif key == "kappa_grid":

@@ -6,7 +6,7 @@ Angles are computed from two SVDs: cosines from the product of the bases,
 sines from the projection of one basis onto the orthogonal complement of the
 other.  The sine route keeps full accuracy for nearly identical subspaces,
 where arccos of a cosine loses half the significant digits; distances are
-therefore always evaluated from the sines.
+therefore evaluated from the sines alone, one SVD each.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kv import finite_floats
-from ._linalg import rank_tolerance
+from ._linalg import svd
 from .errors import ConvergenceError, RankDeficientError
 from .hankel import PartitionedMatrix
 
@@ -68,7 +68,7 @@ class BehaviorBasis:
         if mat.shape[1] > mat.shape[0]:
             raise ValueError(f"rank {mat.shape[1]} exceeds ambient dimension {mat.shape[0]}")
         gram_defect = np.linalg.norm(mat.T @ mat - np.eye(mat.shape[1]))
-        if gram_defect > ORTHONORMALITY_TOL:
+        if not gram_defect <= ORTHONORMALITY_TOL:  # NaN fails too
             raise ValueError(
                 f"columns are not orthonormal: ||U'U - I||_F = {gram_defect:.3e}"
             )
@@ -107,8 +107,8 @@ def orthonormal_basis(X: PartitionedMatrix, r: int) -> BehaviorBasis:
     """
     if not 1 <= r <= min(X.q, X.r):
         raise ValueError(f"rank r={r} out of range for a {X.q}x{X.r} matrix")
-    U, svals, _ = np.linalg.svd(X.data, full_matrices=False)
-    if svals[r - 1] <= rank_tolerance(X.data.shape, float(svals[0])):
+    U, svals, _, rank = svd(X.data, vectors=True)
+    if rank < r:
         raise RankDeficientError(
             f"requested rank r={r} exceeds the numerical rank: "
             f"sigma_{r} = {svals[r - 1]:.3e} is below the cutoff"
@@ -123,15 +123,11 @@ def _check_comparable(U: BehaviorBasis, V: BehaviorBasis) -> None:
         raise ValueError(f"subspace ranks differ: {U.r} vs {V.r}")
 
 
-def _angle_parts(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cosines (descending) and sines (ascending) of the principal angles
-    between the column spans of two orthonormal matrices."""
-    cross = A.T @ B
-    cosines = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
-    residual = B - A @ cross
-    sines = np.linalg.svd(residual, compute_uv=False)
-    sines = np.clip(sines[::-1], 0.0, 1.0)
-    return cosines, sines
+def _sines(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Sines (ascending) of the principal angles between the column spans of
+    two orthonormal matrices: the singular values of B's component outside
+    span A."""
+    return np.clip(svd(B - A @ (A.T @ B))[1][::-1], 0.0, 1.0)
 
 
 def principal_angles(U: BehaviorBasis, V: BehaviorBasis) -> PrincipalAngles:
@@ -141,7 +137,9 @@ def principal_angles(U: BehaviorBasis, V: BehaviorBasis) -> PrincipalAngles:
     accurate at both ends of [0, pi/2].
     """
     _check_comparable(U, V)
-    cosines, sines = _angle_parts(U.matrix, V.matrix)
+    A, B = U.matrix, V.matrix
+    cosines = np.clip(svd(A.T @ B)[1], 0.0, 1.0)
+    sines = _sines(A, B)
     angles = np.arctan2(sines, cosines)
     return PrincipalAngles(angles=angles, cosines=cosines, sines=sines)
 
@@ -156,8 +154,7 @@ def chordal_distance(U: BehaviorBasis, V: BehaviorBasis) -> float:
     """
     _check_comparable(U, V)
     A, B = U.matrix, V.matrix
-    _, sines = _angle_parts(A, B)
-    d = float(np.linalg.norm(sines))
+    d = float(np.linalg.norm(_sines(A, B)))
     projector_form = np.linalg.norm(A @ A.T - B @ B.T) / np.sqrt(2.0)
     if abs(d - projector_form) > 1e-10:
         raise ArithmeticError(
@@ -176,7 +173,7 @@ def align_basis(U: BehaviorBasis, Uhat: BehaviorBasis) -> BehaviorBasis:
     sqrt(2) times the chordal distance.
     """
     _check_comparable(U, Uhat)
-    P, _, Qt = np.linalg.svd(U.matrix.T @ Uhat.matrix)
+    P, _, Qt, _ = svd(U.matrix.T @ Uhat.matrix, vectors=True)
     rotation = Qt.T @ P.T
     return BehaviorBasis(Uhat.basis.with_data(Uhat.matrix @ rotation))
 
@@ -229,7 +226,7 @@ class Geodesic:
         base = U.matrix
         direction = rng.standard_normal((U.q, U.r))
         direction -= base @ (base.T @ direction)
-        W, svals, Vt = np.linalg.svd(direction, full_matrices=False)
+        W, svals, Vt, _ = svd(direction, vectors=True)
         # A basis spanning the whole space leaves a zero direction; its
         # geodesic only ever serves kappa = 0.
         rates = (np.pi / 2) * (svals / max(svals[0], np.finfo(float).tiny))

@@ -33,7 +33,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PartitionedMatrix:
-    """A ((m+p)(Tini+Tf), r) matrix with the canonical block-row partition.
+    """A ((m+p)(Tini+Tf), r) matrix of finite entries with the canonical
+    block-row partition.
 
     Block views are pure slices of ``data``: stacking
     (u_past, u_future, y_past, y_future) reproduces ``data`` exactly.
@@ -51,6 +52,8 @@ class PartitionedMatrix:
         data = np.array(self.data, dtype=float, order="C")  # private copy, safe to freeze
         if data.ndim != 2:
             raise ValueError(f"data must be 2-dimensional, got shape {data.shape}")
+        if not np.isfinite(data).all():
+            raise ValueError("data has non-finite entries")
         if min(self.m, self.p) < 1 or min(self.Tini, self.Tf) < 0 or self.Tini + self.Tf < 1:
             raise ValueError(
                 f"invalid dims (m={self.m}, p={self.p}, Tini={self.Tini}, Tf={self.Tf})"

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kv import finite_floats, read_pairs
-from ._linalg import rank_tolerance
+from ._kv import finite_floats, integer, read_pairs
+from ._linalg import spectral_norm, svd
 
 __all__ = [
     "StateSpaceModel",
@@ -301,12 +301,8 @@ def observability_degree(model: StateSpaceModel, Tini: int) -> float:
     under the shared rank cutoff, which happens precisely when the
     observability matrix over Tini steps loses rank.
     """
-    phi = trajectory_generation_matrix(model, Tini)
-    svals = np.linalg.svd(phi, compute_uv=False)
-    smallest = float(svals[-1])
-    if smallest <= rank_tolerance(phi.shape, float(svals[0])):
-        return 0.0
-    return smallest
+    _, svals, _, rank = svd(trajectory_generation_matrix(model, Tini))
+    return float(svals[-1]) if rank == svals.size else 0.0
 
 
 def gain_bound(model: StateSpaceModel, L: int) -> float:
@@ -314,8 +310,7 @@ def gain_bound(model: StateSpaceModel, L: int) -> float:
 
     Always at least 1 because of the identity block.
     """
-    phi = trajectory_generation_matrix(model, L)
-    return float(np.linalg.svd(phi, compute_uv=False)[0])
+    return spectral_norm(trajectory_generation_matrix(model, L))
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +368,7 @@ def parse_model(text: str, source: str = "<string>") -> StateSpaceModel:
         raise ValueError(f"{source}: unknown keys: {', '.join(sorted(unknown))}")
     dims = {}
     for key in ("n", "m", "p"):
-        try:
-            dims[key] = int(pairs[key])
-        except ValueError:
-            raise ValueError(f"{source}: {key} must be an integer, got {pairs[key]!r}") from None
+        dims[key] = integer(pairs[key], f"{source}: {key}")
         if dims[key] < 1:
             raise ValueError(f"{source}: {key} must be positive, got {dims[key]}")
     n, m, p = dims["n"], dims["m"], dims["p"]

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._linalg import EPS
+from ._linalg import svd
 from .errors import RankDeficientError
 from .grassmann import BehaviorBasis
 from .hankel import PartitionedMatrix, stacked_data_matrix
@@ -38,7 +38,7 @@ __all__ = [
 class _PredictionMap:
     """``matrix`` = future_rows @ pinv(context_rows), plus the retained rank
     and smallest singular value of the one SVD it is built from.  Singular
-    values at or below ``rtol * sigma_max`` are dropped, which truncates a
+    values at or below the shared cutoff are dropped, which truncates a
     rank-deficient block.  Without future rows the map is the pseudoinverse.
     """
 
@@ -47,17 +47,14 @@ class _PredictionMap:
     sigma_min: float
 
     @classmethod
-    def factor(cls, context_rows, future_rows=None, rtol: float | None = None):
-        M = np.asarray(context_rows, dtype=float)
-        U, svals, Vt = np.linalg.svd(M, full_matrices=False)
-        if svals.size == 0 or svals[0] == 0.0:
-            pinv, rank, sigma_min = np.zeros(M.shape[::-1]), 0, 0.0
+    def factor(cls, context_rows, future_rows=None):
+        U, svals, Vt, rank = svd(context_rows, vectors=True)
+        if rank == 0:
+            pinv, sigma_min = np.zeros(np.shape(context_rows)[::-1]), 0.0
         else:
-            keep = svals > (max(M.shape) * EPS if rtol is None else rtol) * svals[0]
             inv = np.zeros_like(svals)
-            inv[keep] = 1.0 / svals[keep]
-            pinv = (Vt.T * inv) @ U.T
-            rank, sigma_min = int(np.count_nonzero(keep)), float(svals[-1])
+            inv[:rank] = 1.0 / svals[:rank]
+            pinv, sigma_min = (Vt.T * inv) @ U.T, float(svals[-1])
         return cls(pinv if future_rows is None else future_rows @ pinv, rank, sigma_min)
 
     def predict(self, contexts: np.ndarray) -> np.ndarray:
@@ -83,14 +80,13 @@ def _full_rank_map(U: BehaviorBasis) -> _PredictionMap:
     return pred_map
 
 
-def pseudoinverse(M, rtol: float | None = None) -> np.ndarray:
+def pseudoinverse(M) -> np.ndarray:
     """Moore-Penrose inverse via SVD.
 
-    Singular values at or below ``rtol * sigma_max`` are treated as zero;
-    the default rtol is max(rows, cols) * machine_eps.  A zero matrix maps
-    to a zero matrix.
+    Singular values at or below the shared rank cutoff of `_linalg.svd` are
+    treated as zero.  A zero matrix maps to a zero matrix.
     """
-    return _PredictionMap.factor(M, rtol=rtol).matrix
+    return _PredictionMap.factor(M).matrix
 
 
 @dataclass(frozen=True, eq=False)

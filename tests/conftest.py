@@ -15,6 +15,20 @@ def rng():
 
 
 @pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices passed to np.linalg.svd, in call order."""
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+@pytest.fixture
 def small_config(tmp_path, example_model):
     """Reduced sweep for fast mechanical tests."""
     return ExperimentConfig(

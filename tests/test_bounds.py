@@ -21,6 +21,7 @@ from subpred import (
     trajectory_generation_matrix,
     weyl_check,
 )
+from subpred._linalg import spectral_norm
 from subpred.errors import HypothesisViolationError, RankDeficientError
 from subpred.hankel import PartitionedMatrix
 from subpred.predictor import PredictionContext, predict_from_subspace
@@ -207,6 +208,55 @@ class TestFirstErrorBound:
         H = PartitionedMatrix(data=bad, m=1, p=1, Tini=2, Tf=2)
         with pytest.raises(RankDeficientError):
             first_error_bound(H, H, 1.0)
+
+
+def _mimo_pairs(rng, count):
+    """(Hhat, H) pairs: a MIMO behavior basis and an aligned perturbation."""
+    for i in range(count):
+        model = random_model(rng, n=3, m=2, p=2)
+        U = _behavior_basis(model, 3, 2)
+        Uhat = align_basis(U, perturb_subspace(U, 0.05, seed=i))
+        yield Uhat.basis, U.basis
+
+
+class TestOneFactorizationPerBlock:
+    def test_first_error_bound_terms_five_svds(self, rng, svd_calls):
+        Hhat, H = next(_mimo_pairs(rng, 1))
+        for direction in ("approx", "truth"):
+            svd_calls.clear()
+            first_error_bound_terms(Hhat, H, 1.0, direction=direction)
+            # one per context block, then the pinv gap, lead and tail norms
+            assert len(svd_calls) == 5
+            assert svd_calls[:2] == [Hhat.context_block.shape, H.context_block.shape]
+
+    def test_pinv_perturbation_bound_three_svds(self, rng, svd_calls):
+        M = rng.standard_normal((7, 3))
+        pinv_perturbation_bound(M + 0.1 * rng.standard_normal((7, 3)), M)
+        assert svd_calls == [(7, 3)] * 3
+
+    def test_first_error_bound_terms_matches_formula(self, rng):
+        for Hhat, H in _mimo_pairs(rng, 10):
+            b_norm = float(rng.uniform(0.5, 2.0))
+            pinv_hat, pinv = pseudoinverse(Hhat.context_block), pseudoinverse(H.context_block)
+            pinv_gap = spectral_norm(pinv_hat - pinv)
+            yf_gap = float(np.linalg.norm(Hhat.y_future - H.y_future))
+            full_gap = float(np.linalg.norm(Hhat.data - H.data))
+            for direction, lead, tail in (
+                ("approx", spectral_norm(Hhat.y_future), spectral_norm(pinv)),
+                ("truth", spectral_norm(H.y_future), spectral_norm(pinv_hat)),
+            ):
+                terms = first_error_bound_terms(Hhat, H, b_norm, direction=direction)
+                assert terms.submatrix_value == float((lead * pinv_gap + yf_gap * tail) * b_norm)
+                assert terms.full_value == float((lead * pinv_gap + full_gap * tail) * b_norm)
+
+    def test_pinv_perturbation_bound_matches_formula(self, rng):
+        for _ in range(10):
+            M = rng.standard_normal((7, 3))
+            Mhat = M + 0.1 * rng.standard_normal((7, 3))
+            smin_hat, smin = (np.linalg.svd(X, compute_uv=False)[-1] for X in (Mhat, M))
+            worst = max(1.0 / smin_hat**2, 1.0 / smin**2)
+            expected = (1.0 + np.sqrt(5.0)) / 2.0 * worst * spectral_norm(Mhat - M)
+            assert pinv_perturbation_bound(Mhat, M) == float(expected)
 
 
 class TestPinvPerturbationBound:

@@ -162,6 +162,16 @@ class TestPredictCommand:
         assert f"{bad}:4: non-finite entry 'nan'" in captured.err
         assert main(["distance", str(bad), str(path)]) == 2
 
+    def test_non_integer_dimension_names_file_and_key(self, tmp_path, example_basis_file, capsys):
+        path, _, _ = example_basis_file
+        ctx_path = tmp_path / "ctx.txt"
+        _write_context(ctx_path, np.zeros(4), np.zeros(4), np.zeros(4), 1, 1, 4, 4)
+        ctx_path.write_text(ctx_path.read_text().replace("m = 1", "m = x"))
+        assert main(["predict", "--basis", str(path), "--context", str(ctx_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{ctx_path}: m must be an integer, got 'x'" in captured.err
+
     def test_diagnostics_on_stderr(self, tmp_path, example_basis_file, capsys):
         path, _, _ = example_basis_file
         ctx_path = tmp_path / "ctx.txt"
@@ -262,6 +272,22 @@ class TestExperimentCommands:
         assert main(["experiment", "--config", str(cfg)]) == 2
         assert "matrix A, row 1: non-finite entry 'inf'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["N", "Tini", "seed_perturb"])
+    def test_non_integer_config_key_names_file_and_key(self, tmp_path, capsys, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key} = x\noutput_dir = o\n")
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert f"{cfg}: {key} must be an integer, got 'x'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_integer_model_dimension_names_file_and_key(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text(format_model(default_model()).replace("n = 2", "n = 2.5"))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("model = model.txt\noutput_dir = o\n")
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert f"{model}: n must be an integer, got '2.5'" in capsys.readouterr().err
 
     def test_target_beyond_drawn_geodesic_exit_2(self, tmp_path, capsys):
         # within sqrt(min(r, q-r)) = sqrt(6), beyond the drawn geodesic's end

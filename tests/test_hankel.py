@@ -155,6 +155,13 @@ class TestPartitionedMatrix:
         with pytest.raises(ValueError, match="rows"):
             PartitionedMatrix(data=rng.standard_normal((9, 4)), m=1, p=1, Tini=2, Tf=3)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, rng, value):
+        Q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+        Q[0, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            PartitionedMatrix(data=Q, m=1, p=1, Tini=2, Tf=2)
+
 
 class TestTrajectoryFiles:
     def test_round_trip(self, tmp_path, rng, example_model):
