@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_experiment(args) -> int:
     config = load_config(args.config)
-    run_experiment(config, jobs=args.jobs)
+    run_experiment(config)
     out = Path(config.output_dir)
     print(out / "trials.csv")
     print(out / "summary.csv")

@@ -21,11 +21,13 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from ._kv import integer, read_pairs
+from ._kv import finite_floats, integer, read_pairs
 from ._linalg import spectral_norm
 from .bounds import one_step_bound
 from .errors import HypothesisViolationError
@@ -141,9 +143,9 @@ def load_config(path) -> ExperimentConfig:
         if key in _CONFIG_INT_KEYS:
             kwargs[key] = integer(raw, f"{path}: {key}")
         elif key in _CONFIG_FLOAT_KEYS:
-            kwargs[key] = float(raw)
+            (kwargs[key],) = finite_floats([raw], f"{path}: {key}")
         elif key == "kappa_grid":
-            kwargs[key] = tuple(float(tok) for tok in raw.split(","))
+            kwargs[key] = tuple(finite_floats(raw.split(","), f"{path}: {key}"))
         elif key == "model":
             kwargs[key] = load_model(_resolve(path.parent, raw))
         elif key == "output_dir":
@@ -159,9 +161,9 @@ def _resolve(base: Path, raw: str) -> Path:
     return p if p.is_absolute() else base / p
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One (perturbation, time-step) observation."""
+class TrialRecord(NamedTuple):
+    """One (perturbation, time-step) observation: a row of ``trials.csv``,
+    whose header is ``TrialRecord._fields``."""
 
     n: int
     kappa: float
@@ -171,9 +173,9 @@ class TrialRecord:
     sigma_min_Mhat: float
 
 
-@dataclass(frozen=True)
-class SummaryRecord:
-    """Per-perturbation averages over the rolling window."""
+class SummaryRecord(NamedTuple):
+    """Per-perturbation averages over the rolling window: ``n`` and then a
+    row of ``summary.csv``, which leaves ``n`` to the row order."""
 
     n: int
     kappa: float
@@ -181,9 +183,9 @@ class SummaryRecord:
     avg_bound: float | None
 
 
-@dataclass(frozen=True)
-class SingleRecord:
-    """One time step of a single-perturbation trace."""
+class SingleRecord(NamedTuple):
+    """One time step of a single-perturbation trace; ``baseline`` and
+    ``perturbed`` hold one prediction per output channel."""
 
     t: int
     baseline: np.ndarray
@@ -202,7 +204,6 @@ class ExperimentWorkspace:
     config: ExperimentConfig
     basis: BehaviorBasis
     geodesic: Geodesic
-    offline: Trajectory
     measured: Trajectory
     steps: tuple[int, ...]
     context_matrix: np.ndarray  # (steps, len(b)) stacked context vectors
@@ -246,7 +247,6 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
         config=config,
         basis=basis,
         geodesic=geodesic,
-        offline=offline,
         measured=measured,
         steps=tuple(range(config.Tini, config.T_sim - config.Tf + 1)),
         context_matrix=context_matrix,
@@ -295,11 +295,10 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
                 "trial n=%d, t=%d: bound %.6g below observed error %.6g",
                 n, workspace.steps[i], bounds[i], errors[i],
             )
-    row_bounds = [None] * len(errors) if bounds is None else bounds.tolist()
-    records = tuple(
-        TrialRecord(n, kappa, t, prediction_error, bound, sigma_min)
-        for t, prediction_error, bound in zip(workspace.steps, errors.tolist(), row_bounds)
-    )
+    row_bounds = repeat(None) if bounds is None else bounds.tolist()
+    records = tuple(map(TrialRecord._make, zip(
+        repeat(n), repeat(kappa), workspace.steps, errors.tolist(), row_bounds, repeat(sigma_min)
+    )))
     avg_bound = None if bounds is None else float(np.mean(bounds))
     summary = SummaryRecord(n=n, kappa=kappa, avg_error=float(np.mean(errors)), avg_bound=avg_bound)
     return TrialOutput(
@@ -312,14 +311,10 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
 
 
 def run_experiment(
-    config: ExperimentConfig, jobs: int = 1, write: bool = True
+    config: ExperimentConfig, write: bool = True
 ) -> tuple[list[TrialRecord], list[SummaryRecord]]:
     """Run every trial of the sweep, in trial order, and (optionally) write
-    ``trials.csv`` and ``summary.csv`` to the configured output directory.
-
-    ``jobs`` is accepted and ignored: trials run serially, because a thread
-    pool over them measured slower than the serial loop.
-    """
+    ``trials.csv`` and ``summary.csv`` to the configured output directory."""
     workspace = prepare(config)
     outputs = [run_trial(workspace, n) for n in range(1, config.N + 1)]
     trials = [rec for out in outputs for rec in out.records]
@@ -351,62 +346,33 @@ def run_single(
     if write:
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_single_csv(out_dir / f"single_{n}.csv", records, workspace.measured.p)
+        p = config.model.p
+        channels = [""] if p == 1 else [f"_{i}" for i in range(p)]
+        columns = [f"{name}{c}" for name in ("baseline", "perturbed") for c in channels]
+        rows = (
+            [rec.t, *rec.baseline.tolist(), *rec.perturbed.tolist(), rec.error, rec.bound]
+            for rec in records
+        )
+        _write_csv(out_dir / f"single_{n}.csv", ["t", *columns, "error", "bound"], rows)
     return records, out.kappa
 
 
-# ---------------------------------------------------------------------------
-# CSV emission.  Floats are written with repr (shortest round-trip form);
-# a missing bound becomes an empty field.
-# ---------------------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+# The two sweep files keep named writers: the benchmark (bench/) times them
+# as the per-layer spans experiment.write_trials_csv and write_summary_csv.
 
 
 def write_trials_csv(path, records: list[TrialRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "kappa", "t", "prediction_error", "bound", "sigma_min_Mhat"])
-        for rec in records:
-            writer.writerow(
-                [
-                    str(rec.n),
-                    _fmt(rec.kappa),
-                    str(rec.t),
-                    _fmt(rec.prediction_error),
-                    _fmt(rec.bound),
-                    _fmt(rec.sigma_min_Mhat),
-                ]
-            )
+    _write_csv(path, TrialRecord._fields, records)
 
 
 def write_summary_csv(path, summaries: list[SummaryRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kappa", "avg_error", "avg_bound"])
-        for rec in summaries:
-            writer.writerow([_fmt(rec.kappa), _fmt(rec.avg_error), _fmt(rec.avg_bound)])
+    _write_csv(path, SummaryRecord._fields[1:], (rec[1:] for rec in summaries))
 
 
-def write_single_csv(path, records: list[SingleRecord], p: int) -> None:
+def _write_csv(path: Path, header, rows) -> None:
+    """Write ``header`` and ``rows``.  The csv module writes floats in their
+    shortest round-trip (``repr``) form and ``None`` as an empty field."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if p == 1:
-            writer.writerow(["t", "baseline", "perturbed", "error", "bound"])
-        else:
-            writer.writerow(
-                ["t"]
-                + [f"baseline_{i}" for i in range(p)]
-                + [f"perturbed_{i}" for i in range(p)]
-                + ["error", "bound"]
-            )
-        for rec in records:
-            row = [str(rec.t)]
-            row += [_fmt(v) for v in np.atleast_1d(rec.baseline)]
-            row += [_fmt(v) for v in np.atleast_1d(rec.perturbed)]
-            row += [_fmt(rec.error), _fmt(rec.bound)]
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)

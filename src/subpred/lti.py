@@ -234,14 +234,21 @@ def simulate(
     states = np.empty((T + 1, model.n))
     outputs = np.empty((T, model.p))
     states[0] = x
-    for t in range(T):
-        y_clean = model.C @ states[t] + model.D @ u[t]
-        if rng is not None:
-            scale = np.sqrt(noise.sigma) * np.linalg.norm(y_clean)
-            outputs[t] = y_clean + scale * rng.standard_normal(model.p)
-        else:
-            outputs[t] = y_clean
-        states[t + 1] = model.A @ states[t] + model.B @ u[t]
+    # A diverging model overflows to inf/NaN; that is checked once below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            y_clean = model.C @ states[t] + model.D @ u[t]
+            if rng is not None:
+                scale = np.sqrt(noise.sigma) * np.linalg.norm(y_clean)
+                outputs[t] = y_clean + scale * rng.standard_normal(model.p)
+            else:
+                outputs[t] = y_clean
+            states[t + 1] = model.A @ states[t] + model.B @ u[t]
+    finite = np.isfinite(outputs).all(axis=1) & np.isfinite(states[1:]).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"simulation diverged: non-finite output or state from step t={int(np.argmin(finite))}"
+        )
     return Trajectory(inputs=u, outputs=outputs, states=states)
 
 

@@ -187,34 +187,57 @@ def test_criterion_05_full_horizon_bound_validity():
     _report("criterion 5 (full-horizon bound validity, 500/500)")
 
 
+def _one_step_map(U, p):
+    """Rows of the prediction map G = Y_f pinv(context rows) that give the
+    first predicted output."""
+    return U.y_future[:p] @ pseudoinverse(U.context_block)
+
+
+def _check_one_step_bound(rng, model, Tini, Tf):
+    U = _behavior_basis(model, Tini, Tf)
+    sigma_true = float(np.linalg.svd(U.context_block, compute_uv=False)[-1])
+    # within sigma_true/(3*sqrt(2)) the perturbed context block keeps
+    # sigma >= 2*sqrt(2)*kappa, so the computable hypothesis holds
+    kappa = rng.uniform(0.0, 1.0) * sigma_true / (3 * SQRT2)
+    Uhat = perturb_subspace(U, kappa, seed=int(rng.integers(2**31)))
+    kappa = chordal_distance(U, Uhat)
+    sigma_hat = float(np.linalg.svd(Uhat.context_block, compute_uv=False)[-1])
+    assert kappa <= sigma_hat / (2 * SQRT2) + 1e-12
+    norm_first = float(np.linalg.norm(Uhat.y_future[: model.p], 2))
+    ctx = _genuine_context(rng, model, Tini, Tf)
+    b_norm = np.linalg.norm(ctx.b)
+    err = np.linalg.norm(
+        predict_from_subspace(Uhat, ctx).y_pred[: model.p]
+        - predict_from_subspace(U, ctx).y_pred[: model.p]
+    )
+    bound = one_step_bound(sigma_hat, norm_first, kappa, b_norm)
+    assert err <= bound + 1e-9 * b_norm, f"one-step bound violated: err={err}, bound={bound}"
+    # the worst context of unit norm: the spectral norm of the maps' gap
+    worst = np.linalg.norm(_one_step_map(Uhat, model.p) - _one_step_map(U, model.p), 2)
+    bound = one_step_bound(sigma_hat, norm_first, kappa, 1.0)
+    assert worst <= bound + 1e-9, f"one-step bound violated: worst={worst}, bound={bound}"
+
+
+MIMO_ONE_STEP_CASES = 200
+
+
 def test_criterion_06_one_step_bound_validity():
     rng = np.random.default_rng(606)
-    holds = 0
     for _ in range(500):
         model = random_model(rng, n=int(rng.integers(1, 3)))
         Tini = model.n + int(rng.integers(0, 2))
         Tf = int(rng.integers(1, 3))
-        U = _behavior_basis(model, Tini, Tf)
-        sigma_true = float(np.linalg.svd(U.context_block, compute_uv=False)[-1])
-        # within sigma_true/(3*sqrt(2)) the perturbed context block keeps
-        # sigma >= 2*sqrt(2)*kappa, so the computable hypothesis holds
-        kappa = rng.uniform(0.0, 1.0) * sigma_true / (3 * SQRT2)
-        Uhat = perturb_subspace(U, kappa, seed=int(rng.integers(2**31)))
-        kappa = chordal_distance(U, Uhat)
-        sigma_hat = float(np.linalg.svd(Uhat.context_block, compute_uv=False)[-1])
-        assert kappa <= sigma_hat / (2 * SQRT2) + 1e-12
-        norm_first = float(np.linalg.norm(Uhat.y_future[: model.p], 2))
-        ctx = _genuine_context(rng, model, Tini, Tf)
-        b_norm = np.linalg.norm(ctx.b)
-        err = np.linalg.norm(
-            predict_from_subspace(Uhat, ctx).y_pred[: model.p]
-            - predict_from_subspace(U, ctx).y_pred[: model.p]
+        _check_one_step_bound(rng, model, Tini, Tf)
+    # larger systems (n <= 8, up to three inputs and outputs) and longer
+    # horizons, drawn after the 500 small cases so that those stay as they were
+    for _ in range(MIMO_ONE_STEP_CASES):
+        model = random_model(
+            rng, n=int(rng.integers(1, 9)), m=int(rng.integers(1, 4)), p=int(rng.integers(1, 4))
         )
-        bound = one_step_bound(sigma_hat, norm_first, kappa, b_norm)
-        assert err <= bound + 1e-9 * b_norm, f"one-step bound violated: err={err}, bound={bound}"
-        holds += 1
-    assert holds == 500
-    _report("criterion 6 (one-step bound validity, 500/500)")
+        Tini = model.n + int(rng.integers(0, 2))
+        Tf = int(rng.integers(1, 7))
+        _check_one_step_bound(rng, model, Tini, Tf)
+    _report(f"criterion 6 (one-step bound validity, 500 + {MIMO_ONE_STEP_CASES} larger systems)")
 
 
 def test_criterion_07_single_perturbation_trace(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,8 @@ class TestExperimentCommands:
             ("kappa_grid = inf", "kappa_grid"),
             # rank 6 in dimension 8: at most sqrt(2) is reachable
             ("kappa_grid = 0.1,2.0", "unreachable"),
+            ("sigma = x", "{cfg}: sigma: could not convert string to float: 'x'"),
+            ("kappa_grid = 0.1,y", "{cfg}: kappa_grid: could not convert string to float: 'y'"),
         ],
     )
     def test_bad_config_exit_2_before_simulation(self, tmp_path, monkeypatch, capsys, line, message):
@@ -318,5 +322,20 @@ class TestExperimentCommands:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"Tini = 2\nTf = 2\nT_sim = 12\nN = 2\n{line}\noutput_dir = o\n")
         assert main(["experiment", "--config", str(cfg)]) == 2
-        assert message in capsys.readouterr().err
+        assert message.format(cfg=cfg) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_diverging_model_exit_2(self, tmp_path, capsys):
+        (tmp_path / "model.txt").write_text(
+            format_model(default_model()).replace("A = 0.8 0.2", "A = 1e10 0.2")
+        )
+        cfg = tmp_path / "exp.cfg"
+        # x_t grows like 1e10**t and overflows within the T = 60 offline steps
+        cfg.write_text(
+            "model = model.txt\nTini = 2\nTf = 2\nT = 60\nT_sim = 12\nN = 2\noutput_dir = o\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["experiment", "--config", str(cfg)]) == 2
+        assert "simulation diverged" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

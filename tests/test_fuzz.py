@@ -114,8 +114,9 @@ _BASIS_LINES = st.one_of(
 )
 
 
-# Fuzzed models may be unstable or hold huge entries; their simulation
-# overflows, and the non-finite data is then rejected with exit code 2.
+# Fuzzed models may be unstable or hold huge entries; a simulation that
+# diverges is rejected with exit code 2, and huge finite data may still
+# overflow in the steps after it.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestFuzzedFiles:

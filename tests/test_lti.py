@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,18 @@ class TestSimulate:
     def test_bad_input_width_rejected(self, example_model):
         with pytest.raises(ValueError, match="inputs"):
             simulate(example_model, np.zeros((4, 2)))
+
+    # x_t = 1e10**t: the state overflows at x_31, and the noise scale, which
+    # squares the output inside its norm, already at x_16
+    @pytest.mark.parametrize(
+        "noise, step", [(NoiseSpec.none(), 30), (NoiseSpec.relative_gaussian(0.02, seed=0), 16)]
+    )
+    def test_divergence_raises_without_warnings(self, noise, step):
+        model = StateSpaceModel(A=[[1e10]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"simulation diverged: .* from step t={step}$"):
+                simulate(model, np.zeros((40, 1)), x0=[1.0], noise=noise)
 
 
 class TestStructuredMatrices:
