@@ -96,21 +96,26 @@ class BoundInputs:
         return cls(alpha=1.0, beta=gamma_value, gamma=gamma_value, kappa=kappa, b_norm=b_norm)
 
 
+def _certified_bound(s: float, norm_Uyf1: float, kappa: float, b_norm: float, name: str) -> float:
+    """(2(1+sqrt(5)) * norm_Uyf1 / s^2 + 1/s) * sqrt(2) * kappa * b_norm, valid
+    while kappa <= s / (2 sqrt(2)); ``name`` names s in the violation message."""
+    limit = s * _HALF_INV_SQRT2
+    if kappa > limit:
+        raise HypothesisViolationError(
+            f"bound hypothesis violated: kappa = {kappa:.6g} exceeds "
+            f"{name}/(2*sqrt(2)) = {limit:.6g}"
+        )
+    coeff = 2.0 * (1.0 + np.sqrt(5.0)) * norm_Uyf1 / s**2 + 1.0 / s
+    return float(coeff * np.sqrt(2.0) * kappa * b_norm)
+
+
 def lipschitz_bound(inp: BoundInputs) -> float:
     """Representation-free prediction-error bound.
 
     Returns (2(1+sqrt(5))/gamma^2 + 1/gamma) * sqrt(2) * kappa * b_norm,
     valid while kappa <= gamma / (2 sqrt(2)).
     """
-    limit = inp.gamma * _HALF_INV_SQRT2
-    if inp.kappa > limit:
-        raise HypothesisViolationError(
-            f"bound hypothesis violated: kappa = {inp.kappa:.6g} exceeds "
-            f"gamma/(2*sqrt(2)) = {limit:.6g}"
-        )
-    g = inp.gamma
-    coeff = 2.0 * (1.0 + np.sqrt(5.0)) / g**2 + 1.0 / g
-    return float(coeff * np.sqrt(2.0) * inp.kappa * inp.b_norm)
+    return _certified_bound(inp.gamma, 1.0, inp.kappa, inp.b_norm, "gamma")
 
 
 def one_step_bound(
@@ -122,8 +127,11 @@ def one_step_bound(
     (2(1+sqrt(5)) * norm_Uyf1 / sigma^2 + 1/sigma) * sqrt(2) * kappa * b_norm
     with sigma the smallest singular value of the approximate basis's context
     rows and norm_Uyf1 the spectral norm of the first output block-row of its
-    future-output rows.  Valid while kappa <= sigma / (2 sqrt(2)).
+    future-output rows.  Valid while kappa <= sigma / (2 sqrt(2)).  Every
+    argument must be finite.
     """
+    if not all(np.isfinite([sigma_min_Mhat, norm_Uyf1, kappa, b_norm])):
+        raise ValueError("all bound inputs must be finite")
     if sigma_min_Mhat <= 0:
         raise ValueError(f"sigma_min_Mhat must be positive, got {sigma_min_Mhat}")
     if norm_Uyf1 < 0:
@@ -132,15 +140,7 @@ def one_step_bound(
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     if b_norm < 0:
         raise ValueError(f"b_norm must be nonnegative, got {b_norm}")
-    limit = sigma_min_Mhat * _HALF_INV_SQRT2
-    if kappa > limit:
-        raise HypothesisViolationError(
-            f"bound hypothesis violated: kappa = {kappa:.6g} exceeds "
-            f"sigma_min_Mhat/(2*sqrt(2)) = {limit:.6g}"
-        )
-    s = sigma_min_Mhat
-    coeff = 2.0 * (1.0 + np.sqrt(5.0)) * norm_Uyf1 / s**2 + 1.0 / s
-    return float(coeff * np.sqrt(2.0) * kappa * b_norm)
+    return _certified_bound(sigma_min_Mhat, norm_Uyf1, kappa, b_norm, "sigma_min_Mhat")
 
 
 @dataclass(frozen=True)

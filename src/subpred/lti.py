@@ -208,8 +208,9 @@ def simulate(
         Initial state; defaults to the zero vector.
     noise : NoiseSpec
         Output disturbance.  With kind ``relative-gaussian`` the step-t output
-        is y_t + eta_t with eta_t ~ N(0, sigma * ||y_t||^2 * I_p), y_t the
-        noise-free output.  Fixed seed implies identical outputs across runs.
+        is y_t + sqrt(sigma) * ||y_t|| * z_t, y_t the noise-free output, z one
+        (T, p) normal draw from ``default_rng(seed)``, the same stream as T
+        draws of size p.  The scale stays finite while y_t is; same seed, same outputs.
 
     Returns
     -------
@@ -227,23 +228,22 @@ def simulate(
         if x.shape[0] != model.n:
             raise ValueError(f"x0 has length {x.shape[0]}, expected state dimension n={model.n}")
 
-    rng = None
-    if noise.kind == "relative-gaussian":
-        rng = np.random.default_rng(noise.seed)
-
     states = np.empty((T + 1, model.n))
-    outputs = np.empty((T, model.p))
     states[0] = x
     # A diverging model overflows to inf/NaN; that is checked once below.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
-            y_clean = model.C @ states[t] + model.D @ u[t]
-            if rng is not None:
-                scale = np.sqrt(noise.sigma) * np.linalg.norm(y_clean)
-                outputs[t] = y_clean + scale * rng.standard_normal(model.p)
-            else:
-                outputs[t] = y_clean
             states[t + 1] = model.A @ states[t] + model.B @ u[t]
+        outputs = (model.C @ states[:-1, :, None])[..., 0] + (model.D @ u[:, :, None])[..., 0]
+        if noise.kind == "relative-gaussian":
+            # Equal to np.linalg.norm(y_t) bit for bit; norm(axis=1) and einsum are not for p >= 3.
+            norms = np.sqrt(outputs[:, None, :] @ outputs[:, :, None])[:, 0]
+            # ||y_t||^2 overflows once ||y_t|| passes ~1e154: rescale those rows by max|y_t|.
+            big = np.isinf(norms[:, 0]) & np.isfinite(outputs).all(axis=1)
+            peak = np.abs(outputs[big]).max(axis=1, keepdims=True)
+            norms[big] = peak * np.linalg.norm(outputs[big] / peak, axis=1, keepdims=True)
+            draws = np.random.default_rng(noise.seed).standard_normal((T, model.p))
+            outputs = outputs + np.sqrt(noise.sigma) * norms * draws
     finite = np.isfinite(outputs).all(axis=1) & np.isfinite(states[1:]).all(axis=1)
     if not finite.all():
         raise ValueError(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from subpred import StateSpaceModel
+from subpred import NoiseSpec, StateSpaceModel
 from subpred.grassmann import BehaviorBasis
 from subpred.hankel import PartitionedMatrix
 
@@ -59,6 +59,26 @@ def random_model(
         D = rng.standard_normal((p, m))
         if np.linalg.matrix_rank(_ctrb(A, B)) == n and np.linalg.matrix_rank(_obsv(A, C)) == n:
             return StateSpaceModel(A=A, B=B, C=C, D=D)
+
+
+def simulate_reference(
+    model: StateSpaceModel, u: np.ndarray, x0=None, noise: NoiseSpec = NoiseSpec()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step simulation oracle: output, noise and state update in one loop,
+    with one ``rng.standard_normal(p)`` draw per step.  Returns (states, outputs)."""
+    rng = np.random.default_rng(noise.seed) if noise.kind == "relative-gaussian" else None
+    states = np.empty((len(u) + 1, model.n))
+    outputs = np.empty((len(u), model.p))
+    states[0] = np.zeros(model.n) if x0 is None else x0
+    for t in range(len(u)):
+        y_clean = model.C @ states[t] + model.D @ u[t]
+        if rng is not None:
+            scale = np.sqrt(noise.sigma) * np.linalg.norm(y_clean)
+            outputs[t] = y_clean + scale * rng.standard_normal(model.p)
+        else:
+            outputs[t] = y_clean
+        states[t + 1] = model.A @ states[t] + model.B @ u[t]
+    return states, outputs
 
 
 def unobservable_model(n: int = 2, m: int = 1) -> StateSpaceModel:

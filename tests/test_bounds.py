@@ -148,6 +148,30 @@ class TestOneStepBound:
             one_step_bound(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             one_step_bound(0.5, -1.0, 0.0, 1.0)
+        for position in range(4):
+            for bad in (np.nan, np.inf, -np.inf):
+                args = [0.5, 0.9, 0.01, 2.0]
+                args[position] = bad
+                with pytest.raises(ValueError, match="all bound inputs must be finite"):
+                    one_step_bound(*args)
+
+    def test_equals_lipschitz_bound_at_unit_first_block(self):
+        # the full-horizon form is the one-step form with sigma = gamma, ||Uyf1|| = 1
+        rng = np.random.default_rng(88)
+        for _ in range(2000):
+            g = rng.uniform(1e-3, 1.0)
+            kappa = rng.uniform(0.0, g / (2 * SQRT2))
+            b_norm = rng.uniform(0.0, 10.0)
+            full = lipschitz_bound(BoundInputs.from_gamma(g, kappa, b_norm))
+            assert full == one_step_bound(g, 1.0, kappa, b_norm)
+
+    def test_violation_messages_name_their_constant(self):
+        with pytest.raises(HypothesisViolationError, match=r"exceeds gamma/\(2\*sqrt\(2\)\) = "):
+            lipschitz_bound(BoundInputs.from_gamma(0.5, 0.2, 1.0))
+        with pytest.raises(
+            HypothesisViolationError, match=r"exceeds sigma_min_Mhat/\(2\*sqrt\(2\)\) = "
+        ):
+            one_step_bound(0.5, 0.9, 0.2, 1.0)
 
 
 class TestFirstErrorBound:

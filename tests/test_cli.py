@@ -214,6 +214,17 @@ class TestBoundCommand:
         assert main(["bound", "--gamma", "0.5", "--kappa", "0.9", "--bnorm", "1"]) == 3
         assert "hypothesis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--sigma-min", "--uyf1", "--kappa", "--bnorm"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_one_step_non_finite_exit_2(self, capsys, flag, bad):
+        values = {"--sigma-min": "0.4", "--uyf1": "0.9", "--kappa": "0.01", "--bnorm": "2.0"}
+        values[flag] = bad
+        argv = ["bound", "--one-step"] + [f"{k}={v}" for k, v in values.items()]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "all bound inputs must be finite" in captured.err
+
     def test_missing_flags_exit_2(self, capsys):
         assert main(["bound", "--kappa", "0.1", "--bnorm", "1"]) == 2
         assert main(["bound", "--one-step", "--kappa", "0.1", "--bnorm", "1"]) == 2

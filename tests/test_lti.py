@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_model, random_orthogonal, unobservable_model
+from helpers import random_model, random_orthogonal, simulate_reference, unobservable_model
 from subpred import (
     NoiseSpec,
     StateSpaceModel,
@@ -43,20 +43,26 @@ class TestSimulate:
         # frozen hand-derived values: 0, C B = 1.0, C A B = 1.04
         np.testing.assert_allclose(traj.outputs.ravel(), [0.0, 1.0, 1.04], atol=1e-12)
 
-    def test_state_recursion_holds(self, rng, example_model):
-        u = rng.standard_normal((12, 1))
-        traj = simulate(example_model, u, x0=[1.0, -2.0])
-        for t in range(traj.length):
-            np.testing.assert_allclose(
-                traj.states[t + 1],
-                example_model.A @ traj.states[t] + example_model.B @ u[t],
-                atol=1e-12,
-            )
-            np.testing.assert_allclose(
-                traj.outputs[t],
-                example_model.C @ traj.states[t] + example_model.D @ u[t],
-                atol=1e-12,
-            )
+    # the example model, then random MIMO models as (n, m, p)
+    @pytest.mark.parametrize(
+        "dims",
+        [None, (3, 2, 3), (6, 3, 6), (12, 4, 5)],
+        ids=lambda d: "example" if d is None else "n{}m{}p{}".format(*d),
+    )
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("with_x0", [False, True], ids=["zero-x0", "x0"])
+    def test_state_recursion_holds(self, example_model, dims, noisy, with_x0):
+        # bit for bit against the per-step loop, so the seeded noise stream
+        # behind byte-identical CSVs is pinned
+        rng = np.random.default_rng(46)
+        model = example_model if dims is None else random_model(rng, *dims)
+        u = rng.standard_normal((200, model.m))
+        x0 = rng.standard_normal(model.n) if with_x0 else None
+        noise = NoiseSpec.relative_gaussian(0.02, seed=5) if noisy else NoiseSpec.none()
+        traj = simulate(model, u, x0=x0, noise=noise)
+        states, outputs = simulate_reference(model, u, x0=x0, noise=noise)
+        np.testing.assert_array_equal(traj.states, states)
+        np.testing.assert_array_equal(traj.outputs, outputs)
 
     def test_noise_deterministic_for_fixed_seed(self, example_model):
         u = np.ones((20, 1))
@@ -80,10 +86,10 @@ class TestSimulate:
         with pytest.raises(ValueError, match="inputs"):
             simulate(example_model, np.zeros((4, 2)))
 
-    # x_t = 1e10**t: the state overflows at x_31, and the noise scale, which
-    # squares the output inside its norm, already at x_16
+    # x_t = 1e10**t: the state overflows at x_31, with or without noise; the
+    # noise scale stays finite past x_16, where ||y_t||^2 overflows
     @pytest.mark.parametrize(
-        "noise, step", [(NoiseSpec.none(), 30), (NoiseSpec.relative_gaussian(0.02, seed=0), 16)]
+        "noise, step", [(NoiseSpec.none(), 30), (NoiseSpec.relative_gaussian(0.02, seed=0), 30)]
     )
     def test_divergence_raises_without_warnings(self, noise, step):
         model = StateSpaceModel(A=[[1e10]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
@@ -91,6 +97,21 @@ class TestSimulate:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"simulation diverged: .* from step t={step}$"):
                 simulate(model, np.zeros((40, 1)), x0=[1.0], noise=noise)
+
+    def test_noise_scale_past_overflow_of_the_square(self):
+        # y_t = 1e10**t reaches 1e240, past the ~1e154 where ||y_t||^2 overflows
+        model = StateSpaceModel(A=[[1e10]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
+        u = np.zeros((25, 1))
+        clean = simulate(model, u, x0=[1.0]).outputs
+        noise = NoiseSpec.relative_gaussian(0.02, seed=3)
+        noisy = simulate(model, u, x0=[1.0], noise=noise).outputs
+        assert np.abs(clean).max() > 1e154
+        assert np.isfinite(noisy).all()
+        z = np.random.default_rng(3).standard_normal((25, 1))
+        np.testing.assert_allclose(
+            (noisy - clean) / np.abs(clean), np.sqrt(0.02) * z, rtol=0, atol=1e-12
+        )
+
 
 
 class TestStructuredMatrices:
