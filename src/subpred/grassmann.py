@@ -5,8 +5,9 @@ prescribed distance along a geodesic whose distance is known in closed form.
 Angles are computed from two SVDs: cosines from the product of the bases,
 sines from the projection of one basis onto the orthogonal complement of the
 other.  The sine route keeps full accuracy for nearly identical subspaces,
-where arccos of a cosine loses half the significant digits; distances are
-therefore evaluated from the sines alone, one SVD each.
+where arccos of a cosine loses half the significant digits.  A distance needs
+only the 2-norm of the sines, which is the Frobenius norm of that projection,
+so it is evaluated without any SVD.
 """
 
 from __future__ import annotations
@@ -147,18 +148,20 @@ def principal_angles(U: BehaviorBasis, V: BehaviorBasis) -> PrincipalAngles:
 def chordal_distance(U: BehaviorBasis, V: BehaviorBasis) -> float:
     """Chordal distance: the root of the sum of squared principal-angle sines.
 
-    Internally cross-checked against the equivalent projector form
+    The sines are the singular values of R = V - U(U'V), the component of V
+    outside span U, so the distance is ||R||_F and needs no SVD.  Internally
+    cross-checked against the equivalent projector form
     ||UU' - VV'||_F / sqrt(2); disagreement beyond 1e-10 signals a numerical
     inconsistency and raises.  The value lies in [0, sqrt(r)] and does not
     depend on the choice of orthonormal bases.
     """
     _check_comparable(U, V)
     A, B = U.matrix, V.matrix
-    d = float(np.linalg.norm(_sines(A, B)))
+    d = float(np.linalg.norm(B - A @ (A.T @ B)))
     projector_form = np.linalg.norm(A @ A.T - B @ B.T) / np.sqrt(2.0)
     if abs(d - projector_form) > 1e-10:
         raise ArithmeticError(
-            f"chordal distance formulas disagree: angles give {d!r}, "
+            f"chordal distance formulas disagree: residual norm gives {d!r}, "
             f"projectors give {projector_form!r}"
         )
     return d

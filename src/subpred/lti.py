@@ -127,8 +127,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "relative-gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
     @classmethod
     def none(cls) -> "NoiseSpec":

@@ -177,6 +177,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="out of range"):
             run_trial(workspace, small_config.N + 1)
 
+    # the offline stage factors 4 matrices: the persistency-of-excitation
+    # check, the basis, the geodesic direction and the baseline map; each
+    # member factors 2: its map and y_future[:p] for the bound
+    @pytest.mark.parametrize("mimo", [False, True], ids=["default", "mimo"])
+    def test_svd_budget(self, mimo, svd_calls):
+        from helpers import random_model
+
+        if mimo:
+            model = random_model(np.random.default_rng(8), n=4, m=2, p=3)
+            cfg = ExperimentConfig(model=model, Tini=3, Tf=3, T=80, T_sim=20, N=4, kappa_max=0.5)
+        else:
+            cfg = ExperimentConfig(model=default_model(), N=3)
+        run_experiment(cfg, write=False)
+        assert len(svd_calls) == 2 * cfg.N + 4
+
     def test_multichannel_pipeline(self, tmp_path):
         from helpers import random_model
 

@@ -183,10 +183,26 @@ class TestChordalDistance:
             V = perturb_subspace(U, kappa, seed=0)
             assert abs(chordal_distance(U, V) - kappa) <= 1e-6 * max(1.0, kappa)
 
-    def test_one_svd_per_distance(self, rng, svd_calls):
+    def test_no_svd_per_distance(self, rng, svd_calls):
         U, V = random_basis(rng, DIMS, 3), random_basis(rng, DIMS, 3)
         chordal_distance(U, V)
-        assert svd_calls == [V.matrix.shape]  # the sines only
+        assert svd_calls == []  # the residual norm only
+
+    # (m, p, Tini, Tf), r: MIMO pairs, the last with q - r < r
+    @pytest.mark.parametrize(
+        "dims, r", [((2, 2, 3, 3), 9), ((3, 2, 4, 4), 20), ((2, 1, 2, 2), 9)]
+    )
+    def test_matches_norm_of_sines(self, rng, dims, r):
+        U = random_basis(rng, dims, r)
+        pairs = [random_basis(rng, dims, r) for _ in range(3)]
+        for eps in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1, 1.0):
+            Q, _ = np.linalg.qr(U.matrix + eps * rng.standard_normal(U.matrix.shape))
+            pairs.append(BehaviorBasis(U.basis.with_data(Q)))
+        for V in pairs:
+            sines = principal_angles(U, V).sines
+            expected = np.linalg.norm(sines)
+            assert expected > 0
+            assert abs(chordal_distance(U, V) - expected) <= 1e-14 * expected
 
 
 class TestCosineSineIdentity:

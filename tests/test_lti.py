@@ -78,6 +78,15 @@ class TestSimulate:
         )
         assert np.all(traj.outputs == 0.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        # rejected at the noise argument, before simulate could blame the model
+        match = "sigma must be finite and nonnegative"
+        with pytest.raises(ValueError, match=match):
+            NoiseSpec(kind="relative-gaussian", sigma=sigma)
+        with pytest.raises(ValueError, match=match):
+            NoiseSpec.relative_gaussian(sigma, seed=0)
+
     def test_bad_x0_dimension_is_named(self, example_model):
         with pytest.raises(ValueError, match="x0 has length 3"):
             simulate(example_model, np.zeros((4, 1)), x0=[1.0, 2.0, 3.0])
