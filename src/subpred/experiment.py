@@ -21,7 +21,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -359,10 +359,27 @@ def run_single(
 
 # The two sweep files keep named writers: the benchmark (bench/) times them
 # as the per-layer spans experiment.write_trials_csv and write_summary_csv.
+# trials.csv has one row per member and window, so its writer formats a
+# member's constant fields once; the short files go through _write_csv.
 
 
 def write_trials_csv(path, records: list[TrialRecord]) -> None:
-    _write_csv(path, TrialRecord._fields, records)
+    """Write ``records`` with the bytes of ``_write_csv``, one block per run
+    of records that share their ``n``, ``kappa`` and ``sigma_min_Mhat``
+    objects and whether ``bound`` is None (``run_trial`` repeats the same
+    objects down a member).  Identity, not equality, decides a run: ``0.0 ==
+    -0.0`` and ``1 == 1.0``, but their text differs."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(TrialRecord._fields) + "\n")
+        for _, run in groupby(records, _member_key):
+            n, kappa, t, errors, bounds, sigma_min = zip(*run)
+            bound = "" if bounds[0] is None else "{!r}"  # format ignores unused Nones
+            row = f"{n[0]},{kappa[0]!r},{{}},{{!r}},{bound},{sigma_min[0]!r}\n".format
+            fh.write("".join(map(row, t, errors, bounds)))
+
+
+def _member_key(rec: TrialRecord) -> tuple:
+    return id(rec.n), id(rec.kappa), id(rec.sigma_min_Mhat), rec.bound is None
 
 
 def write_summary_csv(path, summaries: list[SummaryRecord]) -> None:
@@ -370,8 +387,9 @@ def write_summary_csv(path, summaries: list[SummaryRecord]) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """Write ``header`` and ``rows``.  The csv module writes floats in their
-    shortest round-trip (``repr``) form and ``None`` as an empty field."""
+    """Write ``header`` and ``rows`` with the csv module, which writes floats
+    in their shortest round-trip (``repr``) form and ``None`` as an empty
+    field.  ``write_trials_csv`` reproduces these bytes without it."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -7,7 +7,8 @@ sines from the projection of one basis onto the orthogonal complement of the
 other.  The sine route keeps full accuracy for nearly identical subspaces,
 where arccos of a cosine loses half the significant digits.  A distance needs
 only the 2-norm of the sines, which is the Frobenius norm of that projection,
-so it is evaluated without any SVD.
+so it is evaluated without any SVD and checked against the projection taken
+the other way, of the first basis off the second.
 """
 
 from __future__ import annotations
@@ -150,19 +151,21 @@ def chordal_distance(U: BehaviorBasis, V: BehaviorBasis) -> float:
 
     The sines are the singular values of R = V - U(U'V), the component of V
     outside span U, so the distance is ||R||_F and needs no SVD.  Internally
-    cross-checked against the equivalent projector form
-    ||UU' - VV'||_F / sqrt(2); disagreement beyond 1e-10 signals a numerical
-    inconsistency and raises.  The value lies in [0, sqrt(r)] and does not
-    depend on the choice of orthonormal bases.
+    cross-checked against the swapped residual ||U - V(U'V)'||_F, the
+    component of U outside span V: for orthonormal bases both equal
+    sqrt(r - ||U'V||_F^2), and disagreement beyond 1e-10 signals a
+    numerical inconsistency and raises.  The value lies in [0, sqrt(r)] and
+    does not depend on the choice of orthonormal bases.
     """
     _check_comparable(U, V)
     A, B = U.matrix, V.matrix
-    d = float(np.linalg.norm(B - A @ (A.T @ B)))
-    projector_form = np.linalg.norm(A @ A.T - B @ B.T) / np.sqrt(2.0)
-    if abs(d - projector_form) > 1e-10:
+    M = A.T @ B
+    d = float(np.linalg.norm(B - A @ M))
+    swapped = float(np.linalg.norm(A - B @ M.T))
+    if abs(d - swapped) > 1e-10:
         raise ArithmeticError(
             f"chordal distance formulas disagree: residual norm gives {d!r}, "
-            f"projectors give {projector_form!r}"
+            f"swapped residual norm gives {swapped!r}"
         )
     return d
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from subpred import NoiseSpec, StateSpaceModel
@@ -101,3 +103,12 @@ def random_basis(
     q = (m + p) * (Tini + Tf)
     Q, _ = np.linalg.qr(rng.standard_normal((q, r)))
     return BehaviorBasis(PartitionedMatrix(data=Q, m=m, p=p, Tini=Tini, Tf=Tf))
+
+
+def write_csv_reference(path, header, rows) -> None:
+    """The csv module's writer, the byte oracle for ``trials.csv``: floats in
+    ``repr`` form, ``None`` as an empty field, lines ended by a bare newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

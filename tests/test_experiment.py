@@ -6,7 +6,7 @@ import pytest
 
 from subpred import ExperimentConfig, chordal_distance, load_config, run_experiment, run_single
 from subpred import experiment
-from subpred.experiment import default_model, prepare, run_trial
+from subpred.experiment import TrialRecord, default_model, prepare, run_trial, write_trials_csv
 from subpred.predictor import context_windows, predict_from_subspace
 
 
@@ -296,3 +296,58 @@ class TestCsvFormat:
         self._check_sweep(cfg)
         for n in (1, 3):
             self._check_single(cfg, n)
+
+
+def _rec(n, kappa, t, error=0.25, bound=0.5, sigma_min=0.75):
+    return TrialRecord(n, kappa, t, error, bound, sigma_min)
+
+
+INF, NAN = float("inf"), float("nan")
+
+# Runs of records that write_trials_csv must split where csv.writer's text
+# changes: 0.0 == -0.0 and 1 == 1.0, but their text differs.
+HAND_BUILT = {
+    "empty": [],
+    "single-row": [_rec(1, 0.1, 4)],
+    "n-not-contiguous": [_rec(1, 0.1, 4), _rec(2, 0.2, 4), _rec(1, 0.1, 5)],
+    "same-n-new-kappa": [_rec(1, 0.1, 4), _rec(1, 0.2, 5)],
+    "bound-none-float-none": [
+        _rec(1, 0.1, 4, bound=None), _rec(1, 0.1, 5), _rec(1, 0.1, 6, bound=None)
+    ],
+    "signed-zero-kappa": [_rec(1, 0.0, 4), _rec(1, -0.0, 5)],
+    "float-then-int-kappa": [_rec(1, 1.0, 4), _rec(1, 1, 5)],
+    "extreme-floats": [
+        _rec(1, 5e-324, 4, error=1e16, bound=1e22, sigma_min=NAN),
+        _rec(1, 5e-324, 5, error=NAN, bound=INF, sigma_min=NAN),
+        _rec(2, 1e22, 4, error=-INF, bound=5e-324, sigma_min=INF),
+        _rec(3, NAN, 4, error=5e-324, bound=-INF, sigma_min=-INF),
+    ],
+}
+
+
+class TestTrialsCsvBytes:
+    """write_trials_csv writes the bytes of the csv module's writer."""
+
+    @staticmethod
+    def _assert_reference_bytes(tmp_path, records):
+        from helpers import write_csv_reference
+
+        write_trials_csv(tmp_path / "trials.csv", records)
+        write_csv_reference(tmp_path / "reference.csv", TrialRecord._fields, records)
+        assert (tmp_path / "trials.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("mimo", [False, True], ids=["siso", "mimo"])
+    def test_sweep_records(self, mimo, small_config, tmp_path):
+        from helpers import random_model
+
+        config = small_config
+        if mimo:
+            model = random_model(np.random.default_rng(8), n=2, m=2, p=2)
+            config = ExperimentConfig(model=model, Tini=2, Tf=2, T=40, T_sim=12, N=3, kappa_max=0.2)
+        trials, _ = run_experiment(config, write=False)
+        assert {rec.bound is None for rec in trials} == {True, False}
+        self._assert_reference_bytes(tmp_path, trials)
+
+    @pytest.mark.parametrize("records", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+    def test_hand_built_records(self, records, tmp_path):
+        self._assert_reference_bytes(tmp_path, records)

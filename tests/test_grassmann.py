@@ -20,6 +20,8 @@ from subpred.grassmann import BehaviorBasis, Geodesic
 from subpred.hankel import PartitionedMatrix
 
 DIMS = (1, 1, 2, 2)  # m, p, Tini, Tf -> ambient dimension 8
+# (m, p, Tini, Tf), r: MIMO pairs, the last with q - r < r
+MIMO_DIMS = [((2, 2, 3, 3), 9), ((3, 2, 4, 4), 20), ((2, 1, 2, 2), 9)]
 
 
 def _wrap(matrix, dims=DIMS):
@@ -188,21 +190,47 @@ class TestChordalDistance:
         chordal_distance(U, V)
         assert svd_calls == []  # the residual norm only
 
-    # (m, p, Tini, Tf), r: MIMO pairs, the last with q - r < r
-    @pytest.mark.parametrize(
-        "dims, r", [((2, 2, 3, 3), 9), ((3, 2, 4, 4), 20), ((2, 1, 2, 2), 9)]
-    )
-    def test_matches_norm_of_sines(self, rng, dims, r):
+    @staticmethod
+    def _mimo_pairs(rng, dims, r):
+        """A basis U and unrelated bases and bases perturbed by 1e-12 to 1."""
         U = random_basis(rng, dims, r)
         pairs = [random_basis(rng, dims, r) for _ in range(3)]
         for eps in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1, 1.0):
             Q, _ = np.linalg.qr(U.matrix + eps * rng.standard_normal(U.matrix.shape))
             pairs.append(BehaviorBasis(U.basis.with_data(Q)))
+        return U, pairs
+
+    @pytest.mark.parametrize("dims, r", MIMO_DIMS)
+    def test_matches_norm_of_sines(self, rng, dims, r):
+        U, pairs = self._mimo_pairs(rng, dims, r)
         for V in pairs:
             sines = principal_angles(U, V).sines
             expected = np.linalg.norm(sines)
             assert expected > 0
             assert abs(chordal_distance(U, V) - expected) <= 1e-14 * expected
+
+    # chordal_distance(V, U) returns the swapped residual that checks
+    # chordal_distance(U, V); both must agree with the projector form
+    @pytest.mark.parametrize("dims, r", MIMO_DIMS)
+    def test_both_residuals_match_projector_form(self, rng, dims, r):
+        U, pairs = self._mimo_pairs(rng, dims, r)
+        for V in pairs:
+            A, B = U.matrix, V.matrix
+            projector_form = np.linalg.norm(A @ A.T - B @ B.T) / np.sqrt(2.0)
+            assert abs(chordal_distance(U, V) - projector_form) <= 1e-14
+            assert abs(chordal_distance(V, U) - projector_form) <= 1e-14
+
+    # V spans U's space, so V has no residual off U, but its scaled columns
+    # are not orthonormal and leave a residual of U off V
+    @pytest.mark.parametrize("scale", [1.01, 1 + 1e-8])
+    def test_cross_check_rejects_scaled_basis(self, rng, scale):
+        U = random_basis(rng, DIMS, 3)
+        V = object.__new__(BehaviorBasis)  # skips the orthonormality check
+        object.__setattr__(
+            V, "basis", U.basis.with_data(U.matrix @ random_orthogonal(rng, 3) * scale)
+        )
+        with pytest.raises(ArithmeticError, match="chordal distance formulas disagree"):
+            chordal_distance(U, V)
 
 
 class TestCosineSineIdentity:
