@@ -16,6 +16,7 @@ from .errors import ConvergenceError, HypothesisViolationError, RankDeficientErr
 from .experiment import (
     ExperimentConfig,
     SummaryRecord,
+    TrialBlock,
     TrialRecord,
     default_model,
     load_config,

@@ -43,10 +43,12 @@ def gamma(alpha: float, beta: float) -> float:
     generation matrix, ``beta`` a positive lower bound on the smallest
     singular value of its past-window counterpart.  The ratio lower-bounds
     the smallest singular value of the context rows of any orthonormal
-    behavior basis.
+    behavior basis.  ``alpha`` is at least 1 because of the identity block
+    (see `gain_bound`), so the ratio never exceeds 1; a smaller ``alpha``
+    would widen the certified region and is rejected.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not alpha >= 1:
+        raise ValueError(f"alpha must be at least 1, got {alpha}")
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     return min(1.0, beta) / alpha
@@ -71,11 +73,9 @@ class BoundInputs:
     def __post_init__(self):
         if not all(np.isfinite([self.alpha, self.beta, self.gamma, self.kappa, self.b_norm])):
             raise ValueError("all bound inputs must be finite")
-        if self.gamma != min(1.0, self.beta) / self.alpha:
-            raise ValueError(
-                f"gamma={self.gamma} is not min(1, beta)/alpha = "
-                f"{min(1.0, self.beta) / self.alpha}"
-            )
+        expected = gamma(self.alpha, self.beta)
+        if self.gamma != expected:
+            raise ValueError(f"gamma={self.gamma} is not min(1, beta)/alpha = {expected}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
         if self.b_norm < 0:

@@ -21,9 +21,9 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .predictor import _context_matrix, _prediction_map
 __all__ = [
     "ExperimentConfig",
     "TrialRecord",
+    "TrialBlock",
     "SummaryRecord",
     "SingleRecord",
     "ExperimentWorkspace",
@@ -173,6 +174,29 @@ class TrialRecord(NamedTuple):
     sigma_min_Mhat: float
 
 
+class TrialBlock(NamedTuple):
+    """One member's rows of ``trials.csv`` as columns, with the fields of
+    `TrialRecord` in its order: ``n``, ``kappa`` and ``sigma_min_Mhat`` are
+    the member's scalars, ``t`` the workspace's steps, one per window,
+    ``prediction_error`` the error column and ``bound`` the bound column, or
+    None when the member is not certified."""
+
+    n: int
+    kappa: float
+    t: tuple[int, ...]
+    prediction_error: np.ndarray
+    bound: np.ndarray | None
+    sigma_min_Mhat: float
+
+    def rows(self) -> Iterator[TrialRecord]:
+        """The member's `TrialRecord`s, one per window, built on demand."""
+        bounds = repeat(None) if self.bound is None else self.bound.tolist()
+        return map(TrialRecord._make, zip(
+            repeat(self.n), repeat(self.kappa), self.t, self.prediction_error.tolist(), bounds,
+            repeat(self.sigma_min_Mhat),
+        ))
+
+
 class SummaryRecord(NamedTuple):
     """Per-perturbation averages over the rolling window: ``n`` and then a
     row of ``summary.csv``, which leaves ``n`` to the row order."""
@@ -263,7 +287,7 @@ def _noise(sigma: float, seed: int) -> NoiseSpec:
 
 @dataclass(frozen=True, eq=False)
 class TrialOutput:
-    records: tuple[TrialRecord, ...]
+    block: TrialBlock
     summary: SummaryRecord
     basis: BehaviorBasis
     kappa: float
@@ -295,14 +319,10 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
                 "trial n=%d, t=%d: bound %.6g below observed error %.6g",
                 n, workspace.steps[i], bounds[i], errors[i],
             )
-    row_bounds = repeat(None) if bounds is None else bounds.tolist()
-    records = tuple(map(TrialRecord._make, zip(
-        repeat(n), repeat(kappa), workspace.steps, errors.tolist(), row_bounds, repeat(sigma_min)
-    )))
     avg_bound = None if bounds is None else float(np.mean(bounds))
     summary = SummaryRecord(n=n, kappa=kappa, avg_error=float(np.mean(errors)), avg_bound=avg_bound)
     return TrialOutput(
-        records=records,
+        block=TrialBlock(n, kappa, workspace.steps, errors, bounds, sigma_min),
         summary=summary,
         basis=perturbed,
         kappa=kappa,
@@ -312,19 +332,25 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
 
 def run_experiment(
     config: ExperimentConfig, write: bool = True
-) -> tuple[list[TrialRecord], list[SummaryRecord]]:
+) -> tuple[list[TrialBlock], list[SummaryRecord]]:
     """Run every trial of the sweep, in trial order, and (optionally) write
-    ``trials.csv`` and ``summary.csv`` to the configured output directory."""
+    ``trials.csv`` and ``summary.csv`` to the configured output directory.
+
+    Returns one block and one summary per member; only these are kept, so a
+    member's basis and predictions are freed as the sweep goes on.  The rows
+    of ``trials.csv`` are ``[rec for b in blocks for rec in b.rows()]``."""
     workspace = prepare(config)
-    outputs = [run_trial(workspace, n) for n in range(1, config.N + 1)]
-    trials = [rec for out in outputs for rec in out.records]
-    summaries = [out.summary for out in outputs]
+    blocks, summaries = [], []
+    for n in range(1, config.N + 1):
+        out = run_trial(workspace, n)
+        blocks.append(out.block)
+        summaries.append(out.summary)
     if write:
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_trials_csv(out_dir / "trials.csv", trials)
+        write_trials_csv(out_dir / "trials.csv", blocks)
         write_summary_csv(out_dir / "summary.csv", summaries)
-    return trials, summaries
+    return blocks, summaries
 
 
 def run_single(
@@ -339,10 +365,10 @@ def run_single(
     """
     workspace = prepare(config)
     out = run_trial(workspace, n)
-    records = [
-        SingleRecord(rec.t, base, pred, rec.prediction_error, rec.bound)
-        for rec, base, pred in zip(out.records, workspace.baseline, out.predictions)
-    ]
+    block = out.block
+    bounds = repeat(None) if block.bound is None else block.bound.tolist()
+    records = list(map(SingleRecord, block.t, workspace.baseline, out.predictions,
+                       block.prediction_error.tolist(), bounds))
     if write:
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -359,27 +385,24 @@ def run_single(
 
 # The two sweep files keep named writers: the benchmark (bench/) times them
 # as the per-layer spans experiment.write_trials_csv and write_summary_csv.
-# trials.csv has one row per member and window, so its writer formats a
-# member's constant fields once; the short files go through _write_csv.
+# trials.csv has one row per member and window and a member is one
+# TrialBlock, so its writer formats a block's scalars once and fills the rows
+# from the block's columns; the short files go through _write_csv.
 
 
-def write_trials_csv(path, records: list[TrialRecord]) -> None:
-    """Write ``records`` with the bytes of ``_write_csv``, one block per run
-    of records that share their ``n``, ``kappa`` and ``sigma_min_Mhat``
-    objects and whether ``bound`` is None (``run_trial`` repeats the same
-    objects down a member).  Identity, not equality, decides a run: ``0.0 ==
-    -0.0`` and ``1 == 1.0``, but their text differs."""
+def write_trials_csv(path, blocks: list[TrialBlock]) -> None:
+    """Write the rows of ``blocks`` with the bytes of ``_write_csv``, one
+    block at a time, without building a record per row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TrialRecord._fields) + "\n")
-        for _, run in groupby(records, _member_key):
-            n, kappa, t, errors, bounds, sigma_min = zip(*run)
-            bound = "" if bounds[0] is None else "{!r}"  # format ignores unused Nones
-            row = f"{n[0]},{kappa[0]!r},{{}},{{!r}},{bound},{sigma_min[0]!r}\n".format
-            fh.write("".join(map(row, t, errors, bounds)))
-
-
-def _member_key(rec: TrialRecord) -> tuple:
-    return id(rec.n), id(rec.kappa), id(rec.sigma_min_Mhat), rec.bound is None
+        for b in blocks:
+            columns = [b.t, b.prediction_error.tolist()]
+            bound = ""
+            if b.bound is not None:
+                columns.append(b.bound.tolist())
+                bound = "{!r}"
+            row = f"{b.n},{b.kappa!r},{{}},{{!r}},{bound},{b.sigma_min_Mhat!r}\n".format
+            fh.write("".join(map(row, *columns)))
 
 
 def write_summary_csv(path, summaries: list[SummaryRecord]) -> None:

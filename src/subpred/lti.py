@@ -92,10 +92,10 @@ class StateSpaceModel:
         D = _as_matrix(self.D, p, m, "D")
         if m < 1 or p < 1:
             raise ValueError(f"input/output dimensions must be at least 1, got m={m}, p={p}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+        for name, value in zip("ABCD", (A, B, C, D)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} has non-finite entries")
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:

@@ -60,6 +60,20 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma(1.0, -0.5)
 
+    @pytest.mark.parametrize("alpha", [0.5, np.nextafter(1.0, 0.0)])
+    def test_alpha_below_one_rejected(self, alpha):
+        # the gain is at least 1 (identity block); a smaller alpha would give
+        # gamma > 1 and widen the certified region
+        with pytest.raises(ValueError, match="alpha must be at least 1"):
+            gamma(alpha, 1.0)
+        with pytest.raises(ValueError, match="alpha must be at least 1"):
+            BoundInputs.from_singular_values(alpha, 1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="alpha must be at least 1"):
+            BoundInputs(alpha=alpha, beta=1.0, gamma=1.0 / alpha, kappa=0.5, b_norm=1.0)
+        with pytest.raises(ValueError, match="alpha must be at least 1"):
+            gamma(float("nan"), 1.0)
+        assert gamma(1.0, 1.0) == 1.0
+
     def test_lower_bounds_context_block(self, example_model):
         # the ratio never exceeds the actual smallest singular value of the
         # context rows of an orthonormal behavior basis

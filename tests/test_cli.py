@@ -200,6 +200,13 @@ class TestBoundCommand:
         expected = (2 * (1 + np.sqrt(5)) / 0.25 + 1 / 0.5) * np.sqrt(2) * 0.01
         assert abs(v - expected) <= 1e-9
 
+    def test_alpha_below_one_exit_2(self, capsys):
+        # gamma would be 2, stretching kappa's validity limit from 0.354 to 0.707
+        assert main(["bound", "--alpha", "0.5", "--beta", "1", "--kappa", "0.5", "--bnorm", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alpha must be at least 1" in captured.err
+
     def test_one_step_form(self, capsys):
         rc = main(
             ["bound", "--one-step", "--sigma-min", "0.5", "--uyf1", "0.8",

@@ -6,7 +6,9 @@ import pytest
 
 from subpred import ExperimentConfig, chordal_distance, load_config, run_experiment, run_single
 from subpred import experiment
-from subpred.experiment import TrialRecord, default_model, prepare, run_trial, write_trials_csv
+from subpred.experiment import (
+    TrialBlock, TrialRecord, default_model, prepare, run_trial, write_trials_csv,
+)
 from subpred.predictor import context_windows, predict_from_subspace
 
 
@@ -64,9 +66,10 @@ class TestConfig:
 
 class TestRunExperiment:
     def test_row_counts_and_columns(self, small_config):
-        trials, summaries = run_experiment(small_config)
+        blocks, summaries = run_experiment(small_config)
         steps = small_config.T_sim - small_config.Tini - small_config.Tf + 1
-        assert len(trials) == small_config.N * steps
+        assert len([rec for b in blocks for rec in b.rows()]) == small_config.N * steps
+        assert [len(b.prediction_error) for b in blocks] == [steps] * small_config.N
         assert len(summaries) == small_config.N
         out = Path(small_config.output_dir)
         header = (out / "trials.csv").read_text().splitlines()[0]
@@ -88,11 +91,11 @@ class TestRunExperiment:
         assert summaries[0].avg_error <= 1e-9
 
     def test_bound_covers_error_when_certified(self, small_config):
-        trials, _ = run_experiment(small_config, write=False)
-        certified = [t for t in trials if t.bound is not None]
+        blocks, _ = run_experiment(small_config, write=False)
+        certified = [b for b in blocks if b.bound is not None]
         assert certified, "expected at least some certified rows"
-        for t in certified:
-            assert t.bound >= t.prediction_error - 1e-12
+        for b in certified:
+            assert np.all(b.bound >= b.prediction_error - 1e-12)
 
     def test_determinism_byte_identical(self, tmp_path, example_model):
         texts = []
@@ -167,10 +170,11 @@ class TestRunExperiment:
         workspace = prepare(small_config)
         with caplog.at_level("WARNING", logger="subpred.experiment"):
             out = run_trial(workspace, 3)
-        expected = [f"trial n=3, t={rec.t}:" for rec in out.records if rec.prediction_error > 0]
+        block = out.block
+        expected = [f"trial n=3, t={t}:" for t, e in zip(block.t, block.prediction_error) if e > 0]
         assert len(expected) > 0
         assert [msg.split(" bound")[0] for msg in caplog.messages] == expected
-        assert all(rec.bound == 0.0 for rec in out.records)
+        assert block.bound is not None and np.all(block.bound == 0.0)
 
     def test_trial_index_validated(self, small_config):
         workspace = prepare(small_config)
@@ -200,9 +204,9 @@ class TestRunExperiment:
             model=model, Tini=2, Tf=2, T=40, T_sim=12, N=3, kappa_max=0.2,
             output_dir=str(tmp_path / "mimo"),
         )
-        trials, summaries = run_experiment(cfg)
+        blocks, summaries = run_experiment(cfg)
         assert len(summaries) == 3
-        assert all(t.prediction_error >= 0 for t in trials)
+        assert all(np.all(b.prediction_error >= 0) for b in blocks)
         records, _ = run_single(cfg, n=1)
         single = (tmp_path / "mimo" / "single_1.csv").read_text().splitlines()
         assert single[0] == "t,baseline_0,baseline_1,perturbed_0,perturbed_1,error,bound"
@@ -263,10 +267,11 @@ class TestCsvFormat:
         assert None in values and any(value is not None for value in values)
 
     def _check_sweep(self, config):
-        trials, summaries = run_experiment(config)
+        blocks, summaries = run_experiment(config)
         out = Path(config.output_dir)
         rows = self._rows(out / "trials.csv")
-        self._assert_bounds([rec.bound for rec in trials], [row["bound"] for row in rows])
+        bounds = [rec.bound for b in blocks for rec in b.rows()]
+        self._assert_bounds(bounds, [row["bound"] for row in rows])
         rows = self._rows(out / "summary.csv")
         avg_bounds = [rec.avg_bound for rec in summaries]
         self._assert_bounds(avg_bounds, [row["avg_bound"] for row in rows])
@@ -298,56 +303,84 @@ class TestCsvFormat:
             self._check_single(cfg, n)
 
 
-def _rec(n, kappa, t, error=0.25, bound=0.5, sigma_min=0.75):
-    return TrialRecord(n, kappa, t, error, bound, sigma_min)
+def _block(n, kappa, t, errors=0.25, bounds=0.5, sigma_min=0.75):
+    """A hand-built member block with numpy float64 columns, each a value
+    repeated or one per step; ``bounds=None`` makes it uncertified."""
+    t = tuple(t)
+    if bounds is not None:
+        bounds = np.full(len(t), bounds, dtype=np.float64)
+    return TrialBlock(n, kappa, t, np.full(len(t), errors, dtype=np.float64), bounds, sigma_min)
 
 
 INF, NAN = float("inf"), float("nan")
+EXTREMES = (5e-324, 1e16, 1e22, NAN, INF, -INF)
 
-# Runs of records that write_trials_csv must split where csv.writer's text
-# changes: 0.0 == -0.0 and 1 == 1.0, but their text differs.
+# Hand-built blocks, among them scalars that compare equal but that
+# csv.writer writes differently: 0.0 == -0.0 and 1 == 1.0.
 HAND_BUILT = {
     "empty": [],
-    "single-row": [_rec(1, 0.1, 4)],
-    "n-not-contiguous": [_rec(1, 0.1, 4), _rec(2, 0.2, 4), _rec(1, 0.1, 5)],
-    "same-n-new-kappa": [_rec(1, 0.1, 4), _rec(1, 0.2, 5)],
-    "bound-none-float-none": [
-        _rec(1, 0.1, 4, bound=None), _rec(1, 0.1, 5), _rec(1, 0.1, 6, bound=None)
-    ],
-    "signed-zero-kappa": [_rec(1, 0.0, 4), _rec(1, -0.0, 5)],
-    "float-then-int-kappa": [_rec(1, 1.0, 4), _rec(1, 1, 5)],
+    "single-row": [_block(1, 0.1, [4])],
+    "uncertified": [_block(1, 0.1, [4, 5, 6], bounds=None)],
+    "n-not-contiguous": [_block(1, 0.1, [4]), _block(2, 0.2, [4]), _block(1, 0.1, [5])],
+    "same-n-new-kappa": [_block(1, 0.1, [4]), _block(1, 0.2, [5])],
+    "signed-zero-kappa": [_block(1, 0.0, [4]), _block(1, -0.0, [5])],
+    "float-then-int-kappa": [_block(1, 1.0, [4]), _block(1, 1, [5])],
     "extreme-floats": [
-        _rec(1, 5e-324, 4, error=1e16, bound=1e22, sigma_min=NAN),
-        _rec(1, 5e-324, 5, error=NAN, bound=INF, sigma_min=NAN),
-        _rec(2, 1e22, 4, error=-INF, bound=5e-324, sigma_min=INF),
-        _rec(3, NAN, 4, error=5e-324, bound=-INF, sigma_min=-INF),
-    ],
+        _block(i + 1, x, range(4, 10), errors=np.roll(EXTREMES, i), bounds=np.roll(EXTREMES, -i),
+               sigma_min=x)
+        for i, x in enumerate(EXTREMES)
+    ] + [_block(7, NAN, range(4, 10), errors=EXTREMES, bounds=None, sigma_min=-INF)],
 }
 
 
 class TestTrialsCsvBytes:
-    """write_trials_csv writes the bytes of the csv module's writer."""
+    """write_trials_csv writes the bytes of the csv module's writer fed with
+    the blocks' rows."""
 
     @staticmethod
-    def _assert_reference_bytes(tmp_path, records):
+    def _assert_reference_bytes(tmp_path, blocks):
         from helpers import write_csv_reference
 
-        write_trials_csv(tmp_path / "trials.csv", records)
-        write_csv_reference(tmp_path / "reference.csv", TrialRecord._fields, records)
+        write_trials_csv(tmp_path / "trials.csv", blocks)
+        rows = [rec for b in blocks for rec in b.rows()]
+        write_csv_reference(tmp_path / "reference.csv", TrialRecord._fields, rows)
         assert (tmp_path / "trials.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    @pytest.mark.parametrize("mimo", [False, True], ids=["siso", "mimo"])
-    def test_sweep_records(self, mimo, small_config, tmp_path):
+    def test_block_fields_are_the_record_fields(self):
+        assert TrialBlock._fields == TrialRecord._fields
+
+    @pytest.mark.parametrize("shape", ["siso", "mimo", "longrun"])
+    def test_sweep_records(self, shape, small_config, tmp_path):
         from helpers import random_model
 
         config = small_config
-        if mimo:
+        if shape == "mimo":
             model = random_model(np.random.default_rng(8), n=2, m=2, p=2)
             config = ExperimentConfig(model=model, Tini=2, Tf=2, T=40, T_sim=12, N=3, kappa_max=0.2)
-        trials, _ = run_experiment(config, write=False)
-        assert {rec.bound is None for rec in trials} == {True, False}
-        self._assert_reference_bytes(tmp_path, trials)
+        elif shape == "longrun":
+            config = ExperimentConfig(model=default_model(), T_sim=1000, N=25)
+        blocks, _ = run_experiment(config, write=False)
+        assert {b.bound is None for b in blocks} == {True, False}
+        assert all(type(x) is float for rec in blocks[0].rows() for x in rec[3:])
+        self._assert_reference_bytes(tmp_path, blocks)
 
-    @pytest.mark.parametrize("records", HAND_BUILT.values(), ids=HAND_BUILT.keys())
-    def test_hand_built_records(self, records, tmp_path):
-        self._assert_reference_bytes(tmp_path, records)
+    @pytest.mark.parametrize("blocks", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+    def test_hand_built_records(self, blocks, tmp_path):
+        self._assert_reference_bytes(tmp_path, blocks)
+
+    def test_rows_are_the_columns(self):
+        block = _block(3, 0.5, [4, 5], errors=[0.1, 0.2], bounds=[0.3, 0.4], sigma_min=0.6)
+        assert list(block.rows()) == [(3, 0.5, 4, 0.1, 0.3, 0.6), (3, 0.5, 5, 0.2, 0.4, 0.6)]
+        assert [rec.bound for rec in block._replace(bound=None).rows()] == [None, None]
+
+    def test_sweep_builds_no_row_records(self, tmp_path, monkeypatch):
+        from subpred.cli import main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TrialRecord was built")
+
+        monkeypatch.setattr(TrialRecord, "_make", refuse)
+        monkeypatch.setattr(TrialRecord, "__new__", refuse)
+        (tmp_path / "exp.cfg").write_text("N = 3\noutput_dir = out\n")
+        assert main(["experiment", "--config", str(tmp_path / "exp.cfg")]) == 0
+        assert (tmp_path / "out" / "trials.csv").is_file()

@@ -8,12 +8,14 @@ from the small-integer (at most 64) or float strategies, and no example runs
 a larger sweep than the default configuration.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from subpred import StateSpaceModel, format_model, save_basis, simulate
+from subpred import format_model, save_basis, simulate
 from subpred.cli import main
 from subpred.experiment import default_model
 from subpred.grassmann import orthonormal_basis
@@ -73,13 +75,15 @@ def _file(valid_text, line):
 
 
 def _small_model_text():
-    """A model file of the right shapes, n, m, p <= 3, with any float entries."""
+    """A model file of the right shapes, n, m, p <= 3, with any float entries.
+    NaN and +-inf entries must reach the file parser, and `StateSpaceModel`
+    rejects them, so the matrices go to `format_model` without one."""
 
     def text(dims, entries):
         n, m, p = dims
         shapes = ((n, n), (n, m), (p, n), (p, m))
         A, B, C, D = (np.resize(entries, shape) for shape in shapes)
-        return format_model(StateSpaceModel(A=A, B=B, C=C, D=D))
+        return format_model(SimpleNamespace(n=n, m=m, p=p, A=A, B=B, C=C, D=D))
 
     dims = st.tuples(*(st.integers(1, 3),) * 3)
     return st.builds(text, dims, st.lists(st.floats(), min_size=1, max_size=9))

@@ -248,6 +248,16 @@ class TestSingularValueConstants:
         assert abs(gain_bound(example_model, 8) - oracle) <= 1e-8
 
 
+class TestStateSpaceModel:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["A", "B", "C", "D"])
+    def test_non_finite_entry_rejected(self, name, bad):
+        matrices = {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
+        matrices[name] = [[bad]]
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+            StateSpaceModel(**matrices)
+
+
 class TestModelFiles:
     def test_round_trip(self, rng):
         model = random_model(rng, n=3, m=2, p=2)
