@@ -2,7 +2,6 @@
 representation-free perturbation-robustness bounds."""
 
 from .bounds import (
-    BoundInputs,
     FirstBoundTerms,
     first_error_bound,
     first_error_bound_terms,
@@ -17,7 +16,6 @@ from .experiment import (
     ExperimentConfig,
     SummaryRecord,
     TrialBlock,
-    TrialRecord,
     default_model,
     load_config,
     run_experiment,

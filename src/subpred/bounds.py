@@ -21,7 +21,6 @@ from .hankel import PartitionedMatrix
 from .predictor import _PredictionMap
 
 __all__ = [
-    "BoundInputs",
     "gamma",
     "lipschitz_bound",
     "one_step_bound",
@@ -41,64 +40,33 @@ def gamma(alpha: float, beta: float) -> float:
 
     ``alpha`` is the largest singular value of the full-horizon trajectory
     generation matrix, ``beta`` a positive lower bound on the smallest
-    singular value of its past-window counterpart.  The ratio lower-bounds
-    the smallest singular value of the context rows of any orthonormal
-    behavior basis.  ``alpha`` is at least 1 because of the identity block
-    (see `gain_bound`), so the ratio never exceeds 1; a smaller ``alpha``
-    would widen the certified region and is rejected.
+    singular value of its past-window counterpart; both must be finite.  The
+    ratio lower-bounds the smallest singular value of the context rows of
+    any orthonormal behavior basis, and is the ``gamma`` of
+    `lipschitz_bound`.  ``alpha`` is at least 1 because of the identity
+    block (see `gain_bound`), so the ratio never exceeds 1; a smaller
+    ``alpha`` would widen the certified region and is rejected.
     """
     if not alpha >= 1:
         raise ValueError(f"alpha must be at least 1, got {alpha}")
+    if not np.isfinite([alpha, beta]).all():
+        raise ValueError(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     return min(1.0, beta) / alpha
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Ingredients of the representation-free Lipschitz bound.
-
-    ``gamma`` always equals min(1, beta) / alpha; use the classmethods to
-    construct consistent instances.  ``kappa`` is the chordal distance
-    between the true and approximate behavior subspaces, ``b_norm`` the
-    Euclidean norm of the prediction context.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    kappa: float
-    b_norm: float
-
-    def __post_init__(self):
-        if not all(np.isfinite([self.alpha, self.beta, self.gamma, self.kappa, self.b_norm])):
-            raise ValueError("all bound inputs must be finite")
-        expected = gamma(self.alpha, self.beta)
-        if self.gamma != expected:
-            raise ValueError(f"gamma={self.gamma} is not min(1, beta)/alpha = {expected}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.b_norm < 0:
-            raise ValueError(f"b_norm must be nonnegative, got {self.b_norm}")
-
-    @classmethod
-    def from_singular_values(
-        cls, alpha: float, beta: float, kappa: float, b_norm: float
-    ) -> "BoundInputs":
-        return cls(alpha=alpha, beta=beta, gamma=gamma(alpha, beta), kappa=kappa, b_norm=b_norm)
-
-    @classmethod
-    def from_gamma(cls, gamma_value: float, kappa: float, b_norm: float) -> "BoundInputs":
-        """Encode a directly supplied ratio.  Valid ratios never exceed 1
-        because the gain constant is at least 1."""
-        if not 0 < gamma_value <= 1:
-            raise ValueError(f"gamma must lie in (0, 1], got {gamma_value}")
-        return cls(alpha=1.0, beta=gamma_value, gamma=gamma_value, kappa=kappa, b_norm=b_norm)
-
-
 def _certified_bound(s: float, norm_Uyf1: float, kappa: float, b_norm: float, name: str) -> float:
     """(2(1+sqrt(5)) * norm_Uyf1 / s^2 + 1/s) * sqrt(2) * kappa * b_norm, valid
-    while kappa <= s / (2 sqrt(2)); ``name`` names s in the violation message."""
+    while kappa <= s / (2 sqrt(2)); ``name`` names s in the messages.  Every
+    argument must be finite, s positive and the others nonnegative."""
+    if not np.isfinite([s, norm_Uyf1, kappa, b_norm]).all():
+        raise ValueError("all bound inputs must be finite")
+    if s <= 0:
+        raise ValueError(f"{name} must be positive, got {s}")
+    for arg, value in (("norm_Uyf1", norm_Uyf1), ("kappa", kappa), ("b_norm", b_norm)):
+        if value < 0:
+            raise ValueError(f"{arg} must be nonnegative, got {value}")
     limit = s * _HALF_INV_SQRT2
     if kappa > limit:
         raise HypothesisViolationError(
@@ -109,13 +77,18 @@ def _certified_bound(s: float, norm_Uyf1: float, kappa: float, b_norm: float, na
     return float(coeff * np.sqrt(2.0) * kappa * b_norm)
 
 
-def lipschitz_bound(inp: BoundInputs) -> float:
+def lipschitz_bound(gamma: float, kappa: float, b_norm: float) -> float:
     """Representation-free prediction-error bound.
 
     Returns (2(1+sqrt(5))/gamma^2 + 1/gamma) * sqrt(2) * kappa * b_norm,
-    valid while kappa <= gamma / (2 sqrt(2)).
+    valid while kappa <= gamma / (2 sqrt(2)).  ``gamma`` is the ratio
+    ``gamma(alpha, beta)`` and must lie in (0, 1]; ``kappa`` is the chordal
+    distance between the true and approximate behavior subspaces, ``b_norm``
+    the Euclidean norm of the prediction context.
     """
-    return _certified_bound(inp.gamma, 1.0, inp.kappa, inp.b_norm, "gamma")
+    if not 0 < gamma <= 1:
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    return _certified_bound(gamma, 1.0, kappa, b_norm, "gamma")
 
 
 def one_step_bound(
@@ -130,16 +103,6 @@ def one_step_bound(
     future-output rows.  Valid while kappa <= sigma / (2 sqrt(2)).  Every
     argument must be finite.
     """
-    if not all(np.isfinite([sigma_min_Mhat, norm_Uyf1, kappa, b_norm])):
-        raise ValueError("all bound inputs must be finite")
-    if sigma_min_Mhat <= 0:
-        raise ValueError(f"sigma_min_Mhat must be positive, got {sigma_min_Mhat}")
-    if norm_Uyf1 < 0:
-        raise ValueError(f"norm_Uyf1 must be nonnegative, got {norm_Uyf1}")
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    if b_norm < 0:
-        raise ValueError(f"b_norm must be nonnegative, got {b_norm}")
     return _certified_bound(sigma_min_Mhat, norm_Uyf1, kappa, b_norm, "sigma_min_Mhat")
 
 

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from ._kv import finite_floats, integer, read_pairs
-from .bounds import BoundInputs, lipschitz_bound, one_step_bound
+from .bounds import gamma, lipschitz_bound, one_step_bound
 from .errors import ConvergenceError, HypothesisViolationError, RankDeficientError
 from .experiment import load_config, run_experiment, run_single
 from .grassmann import chordal_distance, load_basis
@@ -121,12 +121,12 @@ def _cmd_bound(args) -> int:
         if args.gamma is not None:
             if args.alpha is not None or args.beta is not None:
                 raise ValueError("give either --gamma or --alpha/--beta, not both")
-            inp = BoundInputs.from_gamma(args.gamma, args.kappa, args.bnorm)
+            g = args.gamma
         elif args.alpha is not None and args.beta is not None:
-            inp = BoundInputs.from_singular_values(args.alpha, args.beta, args.kappa, args.bnorm)
+            g = gamma(args.alpha, args.beta)
         else:
             raise ValueError("the full-horizon bound needs --gamma or both --alpha and --beta")
-        value = lipschitz_bound(inp)
+        value = lipschitz_bound(g, args.kappa, args.bnorm)
     print(f"{value:.12g}")
     return 0
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .predictor import _context_matrix, _prediction_map
 
 __all__ = [
     "ExperimentConfig",
-    "TrialRecord",
     "TrialBlock",
     "SummaryRecord",
     "SingleRecord",
@@ -162,22 +161,10 @@ def _resolve(base: Path, raw: str) -> Path:
     return p if p.is_absolute() else base / p
 
 
-class TrialRecord(NamedTuple):
-    """One (perturbation, time-step) observation: a row of ``trials.csv``,
-    whose header is ``TrialRecord._fields``."""
-
-    n: int
-    kappa: float
-    t: int
-    prediction_error: float
-    bound: float | None
-    sigma_min_Mhat: float
-
-
 class TrialBlock(NamedTuple):
-    """One member's rows of ``trials.csv`` as columns, with the fields of
-    `TrialRecord` in its order: ``n``, ``kappa`` and ``sigma_min_Mhat`` are
-    the member's scalars, ``t`` the workspace's steps, one per window,
+    """One member's rows of ``trials.csv`` as columns, whose header is
+    ``TrialBlock._fields``: ``n``, ``kappa`` and ``sigma_min_Mhat`` are the
+    member's scalars, ``t`` the workspace's steps, one per window,
     ``prediction_error`` the error column and ``bound`` the bound column, or
     None when the member is not certified."""
 
@@ -187,14 +174,6 @@ class TrialBlock(NamedTuple):
     prediction_error: np.ndarray
     bound: np.ndarray | None
     sigma_min_Mhat: float
-
-    def rows(self) -> Iterator[TrialRecord]:
-        """The member's `TrialRecord`s, one per window, built on demand."""
-        bounds = repeat(None) if self.bound is None else self.bound.tolist()
-        return map(TrialRecord._make, zip(
-            repeat(self.n), repeat(self.kappa), self.t, self.prediction_error.tolist(), bounds,
-            repeat(self.sigma_min_Mhat),
-        ))
 
 
 class SummaryRecord(NamedTuple):
@@ -288,9 +267,7 @@ def _noise(sigma: float, seed: int) -> NoiseSpec:
 @dataclass(frozen=True, eq=False)
 class TrialOutput:
     block: TrialBlock
-    summary: SummaryRecord
     basis: BehaviorBasis
-    kappa: float
     predictions: np.ndarray  # (steps, p) one-step predictions of the member
 
 
@@ -319,13 +296,9 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
                 "trial n=%d, t=%d: bound %.6g below observed error %.6g",
                 n, workspace.steps[i], bounds[i], errors[i],
             )
-    avg_bound = None if bounds is None else float(np.mean(bounds))
-    summary = SummaryRecord(n=n, kappa=kappa, avg_error=float(np.mean(errors)), avg_bound=avg_bound)
     return TrialOutput(
         block=TrialBlock(n, kappa, workspace.steps, errors, bounds, sigma_min),
-        summary=summary,
         basis=perturbed,
-        kappa=kappa,
         predictions=predictions,
     )
 
@@ -337,14 +310,16 @@ def run_experiment(
     ``trials.csv`` and ``summary.csv`` to the configured output directory.
 
     Returns one block and one summary per member; only these are kept, so a
-    member's basis and predictions are freed as the sweep goes on.  The rows
-    of ``trials.csv`` are ``[rec for b in blocks for rec in b.rows()]``."""
+    member's basis and predictions are freed as the sweep goes on.  A
+    summary holds the means of its block's error and bound columns, its
+    ``avg_bound`` None when the block's ``bound`` is."""
     workspace = prepare(config)
     blocks, summaries = [], []
     for n in range(1, config.N + 1):
-        out = run_trial(workspace, n)
-        blocks.append(out.block)
-        summaries.append(out.summary)
+        b = run_trial(workspace, n).block
+        avg_bound = None if b.bound is None else float(np.mean(b.bound))
+        blocks.append(b)
+        summaries.append(SummaryRecord(n, b.kappa, float(np.mean(b.prediction_error)), avg_bound))
     if write:
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -380,7 +355,7 @@ def run_single(
             for rec in records
         )
         _write_csv(out_dir / f"single_{n}.csv", ["t", *columns, "error", "bound"], rows)
-    return records, out.kappa
+    return records, out.block.kappa
 
 
 # The two sweep files keep named writers: the benchmark (bench/) times them
@@ -394,7 +369,7 @@ def write_trials_csv(path, blocks: list[TrialBlock]) -> None:
     """Write the rows of ``blocks`` with the bytes of ``_write_csv``, one
     block at a time, without building a record per row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TrialRecord._fields) + "\n")
+        fh.write(",".join(TrialBlock._fields) + "\n")
         for b in blocks:
             columns = [b.t, b.prediction_error.tolist()]
             bound = ""

@@ -140,18 +140,20 @@ def is_persistently_exciting(u, order: int) -> bool:
     return numerical_rank(H) == u.shape[1] * order
 
 
-def persistently_exciting_input(
-    m: int, T: int, order: int, seed: int, max_retries: int = 10
-) -> np.ndarray:
+_PE_ATTEMPTS = 10
+
+
+def persistently_exciting_input(m: int, T: int, order: int, seed: int) -> np.ndarray:
     """Draw an i.i.d. standard-normal input of shape (T, m) that is
-    persistently exciting of the given order, retrying with offset seeds."""
-    for attempt in range(max_retries):
+    persistently exciting of the given order from the seeds seed, seed + 1,
+    ..., giving up after ``_PE_ATTEMPTS`` draws."""
+    for attempt in range(_PE_ATTEMPTS):
         u = np.random.default_rng(seed + attempt).standard_normal((T, m))
         if is_persistently_exciting(u, order):
             return u
     raise ConvergenceError(
         f"failed to draw a persistently exciting input of order {order} "
-        f"(m={m}, T={T}) after {max_retries} attempts"
+        f"(m={m}, T={T}) after {_PE_ATTEMPTS} attempts"
     )
 
 

@@ -203,9 +203,9 @@ def simulate(
     ----------
     model : StateSpaceModel
     inputs : array-like, shape (T, m)
-        Input sequence; a flat array is accepted when m = 1.
+        Input sequence of finite numbers; a flat array is accepted when m = 1.
     x0 : array-like, shape (n,), optional
-        Initial state; defaults to the zero vector.
+        Finite initial state; defaults to the zero vector.
     noise : NoiseSpec
         Output disturbance.  With kind ``relative-gaussian`` the step-t output
         is y_t + sqrt(sigma) * ||y_t|| * z_t, y_t the noise-free output, z one
@@ -227,6 +227,9 @@ def simulate(
         x = np.asarray(x0, dtype=float).reshape(-1)
         if x.shape[0] != model.n:
             raise ValueError(f"x0 has length {x.shape[0]}, expected state dimension n={model.n}")
+    for name, value in (("inputs", u), ("x0", x)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} has non-finite entries")
 
     states = np.empty((T + 1, model.n))
     states[0] = x

@@ -93,7 +93,8 @@ def pseudoinverse(M) -> np.ndarray:
 class PredictionContext:
     """The vector b = (u_ini, u, y_ini) together with its window dimensions.
 
-    ``u_ini`` has length m*Tini, ``u`` length m*Tf, ``y_ini`` length p*Tini.
+    ``u_ini`` has length m*Tini, ``u`` length m*Tf, ``y_ini`` length p*Tini,
+    and every entry is finite.
     """
 
     u_ini: np.ndarray
@@ -118,6 +119,8 @@ class PredictionContext:
             arr = np.asarray(value, dtype=float).reshape(-1).copy()
             if arr.shape[0] != expected:
                 raise ValueError(f"{name} has length {arr.shape[0]}, expected {expected}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has non-finite entries")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -105,6 +105,20 @@ def random_basis(
     return BehaviorBasis(PartitionedMatrix(data=Q, m=m, p=p, Tini=Tini, Tf=Tf))
 
 
+def trial_rows(blocks) -> list[tuple]:
+    """The rows of ``trials.csv`` built from the member blocks' columns, in
+    ``TrialBlock._fields`` order, with Python floats from the error and bound
+    columns and None as the bound of an uncertified member."""
+    rows = []
+    for b in blocks:
+        bounds = [None] * len(b.t) if b.bound is None else b.bound.tolist()
+        rows += [
+            (b.n, b.kappa, t, error, bound, b.sigma_min_Mhat)
+            for t, error, bound in zip(b.t, b.prediction_error.tolist(), bounds)
+        ]
+    return rows
+
+
 def write_csv_reference(path, header, rows) -> None:
     """The csv module's writer, the byte oracle for ``trials.csv``: floats in
     ``repr`` form, ``None`` as an empty field, lines ended by a bare newline."""

@@ -11,11 +11,11 @@ from scipy import stats
 
 from helpers import conditioned_invertible, random_model, random_orthogonal, random_basis
 from subpred import (
-    BoundInputs,
     ExperimentConfig,
     align_basis,
     chordal_distance,
     gain_bound,
+    gamma,
     lipschitz_bound,
     observability_degree,
     one_step_bound,
@@ -160,6 +160,41 @@ def test_criterion_04_procrustes_alignment():
     _report("criterion 4 (optimal basis alignment, 200 pairs)")
 
 
+def _full_map(U):
+    """The prediction map G = Y_f pinv(context rows) of a basis."""
+    return U.y_future @ pseudoinverse(U.context_block)
+
+
+def _check_full_horizon_bound(rng, model, Tini, Tf, worst_context=False):
+    """Check the bound on one genuine context and, with ``worst_context``, on
+    the worst genuine context of unit norm; returns that context's
+    error/bound ratio, or 0 without it."""
+    g = gamma(gain_bound(model, Tini + Tf), observability_degree(model, Tini))
+    U = _behavior_basis(model, Tini, Tf)
+    kappa = rng.uniform(0.0, 1.0) * g / (2 * SQRT2)
+    Uhat = perturb_subspace(U, kappa, seed=int(rng.integers(2**31)))
+    kappa = chordal_distance(U, Uhat)
+    ctx = _genuine_context(rng, model, Tini, Tf)
+    b_norm = np.linalg.norm(ctx.b)
+    err = np.linalg.norm(
+        predict_from_subspace(Uhat, ctx).y_pred - predict_from_subspace(U, ctx).y_pred
+    )
+    bound = lipschitz_bound(g, kappa, b_norm)
+    assert err <= bound + 1e-9 * b_norm, f"bound violated: err={err}, bound={bound}"
+    if not worst_context:
+        return 0.0
+    # genuine contexts span the column space of U's context block; Q is an
+    # orthonormal basis of it, so the worst unit context gives ||(Ghat - G) Q||_2
+    Q = np.linalg.qr(U.context_block)[0]
+    worst = np.linalg.norm((_full_map(Uhat) - _full_map(U)) @ Q, 2)
+    bound = lipschitz_bound(g, kappa, 1.0)
+    assert worst <= bound + 1e-9, f"bound violated: worst={worst}, bound={bound}"
+    return worst / bound if bound > 0 else 0.0
+
+
+MIMO_FULL_HORIZON_CASES = 200
+
+
 def test_criterion_05_full_horizon_bound_validity():
     rng = np.random.default_rng(505)
     holds = 0
@@ -167,24 +202,24 @@ def test_criterion_05_full_horizon_bound_validity():
         model = random_model(rng, n=int(rng.integers(1, 3)))
         Tini = model.n + int(rng.integers(0, 2))
         Tf = int(rng.integers(1, 3))
-        beta = observability_degree(model, Tini)
-        alpha = gain_bound(model, Tini + Tf)
-        g = min(1.0, beta) / alpha
-        U = _behavior_basis(model, Tini, Tf)
-        kappa = rng.uniform(0.0, 1.0) * g / (2 * SQRT2)
-        Uhat = perturb_subspace(U, kappa, seed=int(rng.integers(2**31)))
-        ctx = _genuine_context(rng, model, Tini, Tf)
-        b_norm = np.linalg.norm(ctx.b)
-        err = np.linalg.norm(
-            predict_from_subspace(Uhat, ctx).y_pred - predict_from_subspace(U, ctx).y_pred
-        )
-        bound = lipschitz_bound(
-            BoundInputs.from_singular_values(alpha, beta, chordal_distance(U, Uhat), b_norm)
-        )
-        assert err <= bound + 1e-9 * b_norm, f"bound violated: err={err}, bound={bound}"
+        _check_full_horizon_bound(rng, model, Tini, Tf)
         holds += 1
     assert holds == 500
-    _report("criterion 5 (full-horizon bound validity, 500/500)")
+    # larger systems and horizons as in criterion 6, drawn after the 500
+    # small cases so that those stay as they were
+    worst_ratio = 0.0
+    for _ in range(MIMO_FULL_HORIZON_CASES):
+        model = random_model(
+            rng, n=int(rng.integers(1, 9)), m=int(rng.integers(1, 4)), p=int(rng.integers(1, 4))
+        )
+        Tini = model.n + int(rng.integers(0, 2))
+        Tf = int(rng.integers(1, 7))
+        ratio = _check_full_horizon_bound(rng, model, Tini, Tf, worst_context=True)
+        worst_ratio = max(worst_ratio, ratio)
+    _report(
+        f"criterion 5 (full-horizon bound validity, 500/500 + {MIMO_FULL_HORIZON_CASES} larger "
+        f"systems; largest worst-context ratio {worst_ratio:.3g})"
+    )
 
 
 def _one_step_map(U, p):

@@ -3,7 +3,6 @@ import pytest
 
 from helpers import random_model, random_orthogonal
 from subpred import (
-    BoundInputs,
     align_basis,
     chordal_distance,
     first_error_bound,
@@ -67,12 +66,19 @@ class TestGamma:
         with pytest.raises(ValueError, match="alpha must be at least 1"):
             gamma(alpha, 1.0)
         with pytest.raises(ValueError, match="alpha must be at least 1"):
-            BoundInputs.from_singular_values(alpha, 1.0, 0.5, 1.0)
-        with pytest.raises(ValueError, match="alpha must be at least 1"):
-            BoundInputs(alpha=alpha, beta=1.0, gamma=1.0 / alpha, kappa=0.5, b_norm=1.0)
+            lipschitz_bound(gamma(alpha, 1.0), 0.5, 1.0)
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            lipschitz_bound(1.0 / alpha, 0.5, 1.0)
         with pytest.raises(ValueError, match="alpha must be at least 1"):
             gamma(float("nan"), 1.0)
         assert gamma(1.0, 1.0) == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            gamma(bad, 1.0)
+        with pytest.raises(ValueError):
+            gamma(2.0, bad)
 
     def test_lower_bounds_context_block(self, example_model):
         # the ratio never exceeds the actual smallest singular value of the
@@ -84,55 +90,49 @@ class TestGamma:
         assert sigma >= g - 1e-9
 
 
-class TestBoundInputs:
-    def test_gamma_consistency_enforced(self):
-        with pytest.raises(ValueError, match="gamma"):
-            BoundInputs(alpha=2.0, beta=1.0, gamma=0.7, kappa=0.1, b_norm=1.0)
-
-    def test_from_singular_values(self):
-        inp = BoundInputs.from_singular_values(2.0, 3.0, 0.1, 1.0)
-        assert inp.gamma == 0.5
-
-    def test_from_gamma(self):
-        inp = BoundInputs.from_gamma(0.5, 0.1, 1.0)
-        assert inp.gamma == 0.5
-        with pytest.raises(ValueError):
-            BoundInputs.from_gamma(1.5, 0.1, 1.0)
-
-
 class TestLipschitzBound:
     def test_zero_kappa_gives_zero(self):
-        assert lipschitz_bound(BoundInputs.from_gamma(1.0, 0.0, 5.0)) == 0.0
+        assert lipschitz_bound(1.0, 0.0, 5.0) == 0.0
 
     def test_closed_form_value(self):
         # independent arithmetic for gamma=1, kappa=0.1, |b|=1
         expected = (2.0 * (1.0 + np.sqrt(5.0)) + 1.0) * SQRT2 * 0.1
-        got = lipschitz_bound(BoundInputs.from_gamma(1.0, 0.1, 1.0))
+        got = lipschitz_bound(1.0, 0.1, 1.0)
         assert abs(got - expected) <= 1e-12
         assert abs(got - 1.0566) <= 5e-4
 
     def test_linear_scaling(self):
-        base = lipschitz_bound(BoundInputs.from_gamma(0.8, 0.1, 1.0))
-        assert abs(lipschitz_bound(BoundInputs.from_gamma(0.8, 0.2, 1.0)) - 2 * base) <= 1e-12
-        assert abs(lipschitz_bound(BoundInputs.from_gamma(0.8, 0.1, 2.0)) - 2 * base) <= 1e-12
+        base = lipschitz_bound(0.8, 0.1, 1.0)
+        assert abs(lipschitz_bound(0.8, 0.2, 1.0) - 2 * base) <= 1e-12
+        assert abs(lipschitz_bound(0.8, 0.1, 2.0) - 2 * base) <= 1e-12
 
     def test_hypothesis_violation_rejected(self):
         limit = 0.5 / (2 * SQRT2)
         with pytest.raises(HypothesisViolationError, match="hypothesis violated"):
-            lipschitz_bound(BoundInputs.from_gamma(0.5, limit * 1.01, 1.0))
+            lipschitz_bound(0.5, limit * 1.01, 1.0)
+
+    def test_invalid_inputs(self):
+        for bad in (0.0, -0.5, 1.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+                lipschitz_bound(bad, 0.1, 1.0)
+        for position in (1, 2):
+            args = [0.5, 0.1, 1.0]
+            args[position] = -1.0
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                lipschitz_bound(*args)
+            for bad in (np.nan, np.inf, -np.inf):
+                args[position] = bad
+                with pytest.raises(ValueError, match="all bound inputs must be finite"):
+                    lipschitz_bound(*args)
 
     def test_monotone_in_beta_and_alpha(self):
         # improves with observability, deteriorates with gain
         kappa = 0.01
         betas = [0.2, 0.4, 0.8, 1.0]
-        vals = [
-            lipschitz_bound(BoundInputs.from_singular_values(2.0, b, kappa, 1.0)) for b in betas
-        ]
+        vals = [lipschitz_bound(gamma(2.0, b), kappa, 1.0) for b in betas]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
         alphas = [1.0, 2.0, 4.0]
-        vals = [
-            lipschitz_bound(BoundInputs.from_singular_values(a, 0.5, kappa, 1.0)) for a in alphas
-        ]
+        vals = [lipschitz_bound(gamma(a, 0.5), kappa, 1.0) for a in alphas]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -176,12 +176,12 @@ class TestOneStepBound:
             g = rng.uniform(1e-3, 1.0)
             kappa = rng.uniform(0.0, g / (2 * SQRT2))
             b_norm = rng.uniform(0.0, 10.0)
-            full = lipschitz_bound(BoundInputs.from_gamma(g, kappa, b_norm))
+            full = lipschitz_bound(g, kappa, b_norm)
             assert full == one_step_bound(g, 1.0, kappa, b_norm)
 
     def test_violation_messages_name_their_constant(self):
         with pytest.raises(HypothesisViolationError, match=r"exceeds gamma/\(2\*sqrt\(2\)\) = "):
-            lipschitz_bound(BoundInputs.from_gamma(0.5, 0.2, 1.0))
+            lipschitz_bound(0.5, 0.2, 1.0)
         with pytest.raises(
             HypothesisViolationError, match=r"exceeds sigma_min_Mhat/\(2\*sqrt\(2\)\) = "
         ):
@@ -383,9 +383,7 @@ class TestBoundValidityEndToEnd:
             err = np.linalg.norm(
                 predict_from_subspace(Uhat, ctx).y_pred - predict_from_subspace(U, ctx).y_pred
             )
-            bound = lipschitz_bound(
-                BoundInputs.from_singular_values(alpha, beta, chordal_distance(U, Uhat), b_norm)
-            )
+            bound = lipschitz_bound(gamma(alpha, beta), chordal_distance(U, Uhat), b_norm)
             assert err <= bound + 1e-9 * b_norm
 
     def test_alignment_norm_chain(self, rng, example_model):

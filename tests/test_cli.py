@@ -184,6 +184,18 @@ class TestPredictCommand:
         assert "effective_rank" in err
 
 
+FULL_HORIZON_FORMS = {
+    "gamma": {"--gamma": "0.5", "--kappa": "0.01", "--bnorm": "2.0"},
+    "alpha-beta": {"--alpha": "2", "--beta": "3", "--kappa": "0.01", "--bnorm": "2.0"},
+}
+FULL_HORIZON_NON_FINITE = [
+    (form, flag, bad)
+    for form, values in FULL_HORIZON_FORMS.items()
+    for flag in values
+    for bad in ("nan", "inf", "-inf")
+]
+
+
 class TestBoundCommand:
     def test_zero_kappa(self, capsys):
         assert main(["bound", "--gamma", "1.0", "--kappa", "0", "--bnorm", "5"]) == 0
@@ -231,6 +243,12 @@ class TestBoundCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "all bound inputs must be finite" in captured.err
+
+    @pytest.mark.parametrize("form, flag, bad", FULL_HORIZON_NON_FINITE)
+    def test_full_horizon_non_finite_exit_2(self, capsys, form, flag, bad):
+        values = dict(FULL_HORIZON_FORMS[form], **{flag: bad})
+        assert main(["bound"] + [f"{k}={v}" for k, v in values.items()]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_missing_flags_exit_2(self, capsys):
         assert main(["bound", "--kappa", "0.1", "--bnorm", "1"]) == 2

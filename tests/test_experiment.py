@@ -4,11 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import trial_rows, write_csv_reference
 from subpred import ExperimentConfig, chordal_distance, load_config, run_experiment, run_single
 from subpred import experiment
-from subpred.experiment import (
-    TrialBlock, TrialRecord, default_model, prepare, run_trial, write_trials_csv,
-)
+from subpred.experiment import TrialBlock, default_model, prepare, run_trial, write_trials_csv
 from subpred.predictor import context_windows, predict_from_subspace
 
 
@@ -68,7 +67,7 @@ class TestRunExperiment:
     def test_row_counts_and_columns(self, small_config):
         blocks, summaries = run_experiment(small_config)
         steps = small_config.T_sim - small_config.Tini - small_config.Tf + 1
-        assert len([rec for b in blocks for rec in b.rows()]) == small_config.N * steps
+        assert len(trial_rows(blocks)) == small_config.N * steps
         assert [len(b.prediction_error) for b in blocks] == [steps] * small_config.N
         assert len(summaries) == small_config.N
         out = Path(small_config.output_dir)
@@ -118,14 +117,14 @@ class TestRunExperiment:
     def test_kappa_measured_matches_family_member(self, small_config):
         workspace = prepare(small_config)
         out = run_trial(workspace, 4)
-        assert abs(out.kappa - chordal_distance(workspace.basis, out.basis)) <= 1e-12
-        assert abs(out.kappa - small_config.kappas[3]) <= 1e-6
+        assert abs(out.block.kappa - chordal_distance(workspace.basis, out.basis)) <= 1e-12
+        assert abs(out.block.kappa - small_config.kappas[3]) <= 1e-6
 
     def test_single_uses_the_trial_predictions(self, small_config):
         workspace = prepare(small_config)
         out = run_trial(workspace, 6)
         records, kappa = run_single(small_config, n=6, write=False)
-        assert kappa == out.kappa
+        assert kappa == out.block.kappa
         np.testing.assert_array_equal(np.array([rec.perturbed for rec in records]), out.predictions)
 
     def test_trial_predictions_match_per_window_prediction(self, tmp_path):
@@ -240,7 +239,7 @@ class TestRunSingle:
         _, kappa = run_single(small_config, n=5, write=False)
         workspace = prepare(small_config)
         out = run_trial(workspace, 5)
-        assert abs(kappa - out.kappa) <= 1e-15
+        assert abs(kappa - out.block.kappa) <= 1e-15
 
 
 class TestCsvFormat:
@@ -270,7 +269,7 @@ class TestCsvFormat:
         blocks, summaries = run_experiment(config)
         out = Path(config.output_dir)
         rows = self._rows(out / "trials.csv")
-        bounds = [rec.bound for b in blocks for rec in b.rows()]
+        bounds = [row[4] for row in trial_rows(blocks)]  # the bound column
         self._assert_bounds(bounds, [row["bound"] for row in rows])
         rows = self._rows(out / "summary.csv")
         avg_bounds = [rec.avg_bound for rec in summaries]
@@ -339,15 +338,9 @@ class TestTrialsCsvBytes:
 
     @staticmethod
     def _assert_reference_bytes(tmp_path, blocks):
-        from helpers import write_csv_reference
-
         write_trials_csv(tmp_path / "trials.csv", blocks)
-        rows = [rec for b in blocks for rec in b.rows()]
-        write_csv_reference(tmp_path / "reference.csv", TrialRecord._fields, rows)
+        write_csv_reference(tmp_path / "reference.csv", TrialBlock._fields, trial_rows(blocks))
         assert (tmp_path / "trials.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-
-    def test_block_fields_are_the_record_fields(self):
-        assert TrialBlock._fields == TrialRecord._fields
 
     @pytest.mark.parametrize("shape", ["siso", "mimo", "longrun"])
     def test_sweep_records(self, shape, small_config, tmp_path):
@@ -361,26 +354,9 @@ class TestTrialsCsvBytes:
             config = ExperimentConfig(model=default_model(), T_sim=1000, N=25)
         blocks, _ = run_experiment(config, write=False)
         assert {b.bound is None for b in blocks} == {True, False}
-        assert all(type(x) is float for rec in blocks[0].rows() for x in rec[3:])
+        assert all(type(x) is float for row in trial_rows(blocks[:1]) for x in row[3:])
         self._assert_reference_bytes(tmp_path, blocks)
 
     @pytest.mark.parametrize("blocks", HAND_BUILT.values(), ids=HAND_BUILT.keys())
     def test_hand_built_records(self, blocks, tmp_path):
         self._assert_reference_bytes(tmp_path, blocks)
-
-    def test_rows_are_the_columns(self):
-        block = _block(3, 0.5, [4, 5], errors=[0.1, 0.2], bounds=[0.3, 0.4], sigma_min=0.6)
-        assert list(block.rows()) == [(3, 0.5, 4, 0.1, 0.3, 0.6), (3, 0.5, 5, 0.2, 0.4, 0.6)]
-        assert [rec.bound for rec in block._replace(bound=None).rows()] == [None, None]
-
-    def test_sweep_builds_no_row_records(self, tmp_path, monkeypatch):
-        from subpred.cli import main
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a TrialRecord was built")
-
-        monkeypatch.setattr(TrialRecord, "_make", refuse)
-        monkeypatch.setattr(TrialRecord, "__new__", refuse)
-        (tmp_path / "exp.cfg").write_text("N = 3\noutput_dir = out\n")
-        assert main(["experiment", "--config", str(tmp_path / "exp.cfg")]) == 0
-        assert (tmp_path / "out" / "trials.csv").is_file()

@@ -389,7 +389,7 @@ class TestGeodesic:
             kappa = small_config.kappas[n - 1]
             V = perturb_subspace(workspace.basis, kappa, seed=small_config.seed_perturb)
             np.testing.assert_array_equal(V.matrix, out.basis.matrix)
-            assert out.kappa == chordal_distance(workspace.basis, V)
+            assert out.block.kappa == chordal_distance(workspace.basis, V)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_kappa_rejected(self, rng, bad):

@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import numpy as np
@@ -94,6 +95,16 @@ class TestSimulate:
     def test_bad_input_width_rejected(self, example_model):
         with pytest.raises(ValueError, match="inputs"):
             simulate(example_model, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_arguments_are_named(self, example_model, bad):
+        # rejected before the loop, not reported as a divergence of the model
+        u = np.zeros((4, 1))
+        u[1, 0] = bad
+        with pytest.raises(ValueError, match="^inputs has non-finite entries$"):
+            simulate(example_model, u)
+        with pytest.raises(ValueError, match="^x0 has non-finite entries$"):
+            simulate(example_model, np.zeros((4, 1)), x0=[0.0, bad])
 
     # x_t = 1e10**t: the state overflows at x_31, with or without noise; the
     # noise scale stays finite past x_16, where ||y_t||^2 overflows
@@ -307,3 +318,18 @@ class TestPersistentlyExcitingInput:
         a = persistently_exciting_input(2, 40, order=6, seed=5)
         b = persistently_exciting_input(2, 40, order=6, seed=5)
         np.testing.assert_array_equal(a, b)
+
+    def test_retries_with_offset_seeds(self, monkeypatch):
+        # subpred.hankel is also the name of a function, so load the module
+        hankel_module = importlib.import_module("subpred.hankel")
+        verdicts = iter([False, False, True])
+        monkeypatch.setattr(hankel_module, "is_persistently_exciting", lambda u, order: next(verdicts))
+        u = persistently_exciting_input(2, 40, order=6, seed=5)
+        np.testing.assert_array_equal(u, np.random.default_rng(7).standard_normal((40, 2)))
+
+    def test_gives_up_after_ten_attempts(self):
+        from subpred.errors import ConvergenceError
+
+        # 5 samples give a depth-4 Hankel matrix of 2 columns, never of rank 4
+        with pytest.raises(ConvergenceError, match=r"order 4 \(m=1, T=5\) after 10 attempts"):
+            persistently_exciting_input(1, 5, order=4, seed=0)

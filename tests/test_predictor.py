@@ -134,6 +134,14 @@ class TestSubspacePredict:
         with pytest.raises(ValueError, match="do not match"):
             subspace_predict(X, ctx)
 
+    @pytest.mark.parametrize("field", ["u_ini", "u", "y_ini"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_context_rejected(self, field, bad):
+        vectors = {"u_ini": [0.0] * 4, "u": [0.0] * 4, "y_ini": [0.0] * 4}
+        vectors[field][2] = bad
+        with pytest.raises(ValueError, match=f"^{field} has non-finite entries$"):
+            PredictionContext(**vectors, m=1, p=1, Tini=4, Tf=4)
+
     def test_diagnostics_reported(self, example_model):
         X = _noise_free_data(example_model, 2, 2)
         ctx, _ = _true_window_context(example_model, 2, 2)
