@@ -1,16 +1,7 @@
 """Behavioral subspace prediction for discrete-time LTI systems, with
 representation-free perturbation-robustness bounds."""
 
-from .bounds import (
-    FirstBoundTerms,
-    first_error_bound,
-    first_error_bound_terms,
-    gamma,
-    lipschitz_bound,
-    one_step_bound,
-    pinv_perturbation_bound,
-    weyl_check,
-)
+from .bounds import gamma, lipschitz_bound, one_step_bound
 from .errors import ConvergenceError, HypothesisViolationError, RankDeficientError
 from .experiment import (
     ExperimentConfig,

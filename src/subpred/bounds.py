@@ -11,27 +11,12 @@ Frobenius gap of optimally aligned bases to the chordal distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._linalg import spectral_norm, svd
-from .errors import HypothesisViolationError, RankDeficientError
-from .hankel import PartitionedMatrix
-from .predictor import _PredictionMap
+from .errors import HypothesisViolationError
 
-__all__ = [
-    "gamma",
-    "lipschitz_bound",
-    "one_step_bound",
-    "FirstBoundTerms",
-    "first_error_bound",
-    "first_error_bound_terms",
-    "pinv_perturbation_bound",
-    "weyl_check",
-]
+__all__ = ["gamma", "lipschitz_bound", "one_step_bound"]
 
-_PINV_PERTURBATION_CONST = (1.0 + np.sqrt(5.0)) / 2.0
 _HALF_INV_SQRT2 = 1.0 / (2.0 * np.sqrt(2.0))
 
 
@@ -104,99 +89,3 @@ def one_step_bound(
     argument must be finite.
     """
     return _certified_bound(sigma_min_Mhat, norm_Uyf1, kappa, b_norm, "sigma_min_Mhat")
-
-
-@dataclass(frozen=True)
-class FirstBoundTerms:
-    """Both lines of the matrix-norm error bound.
-
-    ``submatrix_value`` uses the Frobenius gap of the future-output rows
-    only; ``full_value`` relaxes it to the gap of the whole matrices and is
-    therefore never smaller.  ``direction`` records which side's future-output
-    spectral norm multiplied the pseudoinverse difference.
-    """
-
-    submatrix_value: float
-    full_value: float
-    direction: str
-
-
-def first_error_bound_terms(
-    Hhat: PartitionedMatrix,
-    H: PartitionedMatrix,
-    b_norm: float,
-    direction: str = "approx",
-) -> FirstBoundTerms:
-    """Matrix-norm bound on the prediction difference between two data
-    matrices, scaled by the context norm.
-
-    ``direction='approx'`` pairs the approximate future-output norm with the
-    true pseudoinverse norm; ``'truth'`` swaps the roles.  Both directions
-    are valid bounds.  Requires both context blocks to have full column rank.
-    """
-    if Hhat.data.shape != H.data.shape or Hhat.dims != H.dims:
-        raise ValueError(
-            f"matrices are not comparable: shapes {Hhat.data.shape} vs {H.data.shape}, "
-            f"dims {Hhat.dims} vs {H.dims}"
-        )
-    if direction not in ("approx", "truth"):
-        raise ValueError(f"direction must be 'approx' or 'truth', got {direction!r}")
-    if b_norm < 0:
-        raise ValueError(f"b_norm must be nonnegative, got {b_norm}")
-    pinvs = []
-    for name, X in (("approximate", Hhat), ("true", H)):
-        pred_map = _PredictionMap.factor(X.context_block)
-        if pred_map.rank < X.r:
-            raise RankDeficientError(f"{name} context block is not of full column rank")
-        pinvs.append(pred_map.matrix)
-    pinv_hat, pinv = pinvs
-    pinv_gap = spectral_norm(pinv_hat - pinv)
-    if direction == "approx":
-        lead, tail = spectral_norm(Hhat.y_future), spectral_norm(pinv)
-    else:
-        lead, tail = spectral_norm(H.y_future), spectral_norm(pinv_hat)
-    yf_gap = float(np.linalg.norm(Hhat.y_future - H.y_future))
-    full_gap = float(np.linalg.norm(Hhat.data - H.data))
-    return FirstBoundTerms(
-        submatrix_value=float((lead * pinv_gap + yf_gap * tail) * b_norm),
-        full_value=float((lead * pinv_gap + full_gap * tail) * b_norm),
-        direction=direction,
-    )
-
-
-def first_error_bound(Hhat: PartitionedMatrix, H: PartitionedMatrix, b_norm: float) -> float:
-    """The relaxed (whole-matrix Frobenius gap) line of the matrix-norm bound."""
-    return first_error_bound_terms(Hhat, H, b_norm).full_value
-
-
-def pinv_perturbation_bound(Mhat, M) -> float:
-    """Upper bound on the spectral gap between two pseudoinverses:
-    (1+sqrt(5))/2 * max(||pinv(Mhat)||^2, ||pinv(M)||^2) * ||Mhat - M||_2.
-
-    Requires both matrices to have full column rank.
-    """
-    Mhat = np.asarray(Mhat, dtype=float)
-    M = np.asarray(M, dtype=float)
-    if Mhat.shape != M.shape:
-        raise ValueError(f"shapes differ: {Mhat.shape} vs {M.shape}")
-    smins = []
-    for name, mat in (("Mhat", Mhat), ("M", M)):
-        _, svals, _, rank = svd(mat)
-        if rank < mat.shape[1]:
-            raise RankDeficientError(f"{name} is not of full column rank")
-        smins.append(float(svals[-1]))
-    smin_hat, smin = smins
-    worst = max(1.0 / smin_hat**2, 1.0 / smin**2)
-    return float(_PINV_PERTURBATION_CONST * worst * spectral_norm(Mhat - M))
-
-
-def weyl_check(Mhat, M) -> bool:
-    """Self-test primitive: the smallest singular values of two same-shape
-    matrices never differ by more than the spectral norm of their gap
-    (up to 1e-10 slack).  Always true; exposed for verification."""
-    Mhat = np.asarray(Mhat, dtype=float)
-    M = np.asarray(M, dtype=float)
-    if Mhat.shape != M.shape:
-        raise ValueError(f"shapes differ: {Mhat.shape} vs {M.shape}")
-    smin_hat, smin = (float(svd(mat)[1][-1]) for mat in (Mhat, M))
-    return abs(smin_hat - smin) <= spectral_norm(Mhat - M) + 1e-10

@@ -21,6 +21,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -34,7 +35,7 @@ from .errors import HypothesisViolationError
 from .grassmann import BehaviorBasis, Geodesic, check_distance, orthonormal_basis
 from .hankel import persistently_exciting_input, stacked_data_matrix
 from .lti import NoiseSpec, StateSpaceModel, Trajectory, load_model, simulate
-from .predictor import _context_matrix, _prediction_map
+from .predictor import _context_matrix, _full_rank_map, _prediction_map
 
 __all__ = [
     "ExperimentConfig",
@@ -115,10 +116,10 @@ class ExperimentConfig:
         for kappa in self.kappas:
             check_distance(q, r, kappa)
 
-    @property
+    @cached_property
     def kappas(self) -> tuple[float, ...]:
         """Target distances, one per trial: the explicit grid when given,
-        otherwise N points evenly spaced on (0, kappa_max]."""
+        otherwise N points evenly spaced on (0, kappa_max].  Built once."""
         if self.kappa_grid is not None:
             return self.kappa_grid
         return tuple(self.kappa_max * (i + 1) / self.N for i in range(self.N))
@@ -215,7 +216,9 @@ class ExperimentWorkspace:
 
 
 def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
-    """Run the offline and online stages shared by every trial."""
+    """Run the offline and online stages shared by every trial.  Like
+    `rolling_one_step`, it raises RankDeficientError when the baseline
+    basis's context rows lack full column rank."""
     model = config.model
     L = config.Tini + config.Tf
     r = model.m * L + model.n
@@ -245,7 +248,7 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
 
     context_matrix = _context_matrix(measured, config.Tini, config.Tf)
     b_norms = np.linalg.norm(context_matrix, axis=1)
-    baseline = _prediction_map(basis).predict(context_matrix)[:, : model.p]
+    baseline = _full_rank_map(basis).predict(context_matrix)[:, : model.p]
     return ExperimentWorkspace(
         config=config,
         basis=basis,

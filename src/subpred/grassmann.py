@@ -206,21 +206,22 @@ class Geodesic:
     """A Grassmann geodesic leaving ``origin`` in a fixed tangent direction
     (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 1998):
 
-        U(t) = U V cos(t*Theta) V' + W sin(t*Theta) V',   t in [0, 1],
+        U(t) = U V cos(t*Theta) + W sin(t*Theta),   t in [0, 1],
 
     with W orthonormal and orthogonal to span U, and angle rates Theta
-    scaled so the largest is pi/2.  The principal angles between U and U(t)
-    are exactly t*Theta, so the chordal distance ||sin(t*Theta)||_2 is known
-    in closed form and rises monotonically in t.  Finding the member at a
-    target distance is then a scalar solve; building it is one matrix
-    product.  The arrays are read-only, so one geodesic can serve concurrent
-    callers.
+    scaled so the largest is pi/2.  U(t) has orthonormal columns; the
+    textbook form multiplies it by V' on the right, which changes the basis
+    but not the subspace, so it is left out.  The principal angles between
+    U and U(t) are exactly t*Theta, so the chordal distance
+    ||sin(t*Theta)||_2 is known in closed form and rises monotonically in t.
+    Finding the member at a target distance is then a scalar solve; building
+    it is a column scaling of two matrices.  The arrays are read-only, so
+    one geodesic can serve concurrent callers.
     """
 
     origin: BehaviorBasis
-    start: np.ndarray  # U V, (q, r)
-    heading: np.ndarray  # W, (q, r)
-    rotation: np.ndarray  # V', (r, r)
+    start: np.ndarray  # U V, (q, r), orthonormal, spans the origin
+    heading: np.ndarray  # W, (q, r), orthonormal, orthogonal to start where rates > 0
     rates: np.ndarray  # Theta, (r,), nonincreasing, rates[0] = pi/2
 
     @classmethod
@@ -236,7 +237,7 @@ class Geodesic:
         # A basis spanning the whole space leaves a zero direction; its
         # geodesic only ever serves kappa = 0.
         rates = (np.pi / 2) * (svals / max(svals[0], np.finfo(float).tiny))
-        arrays = (base @ Vt.T, W, Vt, rates)
+        arrays = (base @ Vt.T, W, rates)
         for arr in arrays:
             arr.flags.writeable = False
         return cls(U, *arrays)
@@ -273,9 +274,10 @@ class Geodesic:
         return lo if kappa - self.distance(lo) <= self.distance(hi) - kappa else hi
 
     def point(self, t: float) -> BehaviorBasis:
-        """The subspace at step ``t``."""
+        """The subspace at step ``t``, spanned by the orthonormal columns
+        U V cos(t*Theta) + W sin(t*Theta)."""
         angle = t * self.rates
-        data = (self.start * np.cos(angle) + self.heading * np.sin(angle)) @ self.rotation
+        data = self.start * np.cos(angle) + self.heading * np.sin(angle)
         return BehaviorBasis(self.origin.basis.with_data(data))
 
     def member(self, kappa: float) -> tuple[BehaviorBasis, float]:
@@ -300,7 +302,9 @@ def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis
     The member at ``kappa`` of the geodesic drawn from ``seed`` (see
     `Geodesic`): its distance is solved in closed form, exact to rounding,
     and verified by one measurement to |d - kappa| <= 1e-6 * max(1, kappa).
-    ``kappa = 0`` returns ``U`` itself.  Deterministic for a fixed seed.
+    The columns are the geodesic's `point` at the solved step, an orthonormal
+    basis that is not rotated towards ``U``.  ``kappa = 0`` returns ``U``
+    itself.  Deterministic for a fixed seed.
     """
     return Geodesic.draw(U, seed).member(kappa)[0]
 

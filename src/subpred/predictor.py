@@ -75,7 +75,8 @@ def _full_rank_map(U: BehaviorBasis) -> _PredictionMap:
     pred_map = _prediction_map(U)
     if pred_map.rank < U.r:
         raise RankDeficientError(
-            f"context rows of the basis are rank deficient: sigma_min = {pred_map.sigma_min:.3e}"
+            f"context rows of the basis are rank deficient: rank {pred_map.rank} "
+            f"for {U.r} columns, sigma_min = {pred_map.sigma_min:.3e}"
         )
     return pred_map
 

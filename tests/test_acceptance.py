@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import conditioned_invertible, random_model, random_orthogonal, random_basis
+from helpers import (
+    conditioned_invertible,
+    pinv_perturbation_bound,
+    random_basis,
+    random_model,
+    random_orthogonal,
+    weyl_check,
+)
 from subpred import (
     ExperimentConfig,
     align_basis,
@@ -21,14 +28,12 @@ from subpred import (
     one_step_bound,
     orthonormal_basis,
     perturb_subspace,
-    pinv_perturbation_bound,
     principal_angles,
     pseudoinverse,
     simulate,
     stacked_data_matrix,
     subspace_predict,
     trajectory_generation_matrix,
-    weyl_check,
 )
 from subpred.cli import main as cli_main
 from subpred.errors import HypothesisViolationError

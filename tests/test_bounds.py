@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import random_model, random_orthogonal
+from helpers import (
+    first_error_bound,
+    first_error_bound_terms,
+    pinv_perturbation_bound,
+    random_model,
+    random_orthogonal,
+    weyl_check,
+)
 from subpred import (
     align_basis,
     chordal_distance,
-    first_error_bound,
-    first_error_bound_terms,
     gain_bound,
     gamma,
     lipschitz_bound,
@@ -14,11 +19,9 @@ from subpred import (
     one_step_bound,
     orthonormal_basis,
     perturb_subspace,
-    pinv_perturbation_bound,
     pseudoinverse,
     subspace_predict,
     trajectory_generation_matrix,
-    weyl_check,
 )
 from subpred._linalg import spectral_norm
 from subpred.errors import HypothesisViolationError, RankDeficientError
@@ -193,6 +196,9 @@ class TestFirstErrorBound:
         data = np.linalg.qr(rng.standard_normal((8, 4)))[0]
         H = PartitionedMatrix(data=data, m=1, p=1, Tini=2, Tf=2)
         assert first_error_bound(H, H, 1.0) == 0.0
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="b_norm must be finite and nonnegative"):
+                first_error_bound_terms(H, H, bad)
 
     def test_bounds_actual_prediction_gap(self, rng, example_model):
         U = _behavior_basis(example_model, 3, 3)

@@ -327,6 +327,14 @@ class TestExperimentCommands:
         assert main(["experiment", "--config", str(cfg)]) == 2
         assert f"{model}: n must be an integer, got '2.5'" in capsys.readouterr().err
 
+    def test_wide_context_rows_exit_4(self, tmp_path, capsys):
+        # p*Tini = 1 < n = 2: the context rows of the rank-7 basis are 6 x 7
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("Tini = 1\nTf = 4\nT = 40\nN = 10\nkappa_max = 0.05\noutput_dir = o\n")
+        assert main(["experiment", "--config", str(cfg)]) == 4
+        assert "rank 6 for 7 columns" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_target_beyond_drawn_geodesic_exit_2(self, tmp_path, capsys):
         # within sqrt(min(r, q-r)) = sqrt(6), beyond the drawn geodesic's end
         cfg = tmp_path / "exp.cfg"

@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import trial_rows, write_csv_reference
+from helpers import random_basis, trial_rows, write_csv_reference
 from subpred import ExperimentConfig, chordal_distance, load_config, run_experiment, run_single
-from subpred import experiment
+from subpred import experiment, simulate
+from subpred.errors import RankDeficientError
 from subpred.experiment import TrialBlock, default_model, prepare, run_trial, write_trials_csv
-from subpred.predictor import context_windows, predict_from_subspace
+from subpred.predictor import context_windows, predict_from_subspace, rolling_one_step
 
 
 class TestConfig:
@@ -18,11 +19,13 @@ class TestConfig:
         assert cfg.sigma == 0.02
         assert len(cfg.kappas) == 100
         assert cfg.kappas[-1] == 0.9
+        assert cfg.kappas is cfg.kappas  # built once, not per access
 
     def test_kappa_grid_overrides_N(self):
         cfg = ExperimentConfig(model=default_model(), kappa_grid=(0.1, 0.2))
         assert cfg.N == 2
         assert cfg.kappas == (0.1, 0.2)
+        assert cfg.kappas is cfg.kappas
 
     def test_invalid_lengths_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
@@ -162,6 +165,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="kappa=2.0 unreachable.*reaches distance 1.815"):
             prepare(cfg)
         assert simulations == [cfg.T]  # the offline stage only
+
+    def test_wide_context_rows_rejected(self, tmp_path):
+        # p*Tini = 1 < n = 2: the baseline's context rows are 6 x 7, so no
+        # basis of rank 7 has full-column-rank context rows
+        cfg = ExperimentConfig(
+            model=default_model(), Tini=1, Tf=4, T=40, N=10, kappa_max=0.05,
+            output_dir=str(tmp_path / "out"),
+        )
+        with pytest.raises(RankDeficientError, match="rank 6 for 7 columns"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+        # the library path rejects any basis of these dimensions alike
+        basis = random_basis(np.random.default_rng(0), (1, 1, 1, 4), 7)
+        measured = simulate(cfg.model, np.ones((20, 1)))
+        with pytest.raises(RankDeficientError, match="rank 6 for 7 columns"):
+            rolling_one_step(basis, measured, cfg.Tini, cfg.Tf)
 
     def test_bound_below_error_logged_per_row(self, small_config, monkeypatch, caplog):
         # a zero unit bound lies below every positive error

@@ -356,8 +356,11 @@ class TestGeodesic:
     def test_closed_form_matches_measured_distance(self, basis):
         geodesic = Geodesic.draw(basis, seed=3)
         for t in np.linspace(0.0, 1.0, 11):
-            measured = chordal_distance(basis, geodesic.point(t))
+            point = geodesic.point(t)
+            measured = chordal_distance(basis, point)
             assert abs(geodesic.distance(t) - measured) <= 1e-12
+            angles = principal_angles(basis, point).angles
+            assert np.max(np.abs(angles - np.sort(t * geodesic.rates))) <= 1e-12
         for kappa in (1e-9, 1e-3, 0.1, 0.7, geodesic.distance(1.0)):
             member, measured = geodesic.member(kappa)
             assert measured == chordal_distance(basis, member)
@@ -427,7 +430,7 @@ class TestGeodesic:
 
     def test_arrays_are_read_only(self, rng):
         geodesic = Geodesic.draw(random_basis(rng, DIMS, 3), seed=0)
-        for arr in (geodesic.start, geodesic.heading, geodesic.rotation, geodesic.rates):
+        for arr in (geodesic.start, geodesic.heading, geodesic.rates):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
