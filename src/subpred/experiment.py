@@ -274,6 +274,11 @@ class TrialOutput:
     predictions: np.ndarray  # (steps, p) one-step predictions of the member
 
 
+def _check_index(config: ExperimentConfig, n: int) -> None:
+    if not 1 <= n <= config.N:
+        raise ValueError(f"trial index n={n} out of range 1..{config.N}")
+
+
 def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
     """Evaluate perturbation index n (1-based) of the configured family.
 
@@ -281,11 +286,10 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
     drawn from seed_perturb; its reported kappa is the measured distance.
     """
     config = workspace.config
-    if not 1 <= n <= config.N:
-        raise ValueError(f"trial index n={n} out of range 1..{config.N}")
+    _check_index(config, n)
     target = config.kappas[n - 1]
     perturbed, kappa = workspace.geodesic.member(target)
-    pred_map = _prediction_map(perturbed)  # one SVD: the map and its sigma_min
+    pred_map = _prediction_map(perturbed)  # the map and its sigma_min, from one factorization
     predictions = pred_map.predict(workspace.context_matrix)[:, : config.model.p]
     sigma_min, norm_first = pred_map.sigma_min, spectral_norm(perturbed.y_future[: config.model.p])
     errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
@@ -339,8 +343,10 @@ def run_single(
 
     Writes ``single_<n>.csv`` with columns t,baseline,perturbed,error,bound
     (output channels are expanded to baseline_i/perturbed_i when p > 1).
-    Returns the records and the measured chordal distance.
+    Returns the records and the measured chordal distance.  An ``n``
+    outside 1..N raises ValueError before any simulation runs.
     """
+    _check_index(config, n)
     workspace = prepare(config)
     out = run_trial(workspace, n)
     block = out.block

@@ -14,7 +14,7 @@ the other way, of the first basis off the second.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,11 +59,13 @@ class BehaviorBasis:
 
     Wraps a PartitionedMatrix whose columns are orthonormal to within
     ``ORTHONORMALITY_TOL`` in Frobenius norm; construction rejects anything
-    looser.  A basis with r columns in ambient dimension q represents a point
-    on the Grassmannian of r-dimensional subspaces of R^q.
+    looser, and keeps the measured defect ||U'U - I||_F as ``gram_defect``.
+    A basis with r columns in ambient dimension q represents a point on the
+    Grassmannian of r-dimensional subspaces of R^q.
     """
 
     basis: PartitionedMatrix
+    gram_defect: float = field(init=False)
 
     def __post_init__(self):
         mat = self.basis.data
@@ -74,6 +76,7 @@ class BehaviorBasis:
             raise ValueError(
                 f"columns are not orthonormal: ||U'U - I||_F = {gram_defect:.3e}"
             )
+        object.__setattr__(self, "gram_defect", float(gram_defect))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -189,10 +192,10 @@ def check_distance(q: int, r: int, kappa: float) -> None:
     lie at from another: ``kappa`` must be finite, in [0, sqrt(r)), and at
     most sqrt(min(r, q - r)), the largest distance that the complement of
     dimension q - r leaves room for."""
-    if kappa < 0 or kappa > np.sqrt(r) * (1 - 1e-6):
-        raise ValueError(f"kappa={kappa} out of range [0, sqrt(r))")
     if not np.isfinite(kappa):
         raise ValueError(f"kappa={kappa} is not a finite number")
+    if kappa < 0 or kappa > np.sqrt(r) * (1 - 1e-6):
+        raise ValueError(f"kappa={kappa} out of range [0, sqrt(r))")
     reachable = np.sqrt(min(r, q - r))
     if kappa > reachable:
         raise ValueError(

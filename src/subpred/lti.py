@@ -144,7 +144,7 @@ class Trajectory:
     """Paired input/output sequences over a horizon, rows indexed by time.
 
     ``inputs`` is (T, m), ``outputs`` is (T, p); ``states`` is (T+1, n) when
-    the generating simulation recorded them.
+    the generating simulation recorded them.  Every entry is finite.
     """
 
     inputs: np.ndarray
@@ -163,9 +163,10 @@ class Trajectory:
         states = self.states
         if states is not None:
             states = _as_matrix(states, len(inputs) + 1, None, "states")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "states", states)
+        for name, value in (("inputs", inputs), ("outputs", outputs), ("states", states)):
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} has non-finite entries")
+            object.__setattr__(self, name, value)
 
     @property
     def length(self) -> int:

@@ -6,7 +6,9 @@ predicted future output is  y_future_rows(X) @ pinv(context_rows(X)) @ b.
 The prediction depends only on the column space of X, not on the particular
 spanning matrix, as long as the context rows have full column rank; that
 invariance is the core property exercised by the test suite.  Every
-prediction goes through one map per matrix, factored by one SVD.
+prediction goes through one map per matrix: for an orthonormal basis, built
+from its output Gram matrix by `_linalg.orthonormal_map` when that is
+accurate, and otherwise factored by one SVD of the context rows.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._linalg import svd
+from ._linalg import orthonormal_map, svd
 from .errors import RankDeficientError
 from .grassmann import BehaviorBasis
 from .hankel import PartitionedMatrix, stacked_data_matrix
@@ -36,10 +38,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class _PredictionMap:
-    """``matrix`` = future_rows @ pinv(context_rows), plus the retained rank
-    and smallest singular value of the one SVD it is built from.  Singular
-    values at or below the shared cutoff are dropped, which truncates a
-    rank-deficient block.  Without future rows the map is the pseudoinverse.
+    """``matrix`` = future_rows @ pinv(context_rows), plus the rank and
+    smallest singular value of the context rows.  `factor` builds it from
+    one SVD, dropping singular values at or below the shared cutoff, which
+    truncates a rank-deficient block; without future rows the map is the
+    pseudoinverse.  `_prediction_map` builds a basis's map without an SVD
+    where it can.
     """
 
     matrix: np.ndarray
@@ -67,6 +71,13 @@ class _PredictionMap:
 
 
 def _prediction_map(X: PartitionedMatrix | BehaviorBasis) -> _PredictionMap:
+    """The map of X: from the output Gram matrix of a basis when
+    `orthonormal_map` can match the SVD there, else `_PredictionMap.factor`."""
+    if isinstance(X, BehaviorBasis):
+        found = orthonormal_map(X.context_block, X.y_future, X.gram_defect)
+        if found is not None:
+            matrix, sigma_min = found
+            return _PredictionMap(matrix, X.r, sigma_min)
     return _PredictionMap.factor(X.context_block, X.y_future)
 
 
@@ -189,7 +200,8 @@ def predict_from_subspace(U: BehaviorBasis, ctx: PredictionContext) -> Predictio
 
     Requires the context rows of the basis to have full column rank; the
     prediction then agrees with `subspace_predict` on any full-rank matrix
-    spanning the same subspace.  The rank check and the map share one SVD.
+    spanning the same subspace.  The rank check and the map share one
+    factorization.
     """
     _check_dims(U.basis, (ctx.m, ctx.p, ctx.Tini, ctx.Tf))
     return _full_rank_map(U).prediction(ctx)

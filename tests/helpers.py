@@ -113,6 +113,34 @@ def random_basis(
     return BehaviorBasis(PartitionedMatrix(data=Q, m=m, p=p, Tini=Tini, Tf=Tf))
 
 
+def cs_basis(
+    rng: np.random.Generator,
+    dims: tuple[int, int, int, int],
+    r: int,
+    sigma_min: float,
+    gram_defect: float = 0.0,
+) -> BehaviorBasis:
+    """Random basis built from a CS decomposition, U = [P1 C; P2 S] V', whose
+    context rows have smallest singular value ``sigma_min``.  With
+    ``gram_defect`` > 0 its last column is stretched by 1 + gram_defect / 2,
+    which gives ||U'U - I||_F about ``gram_defect`` and leaves every
+    prediction unchanged (a column scaling keeps the span)."""
+    m, p, Tini, Tf = dims
+    q = (m + p) * (Tini + Tf)
+    a, b = q - p * Tf, p * Tf
+    k = min(r, b)
+    cosines = np.ones(r)
+    cosines[:k] = np.linspace(sigma_min, 1.0, k, endpoint=False)
+    sines = np.sqrt(1.0 - cosines[:k] ** 2)
+    V = random_orthogonal(rng, r)
+    data = np.vstack([
+        random_orthogonal(rng, a)[:, :r] * cosines @ V.T,
+        random_orthogonal(rng, b)[:, :k] * sines @ V[:, :k].T,
+    ])
+    data[:, -1] *= 1.0 + gram_defect / 2
+    return BehaviorBasis(PartitionedMatrix(data=data, m=m, p=p, Tini=Tini, Tf=Tf))
+
+
 def trial_rows(blocks) -> list[tuple]:
     """The rows of ``trials.csv`` built from the member blocks' columns, in
     ``TrialBlock._fields`` order, with Python floats from the error and bound

@@ -199,9 +199,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="out of range"):
             run_trial(workspace, small_config.N + 1)
 
-    # the offline stage factors 4 matrices: the persistency-of-excitation
-    # check, the basis, the geodesic direction and the baseline map; each
-    # member factors 2: its map and y_future[:p] for the bound
+    # the offline stage makes 3 SVDs: the persistency-of-excitation check,
+    # the basis and the geodesic direction; each member makes 1, the norm of
+    # y_future[:p] for the bound.  Every map, the baseline's included, comes
+    # from the output Gram matrix of its orthonormal basis.
     @pytest.mark.parametrize("mimo", [False, True], ids=["default", "mimo"])
     def test_svd_budget(self, mimo, svd_calls):
         from helpers import random_model
@@ -212,7 +213,7 @@ class TestRunExperiment:
         else:
             cfg = ExperimentConfig(model=default_model(), N=3)
         run_experiment(cfg, write=False)
-        assert len(svd_calls) == 2 * cfg.N + 4
+        assert len(svd_calls) == cfg.N + 3
 
     def test_multichannel_pipeline(self, tmp_path):
         from helpers import random_model
@@ -232,6 +233,15 @@ class TestRunExperiment:
 
 
 class TestRunSingle:
+    @pytest.mark.parametrize("n", [0, 9])  # small_config has N = 8
+    def test_trial_index_checked_before_simulation(self, small_config, monkeypatch, n):
+        simulated = []
+        monkeypatch.setattr(experiment, "simulate", lambda *a, **k: simulated.append(a))
+        message = rf"^trial index n={n} out of range 1\.\.{small_config.N}$"
+        with pytest.raises(ValueError, match=message):
+            run_single(small_config, n=n, write=False)
+        assert simulated == []
+
     def test_error_column_matches_difference(self, small_config):
         records, _ = run_single(small_config, n=3, write=False)
         for rec in records:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from subpred import (
     save_basis,
 )
 from subpred.errors import ConvergenceError, RankDeficientError
-from subpred.grassmann import BehaviorBasis, Geodesic
+from subpred.grassmann import BehaviorBasis, Geodesic, check_distance
 from subpred.hankel import PartitionedMatrix
 
 DIMS = (1, 1, 2, 2)  # m, p, Tini, Tf -> ambient dimension 8
@@ -312,6 +313,12 @@ class TestPerturbSubspace:
         with pytest.raises(ValueError, match="out of range"):
             perturb_subspace(U, np.sqrt(3.0), seed=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_distance_named(self, bad):
+        # finiteness is checked before the range, so inf is not "out of range"
+        with pytest.raises(ValueError, match=r"^kappa=-?(nan|inf) is not a finite number$"):
+            check_distance(8, 3, bad)
+
     def test_unreachable_distance_rejected(self, rng):
         # rank 6 in dimension 8 leaves a 2-dimensional complement
         U = random_basis(rng, DIMS, 6)
@@ -478,6 +485,15 @@ class TestBehaviorBasisInvariants:
     def test_rank_beyond_ambient_rejected(self, rng):
         with pytest.raises(ValueError):
             _basis(rng.standard_normal((8, 9)))
+
+    def test_gram_defect_kept_read_only(self, rng):
+        Q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+        Q[:, 0] *= 1 + 1e-11
+        U = _basis(Q)
+        assert U.gram_defect == np.linalg.norm(Q.T @ Q - np.eye(3))
+        assert U.gram_defect == pytest.approx(2e-11, rel=1e-3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            U.gram_defect = 0.0
 
     def test_nan_gram_defect_rejected(self, rng):
         # PartitionedMatrix rejects NaN itself; swap it in behind that check

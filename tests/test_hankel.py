@@ -179,6 +179,15 @@ class TestTrajectoryFiles:
         with pytest.raises(ValueError, match="header"):
             load_trajectory(path, m=1, p=1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["inputs", "outputs", "states"])
+    def test_non_finite_trajectory_rejected(self, bad, name):
+        # a trajectory that save_trajectory could write but load_trajectory would reject
+        fields = {"inputs": np.ones((5, 1)), "outputs": np.ones((5, 1)), "states": np.ones((6, 2))}
+        fields[name][1, 0] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+            Trajectory(**fields)
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
     def test_non_finite_entry_rejected(self, tmp_path, token):
         # no CLI command reads trajectory files, so the parser is checked directly

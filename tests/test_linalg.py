@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from subpred._linalg import EPS, numerical_rank, spectral_norm, svd
+from helpers import cs_basis, random_basis
+from subpred._linalg import EPS, numerical_rank, orthonormal_map, spectral_norm, svd
+from subpred.predictor import _PredictionMap
 
 
 class TestSvd:
@@ -28,3 +30,34 @@ class TestSvd:
         U, s, Vt, _ = svd(M)
         assert U is None and Vt is None
         np.testing.assert_array_equal(s, np.linalg.svd(M, compute_uv=False))
+
+
+class TestOrthonormalMap:
+    """The map of an orthonormal basis from its output Gram matrix, against
+    the SVD map that `_PredictionMap.factor` builds."""
+
+    # Largest relative gap, in the map and in sigma_min, between the two
+    # routes on bases with sigma_min >= 0.03; the benchmark inputs showed
+    # at most 1e-12 (sigma_min 0.024).
+    MAP_RTOL = 1e-11
+
+    @pytest.mark.parametrize("dims", [(2, 3, 3, 3), (3, 3, 10, 10), (4, 4, 16, 16)])
+    def test_matches_svd_map_on_random_mimo_bases(self, rng, dims):
+        m, p, Tini, Tf = dims
+        r = m * (Tini + Tf) + 2 * p
+        bases = [random_basis(rng, dims, r) for _ in range(3)]
+        bases += [cs_basis(rng, dims, r, sigma_min) for sigma_min in (0.03, 0.3)]
+        for U in bases:
+            reference = _PredictionMap.factor(U.context_block, U.y_future)
+            found = orthonormal_map(U.context_block, U.y_future, U.gram_defect)
+            assert found is not None
+            pred, sigma_min = found
+            gap = np.linalg.norm(pred - reference.matrix) / np.linalg.norm(reference.matrix)
+            assert gap <= self.MAP_RTOL
+            assert abs(sigma_min - reference.sigma_min) <= self.MAP_RTOL * reference.sigma_min
+
+    def test_wide_context_rows_decline(self, rng):
+        # 6 context rows for 7 columns: sigma_min = 0, so 1 - lambda_max(K) = 0
+        U = random_basis(rng, (1, 1, 1, 4), 7)
+        assert U.context_block.shape == (6, 7)
+        assert orthonormal_map(U.context_block, U.y_future, U.gram_defect) is None

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conditioned_invertible, random_model, random_orthogonal
+from helpers import conditioned_invertible, cs_basis, random_model, random_orthogonal
 from subpred import (
     NoiseSpec,
     StateSpaceModel,
@@ -17,10 +17,11 @@ from subpred import (
     subspace_predict,
     trajectory_generation_matrix,
 )
+from subpred._linalg import EPS, IDENTITY_ERROR_TOL, orthonormal_map
 from subpred.errors import RankDeficientError
 from subpred.grassmann import BehaviorBasis
 from subpred.hankel import PartitionedMatrix, persistently_exciting_input
-from subpred.predictor import PredictionContext, context_windows
+from subpred.predictor import PredictionContext, _PredictionMap, _prediction_map, context_windows
 
 
 def _noise_free_data(model, Tini, Tf, seed=0, T=None):
@@ -266,6 +267,13 @@ class TestRollingOneStep:
             np.testing.assert_array_equal(preds[i], direct)
 
 
+def _stretch(r, eps):
+    """Column scales that stretch the last of r columns by 1 + eps."""
+    scales = np.ones(r)
+    scales[-1] += eps
+    return scales
+
+
 def _noisy_mimo_basis(rng, Tini=10, Tf=10):
     """Basis of noisy offline data from a random n=8, m=p=3 model."""
     model = random_model(rng, n=8, m=3, p=3)
@@ -304,23 +312,23 @@ class TestSharedMap:
             np.testing.assert_array_equal(ctx.b, ref.b)
             assert (ctx.m, ctx.p, ctx.Tini, ctx.Tf) == (ref.m, ref.p, ref.Tini, ref.Tf)
 
-    def test_one_svd_per_basis(self, rng, monkeypatch):
+    def test_one_svd_per_basis(self, rng, svd_calls):
         U, measured = _noisy_mimo_basis(rng)
         _, ctx = next(context_windows(measured, 10, 10))
-        svd = np.linalg.svd
-        calls = []
-
-        def counting_svd(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        windows = rolling_one_step(U, measured, 10, 10).shape[0]
-        assert windows > 1
-        assert calls == [U.context_block.shape]
-        calls.clear()
+        svd_calls.clear()
+        # The map of an orthonormal basis comes from its output Gram matrix.
+        assert rolling_one_step(U, measured, 10, 10).shape[0] > 1
         predict_from_subspace(U, ctx)
-        assert calls == [U.context_block.shape]
+        assert svd_calls == []
+        # Stretching one column by 2.5e-11 keeps the span but fails the
+        # guard: one SVD serves both the rank check and the map.
+        stretched = BehaviorBasis(U.basis.with_data(U.matrix * _stretch(U.r, 2.5e-11)))
+        assert orthonormal_map(stretched.context_block, stretched.y_future, stretched.gram_defect) is None
+        rolling_one_step(stretched, measured, 10, 10)
+        assert svd_calls == [U.context_block.shape]
+        svd_calls.clear()
+        predict_from_subspace(stretched, ctx)
+        assert svd_calls == [U.context_block.shape]
 
     def test_rank_deficient_basis_rejected_by_rolling(self):
         mat = np.zeros((4, 2))
@@ -337,3 +345,36 @@ class TestSharedMap:
         U, measured = _noisy_mimo_basis(rng)
         with pytest.raises(ValueError, match="do not match"):
             rolling_one_step(U, measured, 9, 11)
+
+
+class TestGramRoute:
+    """Which factorization builds a basis's map: the output Gram matrix when
+    (gram_defect + q eps) <= IDENTITY_ERROR_TOL sigma_min^2, else the SVD."""
+
+    DIMS, R = (3, 3, 10, 10), 68  # q = 120, the rolling-predict size
+
+    @pytest.mark.parametrize("gram_defect", [1e-12, 5e-11])
+    @pytest.mark.parametrize("factor, svds", [(1.05, 0), (0.95, 1)])
+    def test_guard_splits_cs_bases_at_the_threshold(self, rng, svd_calls, gram_defect, factor, svds):
+        q = 120
+        threshold = (gram_defect + q * EPS) / IDENTITY_ERROR_TOL  # sigma_min^2 at the guard
+        U = cs_basis(rng, self.DIMS, self.R, np.sqrt(factor * threshold), gram_defect)
+        assert U.gram_defect == pytest.approx(gram_defect, rel=0.01)
+        pred_map = _prediction_map(U)
+        assert len(svd_calls) == svds
+        reference = _PredictionMap.factor(U.context_block, U.y_future)
+        assert pred_map.rank == reference.rank == self.R
+        gap = np.linalg.norm(pred_map.matrix - reference.matrix) / np.linalg.norm(reference.matrix)
+        assert gap <= IDENTITY_ERROR_TOL
+        assert pred_map.sigma_min == pytest.approx(reference.sigma_min, rel=IDENTITY_ERROR_TOL)
+
+    def test_accepted_gram_defect_routes_to_svd(self, rng, svd_calls):
+        # BehaviorBasis accepts a defect up to 1e-10; at sigma_min = 0.03 a
+        # defect of 5e-11 leaves the identity only about 5e-8 accurate.
+        U = cs_basis(rng, self.DIMS, self.R, 0.03, gram_defect=5e-11)
+        assert 4e-11 < U.gram_defect <= 1e-10
+        pred_map = _prediction_map(U)
+        assert svd_calls == [U.context_block.shape]
+        reference = _PredictionMap.factor(U.context_block, U.y_future)
+        np.testing.assert_array_equal(pred_map.matrix, reference.matrix)
+        assert pred_map.sigma_min == reference.sigma_min == pytest.approx(0.03, rel=1e-9)
