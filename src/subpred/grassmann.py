@@ -1,6 +1,7 @@
 """Subspace geometry for behavior spaces: orthonormal bases, principal
 angles, chordal distance, Procrustes alignment, and perturbed subspaces at a
-prescribed distance along a geodesic whose distance is known in closed form.
+prescribed distance along a geodesic whose k moving principal angles are
+equal, so the step to a distance is one arcsin.
 
 Angles are computed from two SVDs: cosines from the product of the bases,
 sines from the projection of one basis onto the orthogonal complement of the
@@ -13,6 +14,7 @@ the other way, of the first basis off the second.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -211,35 +213,42 @@ class Geodesic:
 
         U(t) = U V cos(t*Theta) + W sin(t*Theta),   t in [0, 1],
 
-    with W orthonormal and orthogonal to span U, and angle rates Theta
-    scaled so the largest is pi/2.  U(t) has orthonormal columns; the
-    textbook form multiplies it by V' on the right, which changes the basis
-    but not the subspace, so it is left out.  The principal angles between
-    U and U(t) are exactly t*Theta, so the chordal distance
-    ||sin(t*Theta)||_2 is known in closed form and rises monotonically in t.
-    Finding the member at a target distance is then a scalar solve; building
-    it is a column scaling of two matrices.  The arrays are read-only, so
-    one geodesic can serve concurrent callers.
+    with W orthonormal and orthogonal to span U where Theta > 0.  The
+    direction has equal singular values, so its k = min(r, q - r) angle
+    rates are all pi/2 and the other r - k are 0.  U(t) has orthonormal
+    columns; the textbook form multiplies it by V' on the right, which
+    changes the basis but not the subspace, so it is left out.  The
+    principal angles between U and U(t) are exactly t*Theta, so the chordal
+    distance is sqrt(k) sin(t*pi/2): it rises monotonically in t, ends at
+    sqrt(k), the largest distance `check_distance` admits, and the step to a
+    target is one arcsin.  Building a member is a column scaling of two
+    matrices.  The arrays are read-only, so one geodesic can serve
+    concurrent callers.
     """
 
     origin: BehaviorBasis
     start: np.ndarray  # U V, (q, r), orthonormal, spans the origin
     heading: np.ndarray  # W, (q, r), orthonormal, orthogonal to start where rates > 0
-    rates: np.ndarray  # Theta, (r,), nonincreasing, rates[0] = pi/2
+    rates: np.ndarray  # Theta, (r,), pi/2 on the first min(r, q - r) entries, then 0
 
     @classmethod
     def draw(cls, U: BehaviorBasis, seed: int) -> "Geodesic":
         """The geodesic in a random tangent direction: a standard normal
         q x r draw from ``seed``, projected onto the orthogonal complement of
-        span U and orthonormalized by one SVD."""
+        span U and orthonormalized by one SVD.  Raises ConvergenceError when
+        the projected draw has numerical rank below min(r, q - r)."""
         rng = np.random.default_rng(seed)
         base = U.matrix
         direction = rng.standard_normal((U.q, U.r))
         direction -= base @ (base.T @ direction)
-        W, svals, Vt, _ = svd(direction, vectors=True)
-        # A basis spanning the whole space leaves a zero direction; its
-        # geodesic only ever serves kappa = 0.
-        rates = (np.pi / 2) * (svals / max(svals[0], np.finfo(float).tiny))
+        W, _, Vt, rank = svd(direction, vectors=True)
+        k = min(U.r, U.q - U.r)
+        if rank < k:
+            raise ConvergenceError(
+                f"tangent direction drawn from seed={seed} has rank {rank}, below {k}"
+            )
+        # Past column k, W leaves span U's complement; a zero rate keeps it out.
+        rates = np.where(np.arange(U.r) < k, np.pi / 2, 0.0)
         arrays = (base @ Vt.T, W, rates)
         for arr in arrays:
             arr.flags.writeable = False
@@ -249,32 +258,14 @@ class Geodesic:
         """Chordal distance from the origin to the point at step ``t``."""
         return float(np.linalg.norm(np.sin(t * self.rates)))
 
-    def reaches(self, kappa: float) -> bool:
-        """Whether the end point lies at ``kappa`` or beyond, within the
-        member tolerance 1e-6 * max(1, kappa)."""
-        return self.distance(1.0) + 1e-6 * max(1.0, kappa) >= kappa
-
     def step(self, kappa: float) -> float:
-        """The step t in [0, 1] whose distance is closest to ``kappa``.
-
-        Bisects the monotone closed form until the bracket holds two
-        adjacent floats, so t is exact to rounding.  Raises ValueError for a
-        target no subspace can reach and ConvergenceError for one beyond
-        this geodesic's end point.
-        """
-        check_distance(self.origin.q, self.origin.r, kappa)
-        if not self.reaches(kappa):
-            raise ConvergenceError(
-                f"drawn geodesic reaches distance {self.distance(1.0):.6g} at full step, "
-                f"short of the requested kappa={kappa}"
-            )
-        lo, hi = 0.0, 1.0
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            if self.distance(mid) < kappa:
-                lo = mid
-            else:
-                hi = mid
-        return lo if kappa - self.distance(lo) <= self.distance(hi) - kappa else hi
+        """The step t in [0, 1] at distance ``kappa``: (2/pi) asin(kappa /
+        sqrt(k)), and 0 for ``kappa = 0`` even when k = 0 (a basis that spans
+        the whole space).  Raises ValueError for a target no subspace can
+        reach."""
+        q, r = self.origin.q, self.origin.r
+        check_distance(q, r, kappa)
+        return (2 / np.pi) * math.asin(kappa / math.sqrt(min(r, q - r))) if kappa else 0.0
 
     def point(self, t: float) -> BehaviorBasis:
         """The subspace at step ``t``, spanned by the orthonormal columns
@@ -303,8 +294,9 @@ def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis
     """A random subspace at chordal distance ``kappa`` from ``U``.
 
     The member at ``kappa`` of the geodesic drawn from ``seed`` (see
-    `Geodesic`): its distance is solved in closed form, exact to rounding,
-    and verified by one measurement to |d - kappa| <= 1e-6 * max(1, kappa).
+    `Geodesic`): its k = min(r, q - r) principal angles from ``U`` all equal
+    asin(kappa / sqrt(k)), so the step is solved in closed form, and its
+    distance is verified by one measurement to |d - kappa| <= 1e-6 * max(1, kappa).
     The columns are the geodesic's `point` at the solved step, an orthonormal
     basis that is not rotated towards ``U``.  ``kappa = 0`` returns ``U``
     itself.  Deterministic for a fixed seed.

@@ -143,10 +143,9 @@ class PredictionContext:
 
     @classmethod
     def from_windows(cls, u_past, u_future, y_past) -> "PredictionContext":
-        """Build from time-major windows of shapes (Tini, m), (Tf, m), (Tini, p)."""
-        u_past = np.atleast_2d(np.asarray(u_past, dtype=float))
-        u_future = np.atleast_2d(np.asarray(u_future, dtype=float))
-        y_past = np.atleast_2d(np.asarray(y_past, dtype=float))
+        """Build from time-major windows of shapes (Tini, m), (Tf, m), (Tini, p);
+        a 1-D window is one channel, of shape (T, 1)."""
+        u_past, u_future, y_past = map(_window, (u_past, u_future, y_past))
         if u_past.shape[1] != u_future.shape[1]:
             raise ValueError(
                 f"input widths differ between windows: {u_past.shape[1]} vs {u_future.shape[1]}"
@@ -164,6 +163,11 @@ class PredictionContext:
             Tini=u_past.shape[0],
             Tf=u_future.shape[0],
         )
+
+
+def _window(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    return arr.reshape(-1, 1) if arr.ndim == 1 else np.atleast_2d(arr)
 
 
 @dataclass(frozen=True, eq=False)

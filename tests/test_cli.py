@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -287,6 +288,7 @@ class TestExperimentCommands:
 
     def test_single_index_out_of_range_exit_2(self, config_file, capsys):
         assert main(["single", "--config", str(config_file), "--n", "99"]) == 2
+        assert "out of range 1.." in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["experiment", "--config", str(tmp_path / "none.cfg")]) == 2
@@ -335,13 +337,14 @@ class TestExperimentCommands:
         assert "rank 6 for 7 columns" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_target_beyond_drawn_geodesic_exit_2(self, tmp_path, capsys):
-        # within sqrt(min(r, q-r)) = sqrt(6), beyond the drawn geodesic's end
+    def test_target_near_reachable_limit_exit_0(self, tmp_path, capsys):
+        # within sqrt(min(r, q-r)) = sqrt(6), where every geodesic ends
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("kappa_max = 2.0\noutput_dir = o\n")
-        assert main(["experiment", "--config", str(cfg)]) == 2
-        assert "reaches distance 1.815" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert main(["experiment", "--config", str(cfg)]) == 0
+        with open(tmp_path / "o" / "summary.csv", newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert abs(float(last["kappa"]) - 2.0) <= 1e-6
 
     @pytest.mark.parametrize(
         "line, message",

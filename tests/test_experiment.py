@@ -150,21 +150,15 @@ class TestRunExperiment:
             expected = predict_from_subspace(workspace.basis, ctx).y_pred[: model.p]
             np.testing.assert_array_equal(workspace.baseline[i], expected)
 
-    def test_target_beyond_drawn_geodesic_fails_before_online_stage(self, monkeypatch):
-        # allowed by the configuration (limit sqrt(6)), but the geodesic drawn
-        # from the default seed_perturb ends at about 1.815
-        cfg = ExperimentConfig(model=default_model(), kappa_max=2.0)
-        simulations = []
-        simulate = experiment.simulate
-
-        def counting_simulate(*args, **kwargs):
-            simulations.append(len(args[1]))
-            return simulate(*args, **kwargs)
-
-        monkeypatch.setattr(experiment, "simulate", counting_simulate)
-        with pytest.raises(ValueError, match="kappa=2.0 unreachable.*reaches distance 1.815"):
-            prepare(cfg)
-        assert simulations == [cfg.T]  # the offline stage only
+    def test_target_at_reachable_limit_is_built_and_measured(self):
+        # rank 10 in dimension 16: sqrt(min(r, q-r)) = sqrt(6), the end point
+        # of every geodesic, is the largest distance the configuration admits
+        limit = float(np.sqrt(6.0))
+        cfg = ExperimentConfig(model=default_model(), kappa_grid=(0.5, limit))
+        workspace = prepare(cfg)
+        out = run_trial(workspace, 2)
+        assert abs(out.block.kappa - limit) <= 1e-6 * limit
+        assert out.block.kappa == chordal_distance(workspace.basis, out.basis)
 
     def test_wide_context_rows_rejected(self, tmp_path):
         # p*Tini = 1 < n = 2: the baseline's context rows are 6 x 7, so no

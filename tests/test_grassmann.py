@@ -368,7 +368,11 @@ class TestGeodesic:
             assert abs(geodesic.distance(t) - measured) <= 1e-12
             angles = principal_angles(basis, point).angles
             assert np.max(np.abs(angles - np.sort(t * geodesic.rates))) <= 1e-12
-        for kappa in (1e-9, 1e-3, 0.1, 0.7, geodesic.distance(1.0)):
+        # the largest distance check_distance admits: sqrt(min(r, q - r)),
+        # or just under sqrt(r) when q - r >= r
+        q, r = basis.q, basis.r
+        largest = min(np.sqrt(r) * (1 - 1e-6), np.sqrt(min(r, q - r)))
+        for kappa in (1e-9, 1e-3, 0.1, 0.7, largest):
             member, measured = geodesic.member(kappa)
             assert measured == chordal_distance(basis, member)
             assert abs(measured - kappa) <= 1e-12
@@ -418,14 +422,29 @@ class TestGeodesic:
         with pytest.raises(ConvergenceError, match="measures distance"):
             geodesic.member(0.3)
 
-    def test_target_beyond_geodesic_end_raises(self, rng):
-        # rank 3 in dimension 8: sqrt(3) is reachable in principle, but a
-        # random direction's end point lies closer
-        U = random_basis(rng, DIMS, 3)
-        geodesic = Geodesic.draw(U, seed=0)
-        beyond = 0.5 * (geodesic.distance(1.0) + np.sqrt(3.0) * (1 - 1e-6))
-        with pytest.raises(ConvergenceError, match="short of the requested"):
-            geodesic.member(beyond)
+    def test_member_angles_are_equal(self, basis):
+        geodesic = Geodesic.draw(basis, seed=4)
+        k = min(basis.r, basis.q - basis.r)
+        assert geodesic.distance(1.0) == np.sqrt(k)
+        for kappa in (1e-6, 0.3, 0.9):
+            member, _ = geodesic.member(kappa)
+            angles = principal_angles(basis, member).angles
+            assert np.max(np.abs(angles[-k:] - np.arcsin(kappa / np.sqrt(k)))) <= 1e-12
+            assert np.max(angles[:-k], initial=0.0) <= 1e-12
+
+    def test_direction_below_full_rank_raises(self, rng, monkeypatch):
+        import subpred.grassmann as grassmann
+
+        U = random_basis(rng, DIMS, 3)  # k = min(3, 8 - 3) = 3
+        svd = grassmann.svd
+
+        def rank_two_svd(matrix, vectors=False):
+            W, s, Vt, _ = svd(matrix, vectors)
+            return W, s, Vt, 2
+
+        monkeypatch.setattr(grassmann, "svd", rank_two_svd)
+        with pytest.raises(ConvergenceError, match="seed=5 has rank 2, below 3"):
+            Geodesic.draw(U, seed=5)
 
     def test_full_space_basis_serves_zero_distance(self):
         U = _coordinate_basis(8, range(8))

@@ -48,6 +48,15 @@ def _true_window_context(model, Tini, Tf, seed=0):
     return ctx, future
 
 
+class TestFromWindows:
+    def test_flat_siso_windows_are_time_series(self):
+        ctx = PredictionContext.from_windows(np.arange(4.0), np.arange(4.0), np.arange(4.0))
+        assert (ctx.m, ctx.p, ctx.Tini, ctx.Tf) == (1, 1, 4, 4)
+        ctx = PredictionContext.from_windows(np.arange(4.0), np.arange(2.0), np.arange(4.0))
+        assert (ctx.m, ctx.p, ctx.Tini, ctx.Tf) == (1, 1, 4, 2)
+        np.testing.assert_array_equal(ctx.b, [0, 1, 2, 3, 0, 1, 0, 1, 2, 3])
+
+
 class TestPseudoinverse:
     def test_invertible_matches_inverse(self, rng):
         M = rng.standard_normal((5, 5)) + 5 * np.eye(5)
