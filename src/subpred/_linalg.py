@@ -2,9 +2,11 @@
 
 Every SVD in the library goes through `svd`, and every rank decision uses
 its relative cutoff: a singular value counts toward the rank when it exceeds
-``max(rows, cols) * machine_eps * sigma_max``.  The one other factorization,
-`orthonormal_map`, serves the prediction map of an orthonormal basis from
-its small output Gram matrix, and declines whenever it cannot match the SVD.
+``max(rows, cols) * machine_eps * sigma_max``.  Two routes use small Gram
+matrices instead: `orthonormal_map` serves the prediction map of an
+orthonormal basis from its output Gram matrix, and declines whenever it
+cannot match the SVD, and `spectral_norm` takes sigma_max from an
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -65,5 +67,16 @@ def numerical_rank(matrix: np.ndarray) -> int:
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest singular value of ``matrix`` (0 for an empty one)."""
-    return float(svd(matrix)[1].max(initial=0.0))
+    """Largest singular value of ``matrix`` (0 for an empty one), without an
+    SVD: the root of lambda_max of the smaller Gram matrix, M M' or M'M, by
+    `eigvalsh`.  lambda_max is perfectly conditioned, so this is accurate to
+    a few eps relative.  M is first scaled by its largest magnitude, so that
+    the squares neither overflow nor underflow; a non-finite entry gives
+    that entry's magnitude (inf or nan)."""
+    matrix = np.asarray(matrix, dtype=float)
+    scale = float(np.abs(matrix).max(initial=0.0))
+    if not 0.0 < scale < np.inf:
+        return scale
+    scaled = matrix / scale
+    gram = scaled @ scaled.T if scaled.shape[0] <= scaled.shape[1] else scaled.T @ scaled
+    return scale * float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))

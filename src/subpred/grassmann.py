@@ -15,7 +15,9 @@ the other way, of the first basis off the second.
 from __future__ import annotations
 
 import math
+import operator
 import re
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,6 +208,13 @@ def check_distance(q: int, r: int, kappa: float) -> None:
         )
 
 
+# The last draw from each live basis, as (seed, start, heading, rates), keyed
+# weakly by the BehaviorBasis object.  A basis is frozen over a private
+# read-only copy of its data, so a stored draw is bit for bit a fresh one.
+# A value holds no Geodesic, whose origin would keep its key alive.
+_DRAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 @dataclass(frozen=True, eq=False)
 class Geodesic:
     """A Grassmann geodesic leaving ``origin`` in a fixed tangent direction
@@ -234,9 +243,19 @@ class Geodesic:
     @classmethod
     def draw(cls, U: BehaviorBasis, seed: int) -> "Geodesic":
         """The geodesic in a random tangent direction: a standard normal
-        q x r draw from ``seed``, projected onto the orthogonal complement of
-        span U and orthonormalized by one SVD.  Raises ConvergenceError when
-        the projected draw has numerical rank below min(r, q - r)."""
+        q x r draw from the integer ``seed``, projected onto the orthogonal
+        complement of span U and orthonormalized by one SVD.  Raises
+        ConvergenceError when the projected draw has numerical rank below
+        min(r, q - r), and TypeError when ``seed`` is not an integer.
+
+        The factorization is reused per live basis and seed: the arrays of
+        the last seed drawn from ``U`` are kept while ``U`` is alive, so a
+        second draw from the same basis object and seed makes no SVD and
+        returns the bits of a fresh draw."""
+        seed = operator.index(seed)  # None or a Generator would not repeat
+        stored = _DRAWS.get(U)
+        if stored is not None and stored[0] == seed:
+            return cls(U, *stored[1:])
         rng = np.random.default_rng(seed)
         base = U.matrix
         direction = rng.standard_normal((U.q, U.r))
@@ -252,11 +271,8 @@ class Geodesic:
         arrays = (base @ Vt.T, W, rates)
         for arr in arrays:
             arr.flags.writeable = False
+        _DRAWS[U] = (seed, *arrays)
         return cls(U, *arrays)
-
-    def distance(self, t: float) -> float:
-        """Chordal distance from the origin to the point at step ``t``."""
-        return float(np.linalg.norm(np.sin(t * self.rates)))
 
     def step(self, kappa: float) -> float:
         """The step t in [0, 1] at distance ``kappa``: (2/pi) asin(kappa /
@@ -299,7 +315,9 @@ def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis
     distance is verified by one measurement to |d - kappa| <= 1e-6 * max(1, kappa).
     The columns are the geodesic's `point` at the solved step, an orthonormal
     basis that is not rotated towards ``U``.  ``kappa = 0`` returns ``U``
-    itself.  Deterministic for a fixed seed.
+    itself.  Deterministic for a fixed seed.  The direction's factorization
+    is reused per live basis and seed (see `Geodesic.draw`), so calls at
+    several distances on one (basis, seed) make one SVD between them.
     """
     return Geodesic.draw(U, seed).member(kappa)[0]
 

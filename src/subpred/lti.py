@@ -236,8 +236,10 @@ def simulate(
     states[0] = x
     # A diverging model overflows to inf/NaN; that is checked once below.
     with np.errstate(over="ignore", invalid="ignore"):
+        # Stacked matvecs, equal to the per-step B @ u[t] bit for bit.
+        Bu = (model.B @ u[:, :, None])[..., 0]
         for t in range(T):
-            states[t + 1] = model.A @ states[t] + model.B @ u[t]
+            states[t + 1] = model.A @ states[t] + Bu[t]
         outputs = (model.C @ states[:-1, :, None])[..., 0] + (model.D @ u[:, :, None])[..., 0]
         if noise.kind == "relative-gaussian":
             # Equal to np.linalg.norm(y_t) bit for bit; norm(axis=1) and einsum are not for p >= 3.

@@ -264,19 +264,19 @@ def _mimo_pairs(rng, count):
 
 
 class TestOneFactorizationPerBlock:
-    def test_first_error_bound_terms_five_svds(self, rng, svd_calls):
+    def test_first_error_bound_terms_two_svds(self, rng, svd_calls):
         Hhat, H = next(_mimo_pairs(rng, 1))
         for direction in ("approx", "truth"):
             svd_calls.clear()
             first_error_bound_terms(Hhat, H, 1.0, direction=direction)
-            # one per context block, then the pinv gap, lead and tail norms
-            assert len(svd_calls) == 5
-            assert svd_calls[:2] == [Hhat.context_block.shape, H.context_block.shape]
+            # one per context block; spectral_norm takes the pinv gap, lead
+            # and tail norms from Gram eigenvalues, without an SVD
+            assert svd_calls == [Hhat.context_block.shape, H.context_block.shape]
 
-    def test_pinv_perturbation_bound_three_svds(self, rng, svd_calls):
+    def test_pinv_perturbation_bound_two_svds(self, rng, svd_calls):
         M = rng.standard_normal((7, 3))
         pinv_perturbation_bound(M + 0.1 * rng.standard_normal((7, 3)), M)
-        assert svd_calls == [(7, 3)] * 3
+        assert svd_calls == [(7, 3)] * 2  # sigma_min of each; the gap norm needs none
 
     def test_first_error_bound_terms_matches_formula(self, rng):
         for Hhat, H in _mimo_pairs(rng, 10):

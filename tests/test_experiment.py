@@ -194,9 +194,10 @@ class TestRunExperiment:
             run_trial(workspace, small_config.N + 1)
 
     # the offline stage makes 3 SVDs: the persistency-of-excitation check,
-    # the basis and the geodesic direction; each member makes 1, the norm of
-    # y_future[:p] for the bound.  Every map, the baseline's included, comes
-    # from the output Gram matrix of its orthonormal basis.
+    # the basis and the geodesic direction; a member makes none.  Every map,
+    # the baseline's included, comes from the output Gram matrix of its
+    # orthonormal basis, and the bound's norm of y_future[:p] from a Gram
+    # eigenvalue.
     @pytest.mark.parametrize("mimo", [False, True], ids=["default", "mimo"])
     def test_svd_budget(self, mimo, svd_calls):
         from helpers import random_model
@@ -207,7 +208,7 @@ class TestRunExperiment:
         else:
             cfg = ExperimentConfig(model=default_model(), N=3)
         run_experiment(cfg, write=False)
-        assert len(svd_calls) == cfg.N + 3
+        assert len(svd_calls) == 3
 
     def test_multichannel_pipeline(self, tmp_path):
         from helpers import random_model

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +34,12 @@ def _wrap(matrix, dims=DIMS):
 
 def _basis(matrix, dims=DIMS):
     return BehaviorBasis(_wrap(matrix, dims))
+
+
+def _twin(U):
+    """Another basis object with the data of ``U``, so no stored draw of
+    ``U`` serves it."""
+    return BehaviorBasis(U.basis.with_data(U.matrix))
 
 
 def _coordinate_basis(q, cols, dims=DIMS):
@@ -303,8 +311,44 @@ class TestPerturbSubspace:
     def test_deterministic_for_fixed_seed(self, rng):
         U = random_basis(rng, DIMS, 3)
         V1 = perturb_subspace(U, 0.4, seed=9)
-        V2 = perturb_subspace(U, 0.4, seed=9)
+        V2 = perturb_subspace(_twin(U), 0.4, seed=9)
         np.testing.assert_array_equal(V1.matrix, V2.matrix)
+
+    def test_one_draw_per_basis_and_seed(self, rng, svd_calls):
+        U = random_basis(rng, DIMS, 3)
+        for kappa in (0.1, 0.5, 1.2):
+            perturb_subspace(U, kappa, seed=3)
+        assert svd_calls == [(8, 3)]
+        perturb_subspace(U, 0.5, seed=4)
+        assert len(svd_calls) == 2  # a new seed draws again
+        perturb_subspace(_twin(U), 0.5, seed=4)
+        assert len(svd_calls) == 3  # so does another basis object with equal data
+
+    def test_reused_draw_is_bit_identical_to_fresh_draw(self, rng):
+        U = random_basis(rng, DIMS, 3)
+        for kappa in (0.0, 0.1, 0.5, 1.2):
+            reused = perturb_subspace(U, kappa, seed=3)
+            fresh = perturb_subspace(_twin(U), kappa, seed=3)
+            np.testing.assert_array_equal(reused.matrix, fresh.matrix)
+        geodesic = Geodesic.draw(U, seed=3)
+        fresh = Geodesic.draw(_twin(U), seed=3)
+        for name in ("start", "heading", "rates"):
+            np.testing.assert_array_equal(getattr(geodesic, name), getattr(fresh, name))
+
+    def test_stored_draw_keeps_no_basis_alive(self, rng):
+        U = random_basis(rng, DIMS, 3)
+        V = perturb_subspace(U, 0.5, seed=3)
+        alive = weakref.ref(U)
+        del U
+        gc.collect()
+        assert alive() is None
+        assert np.linalg.norm(V.matrix.T @ V.matrix - np.eye(3)) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [None, 1.0, np.random.default_rng(0)])
+    def test_non_integer_seed_rejected(self, rng, seed):
+        # a draw from None or a Generator would not repeat, so it is not reused
+        with pytest.raises(TypeError):
+            perturb_subspace(random_basis(rng, DIMS, 3), 0.5, seed=seed)
 
     def test_out_of_range_rejected(self, rng):
         U = random_basis(rng, DIMS, 3)
@@ -329,6 +373,12 @@ class TestPerturbSubspace:
         U = random_basis(rng, DIMS, 3)
         V = perturb_subspace(U, 0.7, seed=4)
         assert np.linalg.norm(V.matrix.T @ V.matrix - np.eye(3)) <= 1e-10
+
+
+def _closed_form_distance(basis, t):
+    """Chordal distance sqrt(k) sin(t pi/2), k = min(r, q - r), from a basis
+    to the point at step t of any geodesic drawn from it."""
+    return np.sqrt(min(basis.r, basis.q - basis.r)) * np.sin(t * np.pi / 2)
 
 
 def _behavior_basis(model, Tini, Tf, sigma=0.0):
@@ -365,7 +415,7 @@ class TestGeodesic:
         for t in np.linspace(0.0, 1.0, 11):
             point = geodesic.point(t)
             measured = chordal_distance(basis, point)
-            assert abs(geodesic.distance(t) - measured) <= 1e-12
+            assert abs(_closed_form_distance(basis, t) - measured) <= 1e-12
             angles = principal_angles(basis, point).angles
             assert np.max(np.abs(angles - np.sort(t * geodesic.rates))) <= 1e-12
         # the largest distance check_distance admits: sqrt(min(r, q - r)),
@@ -384,7 +434,7 @@ class TestGeodesic:
 
     def test_distance_increases_along_the_geodesic(self, basis):
         geodesic = Geodesic.draw(basis, seed=8)
-        kappas = np.linspace(0.0, 0.95 * geodesic.distance(1.0), 15)
+        kappas = np.linspace(0.0, 0.95 * _closed_form_distance(basis, 1.0), 15)
         measured = [geodesic.member(kappa)[1] for kappa in kappas]
         assert np.all(np.diff(measured) > 0)
 
@@ -392,7 +442,8 @@ class TestGeodesic:
         geodesic = Geodesic.draw(basis, seed=2)
         for kappa in (1e-6, 0.05, 0.5):
             t = geodesic.step(kappa)
-            assert geodesic.distance(np.nextafter(t, 0.0)) <= kappa <= geodesic.distance(np.nextafter(t, 1.0))
+            below, above = np.nextafter(t, 0.0), np.nextafter(t, 1.0)
+            assert _closed_form_distance(basis, below) <= kappa <= _closed_form_distance(basis, above)
 
     def test_wrapper_is_bit_identical_to_sweep_member(self, small_config):
         from subpred.experiment import prepare, run_trial
@@ -425,7 +476,7 @@ class TestGeodesic:
     def test_member_angles_are_equal(self, basis):
         geodesic = Geodesic.draw(basis, seed=4)
         k = min(basis.r, basis.q - basis.r)
-        assert geodesic.distance(1.0) == np.sqrt(k)
+        assert abs(chordal_distance(basis, geodesic.point(1.0)) - np.sqrt(k)) <= 1e-12
         for kappa in (1e-6, 0.3, 0.9):
             member, _ = geodesic.member(kappa)
             angles = principal_angles(basis, member).angles

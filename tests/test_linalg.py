@@ -32,6 +32,29 @@ class TestSvd:
         np.testing.assert_array_equal(s, np.linalg.svd(M, compute_uv=False))
 
 
+class TestSpectralNorm:
+    """sigma_max from the smaller Gram matrix, against the SVD's."""
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])  # squares under/overflow
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (3, 40), (40, 3), (9, 9)])
+    def test_matches_largest_singular_value(self, rng, shape, scale):
+        M = scale * rng.standard_normal(shape)
+        expected = np.linalg.svd(M, compute_uv=False)[0]
+        assert abs(spectral_norm(M) - expected) <= 32 * EPS * expected
+
+    def test_makes_no_svd(self, rng, svd_calls):
+        spectral_norm(rng.standard_normal((3, 40)))
+        assert svd_calls == []
+
+    def test_non_finite_entry_is_not_hidden(self):
+        # eigvalsh of a Gram matrix with a NaN entry can return finite values
+        M = np.eye(3)
+        M[0, 0] = np.inf
+        assert spectral_norm(M) == np.inf
+        M[0, 0] = np.nan
+        assert np.isnan(spectral_norm(M))
+
+
 class TestOrthonormalMap:
     """The map of an orthonormal basis from its output Gram matrix, against
     the SVD map that `_PredictionMap.factor` builds."""
