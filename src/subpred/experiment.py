@@ -5,10 +5,10 @@ The perturbed family is nested: one tangent direction is drawn from
 ``seed_perturb``, factored once per sweep into a `Geodesic`, and every
 member sits on that geodesic at its own target distance.  The geodesic's
 moving principal angles are equal, so it reaches every target that the
-configuration admits, and a member's step is one arcsin.  This makes the
-average error a smooth, near-linear function of the distance, as opposed to
-independent per-member directions whose direction-dependent sensitivity
-scatters the trend.
+configuration admits, and a member is one blend of two matrices.  This
+makes the average error a smooth, near-linear function of the distance, as
+opposed to independent per-member directions whose direction-dependent
+sensitivity scatters the trend.
 
 Seeds are split into three independent streams (offline/online data input,
 measurement noise, perturbation direction).  The online streams use the

@@ -1,7 +1,7 @@
 """Subspace geometry for behavior spaces: orthonormal bases, principal
 angles, chordal distance, Procrustes alignment, and perturbed subspaces at a
 prescribed distance along a geodesic whose k moving principal angles are
-equal, so the step to a distance is one arcsin.
+equal, so the subspace at a distance is one blend of two matrices.
 
 Angles are computed from two SVDs: cosines from the product of the bases,
 sines from the projection of one basis onto the orthogonal complement of the
@@ -193,60 +193,59 @@ def align_basis(U: BehaviorBasis, Uhat: BehaviorBasis) -> BehaviorBasis:
 
 def check_distance(q: int, r: int, kappa: float) -> None:
     """Reject a target chordal distance that no rank-r subspace of R^q can
-    lie at from another: ``kappa`` must be finite, in [0, sqrt(r)), and at
-    most sqrt(min(r, q - r)), the largest distance that the complement of
-    dimension q - r leaves room for."""
+    lie at from another: ``kappa`` must be finite and in [0, sqrt(k)], with
+    k = min(r, q - r) the number of principal angles that the complement of
+    dimension q - r leaves room to be nonzero."""
     if not np.isfinite(kappa):
         raise ValueError(f"kappa={kappa} is not a finite number")
-    if kappa < 0 or kappa > np.sqrt(r) * (1 - 1e-6):
-        raise ValueError(f"kappa={kappa} out of range [0, sqrt(r))")
-    reachable = np.sqrt(min(r, q - r))
-    if kappa > reachable:
+    largest = math.sqrt(min(r, q - r))
+    if not 0 <= kappa <= largest:
         raise ValueError(
-            f"kappa={kappa} unreachable: at most sqrt(min(r, q-r)) = {reachable:.6g} "
-            f"for subspaces of rank {r} in dimension {q}"
+            f"kappa={kappa} unreachable: out of range [0, sqrt(min(r, q-r))] = "
+            f"[0, {largest:.6g}] for subspaces of rank {r} in dimension {q}"
         )
 
 
-# The last draw from each live basis, as (seed, start, heading, rates), keyed
-# weakly by the BehaviorBasis object.  A basis is frozen over a private
-# read-only copy of its data, so a stored draw is bit for bit a fresh one.
-# A value holds no Geodesic, whose origin would keep its key alive.
+# The last draw from each live basis, as (seed, start, heading), keyed weakly
+# by the BehaviorBasis object.  A basis is frozen over a private read-only
+# copy of its data, so a stored draw is bit for bit a fresh one.  A value
+# holds no Geodesic, whose origin would keep its key alive.
 _DRAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
 class Geodesic:
     """A Grassmann geodesic leaving ``origin`` in a fixed tangent direction
-    (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 1998):
+    (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 1998), whose
+    k = min(r, q - r) nonzero singular values are equal.
 
-        U(t) = U V cos(t*Theta) + W sin(t*Theta),   t in [0, 1],
-
-    with W orthonormal and orthogonal to span U where Theta > 0.  The
-    direction has equal singular values, so its k = min(r, q - r) angle
-    rates are all pi/2 and the other r - k are 0.  U(t) has orthonormal
-    columns; the textbook form multiplies it by V' on the right, which
-    changes the basis but not the subspace, so it is left out.  The
-    principal angles between U and U(t) are exactly t*Theta, so the chordal
-    distance is sqrt(k) sin(t*pi/2): it rises monotonically in t, ends at
-    sqrt(k), the largest distance `check_distance` admits, and the step to a
-    target is one arcsin.  Building a member is a column scaling of two
-    matrices.  The arrays are read-only, so one geodesic can serve
+    ``start`` is an orthonormal basis of the origin and ``heading`` holds k
+    orthonormal columns orthogonal to it.  The member at chordal distance
+    kappa is ``start`` with its first k columns replaced by the blend
+    start[:, :k] c + heading s, where s = kappa / sqrt(k) and
+    c = sqrt(1 - s^2); the other r - k columns stay.  Its k moving principal
+    angles from the origin all equal asin(s) and the rest are 0, so its
+    distance is sqrt(k) s = kappa, for every kappa up to sqrt(k), the
+    largest distance `check_distance` admits.  The textbook form
+    U V cos(t Theta) + W sin(t Theta) gives the same subspace at
+    sin(t pi/2) = s.  The arrays are read-only, so one geodesic can serve
     concurrent callers.
     """
 
     origin: BehaviorBasis
-    start: np.ndarray  # U V, (q, r), orthonormal, spans the origin
-    heading: np.ndarray  # W, (q, r), orthonormal, orthogonal to start where rates > 0
-    rates: np.ndarray  # Theta, (r,), pi/2 on the first min(r, q - r) entries, then 0
+    start: np.ndarray  # (q, r), orthonormal, spans the origin
+    heading: np.ndarray  # (q, k), orthonormal, orthogonal to start
 
     @classmethod
     def draw(cls, U: BehaviorBasis, seed: int) -> "Geodesic":
         """The geodesic in a random tangent direction: a standard normal
         q x r draw from the integer ``seed``, projected onto the orthogonal
-        complement of span U and orthonormalized by one SVD.  Raises
+        complement of span U and factored by one SVD, W S V'.  ``start`` is
+        U V and ``heading`` the first k columns of W.  Raises
         ConvergenceError when the projected draw has numerical rank below
-        min(r, q - r), and TypeError when ``seed`` is not an integer.
+        k = min(r, q - r) or its heading is not orthogonal to span U to
+        within ``ORTHONORMALITY_TOL``, and TypeError when ``seed`` is not an
+        integer.
 
         The factorization is reused per live basis and seed: the arrays of
         the last seed drawn from ``U`` are kept while ``U`` is alive, so a
@@ -266,38 +265,39 @@ class Geodesic:
             raise ConvergenceError(
                 f"tangent direction drawn from seed={seed} has rank {rank}, below {k}"
             )
-        # Past column k, W leaves span U's complement; a zero rate keeps it out.
-        rates = np.where(np.arange(U.r) < k, np.pi / 2, 0.0)
-        arrays = (base @ Vt.T, W, rates)
+        heading = np.ascontiguousarray(W[:, :k])
+        # The rank is relative to the projected draw itself, so a draw inside
+        # span U, which projects to rounding error, passes it; the blend needs
+        # a heading orthogonal to U, so that is measured.
+        leak = float(np.linalg.norm(base.T @ heading))
+        if not leak <= ORTHONORMALITY_TOL:
+            raise ConvergenceError(
+                f"tangent direction drawn from seed={seed} is not orthogonal to the basis: "
+                f"||U'W||_F = {leak:.3e}"
+            )
+        arrays = (base @ Vt.T, heading)
         for arr in arrays:
             arr.flags.writeable = False
         _DRAWS[U] = (seed, *arrays)
         return cls(U, *arrays)
 
-    def step(self, kappa: float) -> float:
-        """The step t in [0, 1] at distance ``kappa``: (2/pi) asin(kappa /
-        sqrt(k)), and 0 for ``kappa = 0`` even when k = 0 (a basis that spans
-        the whole space).  Raises ValueError for a target no subspace can
-        reach."""
-        q, r = self.origin.q, self.origin.r
-        check_distance(q, r, kappa)
-        return (2 / np.pi) * math.asin(kappa / math.sqrt(min(r, q - r))) if kappa else 0.0
-
-    def point(self, t: float) -> BehaviorBasis:
-        """The subspace at step ``t``, spanned by the orthonormal columns
-        U V cos(t*Theta) + W sin(t*Theta)."""
-        angle = t * self.rates
-        data = self.start * np.cos(angle) + self.heading * np.sin(angle)
-        return BehaviorBasis(self.origin.basis.with_data(data))
-
     def member(self, kappa: float) -> tuple[BehaviorBasis, float]:
         """The subspace at chordal distance ``kappa`` from the origin, with
-        its distance as measured by `chordal_distance`.
+        its distance as measured by `chordal_distance`; ``kappa = 0`` is the
+        origin itself.  Raises ValueError for a target no subspace can reach.
 
         The measurement verifies the closed form: a miss beyond
         1e-6 * max(1, kappa) raises ConvergenceError.
         """
-        perturbed = self.origin if kappa == 0 else self.point(self.step(kappa))
+        check_distance(self.origin.q, self.origin.r, kappa)
+        if kappa == 0:
+            perturbed = self.origin
+        else:
+            k = self.heading.shape[1]
+            s = kappa / math.sqrt(k)  # at most 1: check_distance caps kappa at sqrt(k)
+            data = self.start.copy()
+            data[:, :k] = self.start[:, :k] * math.sqrt((1 - s) * (1 + s)) + self.heading * s
+            perturbed = BehaviorBasis(self.origin.basis.with_data(data))
         measured = chordal_distance(self.origin, perturbed)
         if not abs(measured - kappa) <= 1e-6 * max(1.0, kappa):
             raise ConvergenceError(
@@ -311,13 +311,13 @@ def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis
 
     The member at ``kappa`` of the geodesic drawn from ``seed`` (see
     `Geodesic`): its k = min(r, q - r) principal angles from ``U`` all equal
-    asin(kappa / sqrt(k)), so the step is solved in closed form, and its
-    distance is verified by one measurement to |d - kappa| <= 1e-6 * max(1, kappa).
-    The columns are the geodesic's `point` at the solved step, an orthonormal
-    basis that is not rotated towards ``U``.  ``kappa = 0`` returns ``U``
-    itself.  Deterministic for a fixed seed.  The direction's factorization
-    is reused per live basis and seed (see `Geodesic.draw`), so calls at
-    several distances on one (basis, seed) make one SVD between them.
+    asin(kappa / sqrt(k)), and its distance is verified by one measurement
+    to |d - kappa| <= 1e-6 * max(1, kappa).  The columns are the geodesic's
+    blend of two orthonormal matrices, a basis that is not rotated towards
+    ``U``.  ``kappa = 0`` returns ``U`` itself.  Deterministic for a fixed
+    seed.  The direction's factorization is reused per live basis and seed
+    (see `Geodesic.draw`), so calls at several distances on one (basis,
+    seed) make one SVD between them.
     """
     return Geodesic.draw(U, seed).member(kappa)[0]
 

@@ -18,7 +18,7 @@ import numpy as np
 from ._kv import finite_floats
 from ._linalg import numerical_rank
 from .errors import ConvergenceError
-from .lti import Trajectory
+from .lti import Trajectory, _time_major
 
 __all__ = [
     "PartitionedMatrix",
@@ -113,14 +113,10 @@ class PartitionedMatrix:
 def hankel(z, depth: int) -> np.ndarray:
     """Hankel matrix of the given depth for a vector sequence.
 
-    ``z`` has shape (T, d) (or (T,) for scalars); column j of the result
+    ``z`` has shape (T, d), or (T,) for one channel; column j of the result
     stacks z(j), z(j+1), ..., z(j+depth-1), giving shape (d*depth, T-depth+1).
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z.reshape(-1, 1)
-    if z.ndim != 2:
-        raise ValueError(f"sequence must have shape (T, d), got {z.shape}")
+    z = _time_major(z, "z")
     T, d = z.shape
     if not 1 <= depth <= T:
         raise ValueError(f"depth {depth} out of range for a sequence of length {T}")
@@ -133,11 +129,8 @@ def hankel(z, depth: int) -> np.ndarray:
 
 def is_persistently_exciting(u, order: int) -> bool:
     """True iff the depth-``order`` Hankel matrix of ``u`` has full row rank."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u.reshape(-1, 1)
-    H = hankel(u, order)
-    return numerical_rank(H) == u.shape[1] * order
+    H = hankel(_time_major(u, "u"), order)
+    return numerical_rank(H) == H.shape[0]
 
 
 _PE_ATTEMPTS = 10
@@ -163,12 +156,8 @@ def stacked_data_matrix(u_data, y_data, Tini: int, Tf: int) -> PartitionedMatrix
 
     The result has T - (Tini+Tf) + 1 columns, one per sliding window.
     """
-    u = np.asarray(u_data, dtype=float)
-    y = np.asarray(y_data, dtype=float)
-    if u.ndim == 1:
-        u = u.reshape(-1, 1)
-    if y.ndim == 1:
-        y = y.reshape(-1, 1)
+    u = _time_major(u_data, "u_data")
+    y = _time_major(y_data, "y_data")
     if len(u) != len(y):
         raise ValueError(f"input and output sequences differ in length: {len(u)} vs {len(y)}")
     if min(Tini, Tf) < 1:

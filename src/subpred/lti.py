@@ -34,6 +34,17 @@ __all__ = [
 ]
 
 
+def _time_major(values, name: str) -> np.ndarray:
+    """``values`` as a float array of shape (T, d), rows indexed by time: a
+    1-D array is one channel, of shape (T, 1); a 2-D array passes through."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 1:
+        return arr.reshape(-1, 1)
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be 1-D or of shape (T, d), got shape {arr.shape}")
+    return arr
+
+
 def _as_matrix(value, rows: int | None, cols: int | None, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
@@ -144,7 +155,8 @@ class Trajectory:
     """Paired input/output sequences over a horizon, rows indexed by time.
 
     ``inputs`` is (T, m), ``outputs`` is (T, p); ``states`` is (T+1, n) when
-    the generating simulation recorded them.  Every entry is finite.
+    the generating simulation recorded them.  A 1-D array is one channel.
+    Every entry is finite.
     """
 
     inputs: np.ndarray
@@ -152,8 +164,8 @@ class Trajectory:
     states: np.ndarray | None = None
 
     def __post_init__(self):
-        inputs = _as_matrix(self.inputs, None, None, "inputs")
-        outputs = _as_matrix(self.outputs, None, None, "outputs")
+        inputs = _as_matrix(_time_major(self.inputs, "inputs"), None, None, "inputs")
+        outputs = _as_matrix(_time_major(self.outputs, "outputs"), None, None, "outputs")
         if len(inputs) != len(outputs):
             raise ValueError(
                 f"inputs and outputs must have equal length, got {len(inputs)} and {len(outputs)}"
@@ -162,7 +174,7 @@ class Trajectory:
             raise ValueError("a trajectory must contain at least one sample")
         states = self.states
         if states is not None:
-            states = _as_matrix(states, len(inputs) + 1, None, "states")
+            states = _as_matrix(_time_major(states, "states"), len(inputs) + 1, None, "states")
         for name, value in (("inputs", inputs), ("outputs", outputs), ("states", states)):
             if value is not None and not np.isfinite(value).all():
                 raise ValueError(f"{name} has non-finite entries")
@@ -179,17 +191,6 @@ class Trajectory:
     @property
     def p(self) -> int:
         return self.outputs.shape[1]
-
-
-def _time_major(values, width: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        if width != 1:
-            raise ValueError(f"{name} is 1-dimensional but {width} channels are expected")
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[1] != width:
-        raise ValueError(f"{name} must have shape (T, {width}), got {arr.shape}")
-    return arr
 
 
 def simulate(
@@ -218,7 +219,9 @@ def simulate(
     Trajectory
         With states recorded, length T.
     """
-    u = _time_major(inputs, model.m, "inputs")
+    u = _time_major(inputs, "inputs")
+    if u.shape[1] != model.m:
+        raise ValueError(f"inputs has {u.shape[1]} channels, expected m={model.m}")
     T = len(u)
     if T < 1:
         raise ValueError("inputs must contain at least one sample")

@@ -22,7 +22,7 @@ from ._linalg import orthonormal_map, svd
 from .errors import RankDeficientError
 from .grassmann import BehaviorBasis
 from .hankel import PartitionedMatrix, stacked_data_matrix
-from .lti import Trajectory
+from .lti import Trajectory, _time_major
 
 __all__ = [
     "PredictionContext",
@@ -145,7 +145,9 @@ class PredictionContext:
     def from_windows(cls, u_past, u_future, y_past) -> "PredictionContext":
         """Build from time-major windows of shapes (Tini, m), (Tf, m), (Tini, p);
         a 1-D window is one channel, of shape (T, 1)."""
-        u_past, u_future, y_past = map(_window, (u_past, u_future, y_past))
+        u_past = _time_major(u_past, "u_past")
+        u_future = _time_major(u_future, "u_future")
+        y_past = _time_major(y_past, "y_past")
         if u_past.shape[1] != u_future.shape[1]:
             raise ValueError(
                 f"input widths differ between windows: {u_past.shape[1]} vs {u_future.shape[1]}"
@@ -163,11 +165,6 @@ class PredictionContext:
             Tini=u_past.shape[0],
             Tf=u_future.shape[0],
         )
-
-
-def _window(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    return arr.reshape(-1, 1) if arr.ndim == 1 else np.atleast_2d(arr)
 
 
 @dataclass(frozen=True, eq=False)

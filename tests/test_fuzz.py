@@ -6,19 +6,27 @@ replaced, dropped or added; a fully arbitrary text is drawn too.  Free text
 holds no decimal digits, so every number an example feeds the program comes
 from the small-integer (at most 64) or float strategies, and no example runs
 a larger sweep than the default configuration.
+
+A property test also draws random dimensions, ranks, seeds and distances
+for `Geodesic.member`, the closed form that every perturbed subspace comes
+from.
 """
 
 from types import SimpleNamespace
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from subpred import format_model, save_basis, simulate
+from helpers import random_basis
+from subpred import chordal_distance, format_model, principal_angles, save_basis, simulate
 from subpred.cli import main
+from subpred.errors import ConvergenceError
 from subpred.experiment import default_model
-from subpred.grassmann import orthonormal_basis
+from subpred.grassmann import BehaviorBasis, Geodesic, orthonormal_basis
 from subpred.hankel import persistently_exciting_input, stacked_data_matrix
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -153,3 +161,40 @@ class TestFuzzedFiles:
         context.write_text(texts["context"], encoding="utf-8")
         assert main(["predict", "--basis", str(basis), "--context", str(context)]) in EXIT_CODES
         assert main(["distance", str(basis), str(valid_basis)]) in EXIT_CODES
+
+
+_SIZES = st.integers(1, 3)
+
+
+class TestGeodesicMember:
+    @pytest.mark.parametrize("complement", ["large", "small"])  # q - r >= r, or q - r < r
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(_SIZES, _SIZES, _SIZES, _SIZES), data=st.data())
+    def test_member_is_the_closed_form(self, complement, dims, data):
+        m, p, Tini, Tf = dims
+        q = (m + p) * (Tini + Tf)
+        r = data.draw(st.integers(1, q // 2) if complement == "large" else st.integers(q // 2 + 1, q))
+        k = min(r, q - r)
+        largest = math.sqrt(k)
+        kappa = data.draw(st.one_of(st.sampled_from([0.0, largest]), st.floats(0.0, largest)))
+        basis_seed, seed = (data.draw(st.integers(0, 2**32 - 1)) for _ in range(2))
+        U = random_basis(np.random.default_rng(basis_seed), dims, r)
+        try:
+            geodesic = Geodesic.draw(U, seed)
+        except ConvergenceError:
+            # one normal stream built U and the draw, so the draw lies in span U
+            assert basis_seed == seed
+            return
+
+        member, measured = geodesic.member(kappa)
+        assert isinstance(member, BehaviorBasis)
+        assert measured == chordal_distance(U, member)
+        assert abs(measured - kappa) <= 1e-12 * max(1.0, kappa)
+        angles = principal_angles(U, member).angles
+        if k:
+            assert np.max(np.abs(angles[-k:] - math.asin(kappa / largest))) <= 1e-12
+        assert np.max(angles[: r - k], initial=0.0) <= 1e-12
+        if kappa == 0:
+            assert member is U
+        else:
+            np.testing.assert_array_equal(member.matrix[:, k:], geodesic.start[:, k:])

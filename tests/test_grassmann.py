@@ -332,7 +332,7 @@ class TestPerturbSubspace:
             np.testing.assert_array_equal(reused.matrix, fresh.matrix)
         geodesic = Geodesic.draw(U, seed=3)
         fresh = Geodesic.draw(_twin(U), seed=3)
-        for name in ("start", "heading", "rates"):
+        for name in ("start", "heading"):
             np.testing.assert_array_equal(getattr(geodesic, name), getattr(fresh, name))
 
     def test_stored_draw_keeps_no_basis_alive(self, rng):
@@ -354,8 +354,16 @@ class TestPerturbSubspace:
         U = random_basis(rng, DIMS, 3)
         with pytest.raises(ValueError, match="out of range"):
             perturb_subspace(U, -0.1, seed=0)
+        # rank 3 in dimension 8: sqrt(3) is the geodesic's end point, one ulp past it is not
         with pytest.raises(ValueError, match="out of range"):
-            perturb_subspace(U, np.sqrt(3.0), seed=0)
+            perturb_subspace(U, np.nextafter(np.sqrt(3.0), 2.0), seed=0)
+
+    def test_end_point_reached_when_complement_is_large(self, rng):
+        # q - r >= r: every principal angle can reach pi/2, so sqrt(r) is reachable
+        check_distance(12, 4, 2.0)
+        U = random_basis(rng, DIMS, 3)
+        V = perturb_subspace(U, np.sqrt(3.0), seed=0)
+        assert abs(chordal_distance(U, V) - np.sqrt(3.0)) <= 1e-12
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_distance_named(self, bad):
@@ -375,10 +383,11 @@ class TestPerturbSubspace:
         assert np.linalg.norm(V.matrix.T @ V.matrix - np.eye(3)) <= 1e-10
 
 
-def _closed_form_distance(basis, t):
-    """Chordal distance sqrt(k) sin(t pi/2), k = min(r, q - r), from a basis
-    to the point at step t of any geodesic drawn from it."""
-    return np.sqrt(min(basis.r, basis.q - basis.r)) * np.sin(t * np.pi / 2)
+def _moving(basis):
+    """k = min(r, q - r), the number of principal angles a geodesic member
+    moves, and sqrt(k), the distance at which the geodesic ends."""
+    k = min(basis.r, basis.q - basis.r)
+    return k, np.sqrt(k)
 
 
 def _behavior_basis(model, Tini, Tf, sigma=0.0):
@@ -412,38 +421,39 @@ class TestGeodesic:
 
     def test_closed_form_matches_measured_distance(self, basis):
         geodesic = Geodesic.draw(basis, seed=3)
-        for t in np.linspace(0.0, 1.0, 11):
-            point = geodesic.point(t)
-            measured = chordal_distance(basis, point)
-            assert abs(_closed_form_distance(basis, t) - measured) <= 1e-12
-            angles = principal_angles(basis, point).angles
-            assert np.max(np.abs(angles - np.sort(t * geodesic.rates))) <= 1e-12
-        # the largest distance check_distance admits: sqrt(min(r, q - r)),
-        # or just under sqrt(r) when q - r >= r
-        q, r = basis.q, basis.r
-        largest = min(np.sqrt(r) * (1 - 1e-6), np.sqrt(min(r, q - r)))
-        for kappa in (1e-9, 1e-3, 0.1, 0.7, largest):
+        k, largest = _moving(basis)
+        # up to the largest distance check_distance admits, sqrt(min(r, q - r))
+        for kappa in (*np.linspace(0.0, largest, 11), 1e-9, 1e-3, 0.1, 0.7):
             member, measured = geodesic.member(kappa)
             assert measured == chordal_distance(basis, member)
             assert abs(measured - kappa) <= 1e-12
+            angles = principal_angles(basis, member).angles
+            expected = np.r_[np.zeros(basis.r - k), np.full(k, np.arcsin(kappa / largest))]
+            assert np.max(np.abs(angles - expected)) <= 1e-12
 
     def test_direction_rank_deficient_when_complement_is_small(self, example_model):
         basis = _behavior_basis(example_model, 4, 4, sigma=0.02)
         geodesic = Geodesic.draw(basis, seed=3)
-        assert np.count_nonzero(geodesic.rates > 1e-8) == basis.q - basis.r
+        assert geodesic.heading.shape == (basis.q, basis.q - basis.r)
+        member, _ = geodesic.member(np.sqrt(basis.q - basis.r))
+        angles = principal_angles(basis, member).angles
+        assert np.count_nonzero(angles > 1e-8) == basis.q - basis.r
+
+    def test_fields_are_start_and_k_heading_columns(self, basis):
+        assert [f.name for f in dataclasses.fields(Geodesic)] == ["origin", "start", "heading"]
+        geodesic = Geodesic.draw(basis, seed=3)
+        k, _ = _moving(basis)
+        assert geodesic.start.shape == (basis.q, basis.r)
+        assert geodesic.heading.shape == (basis.q, k)
+        assert np.linalg.norm(geodesic.heading.T @ geodesic.heading - np.eye(k)) <= 1e-10
+        assert np.linalg.norm(geodesic.start.T @ geodesic.heading) <= 1e-10
+        assert chordal_distance(basis, _basis(geodesic.start, basis.dims)) <= 1e-12
 
     def test_distance_increases_along_the_geodesic(self, basis):
         geodesic = Geodesic.draw(basis, seed=8)
-        kappas = np.linspace(0.0, 0.95 * _closed_form_distance(basis, 1.0), 15)
+        kappas = np.linspace(0.0, 0.95 * _moving(basis)[1], 15)
         measured = [geodesic.member(kappa)[1] for kappa in kappas]
         assert np.all(np.diff(measured) > 0)
-
-    def test_step_is_exact_to_rounding(self, basis):
-        geodesic = Geodesic.draw(basis, seed=2)
-        for kappa in (1e-6, 0.05, 0.5):
-            t = geodesic.step(kappa)
-            below, above = np.nextafter(t, 0.0), np.nextafter(t, 1.0)
-            assert _closed_form_distance(basis, below) <= kappa <= _closed_form_distance(basis, above)
 
     def test_wrapper_is_bit_identical_to_sweep_member(self, small_config):
         from subpred.experiment import prepare, run_trial
@@ -460,7 +470,7 @@ class TestGeodesic:
     def test_non_finite_kappa_rejected(self, rng, bad):
         U = random_basis(rng, DIMS, 3)
         geodesic = Geodesic.draw(U, seed=0)
-        for solve in (geodesic.step, geodesic.member, lambda k: perturb_subspace(U, k, seed=0)):
+        for solve in (geodesic.member, lambda k: perturb_subspace(U, k, seed=0)):
             with pytest.raises(ValueError):
                 solve(bad)
 
@@ -475,13 +485,17 @@ class TestGeodesic:
 
     def test_member_angles_are_equal(self, basis):
         geodesic = Geodesic.draw(basis, seed=4)
-        k = min(basis.r, basis.q - basis.r)
-        assert abs(chordal_distance(basis, geodesic.point(1.0)) - np.sqrt(k)) <= 1e-12
+        k, largest = _moving(basis)
+        end, _ = geodesic.member(largest)
+        assert abs(chordal_distance(basis, end) - largest) <= 1e-12
+        # s = 1 and c = 0 exactly at the end point, which is the heading
+        np.testing.assert_array_equal(end.matrix[:, :k], geodesic.heading)
         for kappa in (1e-6, 0.3, 0.9):
             member, _ = geodesic.member(kappa)
             angles = principal_angles(basis, member).angles
-            assert np.max(np.abs(angles[-k:] - np.arcsin(kappa / np.sqrt(k)))) <= 1e-12
+            assert np.max(np.abs(angles[-k:] - np.arcsin(kappa / largest))) <= 1e-12
             assert np.max(angles[:-k], initial=0.0) <= 1e-12
+            np.testing.assert_array_equal(member.matrix[:, k:], geodesic.start[:, k:])
 
     def test_direction_below_full_rank_raises(self, rng, monkeypatch):
         import subpred.grassmann as grassmann
@@ -497,6 +511,14 @@ class TestGeodesic:
         with pytest.raises(ConvergenceError, match="seed=5 has rank 2, below 3"):
             Geodesic.draw(U, seed=5)
 
+    def test_draw_inside_the_basis_span_raises(self):
+        # U spans the columns of the normal draw of seed 7, so the projected
+        # draw is rounding error of full relative rank
+        U = random_basis(np.random.default_rng(7), DIMS, 3)
+        with pytest.raises(ConvergenceError, match="seed=7 is not orthogonal to the basis"):
+            Geodesic.draw(U, seed=7)
+        Geodesic.draw(U, seed=8)
+
     def test_full_space_basis_serves_zero_distance(self):
         U = _coordinate_basis(8, range(8))
         with warnings.catch_warnings():
@@ -507,7 +529,7 @@ class TestGeodesic:
 
     def test_arrays_are_read_only(self, rng):
         geodesic = Geodesic.draw(random_basis(rng, DIMS, 3), seed=0)
-        for arr in (geodesic.start, geodesic.heading, geodesic.rates):
+        for arr in (geodesic.start, geodesic.heading):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 

@@ -21,6 +21,18 @@ from subpred._linalg import numerical_rank
 
 
 class TestHankel:
+    @pytest.mark.parametrize("shape", [(), (6, 1, 1)])
+    def test_sequence_of_other_rank_is_named(self, shape):
+        bad, good = np.zeros(shape), np.zeros((6, 1))
+        for call, name in (
+            (lambda: hankel(bad, 2), "z"),
+            (lambda: is_persistently_exciting(bad, 2), "u"),
+            (lambda: stacked_data_matrix(bad, good, 2, 2), "u_data"),
+            (lambda: stacked_data_matrix(good, bad, 2, 2), "y_data"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{name} must be 1-D or of shape \(T, d\)"):
+                call()
+
     def test_scalar_example(self):
         np.testing.assert_array_equal(
             hankel([1.0, 2.0, 3.0, 4.0], 2), [[1, 2, 3], [2, 3, 4]]

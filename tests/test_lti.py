@@ -8,6 +8,7 @@ from helpers import random_model, random_orthogonal, simulate_reference, unobser
 from subpred import (
     NoiseSpec,
     StateSpaceModel,
+    Trajectory,
     format_model,
     gain_bound,
     observability_degree,
@@ -132,6 +133,24 @@ class TestSimulate:
             (noisy - clean) / np.abs(clean), np.sqrt(0.02) * z, rtol=0, atol=1e-12
         )
 
+
+
+class TestTrajectory:
+    def test_flat_arrays_are_one_channel(self, example_model):
+        u = np.arange(6.0)
+        traj = simulate(example_model, u)
+        flat = Trajectory(u, traj.outputs[:, 0], traj.states[:, 0])
+        assert (flat.length, flat.m, flat.p) == (6, 1, 1)
+        np.testing.assert_array_equal(flat.inputs, traj.inputs)
+        np.testing.assert_array_equal(flat.outputs, traj.outputs)
+        assert flat.states.shape == (7, 1)
+
+    @pytest.mark.parametrize("name", ["inputs", "outputs"])
+    @pytest.mark.parametrize("shape", [(), (4, 1, 1)])
+    def test_other_ranks_are_named(self, name, shape):
+        arrays = {"inputs": np.zeros((4, 1)), "outputs": np.zeros((4, 1)), name: np.zeros(shape)}
+        with pytest.raises(ValueError, match=rf"^{name} must be 1-D or of shape \(T, d\)"):
+            Trajectory(**arrays)
 
 
 class TestStructuredMatrices:

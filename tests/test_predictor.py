@@ -56,6 +56,14 @@ class TestFromWindows:
         assert (ctx.m, ctx.p, ctx.Tini, ctx.Tf) == (1, 1, 4, 2)
         np.testing.assert_array_equal(ctx.b, [0, 1, 2, 3, 0, 1, 0, 1, 2, 3])
 
+    @pytest.mark.parametrize("name", ["u_past", "u_future", "y_past"])
+    @pytest.mark.parametrize("shape", [(), (4, 1, 2)])
+    def test_window_of_other_rank_is_named(self, name, shape):
+        windows = {"u_past": np.zeros(4), "u_future": np.zeros(4), "y_past": np.zeros(4)}
+        windows[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"^{name} must be 1-D or of shape \(T, d\)"):
+            PredictionContext.from_windows(**windows)
+
 
 class TestPseudoinverse:
     def test_invertible_matches_inverse(self, rng):
