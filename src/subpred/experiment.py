@@ -13,8 +13,10 @@ sensitivity scatters the trend.
 Seeds are split into three independent streams (offline/online data input,
 measurement noise, perturbation direction).  The online streams use the
 corresponding seed plus ``ONLINE_SEED_OFFSET`` so they never collide with the
-offline draws.  Every output is a pure function of the configuration, so
-repeated runs are byte-identical.
+offline draws.  Every output is a pure function of the configuration and
+the numerical libraries, so repeated runs on one numpy/BLAS build at one
+BLAS thread count are byte-identical.  Another thread count can round the
+offline basis's SVD differently, and with it every member's last digits.
 """
 
 from __future__ import annotations
@@ -366,23 +368,25 @@ def run_single(
 # The two sweep files keep named writers: the benchmark (bench/) times them
 # as the per-layer spans experiment.write_trials_csv and write_summary_csv.
 # trials.csv has one row per member and window and a member is one
-# TrialBlock, so its writer formats a block's scalars once and fills the rows
-# from the block's columns; the short files go through _write_csv.
+# TrialBlock, so its writer formats a block a column at a time: the scalars
+# once, the steps once per distinct steps tuple, the error and bound columns
+# in one repr pass each, and then joins each row with str.join.  The short
+# files go through _write_csv.
 
 
 def write_trials_csv(path, blocks: list[TrialBlock]) -> None:
     """Write the rows of ``blocks`` with the bytes of ``_write_csv``, one
     block at a time, without building a record per row."""
+    steps, t_strs = None, []
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TrialBlock._fields) + "\n")
         for b in blocks:
-            columns = [b.t, b.prediction_error.tolist()]
-            bound = ""
-            if b.bound is not None:
-                columns.append(b.bound.tolist())
-                bound = "{!r}"
-            row = f"{b.n},{b.kappa!r},{{}},{{!r}},{bound},{b.sigma_min_Mhat!r}\n".format
-            fh.write("".join(map(row, *columns)))
+            if b.t is not steps:
+                steps, t_strs = b.t, list(map(str, b.t))
+            bounds = repeat("") if b.bound is None else map(repr, b.bound.tolist())
+            rows = zip(repeat(f"{b.n},{b.kappa!r}"), t_strs, map(repr, b.prediction_error.tolist()),
+                       bounds, repeat(f"{b.sigma_min_Mhat!r}\n"))
+            fh.write("".join(map(",".join, rows)))
 
 
 def write_summary_csv(path, summaries: list[SummaryRecord]) -> None:

@@ -337,6 +337,7 @@ def _block(n, kappa, t, errors=0.25, bounds=0.5, sigma_min=0.75):
 
 INF, NAN = float("inf"), float("nan")
 EXTREMES = (5e-324, 1e16, 1e22, NAN, INF, -INF)
+STEPS = (4, 5, 6)  # `_block` keeps a tuple as it is, so blocks built from it share it
 
 # Hand-built blocks, among them scalars that compare equal but that
 # csv.writer writes differently: 0.0 == -0.0 and 1 == 1.0.
@@ -353,6 +354,10 @@ HAND_BUILT = {
                sigma_min=x)
         for i, x in enumerate(EXTREMES)
     ] + [_block(7, NAN, range(4, 10), errors=EXTREMES, bounds=None, sigma_min=-INF)],
+    "no-windows-between": [_block(1, 0.1, [4, 5]), _block(2, 0.2, []), _block(3, 0.3, [4, 5])],
+    "shared-steps-then-new-steps": [
+        _block(1, 0.1, STEPS), _block(2, 0.2, STEPS, bounds=None), _block(3, 0.3, [7, 8, 9]),
+    ],
 }
 
 

@@ -9,7 +9,8 @@ a larger sweep than the default configuration.
 
 A property test also draws random dimensions, ranks, seeds and distances
 for `Geodesic.member`, the closed form that every perturbed subspace comes
-from.
+from, and another draws member blocks for `write_trials_csv`, whose bytes
+must be those of the csv module.
 """
 
 from types import SimpleNamespace
@@ -21,11 +22,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_basis
+from helpers import random_basis, trial_rows, write_csv_reference
 from subpred import chordal_distance, format_model, principal_angles, save_basis, simulate
 from subpred.cli import main
 from subpred.errors import ConvergenceError
-from subpred.experiment import default_model
+from subpred.experiment import TrialBlock, default_model, write_trials_csv
 from subpred.grassmann import BehaviorBasis, Geodesic, orthonormal_basis
 from subpred.hankel import persistently_exciting_input, stacked_data_matrix
 
@@ -198,3 +199,45 @@ class TestGeodesicMember:
             assert member is U
         else:
             np.testing.assert_array_equal(member.matrix[:, k:], geodesic.start[:, k:])
+
+
+# Any float, with the values whose repr is special drawn often: NaN, the
+# infinities, both zeros, the smallest subnormal and 1e16, the first power of
+# ten that repr writes in exponent form.
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16]), st.floats()
+)
+
+
+@st.composite
+def _trial_blocks(draw):
+    """Member blocks whose steps tuples come from a small pool, so that
+    blocks share a tuple object, or hold equal-length or empty ones."""
+    pool = draw(st.lists(st.lists(st.integers(0, 10**4), max_size=6).map(tuple),
+                         min_size=1, max_size=3))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        t = draw(st.sampled_from(pool))
+        column = st.lists(_CSV_FLOATS, min_size=len(t), max_size=len(t)).map(
+            lambda xs: np.array(xs, dtype=np.float64)
+        )
+        blocks.append(TrialBlock(
+            n=draw(st.integers(1, 10**4)),
+            kappa=draw(st.one_of(st.integers(0, 10**4), _CSV_FLOATS)),
+            t=t,
+            prediction_error=draw(column),
+            bound=draw(st.one_of(st.none(), column)),
+            sigma_min_Mhat=draw(_CSV_FLOATS),
+        ))
+    return blocks
+
+
+class TestTrialsCsvWriter:
+    # Both files are rewritten whole by every example, so one tmp_path serves all.
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blocks=_trial_blocks())
+    def test_bytes_match_the_csv_module(self, tmp_path, blocks):
+        write_trials_csv(tmp_path / "trials.csv", blocks)
+        write_csv_reference(tmp_path / "reference.csv", TrialBlock._fields, trial_rows(blocks))
+        assert (tmp_path / "trials.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
