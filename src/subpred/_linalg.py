@@ -2,11 +2,10 @@
 
 Every SVD in the library goes through `svd`, and every rank decision uses
 its relative cutoff: a singular value counts toward the rank when it exceeds
-``max(rows, cols) * machine_eps * sigma_max``.  Two routes use small Gram
-matrices instead: `orthonormal_map` serves the prediction map of an
-orthonormal basis from its output Gram matrix, and declines whenever it
-cannot match the SVD, and `spectral_norm` takes sigma_max from an
-eigenvalue.
+``max(rows, cols) * machine_eps * sigma_max``.  `prediction_map` builds
+every prediction map: an orthonormal basis's from its output Gram matrix
+when that matches the SVD, and any other from one SVD.  `spectral_norm`
+takes sigma_max from a Gram eigenvalue.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 EPS = float(np.finfo(np.float64).eps)
 
-# orthonormal_map's relative error is about (gram_defect + q * eps) /
+# prediction_map's Gram-route relative error is about (gram_defect + q * eps) /
 # sigma_min^2: rounding and a Gram defect d perturb I - K by about q eps + d,
 # and (I - K)^-1 amplifies that by 1 / sigma_min^2.  At sigma_min = 0.035 the
 # error grew from 6e-13 at d = 2e-14 to 4e-10 at d = 2.5e-11, and on bases
@@ -40,25 +39,38 @@ def svd(matrix, vectors: bool = False):
     return U, s, Vt, rank
 
 
-def orthonormal_map(context_rows, future_rows, gram_defect: float):
-    """``(future_rows @ pinv(context_rows), sigma_min(context_rows))`` for
-    the two row blocks of a basis with orthonormal columns, to within
-    ``gram_defect`` = ||U'U - I||_F, or None when that is not accurate.
+def prediction_map(context_rows, future_rows=None, gram_defect=None):
+    """``(future_rows @ pinv(context_rows), rank, sigma_min)``, with the rank
+    and smallest singular value of the context rows; without ``future_rows``
+    the map is the pseudoinverse itself.
 
-    U'U = I makes context_rows' context_rows = I - Yf'Yf (Yf the future
-    rows), so with K = Yf Yf', sigma_min^2 = 1 - lambda_max(K) and, by the
-    push-through identity, the map is (I - K)^-1 Yf context_rows'.  K has as
-    many rows as Yf, far fewer than the context rows.  None whenever the
-    error estimate (gram_defect + q * eps) / sigma_min^2 exceeds
-    IDENTITY_ERROR_TOL, which includes context rows without full column rank.
+    Given ``gram_defect`` = ||U'U - I||_F of a basis U with these two row
+    blocks, the map comes from its output Gram matrix: U'U = I makes
+    context_rows' context_rows = I - Yf'Yf (Yf the future rows), so with
+    K = Yf Yf', sigma_min^2 = 1 - lambda_max(K) and, by the push-through
+    identity, the map is (I - K)^-1 Yf context_rows'.  K has as many rows as
+    Yf, far fewer than the context rows.  That route runs only while the
+    error estimate (gram_defect + q * eps) / sigma_min^2 is at most
+    IDENTITY_ERROR_TOL, which excludes context rows without full column
+    rank.  Otherwise one SVD of the context rows builds the map, dropping
+    singular values at or below the shared cutoff, which truncates a
+    rank-deficient block.
     """
-    K = future_rows @ future_rows.T
-    gap = 1.0 - float(np.linalg.eigvalsh(K).max(initial=0.0))
-    q = context_rows.shape[0] + future_rows.shape[0]
-    if not gram_defect + q * EPS <= IDENTITY_ERROR_TOL * gap:
-        return None
-    pred = np.linalg.solve(np.eye(len(K)) - K, future_rows @ context_rows.T)
-    return pred, float(np.sqrt(gap))
+    if gram_defect is not None:
+        K = future_rows @ future_rows.T
+        gap = 1.0 - float(np.linalg.eigvalsh(K).max(initial=0.0))
+        q = context_rows.shape[0] + future_rows.shape[0]
+        if gram_defect + q * EPS <= IDENTITY_ERROR_TOL * gap:
+            matrix = np.linalg.solve(np.eye(len(K)) - K, future_rows @ context_rows.T)
+            return matrix, context_rows.shape[1], float(np.sqrt(gap))
+    U, svals, Vt, rank = svd(context_rows, vectors=True)
+    if rank == 0:
+        pinv, sigma_min = np.zeros(np.shape(context_rows)[::-1]), 0.0
+    else:
+        inv = np.zeros_like(svals)
+        inv[:rank] = 1.0 / svals[:rank]
+        pinv, sigma_min = (Vt.T * inv) @ U.T, float(svals[-1])
+    return (pinv if future_rows is None else future_rows @ pinv), rank, sigma_min
 
 
 def numerical_rank(matrix: np.ndarray) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -33,13 +34,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kv import finite_floats, integer, read_pairs
-from ._linalg import spectral_norm
+from ._linalg import prediction_map, spectral_norm
 from .bounds import one_step_bound
 from .errors import HypothesisViolationError
 from .grassmann import BehaviorBasis, Geodesic, check_distance, orthonormal_basis
 from .hankel import persistently_exciting_input, stacked_data_matrix
 from .lti import NoiseSpec, StateSpaceModel, Trajectory, load_model, simulate
-from .predictor import _context_matrix, _full_rank_map, _prediction_map
+from .predictor import _apply, _basis_map, _context_matrix
 
 __all__ = [
     "ExperimentConfig",
@@ -246,7 +247,7 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
 
     context_matrix = _context_matrix(measured, config.Tini, config.Tf)
     b_norms = np.linalg.norm(context_matrix, axis=1)
-    baseline = _full_rank_map(basis).predict(context_matrix)[:, : model.p]
+    baseline = _apply(_basis_map(basis)[0], context_matrix)[:, : model.p]
     return ExperimentWorkspace(
         config=config,
         basis=basis,
@@ -272,9 +273,13 @@ class TrialOutput:
     predictions: np.ndarray  # (steps, p) one-step predictions of the member
 
 
-def _check_index(config: ExperimentConfig, n: int) -> None:
+def _check_index(config: ExperimentConfig, n: int) -> int:
+    """``n`` as an int, the rule `Geodesic.draw` applies to seeds: TypeError
+    for a float, ValueError outside 1..N."""
+    n = operator.index(n)
     if not 1 <= n <= config.N:
         raise ValueError(f"trial index n={n} out of range 1..{config.N}")
+    return n
 
 
 def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
@@ -284,12 +289,14 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
     drawn from seed_perturb; its reported kappa is the measured distance.
     """
     config = workspace.config
-    _check_index(config, n)
+    n = _check_index(config, n)
     target = config.kappas[n - 1]
     perturbed, kappa = workspace.geodesic.member(target)
-    pred_map = _prediction_map(perturbed)  # the map and its sigma_min, from one factorization
-    predictions = pred_map.predict(workspace.context_matrix)[:, : config.model.p]
-    sigma_min, norm_first = pred_map.sigma_min, spectral_norm(perturbed.y_future[: config.model.p])
+    matrix, _, sigma_min = prediction_map(  # the map and its sigma_min, from one factorization
+        perturbed.context_block, perturbed.y_future, perturbed.gram_defect
+    )
+    predictions = _apply(matrix, workspace.context_matrix)[:, : config.model.p]
+    norm_first = spectral_norm(perturbed.y_future[: config.model.p])
     errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
     try:
         bounds = one_step_bound(sigma_min, norm_first, kappa, 1.0) * workspace.b_norms
@@ -341,10 +348,11 @@ def run_single(
 
     Writes ``single_<n>.csv`` with columns t,baseline,perturbed,error,bound
     (output channels are expanded to baseline_i/perturbed_i when p > 1).
-    Returns the records and the measured chordal distance.  An ``n``
-    outside 1..N raises ValueError before any simulation runs.
+    Returns the records and the measured chordal distance.  An ``n`` that
+    is not an integer raises TypeError, and one outside 1..N ValueError,
+    before any simulation runs.
     """
-    _check_index(config, n)
+    n = _check_index(config, n)
     workspace = prepare(config)
     out = run_trial(workspace, n)
     block = out.block

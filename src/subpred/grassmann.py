@@ -317,7 +317,10 @@ def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis
     ``U``.  ``kappa = 0`` returns ``U`` itself.  Deterministic for a fixed
     seed.  The direction's factorization is reused per live basis and seed
     (see `Geodesic.draw`), so calls at several distances on one (basis,
-    seed) make one SVD between them.
+    seed) make one SVD between them.  A caller that reports the distance
+    should call ``Geodesic.draw(U, seed).member(kappa)``, which returns the
+    same basis together with its measured distance, instead of measuring
+    it again.
     """
     return Geodesic.draw(U, seed).member(kappa)[0]
 

@@ -6,9 +6,9 @@ predicted future output is  y_future_rows(X) @ pinv(context_rows(X)) @ b.
 The prediction depends only on the column space of X, not on the particular
 spanning matrix, as long as the context rows have full column rank; that
 invariance is the core property exercised by the test suite.  Every
-prediction goes through one map per matrix: for an orthonormal basis, built
-from its output Gram matrix by `_linalg.orthonormal_map` when that is
-accurate, and otherwise factored by one SVD of the context rows.
+prediction goes through one map per matrix, built by `_linalg.prediction_map`:
+for an orthonormal basis from its output Gram matrix when that is accurate,
+and otherwise from one SVD of the context rows.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._linalg import orthonormal_map, svd
+from ._linalg import prediction_map
 from .errors import RankDeficientError
 from .grassmann import BehaviorBasis
 from .hankel import PartitionedMatrix, stacked_data_matrix
@@ -36,60 +36,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class _PredictionMap:
-    """``matrix`` = future_rows @ pinv(context_rows), plus the rank and
-    smallest singular value of the context rows.  `factor` builds it from
-    one SVD, dropping singular values at or below the shared cutoff, which
-    truncates a rank-deficient block; without future rows the map is the
-    pseudoinverse.  `_prediction_map` builds a basis's map without an SVD
-    where it can.
-    """
-
-    matrix: np.ndarray
-    rank: int
-    sigma_min: float
-
-    @classmethod
-    def factor(cls, context_rows, future_rows=None):
-        U, svals, Vt, rank = svd(context_rows, vectors=True)
-        if rank == 0:
-            pinv, sigma_min = np.zeros(np.shape(context_rows)[::-1]), 0.0
-        else:
-            inv = np.zeros_like(svals)
-            inv[:rank] = 1.0 / svals[:rank]
-            pinv, sigma_min = (Vt.T * inv) @ U.T, float(svals[-1])
-        return cls(pinv if future_rows is None else future_rows @ pinv, rank, sigma_min)
-
-    def predict(self, contexts: np.ndarray) -> np.ndarray:
-        """Predictions for one context (len b,) or a stack (..., len b); each
-        row is bit-identical to its context's alone, unlike contexts @ matrix.T."""
-        return (self.matrix @ contexts[..., None])[..., 0]
-
-    def prediction(self, ctx: PredictionContext) -> Prediction:
-        return Prediction(self.predict(ctx.b), self.sigma_min, self.rank, ctx.p)
-
-
-def _prediction_map(X: PartitionedMatrix | BehaviorBasis) -> _PredictionMap:
-    """The map of X: from the output Gram matrix of a basis when
-    `orthonormal_map` can match the SVD there, else `_PredictionMap.factor`."""
-    if isinstance(X, BehaviorBasis):
-        found = orthonormal_map(X.context_block, X.y_future, X.gram_defect)
-        if found is not None:
-            matrix, sigma_min = found
-            return _PredictionMap(matrix, X.r, sigma_min)
-    return _PredictionMap.factor(X.context_block, X.y_future)
-
-
-def _full_rank_map(U: BehaviorBasis) -> _PredictionMap:
-    """The map of a basis, rejecting context rows without full column rank."""
-    pred_map = _prediction_map(U)
-    if pred_map.rank < U.r:
+def _basis_map(U: BehaviorBasis) -> tuple[np.ndarray, int, float]:
+    """`prediction_map` of a basis, rejecting context rows without full
+    column rank."""
+    matrix, rank, sigma_min = prediction_map(U.context_block, U.y_future, U.gram_defect)
+    if rank < U.r:
         raise RankDeficientError(
-            f"context rows of the basis are rank deficient: rank {pred_map.rank} "
-            f"for {U.r} columns, sigma_min = {pred_map.sigma_min:.3e}"
+            f"context rows of the basis are rank deficient: rank {rank} "
+            f"for {U.r} columns, sigma_min = {sigma_min:.3e}"
         )
-    return pred_map
+    return matrix, rank, sigma_min
+
+
+def _apply(matrix: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+    """Predictions for one context (len b,) or a stack (..., len b); each row
+    is bit-identical to its context's alone, unlike contexts @ matrix.T."""
+    return (matrix @ contexts[..., None])[..., 0]
 
 
 def pseudoinverse(M) -> np.ndarray:
@@ -98,7 +60,7 @@ def pseudoinverse(M) -> np.ndarray:
     Singular values at or below the shared rank cutoff of `_linalg.svd` are
     treated as zero.  A zero matrix maps to a zero matrix.
     """
-    return _PredictionMap.factor(M).matrix
+    return prediction_map(M)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +155,8 @@ def subspace_predict(X: PartitionedMatrix, ctx: PredictionContext) -> Prediction
     rows are truncated at the shared cutoff.
     """
     _check_dims(X, (ctx.m, ctx.p, ctx.Tini, ctx.Tf))
-    return _prediction_map(X).prediction(ctx)
+    matrix, rank, sigma_min = prediction_map(X.context_block, X.y_future)
+    return Prediction(_apply(matrix, ctx.b), sigma_min, rank, ctx.p)
 
 
 def predict_from_subspace(U: BehaviorBasis, ctx: PredictionContext) -> Prediction:
@@ -205,7 +168,8 @@ def predict_from_subspace(U: BehaviorBasis, ctx: PredictionContext) -> Predictio
     factorization.
     """
     _check_dims(U.basis, (ctx.m, ctx.p, ctx.Tini, ctx.Tf))
-    return _full_rank_map(U).prediction(ctx)
+    matrix, rank, sigma_min = _basis_map(U)
+    return Prediction(_apply(matrix, ctx.b), sigma_min, rank, ctx.p)
 
 
 def one_step(pred: Prediction) -> np.ndarray:
@@ -247,4 +211,4 @@ def rolling_one_step(
     """
     contexts = _context_matrix(measured, Tini, Tf)
     _check_dims(U.basis, (measured.m, measured.p, Tini, Tf))
-    return _full_rank_map(U).predict(contexts)[:, : measured.p]
+    return _apply(_basis_map(U)[0], contexts)[:, : measured.p]

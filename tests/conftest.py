@@ -14,17 +14,35 @@ def rng():
     return np.random.default_rng(1234)
 
 
+class FactorizationCalls(list):
+    """Shapes of the matrices passed to np.linalg.svd, in call order, with
+    those passed to np.linalg.eigvalsh and np.linalg.solve (the first
+    argument's) in the lists of the same names; clear() empties all three."""
+
+    def __init__(self):
+        super().__init__()
+        self.eigvalsh, self.solve = [], []
+
+    def clear(self):
+        super().clear()
+        self.eigvalsh.clear()
+        self.solve.clear()
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Shapes of the matrices passed to np.linalg.svd, in call order."""
-    svd = np.linalg.svd
-    calls = []
+    """The factorizations made through np.linalg, as FactorizationCalls."""
+    calls = FactorizationCalls()
 
-    def counting_svd(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return svd(*args, **kwargs)
+    def recording(func, shapes):
+        def recorded(*args, **kwargs):
+            shapes.append(np.shape(args[0]))
+            return func(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return recorded
+
+    for name, shapes in (("svd", calls), ("eigvalsh", calls.eigvalsh), ("solve", calls.solve)):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), shapes))
     return calls
 
 

@@ -10,11 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from subpred import NoiseSpec, StateSpaceModel
-from subpred._linalg import spectral_norm, svd
+from subpred._linalg import prediction_map, spectral_norm, svd
 from subpred.errors import RankDeficientError
 from subpred.grassmann import BehaviorBasis
 from subpred.hankel import PartitionedMatrix
-from subpred.predictor import _PredictionMap
 
 _PINV_PERTURBATION_CONST = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -203,10 +202,10 @@ def first_error_bound_terms(
         raise ValueError(f"b_norm must be finite and nonnegative, got {b_norm}")
     pinvs = []
     for name, X in (("approximate", Hhat), ("true", H)):
-        pred_map = _PredictionMap.factor(X.context_block)
-        if pred_map.rank < X.r:
+        pinv, rank, _ = prediction_map(X.context_block)
+        if rank < X.r:
             raise RankDeficientError(f"{name} context block is not of full column rank")
-        pinvs.append(pred_map.matrix)
+        pinvs.append(pinv)
     pinv_hat, pinv = pinvs
     pinv_gap = spectral_norm(pinv_hat - pinv)
     if direction == "approx":

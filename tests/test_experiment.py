@@ -196,8 +196,9 @@ class TestRunExperiment:
     # the offline stage makes 3 SVDs: the persistency-of-excitation check,
     # the basis and the geodesic direction; a member makes none.  Every map,
     # the baseline's included, comes from the output Gram matrix of its
-    # orthonormal basis, and the bound's norm of y_future[:p] from a Gram
-    # eigenvalue.
+    # orthonormal basis (one eigvalsh and one solve), and a member's bound
+    # takes the norm of y_future[:p] from one more Gram eigvalsh: 2N + 1
+    # eigvalsh and N + 1 solve calls per sweep.
     @pytest.mark.parametrize("mimo", [False, True], ids=["default", "mimo"])
     def test_svd_budget(self, mimo, svd_calls):
         from helpers import random_model
@@ -209,6 +210,8 @@ class TestRunExperiment:
             cfg = ExperimentConfig(model=default_model(), N=3)
         run_experiment(cfg, write=False)
         assert len(svd_calls) == 3
+        assert len(svd_calls.eigvalsh) == 2 * cfg.N + 1
+        assert len(svd_calls.solve) == cfg.N + 1
 
     def test_multichannel_pipeline(self, tmp_path):
         from helpers import random_model
@@ -228,12 +231,22 @@ class TestRunExperiment:
 
 
 class TestRunSingle:
-    @pytest.mark.parametrize("n", [0, 9])  # small_config has N = 8
+    @pytest.mark.parametrize("n", [0, 9, 2.0, True])  # small_config has N = 8
     def test_trial_index_checked_before_simulation(self, small_config, monkeypatch, n):
-        simulated = []
-        monkeypatch.setattr(experiment, "simulate", lambda *a, **k: simulated.append(a))
-        message = rf"^trial index n={n} out of range 1\.\.{small_config.N}$"
-        with pytest.raises(ValueError, match=message):
+        simulated, simulate = [], experiment.simulate
+        monkeypatch.setattr(
+            experiment, "simulate", lambda *a, **k: simulated.append(a) or simulate(*a, **k)
+        )
+        if n is True:  # read as an index, the way Geodesic.draw reads a seed: 1
+            run_single(small_config, n=n)
+            assert len(simulated) == 2
+            assert [p.name for p in Path(small_config.output_dir).iterdir()] == ["single_1.csv"]
+            return
+        if isinstance(n, float):
+            error, message = TypeError, "'float' object cannot be interpreted as an integer"
+        else:
+            error, message = ValueError, rf"^trial index n={n} out of range 1\.\.{small_config.N}$"
+        with pytest.raises(error, match=message):
             run_single(small_config, n=n, write=False)
         assert simulated == []
 

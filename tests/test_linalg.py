@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import cs_basis, random_basis
-from subpred._linalg import EPS, numerical_rank, orthonormal_map, spectral_norm, svd
-from subpred.predictor import _PredictionMap
+from subpred._linalg import EPS, numerical_rank, prediction_map, spectral_norm, svd
 
 
 class TestSvd:
@@ -57,7 +56,7 @@ class TestSpectralNorm:
 
 class TestOrthonormalMap:
     """The map of an orthonormal basis from its output Gram matrix, against
-    the SVD map that `_PredictionMap.factor` builds."""
+    the SVD map that `prediction_map` builds without a Gram defect."""
 
     # Largest relative gap, in the map and in sigma_min, between the two
     # routes on bases with sigma_min >= 0.03; the benchmark inputs showed
@@ -65,22 +64,28 @@ class TestOrthonormalMap:
     MAP_RTOL = 1e-11
 
     @pytest.mark.parametrize("dims", [(2, 3, 3, 3), (3, 3, 10, 10), (4, 4, 16, 16)])
-    def test_matches_svd_map_on_random_mimo_bases(self, rng, dims):
+    def test_matches_svd_map_on_random_mimo_bases(self, rng, svd_calls, dims):
         m, p, Tini, Tf = dims
         r = m * (Tini + Tf) + 2 * p
         bases = [random_basis(rng, dims, r) for _ in range(3)]
         bases += [cs_basis(rng, dims, r, sigma_min) for sigma_min in (0.03, 0.3)]
         for U in bases:
-            reference = _PredictionMap.factor(U.context_block, U.y_future)
-            found = orthonormal_map(U.context_block, U.y_future, U.gram_defect)
-            assert found is not None
-            pred, sigma_min = found
-            gap = np.linalg.norm(pred - reference.matrix) / np.linalg.norm(reference.matrix)
+            ref_matrix, ref_rank, ref_sigma_min = prediction_map(U.context_block, U.y_future)
+            svd_calls.clear()
+            pred, rank, sigma_min = prediction_map(U.context_block, U.y_future, U.gram_defect)
+            assert svd_calls == []  # the Gram route: one eigvalsh and one solve
+            assert svd_calls.eigvalsh == svd_calls.solve == [(p * Tf, p * Tf)]
+            assert rank == ref_rank == r
+            gap = np.linalg.norm(pred - ref_matrix) / np.linalg.norm(ref_matrix)
             assert gap <= self.MAP_RTOL
-            assert abs(sigma_min - reference.sigma_min) <= self.MAP_RTOL * reference.sigma_min
+            assert abs(sigma_min - ref_sigma_min) <= self.MAP_RTOL * ref_sigma_min
 
-    def test_wide_context_rows_decline(self, rng):
+    def test_wide_context_rows_decline(self, rng, svd_calls):
         # 6 context rows for 7 columns: sigma_min = 0, so 1 - lambda_max(K) = 0
         U = random_basis(rng, (1, 1, 1, 4), 7)
         assert U.context_block.shape == (6, 7)
-        assert orthonormal_map(U.context_block, U.y_future, U.gram_defect) is None
+        pred, rank, _ = prediction_map(U.context_block, U.y_future, U.gram_defect)
+        assert svd_calls == [(6, 7)] and svd_calls.solve == []
+        reference, ref_rank, _ = prediction_map(U.context_block, U.y_future)
+        np.testing.assert_array_equal(pred, reference)
+        assert rank == ref_rank == 6

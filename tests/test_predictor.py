@@ -17,11 +17,11 @@ from subpred import (
     subspace_predict,
     trajectory_generation_matrix,
 )
-from subpred._linalg import EPS, IDENTITY_ERROR_TOL, orthonormal_map
+from subpred._linalg import EPS, IDENTITY_ERROR_TOL, prediction_map
 from subpred.errors import RankDeficientError
 from subpred.grassmann import BehaviorBasis
 from subpred.hankel import PartitionedMatrix, persistently_exciting_input
-from subpred.predictor import PredictionContext, _PredictionMap, _prediction_map, context_windows
+from subpred.predictor import PredictionContext, context_windows
 
 
 def _noise_free_data(model, Tini, Tf, seed=0, T=None):
@@ -340,7 +340,9 @@ class TestSharedMap:
         # Stretching one column by 2.5e-11 keeps the span but fails the
         # guard: one SVD serves both the rank check and the map.
         stretched = BehaviorBasis(U.basis.with_data(U.matrix * _stretch(U.r, 2.5e-11)))
-        assert orthonormal_map(stretched.context_block, stretched.y_future, stretched.gram_defect) is None
+        prediction_map(stretched.context_block, stretched.y_future, stretched.gram_defect)
+        assert svd_calls == [U.context_block.shape]
+        svd_calls.clear()
         rolling_one_step(stretched, measured, 10, 10)
         assert svd_calls == [U.context_block.shape]
         svd_calls.clear()
@@ -377,21 +379,21 @@ class TestGramRoute:
         threshold = (gram_defect + q * EPS) / IDENTITY_ERROR_TOL  # sigma_min^2 at the guard
         U = cs_basis(rng, self.DIMS, self.R, np.sqrt(factor * threshold), gram_defect)
         assert U.gram_defect == pytest.approx(gram_defect, rel=0.01)
-        pred_map = _prediction_map(U)
+        matrix, rank, sigma_min = prediction_map(U.context_block, U.y_future, U.gram_defect)
         assert len(svd_calls) == svds
-        reference = _PredictionMap.factor(U.context_block, U.y_future)
-        assert pred_map.rank == reference.rank == self.R
-        gap = np.linalg.norm(pred_map.matrix - reference.matrix) / np.linalg.norm(reference.matrix)
+        ref_matrix, ref_rank, ref_sigma_min = prediction_map(U.context_block, U.y_future)
+        assert rank == ref_rank == self.R
+        gap = np.linalg.norm(matrix - ref_matrix) / np.linalg.norm(ref_matrix)
         assert gap <= IDENTITY_ERROR_TOL
-        assert pred_map.sigma_min == pytest.approx(reference.sigma_min, rel=IDENTITY_ERROR_TOL)
+        assert sigma_min == pytest.approx(ref_sigma_min, rel=IDENTITY_ERROR_TOL)
 
     def test_accepted_gram_defect_routes_to_svd(self, rng, svd_calls):
         # BehaviorBasis accepts a defect up to 1e-10; at sigma_min = 0.03 a
         # defect of 5e-11 leaves the identity only about 5e-8 accurate.
         U = cs_basis(rng, self.DIMS, self.R, 0.03, gram_defect=5e-11)
         assert 4e-11 < U.gram_defect <= 1e-10
-        pred_map = _prediction_map(U)
+        matrix, _, sigma_min = prediction_map(U.context_block, U.y_future, U.gram_defect)
         assert svd_calls == [U.context_block.shape]
-        reference = _PredictionMap.factor(U.context_block, U.y_future)
-        np.testing.assert_array_equal(pred_map.matrix, reference.matrix)
-        assert pred_map.sigma_min == reference.sigma_min == pytest.approx(0.03, rel=1e-9)
+        ref_matrix, _, ref_sigma_min = prediction_map(U.context_block, U.y_future)
+        np.testing.assert_array_equal(matrix, ref_matrix)
+        assert sigma_min == ref_sigma_min == pytest.approx(0.03, rel=1e-9)
