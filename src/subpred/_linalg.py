@@ -41,8 +41,9 @@ def svd(matrix, vectors: bool = False):
 
 def prediction_map(context_rows, future_rows=None, gram_defect=None):
     """``(future_rows @ pinv(context_rows), rank, sigma_min)``, with the rank
-    and smallest singular value of the context rows; without ``future_rows``
-    the map is the pseudoinverse itself.
+    of the context rows and sigma_min their r-th singular value for r
+    columns, which is 0 when they have fewer rows than columns; without
+    ``future_rows`` the map is the pseudoinverse itself.
 
     Given ``gram_defect`` = ||U'U - I||_F of a basis U with these two row
     blocks, the map comes from its output Gram matrix: U'U = I makes
@@ -69,7 +70,9 @@ def prediction_map(context_rows, future_rows=None, gram_defect=None):
     else:
         inv = np.zeros_like(svals)
         inv[:rank] = 1.0 / svals[:rank]
-        pinv, sigma_min = (Vt.T * inv) @ U.T, float(svals[-1])
+        pinv = (Vt.T * inv) @ U.T
+        rows, cols = np.shape(context_rows)
+        sigma_min = float(svals[-1]) if rows >= cols else 0.0  # wide rows: sigma_cols is 0
     return (pinv if future_rows is None else future_rows @ pinv), rank, sigma_min
 
 

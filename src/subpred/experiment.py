@@ -232,7 +232,7 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
         model.m, config.T, order=model.n + L, seed=config.seed_data
     )
     offline = simulate(
-        model, u_offline, noise=_noise(config.sigma, config.seed_noise)
+        model, u_offline, noise=NoiseSpec.relative_gaussian(config.sigma, config.seed_noise)
     )
     data = stacked_data_matrix(offline.inputs, offline.outputs, config.Tini, config.Tf)
     basis = orthonormal_basis(data, r)
@@ -242,7 +242,9 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
         (config.T_sim, model.m)
     )
     measured = simulate(
-        model, u_online, noise=_noise(config.sigma, config.seed_noise + ONLINE_SEED_OFFSET)
+        model,
+        u_online,
+        noise=NoiseSpec.relative_gaussian(config.sigma, config.seed_noise + ONLINE_SEED_OFFSET),
     )
 
     context_matrix = _context_matrix(measured, config.Tini, config.Tf)
@@ -258,12 +260,6 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
         b_norms=b_norms,
         baseline=baseline,
     )
-
-
-def _noise(sigma: float, seed: int) -> NoiseSpec:
-    if sigma == 0:
-        return NoiseSpec.none()
-    return NoiseSpec.relative_gaussian(sigma, seed)
 
 
 @dataclass(frozen=True, eq=False)

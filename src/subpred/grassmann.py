@@ -58,21 +58,23 @@ class PrincipalAngles:
 
 
 @dataclass(frozen=True, eq=False)
-class BehaviorBasis:
-    """An orthonormal spanning matrix of a behavior subspace.
-
-    Wraps a PartitionedMatrix whose columns are orthonormal to within
-    ``ORTHONORMALITY_TOL`` in Frobenius norm; construction rejects anything
-    looser, and keeps the measured defect ||U'U - I||_F as ``gram_defect``.
-    A basis with r columns in ambient dimension q represents a point on the
-    Grassmannian of r-dimensional subspaces of R^q.
+class BehaviorBasis(PartitionedMatrix):
+    """An orthonormal spanning matrix of a behavior subspace: a
+    PartitionedMatrix, built as ``BehaviorBasis(data, m, p, Tini, Tf)``, whose
+    columns are orthonormal to within ``ORTHONORMALITY_TOL`` in Frobenius
+    norm.  Construction runs the PartitionedMatrix checks (private read-only
+    copy, finite entries, dims), rejects anything looser than that
+    tolerance, and keeps the measured defect ||U'U - I||_F as
+    ``gram_defect``.  ``matrix`` is ``data``.  A basis with r columns in
+    ambient dimension q represents a point on the Grassmannian of
+    r-dimensional subspaces of R^q.
     """
 
-    basis: PartitionedMatrix
     gram_defect: float = field(init=False)
 
     def __post_init__(self):
-        mat = self.basis.data
+        super().__post_init__()
+        mat = self.data
         if mat.shape[1] > mat.shape[0]:
             raise ValueError(f"rank {mat.shape[1]} exceeds ambient dimension {mat.shape[0]}")
         gram_defect = np.linalg.norm(mat.T @ mat - np.eye(mat.shape[1]))
@@ -84,27 +86,7 @@ class BehaviorBasis:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.basis.data
-
-    @property
-    def q(self) -> int:
-        return self.basis.q
-
-    @property
-    def r(self) -> int:
-        return self.basis.r
-
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        return self.basis.dims
-
-    @property
-    def context_block(self) -> np.ndarray:
-        return self.basis.context_block
-
-    @property
-    def y_future(self) -> np.ndarray:
-        return self.basis.y_future
+        return self.data
 
 
 def orthonormal_basis(X: PartitionedMatrix, r: int) -> BehaviorBasis:
@@ -122,7 +104,7 @@ def orthonormal_basis(X: PartitionedMatrix, r: int) -> BehaviorBasis:
             f"requested rank r={r} exceeds the numerical rank: "
             f"sigma_{r} = {svals[r - 1]:.3e} is below the cutoff"
         )
-    return BehaviorBasis(X.with_data(np.ascontiguousarray(U[:, :r])))
+    return BehaviorBasis(np.ascontiguousarray(U[:, :r]), *X.dims)
 
 
 def _check_comparable(U: BehaviorBasis, V: BehaviorBasis) -> None:
@@ -188,7 +170,7 @@ def align_basis(U: BehaviorBasis, Uhat: BehaviorBasis) -> BehaviorBasis:
     _check_comparable(U, Uhat)
     P, _, Qt, _ = svd(U.matrix.T @ Uhat.matrix, vectors=True)
     rotation = Qt.T @ P.T
-    return BehaviorBasis(Uhat.basis.with_data(Uhat.matrix @ rotation))
+    return BehaviorBasis(Uhat.matrix @ rotation, *Uhat.dims)
 
 
 def check_distance(q: int, r: int, kappa: float) -> None:
@@ -297,7 +279,7 @@ class Geodesic:
             s = kappa / math.sqrt(k)  # at most 1: check_distance caps kappa at sqrt(k)
             data = self.start.copy()
             data[:, :k] = self.start[:, :k] * math.sqrt((1 - s) * (1 + s)) + self.heading * s
-            perturbed = BehaviorBasis(self.origin.basis.with_data(data))
+            perturbed = BehaviorBasis(data, *self.origin.dims)
         measured = chordal_distance(self.origin, perturbed)
         if not abs(measured - kappa) <= 1e-6 * max(1.0, kappa):
             raise ConvergenceError(
@@ -364,5 +346,4 @@ def load_basis(path) -> BehaviorBasis:
     q = (m + p) * (Tini + Tf)
     if len(rows) != q:
         raise ValueError(f"{path}: expected {q} data rows for the declared dims, got {len(rows)}")
-    matrix = PartitionedMatrix(data=np.array(rows), m=m, p=p, Tini=Tini, Tf=Tf)
-    return BehaviorBasis(matrix)
+    return BehaviorBasis(np.array(rows), m, p, Tini, Tf)

@@ -36,10 +36,13 @@ class PartitionedMatrix:
     """A ((m+p)(Tini+Tf), r) matrix of finite entries with the canonical
     block-row partition.
 
-    Block views are pure slices of ``data``: stacking
-    (u_past, u_future, y_past, y_future) reproduces ``data`` exactly.
-    ``Tini`` or ``Tf`` may be zero for payloads that only need the ambient
-    space (e.g. distance computations); the predictor requires both positive.
+    Construction keeps a private read-only copy of ``data``.  Block views
+    are pure slices of it: stacking (u_past, u_future, y_past, y_future)
+    reproduces ``data`` exactly.  ``Tini`` or ``Tf`` may be zero for
+    payloads that only need the ambient space (e.g. distance computations);
+    the predictor requires both positive.  An orthonormal one is a
+    `grassmann.BehaviorBasis`, a subclass, so a basis goes wherever a
+    PartitionedMatrix does.
     """
 
     data: np.ndarray
@@ -105,10 +108,6 @@ class PartitionedMatrix:
         except the future-output rows."""
         return self.data[: self.q - self.p * self.Tf]
 
-    def with_data(self, data: np.ndarray) -> "PartitionedMatrix":
-        """Same partition, new matrix."""
-        return PartitionedMatrix(data=data, m=self.m, p=self.p, Tini=self.Tini, Tf=self.Tf)
-
 
 def hankel(z, depth: int) -> np.ndarray:
     """Hankel matrix of the given depth for a vector sequence.
@@ -139,7 +138,17 @@ _PE_ATTEMPTS = 10
 def persistently_exciting_input(m: int, T: int, order: int, seed: int) -> np.ndarray:
     """Draw an i.i.d. standard-normal input of shape (T, m) that is
     persistently exciting of the given order from the seeds seed, seed + 1,
-    ..., giving up after ``_PE_ATTEMPTS`` draws."""
+    ..., giving up with ConvergenceError after ``_PE_ATTEMPTS`` draws.
+
+    The depth-``order`` Hankel matrix has m * order rows and T - order + 1
+    columns, so no draw can have full row rank when T < (m + 1) * order - 1;
+    such a T raises ValueError, naming that minimum, before any draw."""
+    shortest = (m + 1) * order - 1
+    if T < shortest:
+        raise ValueError(
+            f"length T={T} is too short for an input persistently exciting of order "
+            f"{order} with m={m} channels: T must be at least (m+1)*order - 1 = {shortest}"
+        )
     for attempt in range(_PE_ATTEMPTS):
         u = np.random.default_rng(seed + attempt).standard_normal((T, m))
         if is_persistently_exciting(u, order):

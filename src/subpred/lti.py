@@ -125,29 +125,27 @@ class StateSpaceModel:
 class NoiseSpec:
     """Output-noise description for `simulate`.
 
-    ``relative-gaussian`` adds, at each step t, a draw from
+    With ``sigma`` > 0, each step t gets a draw from
     N(0, sigma * ||y_t||^2 * I_p) where y_t is the noise-free output, so
-    ``sigma`` acts as a noise-to-signal ratio.  Draws come from a seeded
-    NumPy PCG64 generator, so outputs are bit-reproducible across platforms.
+    ``sigma`` acts as a noise-to-signal ratio; ``sigma`` = 0 adds nothing.
+    Draws come from a seeded NumPy PCG64 generator, so outputs are
+    bit-reproducible across platforms.
     """
 
-    kind: str = "none"
     sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("none", "relative-gaussian"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
     @classmethod
     def none(cls) -> "NoiseSpec":
-        return cls(kind="none")
+        return cls()
 
     @classmethod
     def relative_gaussian(cls, sigma: float, seed: int) -> "NoiseSpec":
-        return cls(kind="relative-gaussian", sigma=float(sigma), seed=int(seed))
+        return cls(sigma=float(sigma), seed=int(seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +207,7 @@ def simulate(
     x0 : array-like, shape (n,), optional
         Finite initial state; defaults to the zero vector.
     noise : NoiseSpec
-        Output disturbance.  With kind ``relative-gaussian`` the step-t output
+        Output disturbance.  With ``sigma`` > 0 the step-t output
         is y_t + sqrt(sigma) * ||y_t|| * z_t, y_t the noise-free output, z one
         (T, p) normal draw from ``default_rng(seed)``, the same stream as T
         draws of size p.  The scale stays finite while y_t is; same seed, same outputs.
@@ -244,7 +242,7 @@ def simulate(
         for t in range(T):
             states[t + 1] = model.A @ states[t] + Bu[t]
         outputs = (model.C @ states[:-1, :, None])[..., 0] + (model.D @ u[:, :, None])[..., 0]
-        if noise.kind == "relative-gaussian":
+        if noise.sigma > 0:
             # Equal to np.linalg.norm(y_t) bit for bit; norm(axis=1) and einsum are not for p >= 3.
             norms = np.sqrt(outputs[:, None, :] @ outputs[:, :, None])[:, 0]
             # ||y_t||^2 overflows once ||y_t|| passes ~1e154: rescale those rows by max|y_t|.

@@ -167,7 +167,7 @@ def predict_from_subspace(U: BehaviorBasis, ctx: PredictionContext) -> Predictio
     spanning the same subspace.  The rank check and the map share one
     factorization.
     """
-    _check_dims(U.basis, (ctx.m, ctx.p, ctx.Tini, ctx.Tf))
+    _check_dims(U, (ctx.m, ctx.p, ctx.Tini, ctx.Tf))
     matrix, rank, sigma_min = _basis_map(U)
     return Prediction(_apply(matrix, ctx.b), sigma_min, rank, ctx.p)
 
@@ -210,5 +210,5 @@ def rolling_one_step(
     equals ``one_step(predict_from_subspace(U, ctx))`` for that window.
     """
     contexts = _context_matrix(measured, Tini, Tf)
-    _check_dims(U.basis, (measured.m, measured.p, Tini, Tf))
+    _check_dims(U, (measured.m, measured.p, Tini, Tf))
     return _apply(_basis_map(U)[0], contexts)[:, : measured.p]

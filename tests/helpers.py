@@ -75,7 +75,7 @@ def simulate_reference(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step simulation oracle: output, noise and state update in one loop,
     with one ``rng.standard_normal(p)`` draw per step.  Returns (states, outputs)."""
-    rng = np.random.default_rng(noise.seed) if noise.kind == "relative-gaussian" else None
+    rng = np.random.default_rng(noise.seed) if noise.sigma > 0 else None
     states = np.empty((len(u) + 1, model.n))
     outputs = np.empty((len(u), model.p))
     states[0] = np.zeros(model.n) if x0 is None else x0
@@ -109,7 +109,7 @@ def random_basis(
     m, p, Tini, Tf = dims
     q = (m + p) * (Tini + Tf)
     Q, _ = np.linalg.qr(rng.standard_normal((q, r)))
-    return BehaviorBasis(PartitionedMatrix(data=Q, m=m, p=p, Tini=Tini, Tf=Tf))
+    return BehaviorBasis(data=Q, m=m, p=p, Tini=Tini, Tf=Tf)
 
 
 def cs_basis(
@@ -137,7 +137,7 @@ def cs_basis(
         random_orthogonal(rng, b)[:, :k] * sines @ V[:, :k].T,
     ])
     data[:, -1] *= 1.0 + gram_defect / 2
-    return BehaviorBasis(PartitionedMatrix(data=data, m=m, p=p, Tini=Tini, Tf=Tf))
+    return BehaviorBasis(data=data, m=m, p=p, Tini=Tini, Tf=Tf)
 
 
 def trial_rows(blocks) -> list[tuple]:

@@ -101,7 +101,7 @@ def test_criterion_01_representation_invariance():
         b_norm = max(np.linalg.norm(ctx.b), 1e-12)
         base = predict_from_subspace(U, ctx).y_pred
         for T in (random_orthogonal(rng, r), conditioned_invertible(rng, r, cond=1e3)):
-            rebased = U.basis.with_data(U.matrix @ T)
+            rebased = PartitionedMatrix(U.matrix @ T, *U.dims)
             gap = np.linalg.norm(subspace_predict(rebased, ctx).y_pred - base)
             worst = max(worst, gap / b_norm)
         assert worst <= 1e-8, f"prediction discrepancy {worst:.3e} exceeds 1e-8*|b|"

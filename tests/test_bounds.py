@@ -209,10 +209,10 @@ class TestFirstErrorBound:
                 ctx = _random_context(rng, example_model, 3, 3)
                 b_norm = np.linalg.norm(ctx.b)
                 actual = np.linalg.norm(
-                    subspace_predict(aligned.basis, ctx).y_pred
-                    - subspace_predict(U.basis, ctx).y_pred
+                    subspace_predict(aligned, ctx).y_pred
+                    - subspace_predict(U, ctx).y_pred
                 )
-                assert first_error_bound(aligned.basis, U.basis, b_norm) >= actual - 1e-12
+                assert first_error_bound(aligned, U, b_norm) >= actual - 1e-12
 
     def test_holds_without_alignment(self, rng, example_model):
         # valid for any representatives, not only Procrustes-aligned ones
@@ -222,14 +222,14 @@ class TestFirstErrorBound:
             ctx = _random_context(rng, example_model, 3, 3)
             b_norm = np.linalg.norm(ctx.b)
             actual = np.linalg.norm(
-                subspace_predict(Uhat.basis, ctx).y_pred - subspace_predict(U.basis, ctx).y_pred
+                subspace_predict(Uhat, ctx).y_pred - subspace_predict(U, ctx).y_pred
             )
-            assert first_error_bound(Uhat.basis, U.basis, b_norm) >= actual - 1e-12
+            assert first_error_bound(Uhat, U, b_norm) >= actual - 1e-12
 
     def test_submatrix_line_no_bigger_than_full_line(self, rng, example_model):
         U = _behavior_basis(example_model, 3, 3)
         Uhat = align_basis(U, perturb_subspace(U, 0.05, seed=3))
-        terms = first_error_bound_terms(Uhat.basis, U.basis, 1.0)
+        terms = first_error_bound_terms(Uhat, U, 1.0)
         assert terms.submatrix_value <= terms.full_value + 1e-15
 
     def test_both_directions_valid(self, rng, example_model):
@@ -238,10 +238,10 @@ class TestFirstErrorBound:
         ctx = _random_context(rng, example_model, 3, 3)
         b_norm = np.linalg.norm(ctx.b)
         actual = np.linalg.norm(
-            subspace_predict(Uhat.basis, ctx).y_pred - subspace_predict(U.basis, ctx).y_pred
+            subspace_predict(Uhat, ctx).y_pred - subspace_predict(U, ctx).y_pred
         )
         for direction in ("approx", "truth"):
-            terms = first_error_bound_terms(Uhat.basis, U.basis, b_norm, direction=direction)
+            terms = first_error_bound_terms(Uhat, U, b_norm, direction=direction)
             assert terms.direction == direction
             assert terms.submatrix_value >= actual - 1e-12
 
@@ -260,7 +260,7 @@ def _mimo_pairs(rng, count):
         model = random_model(rng, n=3, m=2, p=2)
         U = _behavior_basis(model, 3, 2)
         Uhat = align_basis(U, perturb_subspace(U, 0.05, seed=i))
-        yield Uhat.basis, U.basis
+        yield Uhat, U
 
 
 class TestOneFactorizationPerBlock:
@@ -370,7 +370,7 @@ class TestBoundValidityEndToEnd:
             sigma = np.linalg.svd(U.context_block, compute_uv=False)[-1]
             assert sigma >= g - 1e-9
             P = random_orthogonal(rng, U.r)
-            sigma_rot = np.linalg.svd((U.matrix @ P)[: U.q - U.basis.p * Tf], compute_uv=False)[-1]
+            sigma_rot = np.linalg.svd((U.matrix @ P)[: U.q - U.p * Tf], compute_uv=False)[-1]
             assert sigma_rot >= g - 1e-9
 
     def test_full_horizon_bound_holds(self, rng):

@@ -1,15 +1,17 @@
 import csv
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import random_basis, random_orthogonal
 from subpred import format_model, perturb_subspace, save_basis, simulate
-from subpred.cli import main
-from subpred.experiment import default_model
+from subpred.cli import load_context, main
+from subpred.experiment import default_model, load_config
 from subpred.grassmann import BehaviorBasis
-from subpred.hankel import PartitionedMatrix, persistently_exciting_input, stacked_data_matrix
+from subpred.hankel import persistently_exciting_input, stacked_data_matrix
 from subpred.grassmann import orthonormal_basis
 
 DIMS = (1, 1, 2, 2)
@@ -21,7 +23,7 @@ def _line_basis(q, angle):
     mat[0, 0] = np.cos(angle)
     mat[1, 0] = np.sin(angle)
     # Tf = 0: distance-only payload in ambient dimension q = (m+p)*Tini
-    return BehaviorBasis(PartitionedMatrix(data=mat, m=1, p=1, Tini=q // 2, Tf=0))
+    return BehaviorBasis(data=mat, m=1, p=1, Tini=q // 2, Tf=0)
 
 
 class TestDistanceCommand:
@@ -120,7 +122,7 @@ class TestPredictCommand:
         )
         assert main(["predict", "--basis", str(path), "--context", str(ctx_path)]) == 0
         first = capsys.readouterr().out
-        rotated = BehaviorBasis(basis.basis.with_data(basis.matrix @ random_orthogonal(rng, basis.r)))
+        rotated = BehaviorBasis(basis.matrix @ random_orthogonal(rng, basis.r), *basis.dims)
         rot_path = tmp_path / "rotated.csv"
         save_basis(rot_path, rotated)
         assert main(["predict", "--basis", str(rot_path), "--context", str(ctx_path)]) == 0
@@ -133,7 +135,7 @@ class TestPredictCommand:
         mat = np.zeros((4, 2))
         mat[1, 0] = 1.0
         mat[3, 1] = 1.0
-        basis = BehaviorBasis(PartitionedMatrix(data=mat, m=1, p=1, Tini=1, Tf=1))
+        basis = BehaviorBasis(data=mat, m=1, p=1, Tini=1, Tf=1)
         path = tmp_path / "basis.csv"
         save_basis(path, basis)
         ctx_path = tmp_path / "ctx.txt"
@@ -334,7 +336,7 @@ class TestExperimentCommands:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("Tini = 1\nTf = 4\nT = 40\nN = 10\nkappa_max = 0.05\noutput_dir = o\n")
         assert main(["experiment", "--config", str(cfg)]) == 4
-        assert "rank 6 for 7 columns" in capsys.readouterr().err
+        assert "rank 6 for 7 columns, sigma_min = 0.000e+00" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_target_near_reachable_limit_exit_0(self, tmp_path, capsys):
@@ -359,6 +361,8 @@ class TestExperimentCommands:
             ("kappa_grid = 0.1,2.0", "unreachable"),
             ("sigma = x", "{cfg}: sigma: could not convert string to float: 'x'"),
             ("kappa_grid = 0.1,y", "{cfg}: kappa_grid: could not convert string to float: 'y'"),
+            # order n + Tini + Tf = 6 for m = 1: no input of length 10 is exciting
+            ("T = 10", "T must be at least (m+1)*order - 1 = 11"),
         ],
     )
     def test_bad_config_exit_2_before_simulation(self, tmp_path, monkeypatch, capsys, line, message):
@@ -386,3 +390,28 @@ class TestExperimentCommands:
             assert main(["experiment", "--config", str(cfg)]) == 2
         assert "simulation diverged" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestReadmeExamples:
+    """The README's file examples are valid input as written."""
+
+    @staticmethod
+    def _block(section):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        match = re.search(rf"^### {re.escape(section)}\n.*?^```\n(.*?)^```$", readme, re.M | re.S)
+        assert match is not None, section
+        return match.group(1)
+
+    def test_config_and_model_load(self, tmp_path):
+        (tmp_path / "model.txt").write_text(self._block("Model file"))
+        (tmp_path / "exp.cfg").write_text(self._block("Configuration file"))
+        config = load_config(tmp_path / "exp.cfg")
+        np.testing.assert_array_equal(config.model.A, default_model().A)
+        assert (config.Tini, config.Tf, config.T, config.N, config.kappa_grid) == (4, 2, 30, 100, None)
+        assert config.output_dir == str(tmp_path / "out")
+
+    def test_context_loads(self, tmp_path):
+        (tmp_path / "ctx.txt").write_text(self._block("Context file (for `behave predict`)"))
+        ctx = load_context(tmp_path / "ctx.txt")
+        assert (ctx.m, ctx.p, ctx.Tini, ctx.Tf) == (1, 1, 4, 4)
+        np.testing.assert_array_equal(ctx.y_ini, [0.0, 1.0, 1.04, 1.122])

@@ -146,7 +146,7 @@ class TestStackedDataMatrix:
             traj = simulate(model, u, x0=rng.standard_normal(model.n))
             X = stacked_data_matrix(traj.inputs, traj.outputs, Tini, Tf)
             assert numerical_rank(X.data) == r
-            phi = X.with_data(trajectory_generation_matrix(model, L))
+            phi = PartitionedMatrix(trajectory_generation_matrix(model, L), *X.dims)
             d = chordal_distance(orthonormal_basis(X, r), orthonormal_basis(phi, r))
             assert d < 1e-8
 

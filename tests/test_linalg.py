@@ -84,8 +84,10 @@ class TestOrthonormalMap:
         # 6 context rows for 7 columns: sigma_min = 0, so 1 - lambda_max(K) = 0
         U = random_basis(rng, (1, 1, 1, 4), 7)
         assert U.context_block.shape == (6, 7)
-        pred, rank, _ = prediction_map(U.context_block, U.y_future, U.gram_defect)
+        pred, rank, sigma_min = prediction_map(U.context_block, U.y_future, U.gram_defect)
         assert svd_calls == [(6, 7)] and svd_calls.solve == []
-        reference, ref_rank, _ = prediction_map(U.context_block, U.y_future)
+        reference, ref_rank, ref_sigma_min = prediction_map(U.context_block, U.y_future)
         np.testing.assert_array_equal(pred, reference)
         assert rank == ref_rank == 6
+        # sigma_7 of 7 columns, not sigma_6, the smallest of the 6 rows
+        assert sigma_min == ref_sigma_min == 0.0

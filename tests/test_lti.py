@@ -85,7 +85,7 @@ class TestSimulate:
         # rejected at the noise argument, before simulate could blame the model
         match = "sigma must be finite and nonnegative"
         with pytest.raises(ValueError, match=match):
-            NoiseSpec(kind="relative-gaussian", sigma=sigma)
+            NoiseSpec(sigma=sigma)
         with pytest.raises(ValueError, match=match):
             NoiseSpec.relative_gaussian(sigma, seed=0)
 
@@ -346,9 +346,29 @@ class TestPersistentlyExcitingInput:
         u = persistently_exciting_input(2, 40, order=6, seed=5)
         np.testing.assert_array_equal(u, np.random.default_rng(7).standard_normal((40, 2)))
 
-    def test_gives_up_after_ten_attempts(self):
+    def test_gives_up_after_ten_attempts(self, monkeypatch):
         from subpred.errors import ConvergenceError
 
-        # 5 samples give a depth-4 Hankel matrix of 2 columns, never of rank 4
-        with pytest.raises(ConvergenceError, match=r"order 4 \(m=1, T=5\) after 10 attempts"):
-            persistently_exciting_input(1, 5, order=4, seed=0)
+        # T = 7 is long enough for order 4, so only unlucky draws fail: fake ten
+        hankel_module = importlib.import_module("subpred.hankel")
+        seen = []
+
+        def never(u, order):
+            seen.append(u)
+            return False
+
+        monkeypatch.setattr(hankel_module, "is_persistently_exciting", never)
+        with pytest.raises(ConvergenceError, match=r"order 4 \(m=1, T=7\) after 10 attempts"):
+            persistently_exciting_input(1, 7, order=4, seed=0)
+        assert len(seen) == 10
+
+    @pytest.mark.parametrize("m, order", [(1, 10), (2, 6), (3, 4)], ids=["siso", "mimo-2", "mimo-3"])
+    def test_shortest_length(self, svd_calls, m, order):
+        # order * m Hankel rows need as many columns, T - order + 1
+        shortest = (m + 1) * order - 1
+        u = persistently_exciting_input(m, shortest, order=order, seed=0)
+        assert u.shape == (shortest, m) and len(svd_calls) == 1
+        svd_calls.clear()
+        with pytest.raises(ValueError, match=rf"T={shortest - 1} is too short.* = {shortest}$"):
+            persistently_exciting_input(m, shortest - 1, order=order, seed=0)
+        assert svd_calls == []  # rejected before any draw

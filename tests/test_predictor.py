@@ -176,7 +176,7 @@ class TestRepresentationInvariance:
         base = predict_from_subspace(U, ctx).y_pred
         for _ in range(5):
             Q = random_orthogonal(rng, 8)
-            rotated = BehaviorBasis(U.basis.with_data(U.matrix @ Q))
+            rotated = BehaviorBasis(U.matrix @ Q, *U.dims)
             np.testing.assert_allclose(
                 predict_from_subspace(rotated, ctx).y_pred, base, atol=1e-10
             )
@@ -196,14 +196,14 @@ class TestRepresentationInvariance:
         bnorm = np.linalg.norm(ctx.b)
         for _ in range(5):
             T = conditioned_invertible(rng, X.r, cond=1e3)
-            rebased = X.with_data(X.data @ T)
+            rebased = PartitionedMatrix(X.data @ T, *X.dims)
             assert np.linalg.norm(subspace_predict(rebased, ctx).y_pred - base) <= 1e-8 * bnorm
 
     def test_generator_and_data_agree(self, example_model):
         # the generator matrix and the Hankel data span the same behavior
         Tini, Tf = 3, 3
         X = _noise_free_data(example_model, Tini, Tf)
-        phi = X.with_data(trajectory_generation_matrix(example_model, Tini + Tf))
+        phi = PartitionedMatrix(trajectory_generation_matrix(example_model, Tini + Tf), *X.dims)
         ctx, _ = _true_window_context(example_model, Tini, Tf, seed=6)
         np.testing.assert_allclose(
             subspace_predict(phi, ctx).y_pred, subspace_predict(X, ctx).y_pred, atol=1e-8
@@ -219,7 +219,7 @@ class TestRepresentationInvariance:
             ctx, _ = _true_window_context(model, Tini, Tf, seed=int(rng.integers(2**31)))
             base = predict_from_subspace(U, ctx).y_pred
             T = conditioned_invertible(rng, r, cond=1e3)
-            rebased = U.basis.with_data(U.matrix @ T)
+            rebased = PartitionedMatrix(U.matrix @ T, *U.dims)
             got = subspace_predict(rebased, ctx).y_pred
             assert np.linalg.norm(got - base) <= 1e-8 * max(1.0, np.linalg.norm(ctx.b))
 
@@ -229,7 +229,7 @@ class TestRepresentationInvariance:
         mat = np.zeros((4, 2))
         mat[1, 0] = 1.0  # future-input row
         mat[3, 1] = 1.0  # future-output row
-        basis = BehaviorBasis(PartitionedMatrix(data=mat, m=1, p=1, Tini=1, Tf=1))
+        basis = BehaviorBasis(data=mat, m=1, p=1, Tini=1, Tf=1)
         ctx = PredictionContext(u_ini=[1.0], u=[1.0], y_ini=[1.0], m=1, p=1, Tini=1, Tf=1)
         with pytest.raises(RankDeficientError, match="sigma_min"):
             predict_from_subspace(basis, ctx)
@@ -339,7 +339,7 @@ class TestSharedMap:
         assert svd_calls == []
         # Stretching one column by 2.5e-11 keeps the span but fails the
         # guard: one SVD serves both the rank check and the map.
-        stretched = BehaviorBasis(U.basis.with_data(U.matrix * _stretch(U.r, 2.5e-11)))
+        stretched = BehaviorBasis(U.matrix * _stretch(U.r, 2.5e-11), *U.dims)
         prediction_map(stretched.context_block, stretched.y_future, stretched.gram_defect)
         assert svd_calls == [U.context_block.shape]
         svd_calls.clear()
@@ -353,7 +353,7 @@ class TestSharedMap:
         mat = np.zeros((4, 2))
         mat[1, 0] = 1.0  # future-input row
         mat[3, 1] = 1.0  # future-output row: the context block loses a column
-        basis = BehaviorBasis(PartitionedMatrix(data=mat, m=1, p=1, Tini=1, Tf=1))
+        basis = BehaviorBasis(data=mat, m=1, p=1, Tini=1, Tf=1)
         measured = simulate(
             StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]]), np.ones((5, 1))
         )
