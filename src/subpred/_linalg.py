@@ -3,9 +3,11 @@
 Every SVD in the library goes through `svd`, and every rank decision uses
 its relative cutoff: a singular value counts toward the rank when it exceeds
 ``max(rows, cols) * machine_eps * sigma_max``.  `prediction_map` builds
-every prediction map: an orthonormal basis's from its output Gram matrix
-when that matches the SVD, and any other from one SVD.  `spectral_norm`
-takes sigma_max from a Gram eigenvalue.
+the prediction map of a matrix: an orthonormal basis's from its output Gram
+matrix when that matches the SVD, and any other from one SVD.  That Gram
+route is `gram_map`, which the experiment sweep also calls with a member's
+Gram matrices formed from its geodesic's blocks.  `spectral_norm` takes
+sigma_max from a Gram eigenvalue.
 """
 
 from __future__ import annotations
@@ -58,12 +60,12 @@ def prediction_map(context_rows, future_rows=None, gram_defect=None):
     rank-deficient block.
     """
     if gram_defect is not None:
-        K = future_rows @ future_rows.T
-        gap = 1.0 - float(np.linalg.eigvalsh(K).max(initial=0.0))
-        q = context_rows.shape[0] + future_rows.shape[0]
-        if gram_defect + q * EPS <= IDENTITY_ERROR_TOL * gap:
-            matrix = np.linalg.solve(np.eye(len(K)) - K, future_rows @ context_rows.T)
-            return matrix, context_rows.shape[1], float(np.sqrt(gap))
+        routed = gram_map(
+            future_rows @ future_rows.T, future_rows @ context_rows.T, gram_defect,
+            context_rows.shape[0] + future_rows.shape[0],
+        )
+        if routed is not None:
+            return routed[0], context_rows.shape[1], routed[1]
     U, svals, Vt, rank = svd(context_rows, vectors=True)
     if rank == 0:
         pinv, sigma_min = np.zeros(np.shape(context_rows)[::-1]), 0.0
@@ -74,6 +76,25 @@ def prediction_map(context_rows, future_rows=None, gram_defect=None):
         rows, cols = np.shape(context_rows)
         sigma_min = float(svals[-1]) if rows >= cols else 0.0  # wide rows: sigma_cols is 0
     return (pinv if future_rows is None else future_rows @ pinv), rank, sigma_min
+
+
+def gram_map(gram, cross, gram_defect, q, rows=None):
+    """The Gram route of `prediction_map`, as ``(map, sigma_min)``, for a
+    basis of ``q`` rows known through ``gram`` = K = Yf Yf', ``cross`` =
+    Yf C' (C its context rows) and an upper bound ``gram_defect`` on
+    ||U'U - I||_F; None when the error estimate (gram_defect + q * eps) /
+    sigma_min^2 exceeds IDENTITY_ERROR_TOL.  With ``rows``, the map's first
+    ``rows`` rows only, from one solve with that many right-hand sides: K is
+    symmetric, so they are the transposed solution times ``cross``."""
+    gap = 1.0 - float(np.linalg.eigvalsh(gram).max(initial=0.0))
+    if not gram_defect + q * EPS <= IDENTITY_ERROR_TOL * gap:
+        return None
+    eye = np.eye(len(gram))
+    if rows is None:
+        matrix = np.linalg.solve(eye - gram, cross)
+    else:
+        matrix = np.linalg.solve(eye - gram, eye[:, :rows]).T @ cross
+    return matrix, float(np.sqrt(gap))
 
 
 def numerical_rank(matrix: np.ndarray) -> int:

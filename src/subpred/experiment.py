@@ -10,6 +10,12 @@ makes the average error a smooth, near-linear function of the distance, as
 opposed to independent per-member directions whose direction-dependent
 sensitivity scatters the trend.
 
+Every number the sweep takes from a member is a quadratic form in the
+blend's coefficients, so `prepare` forms the geodesic's blocks once and a
+member is evaluated from them without a member matrix (`_member`), at a
+cost that does not grow with the ambient dimension q.  A member whose Gram
+route the guard declines is built and measured as the library builds it.
+
 Seeds are split into three independent streams (offline/online data input,
 measurement noise, perturbation direction).  The online streams use the
 corresponding seed plus ``ONLINE_SEED_OFFSET`` so they never collide with the
@@ -17,6 +23,9 @@ offline draws.  Every output is a pure function of the configuration and
 the numerical libraries, so repeated runs on one numpy/BLAS build at one
 BLAS thread count are byte-identical.  Another thread count can round the
 offline basis's SVD differently, and with it every member's last digits.
+The block-built numbers agree with the library path (`perturb_subspace`,
+`chordal_distance`, `predict_from_subspace`) to rounding, not bit for bit;
+a declined member has that path's bits.
 """
 
 from __future__ import annotations
@@ -34,10 +43,18 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kv import finite_floats, integer, read_pairs
-from ._linalg import prediction_map, spectral_norm
+from ._linalg import EPS, gram_map, prediction_map, spectral_norm
 from .bounds import one_step_bound
 from .errors import HypothesisViolationError
-from .grassmann import BehaviorBasis, Geodesic, check_distance, orthonormal_basis
+from .grassmann import (
+    ORTHONORMALITY_TOL,
+    BehaviorBasis,
+    Geodesic,
+    _cross_checked,
+    _on_target,
+    check_distance,
+    orthonormal_basis,
+)
 from .hankel import persistently_exciting_input, stacked_data_matrix
 from .lti import NoiseSpec, StateSpaceModel, Trajectory, load_model, simulate
 from .predictor import _apply, _basis_map, _context_matrix
@@ -203,16 +220,78 @@ class SingleRecord(NamedTuple):
     bound: float | None
 
 
+class _MemberBlocks(NamedTuple):
+    """The fixed blocks of the sweep's geodesic from which `_member`
+    evaluates every member.  The member at kappa is [c S1 + s H, S2], with
+    S = [S1 S2] the geodesic's start split at column k, H its heading,
+    s = kappa / sqrt(k) and c = sqrt(1 - s^2), so each number the sweep
+    takes from it is a quadratic form in (c, s).  ``gram``, ``cross`` and
+    the rows of ``squares`` stack the blocks of one form each, weighted by
+    (1, c^2, s^2, cs) in that order: K = Yf Yf' (pTf x pTf), Yf C'
+    (pTf x (q - pTf)), with Yf the member's future-output rows and C its
+    context rows, and the squared distance and squared swapped residual.
+    ``defect`` holds the Frobenius norms of the blocks of Q'Q - I, with
+    Q = [S1 S2 H], that bound a member's Gram defect."""
+
+    k: int
+    gram: np.ndarray  # (4, pTf, pTf)
+    cross: np.ndarray  # (4, pTf, q - pTf)
+    squares: np.ndarray  # (2, 4)
+    defect: tuple[float, ...]  # E11, Ehh, E1h + Eh1, E12, Eh2, E22
+
+
+def _member_blocks(geodesic: Geodesic, future: int) -> _MemberBlocks:
+    """The blocks of ``geodesic`` whose members have ``future`` output rows.
+
+    The distance is ||(I - UU')B||_F for the origin U and member B, and
+    (I - UU')B = [c P1 + s Hp, P2] with P = (I - UU')S and Hp = (I - UU')H
+    formed here once: its square is a sum of squares and a rounding-sized
+    cross term, which does not cancel at small kappa the way
+    r - ||U'B||_F^2 does.  The swapped residual is the component of S
+    outside span B, S - B(S'B)'.  In the coordinates of Q it is
+    [s^2 I 0; 0 0; -cs I 0] - [c Z; E2; s Z], where E1, E2 and Eh are the
+    row blocks of (Q'Q - I)[:, :r] and Z = c E1 + s Eh; the cross terms
+    cancel, leaving s^2 k + ||Z||^2 + ||E2||^2.  Reading Q as orthonormal
+    scales that norm by at most 1 +- ||Q'Q - I||_2.  Q is never formed:
+    each product is taken of S and H apart, which holds fewer q-row arrays
+    at once."""
+    origin, start, heading = geodesic.origin.matrix, geodesic.start, geodesic.heading
+    q, r = start.shape
+    k = heading.shape[1]
+    P1, P2 = np.split(start - origin @ (origin.T @ start), [k], axis=1)
+    Hp = heading - origin @ (origin.T @ heading)
+    distance = [np.vdot(P2, P2), np.vdot(P1, P1), np.vdot(Hp, Hp), 2 * np.vdot(P1, Hp)]
+    # Q'Q - I = [S'S - I, S'H; H'S, H'H - I]: E1 and E2 are the rows of
+    # S'S - I, and Eh = H'S
+    Es, Ehh, Eh = start.T @ start, heading.T @ heading, heading.T @ start
+    Es.flat[:: r + 1] -= 1.0
+    Ehh.flat[:: k + 1] -= 1.0
+    E1, E2 = Es[:k], Es[k:]
+    swapped = [np.vdot(E2, E2), np.vdot(E1, E1), k + np.vdot(Eh, Eh), 2 * np.vdot(E1, Eh)]
+    blocks = (E1[:, :k], Ehh, Eh[:, :k] + Eh[:, :k].T, E1[:, k:], Eh[:, k:], E2[:, k:])
+    (M1, M2), (Y1, Y2) = (np.split(rows, [k], axis=1) for rows in np.split(start, [q - future]))
+    Mh, Yh = np.split(heading, [q - future])
+    mixed = Y1 @ Yh.T
+    return _MemberBlocks(
+        k=k,
+        gram=np.stack([Y2 @ Y2.T, Y1 @ Y1.T, Yh @ Yh.T, mixed + mixed.T]),
+        cross=np.stack([Y2 @ M2.T, Y1 @ M1.T, Yh @ Mh.T, Y1 @ Mh.T + Yh @ M1.T]),
+        squares=np.array([distance, swapped]),
+        defect=tuple(float(np.linalg.norm(b)) for b in blocks),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentWorkspace:
     """Everything shared by the trials of one configuration: the baseline
-    basis from offline data, the geodesic the perturbed family lies on, the
-    measured online trajectory, the sliding contexts, and the baseline
-    one-step predictions."""
+    basis from offline data, the geodesic the perturbed family lies on and
+    its blocks, the measured online trajectory, the sliding contexts, and
+    the baseline one-step predictions."""
 
     config: ExperimentConfig
     basis: BehaviorBasis
     geodesic: Geodesic
+    blocks: _MemberBlocks
     measured: Trajectory
     steps: tuple[int, ...]
     context_matrix: np.ndarray  # (steps, len(b)) stacked context vectors
@@ -254,6 +333,7 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
         config=config,
         basis=basis,
         geodesic=geodesic,
+        blocks=_member_blocks(geodesic, model.p * config.Tf),
         measured=measured,
         steps=tuple(range(config.Tini, config.T_sim - config.Tf + 1)),
         context_matrix=context_matrix,
@@ -265,7 +345,6 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
 @dataclass(frozen=True, eq=False)
 class TrialOutput:
     block: TrialBlock
-    basis: BehaviorBasis
     predictions: np.ndarray  # (steps, p) one-step predictions of the member
 
 
@@ -278,21 +357,65 @@ def _check_index(config: ExperimentConfig, n: int) -> int:
     return n
 
 
+def _defect_bound(blocks: _MemberBlocks, c: float, s: float) -> float:
+    """An upper bound on ||B'B - I||_F for the member B with blend
+    coefficients (c, s): the triangle inequality on the blocks of
+    B'B - I = [c^2 E11 + cs (E1h + Eh1) + s^2 Ehh, c E12 + s Eh2; *, E22]
+    (E = Q'Q - I), plus 6 eps sqrt(k), which covers c^2 + s^2 - 1 (at most
+    3 eps per column) and the rounding that forming the blend adds in
+    `Geodesic.member` (at most 2 sqrt(2) eps sqrt(k))."""
+    e11, ehh, e1h, e12, eh2, e22 = blocks.defect
+    top_left, top_right = c * c * e11 + s * s * ehh + c * s * e1h, c * e12 + s * eh2
+    return math.sqrt(top_left**2 + 2 * top_right**2 + e22**2) + 6 * EPS * math.sqrt(blocks.k)
+
+
+def _member(blocks: _MemberBlocks, kappa: float, p: int):
+    """``(measured distance, first p rows of the map, sigma_min,
+    ||Yf[:p]||_2)`` of the member at target ``kappa``, from the geodesic's
+    ``blocks`` with no member matrix; None when the Gram route's guard
+    declines it.  The distance passes `chordal_distance`'s cross-check and
+    `Geodesic.member`'s target check, and the guard reads `_defect_bound`."""
+    s = kappa / math.sqrt(blocks.k)
+    c = math.sqrt((1 - s) * (1 + s))
+    weights = np.array([1.0, c * c, s * s, c * s])
+    d, swapped = (math.sqrt(max(0.0, x)) for x in blocks.squares @ weights)
+    measured = _on_target(kappa, _cross_checked(d, swapped))
+    defect = _defect_bound(blocks, c, s)
+    if not defect <= ORTHONORMALITY_TOL:  # BehaviorBasis may reject the blend: build it
+        return None
+    gram = np.tensordot(weights, blocks.gram, 1)
+    cross = np.tensordot(weights, blocks.cross, 1)
+    routed = gram_map(gram, cross, defect, len(gram) + cross.shape[1], rows=p)
+    if routed is None:
+        return None
+    # ||Yf[:p]||_2^2 is lambda_max of K[:p, :p], which is its spectral norm
+    return measured, *routed, math.sqrt(spectral_norm(gram[:p, :p]))
+
+
 def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
     """Evaluate perturbation index n (1-based) of the configured family.
 
     Member n lies at target distance kappas[n-1] along the shared geodesic
     drawn from seed_perturb; its reported kappa is the measured distance.
+    The member is evaluated from the geodesic's blocks (`_member`), with no
+    member matrix.  When the Gram route's guard declines, it is built and
+    measured by `Geodesic.member` and mapped by `prediction_map`, as the
+    library path does, so its outputs are that path's bits.
     """
     config = workspace.config
     n = _check_index(config, n)
     target = config.kappas[n - 1]
-    perturbed, kappa = workspace.geodesic.member(target)
-    matrix, _, sigma_min = prediction_map(  # the map and its sigma_min, from one factorization
-        perturbed.context_block, perturbed.y_future, perturbed.gram_defect
-    )
-    predictions = _apply(matrix, workspace.context_matrix)[:, : config.model.p]
-    norm_first = spectral_norm(perturbed.y_future[: config.model.p])
+    p = config.model.p
+    member = _member(workspace.blocks, target, p)
+    if member is None:
+        perturbed, kappa = workspace.geodesic.member(target)
+        matrix, _, sigma_min = prediction_map(  # the map and its sigma_min, from one factorization
+            perturbed.context_block, perturbed.y_future, perturbed.gram_defect
+        )
+        norm_first = spectral_norm(perturbed.y_future[:p])
+    else:
+        kappa, matrix, sigma_min, norm_first = member
+    predictions = _apply(matrix, workspace.context_matrix)[:, :p]
     errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
     try:
         bounds = one_step_bound(sigma_min, norm_first, kappa, 1.0) * workspace.b_norms
@@ -306,7 +429,6 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
             )
     return TrialOutput(
         block=TrialBlock(n, kappa, workspace.steps, errors, bounds, sigma_min),
-        basis=perturbed,
         predictions=predictions,
     )
 

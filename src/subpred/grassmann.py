@@ -149,8 +149,12 @@ def chordal_distance(U: BehaviorBasis, V: BehaviorBasis) -> float:
     _check_comparable(U, V)
     A, B = U.matrix, V.matrix
     M = A.T @ B
-    d = float(np.linalg.norm(B - A @ M))
-    swapped = float(np.linalg.norm(A - B @ M.T))
+    return _cross_checked(float(np.linalg.norm(B - A @ M)), float(np.linalg.norm(A - B @ M.T)))
+
+
+def _cross_checked(d: float, swapped: float) -> float:
+    """``d``, once it agrees with the swapped residual norm to 1e-10;
+    ArithmeticError otherwise."""
     if abs(d - swapped) > 1e-10:
         raise ArithmeticError(
             f"chordal distance formulas disagree: residual norm gives {d!r}, "
@@ -280,12 +284,15 @@ class Geodesic:
             data = self.start.copy()
             data[:, :k] = self.start[:, :k] * math.sqrt((1 - s) * (1 + s)) + self.heading * s
             perturbed = BehaviorBasis(data, *self.origin.dims)
-        measured = chordal_distance(self.origin, perturbed)
-        if not abs(measured - kappa) <= 1e-6 * max(1.0, kappa):
-            raise ConvergenceError(
-                f"member for kappa={kappa} measures distance {measured!r}"
-            )
-        return perturbed, measured
+        return perturbed, _on_target(kappa, chordal_distance(self.origin, perturbed))
+
+
+def _on_target(kappa: float, measured: float) -> float:
+    """``measured``, once it lies within 1e-6 * max(1, kappa) of the target
+    ``kappa``; ConvergenceError otherwise."""
+    if not abs(measured - kappa) <= 1e-6 * max(1.0, kappa):
+        raise ConvergenceError(f"member for kappa={kappa} measures distance {measured!r}")
+    return measured
 
 
 def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis:
@@ -299,10 +306,12 @@ def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis
     ``U``.  ``kappa = 0`` returns ``U`` itself.  Deterministic for a fixed
     seed.  The direction's factorization is reused per live basis and seed
     (see `Geodesic.draw`), so calls at several distances on one (basis,
-    seed) make one SVD between them.  A caller that reports the distance
-    should call ``Geodesic.draw(U, seed).member(kappa)``, which returns the
-    same basis together with its measured distance, instead of measuring
-    it again.
+    seed) make one SVD between them.  The measured distance is dropped, so
+    a caller that reports it would have to measure it again; it should call
+    ``Geodesic.draw(U, seed).member(kappa)`` instead, which returns the same
+    basis together with its measured distance.  The experiment sweep calls
+    neither: it evaluates its members from the geodesic's blocks and
+    measures each distance there.
     """
     return Geodesic.draw(U, seed).member(kappa)[0]
 

@@ -11,6 +11,7 @@ window; no row permutation is needed and none is applied.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,13 @@ class PartitionedMatrix:
     """A ((m+p)(Tini+Tf), r) matrix of finite entries with the canonical
     block-row partition.
 
-    Construction keeps a private read-only copy of ``data``.  Block views
-    are pure slices of it: stacking (u_past, u_future, y_past, y_future)
-    reproduces ``data`` exactly.  ``Tini`` or ``Tf`` may be zero for
-    payloads that only need the ambient space (e.g. distance computations);
-    the predictor requires both positive.  An orthonormal one is a
+    Construction keeps a private read-only copy of ``data`` and reads each
+    dim with `operator.index`, so a float dim raises TypeError and a numpy
+    integer is stored as an int.  Block views are pure slices of the data:
+    stacking (u_past, u_future, y_past, y_future) reproduces ``data``
+    exactly.  ``Tini`` or ``Tf`` may be zero for payloads that only need
+    the ambient space (e.g. distance computations); the predictor requires
+    both positive.  An orthonormal one is a
     `grassmann.BehaviorBasis`, a subclass, so a basis goes wherever a
     PartitionedMatrix does.
     """
@@ -52,6 +55,8 @@ class PartitionedMatrix:
     Tf: int
 
     def __post_init__(self):
+        for name in ("m", "p", "Tini", "Tf"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         data = np.array(self.data, dtype=float, order="C")  # private copy, safe to freeze
         if data.ndim != 2:
             raise ValueError(f"data must be 2-dimensional, got shape {data.shape}")

@@ -13,6 +13,7 @@ and otherwise from one SVD of the context rows.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -68,7 +69,8 @@ class PredictionContext:
     """The vector b = (u_ini, u, y_ini) together with its window dimensions.
 
     ``u_ini`` has length m*Tini, ``u`` length m*Tf, ``y_ini`` length p*Tini,
-    and every entry is finite.
+    and every entry is finite.  Each dim is read with `operator.index`, so a
+    float dim raises TypeError and a numpy integer is stored as an int.
     """
 
     u_ini: np.ndarray
@@ -80,6 +82,8 @@ class PredictionContext:
     Tf: int
 
     def __post_init__(self):
+        for name in ("m", "p", "Tini", "Tf"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if min(self.m, self.p, self.Tini, self.Tf) < 1:
             raise ValueError(
                 f"dims must be positive, got (m={self.m}, p={self.p}, "

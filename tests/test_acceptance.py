@@ -15,6 +15,7 @@ from helpers import (
     random_basis,
     random_model,
     random_orthogonal,
+    single_angle_member,
     weyl_check,
 )
 from subpred import (
@@ -233,13 +234,19 @@ def _one_step_map(U, p):
     return U.y_future[:p] @ pseudoinverse(U.context_block)
 
 
-def _check_one_step_bound(rng, model, Tini, Tf):
+def _equal_angle_member(rng, U, kappa):
+    return perturb_subspace(U, kappa, seed=int(rng.integers(2**31)))
+
+
+def _check_one_step_bound(rng, model, Tini, Tf, perturb=_equal_angle_member):
+    """Check the one-step bound at one member ``perturb(rng, U, kappa)`` of
+    the true behavior; returns the worst unit-context ratio error / bound."""
     U = _behavior_basis(model, Tini, Tf)
     sigma_true = float(np.linalg.svd(U.context_block, compute_uv=False)[-1])
     # within sigma_true/(3*sqrt(2)) the perturbed context block keeps
     # sigma >= 2*sqrt(2)*kappa, so the computable hypothesis holds
     kappa = rng.uniform(0.0, 1.0) * sigma_true / (3 * SQRT2)
-    Uhat = perturb_subspace(U, kappa, seed=int(rng.integers(2**31)))
+    Uhat = perturb(rng, U, kappa)
     kappa = chordal_distance(U, Uhat)
     sigma_hat = float(np.linalg.svd(Uhat.context_block, compute_uv=False)[-1])
     assert kappa <= sigma_hat / (2 * SQRT2) + 1e-12
@@ -256,6 +263,7 @@ def _check_one_step_bound(rng, model, Tini, Tf):
     worst = np.linalg.norm(_one_step_map(Uhat, model.p) - _one_step_map(U, model.p), 2)
     bound = one_step_bound(sigma_hat, norm_first, kappa, 1.0)
     assert worst <= bound + 1e-9, f"one-step bound violated: worst={worst}, bound={bound}"
+    return worst / bound
 
 
 MIMO_ONE_STEP_CASES = 200
@@ -278,6 +286,29 @@ def test_criterion_06_one_step_bound_validity():
         Tf = int(rng.integers(1, 7))
         _check_one_step_bound(rng, model, Tini, Tf)
     _report(f"criterion 6 (one-step bound validity, 500 + {MIMO_ONE_STEP_CASES} larger systems)")
+
+
+SINGLE_ANGLE_CASES = 300
+
+
+@pytest.mark.parametrize("mimo", [False, True], ids=["default", "mimo"])
+def test_one_step_bound_at_single_angle_members(mimo):
+    # an equal-angle member spreads kappa over all k moving angles; a
+    # single-angle member puts all of it into one direction
+    rng = np.random.default_rng(607)
+    model = random_model(rng, n=4, m=2, p=3) if mimo else default_model()
+    Tini = Tf = model.n + 2
+    worst_ratio = max(
+        _check_one_step_bound(rng, model, Tini, Tf, perturb=single_angle_member)
+        for _ in range(SINGLE_ANGLE_CASES)
+    )
+    U = _behavior_basis(model, Tini, Tf)
+    angles = principal_angles(U, single_angle_member(rng, U, 0.01)).angles
+    assert abs(angles[-1] - np.arcsin(0.01)) <= 1e-12 and np.max(angles[:-1]) <= 1e-12
+    _report(
+        f"one-step bound at {SINGLE_ANGLE_CASES} single-angle members "
+        f"({'mimo' if mimo else 'default model'}; largest worst-context ratio {worst_ratio:.3g})"
+    )
 
 
 def test_criterion_07_single_perturbation_trace(tmp_path):

@@ -4,12 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_basis, trial_rows, write_csv_reference
+from helpers import MAP_RTOL, random_basis, trial_rows, write_csv_reference
 from subpred import ExperimentConfig, chordal_distance, load_config, run_experiment, run_single
 from subpred import experiment, simulate
-from subpred.errors import RankDeficientError
+from subpred.errors import ConvergenceError, RankDeficientError
+from subpred._linalg import prediction_map, spectral_norm
+from subpred.bounds import one_step_bound
 from subpred.experiment import TrialBlock, default_model, prepare, run_trial, write_trials_csv
-from subpred.predictor import context_windows, predict_from_subspace, rolling_one_step
+from subpred.grassmann import BehaviorBasis
+from subpred.predictor import _apply, context_windows, predict_from_subspace, rolling_one_step
 
 
 class TestConfig:
@@ -120,7 +123,8 @@ class TestRunExperiment:
     def test_kappa_measured_matches_family_member(self, small_config):
         workspace = prepare(small_config)
         out = run_trial(workspace, 4)
-        assert abs(out.block.kappa - chordal_distance(workspace.basis, out.basis)) <= 1e-12
+        member, _ = workspace.geodesic.member(small_config.kappas[3])
+        assert abs(out.block.kappa - chordal_distance(workspace.basis, member)) <= 1e-12
         assert abs(out.block.kappa - small_config.kappas[3]) <= 1e-6
 
     def test_single_uses_the_trial_predictions(self, small_config):
@@ -135,17 +139,26 @@ class TestRunExperiment:
 
         model = random_model(np.random.default_rng(3), n=8, m=3, p=3)
         cfg = ExperimentConfig(
-            model=model, Tini=10, Tf=10, T=200, T_sim=40, kappa_grid=(0.05, 0.2),
+            model=model, Tini=10, Tf=10, T=200, T_sim=40, kappa_grid=(0.01, 0.05, 0.2),
             output_dir=str(tmp_path / "out"),
         )
         workspace = prepare(cfg)
         windows = list(context_windows(workspace.measured, cfg.Tini, cfg.Tf))
         assert tuple(t for t, _ in windows) == workspace.steps
-        for n in (1, 2):
+        # a sweep member is evaluated from its geodesic's blocks, so it
+        # matches the per-basis path to rounding, not bit for bit; the member
+        # at 0.01 is certified (sigma_min about 0.072), the other two are not
+        for n in (1, 2, 3):
             out = run_trial(workspace, n)
-            for i, (_, ctx) in enumerate(windows):
-                expected = predict_from_subspace(out.basis, ctx).y_pred[: model.p]
-                np.testing.assert_array_equal(out.predictions[i], expected)
+            member, kappa = workspace.geodesic.member(cfg.kappas[n - 1])
+            expected = [predict_from_subspace(member, ctx) for _, ctx in windows]
+            first = np.array([pred.y_pred[: model.p] for pred in expected])
+            assert np.linalg.norm(out.predictions - first) <= MAP_RTOL * np.linalg.norm(first)
+            assert (out.block.bound is not None) == (n == 1)
+            if out.block.bound is not None:
+                unit = one_step_bound(expected[0].sigma_min, spectral_norm(member.y_future[: model.p]),
+                                      kappa, 1.0)
+                np.testing.assert_allclose(out.block.bound, unit * workspace.b_norms, rtol=MAP_RTOL)
         for i, (_, ctx) in enumerate(windows):
             expected = predict_from_subspace(workspace.basis, ctx).y_pred[: model.p]
             np.testing.assert_array_equal(workspace.baseline[i], expected)
@@ -158,7 +171,8 @@ class TestRunExperiment:
         workspace = prepare(cfg)
         out = run_trial(workspace, 2)
         assert abs(out.block.kappa - limit) <= 1e-6 * limit
-        assert out.block.kappa == chordal_distance(workspace.basis, out.basis)
+        member, _ = workspace.geodesic.member(limit)
+        assert abs(out.block.kappa - chordal_distance(workspace.basis, member)) <= 1e-12
 
     def test_wide_context_rows_rejected(self, tmp_path):
         # p*Tini = 1 < n = 2: the baseline's context rows are 6 x 7, so no
@@ -194,13 +208,16 @@ class TestRunExperiment:
             run_trial(workspace, small_config.N + 1)
 
     # the offline stage makes 3 SVDs: the persistency-of-excitation check,
-    # the basis and the geodesic direction; a member makes none.  Every map,
-    # the baseline's included, comes from the output Gram matrix of its
-    # orthonormal basis (one eigvalsh and one solve), and a member's bound
-    # takes the norm of y_future[:p] from one more Gram eigvalsh: 2N + 1
-    # eigvalsh and N + 1 solve calls per sweep.
+    # the basis and the geodesic direction; a member makes none.  The
+    # baseline's map comes from the output Gram matrix of its basis (one
+    # pTf x pTf eigvalsh and one solve).  A member is evaluated from the
+    # geodesic's blocks, with no member basis: one eigvalsh of its pTf x pTf
+    # Gram matrix K, one solve with p right-hand sides for the map's first p
+    # rows, and one p x p eigvalsh for the norm of y_future[:p].  That is
+    # 2N + 1 eigvalsh and N + 1 solve calls per sweep, and the baseline is
+    # the only BehaviorBasis built when no member's guard declines.
     @pytest.mark.parametrize("mimo", [False, True], ids=["default", "mimo"])
-    def test_svd_budget(self, mimo, svd_calls):
+    def test_svd_budget(self, mimo, svd_calls, monkeypatch):
         from helpers import random_model
 
         if mimo:
@@ -208,10 +225,56 @@ class TestRunExperiment:
             cfg = ExperimentConfig(model=model, Tini=3, Tf=3, T=80, T_sim=20, N=4, kappa_max=0.5)
         else:
             cfg = ExperimentConfig(model=default_model(), N=3)
+        built, check = [], BehaviorBasis.__post_init__
+        monkeypatch.setattr(BehaviorBasis, "__post_init__", lambda U: built.append(U) or check(U))
         run_experiment(cfg, write=False)
         assert len(svd_calls) == 3
-        assert len(svd_calls.eigvalsh) == 2 * cfg.N + 1
-        assert len(svd_calls.solve) == cfg.N + 1
+        future, p = cfg.model.p * cfg.Tf, cfg.model.p
+        assert svd_calls.eigvalsh == [(future, future)] + [(future, future), (p, p)] * cfg.N
+        assert svd_calls.solve == [(future, future)] * (cfg.N + 1)
+        assert len(built) == 1 and built[0].r == cfg.model.m * (cfg.Tini + cfg.Tf) + cfg.model.n
+
+    def test_declined_member_is_built_as_a_basis(self, small_config, monkeypatch):
+        # with the Gram route declined, a member is built and measured by
+        # Geodesic.member and mapped by prediction_map: the library's bits
+        workspace = prepare(small_config)
+        monkeypatch.setattr(experiment, "gram_map", lambda *args, **kwargs: None)
+        p = small_config.model.p
+        for n in (1, small_config.N):  # certified, then not
+            block = run_trial(workspace, n).block
+            member, kappa = workspace.geodesic.member(small_config.kappas[n - 1])
+            matrix, _, sigma_min = prediction_map(member.context_block, member.y_future,
+                                                  member.gram_defect)
+            predictions = _apply(matrix, workspace.context_matrix)[:, :p]
+            errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
+            assert (block.kappa, block.sigma_min_Mhat) == (kappa, sigma_min)
+            np.testing.assert_array_equal(block.prediction_error, errors)
+            if n == 1:
+                unit = one_step_bound(sigma_min, spectral_norm(member.y_future[:p]), kappa, 1.0)
+                np.testing.assert_array_equal(block.bound, unit * workspace.b_norms)
+            else:
+                assert block.bound is None
+
+    def test_block_member_checks_its_distance(self, small_config):
+        # a member evaluated from the blocks keeps Geodesic.member's target
+        # check and chordal_distance's cross-check, at their tolerances
+        blocks = prepare(small_config).blocks
+        kappa, p = small_config.kappas[0], small_config.model.p  # 0.05
+        assert experiment._member(blocks, kappa, p) is not None
+        swapped_off = blocks.squares + [[0.0] * 4, [1e-10, 0.0, 0.0, 0.0]]  # about 1e-9 off
+        with pytest.raises(ArithmeticError, match="chordal distance formulas disagree"):
+            experiment._member(blocks._replace(squares=swapped_off), kappa, p)
+        both_off = blocks.squares * (1 + 1e-4)  # both 5e-5 relative, 2.5e-6 absolute, off
+        with pytest.raises(ConvergenceError, match="measures distance"):
+            experiment._member(blocks._replace(squares=both_off), kappa, p)
+
+    def test_default_config_certifies_its_first_eight_members(self):
+        # the certified limit sigma_min / (2 sqrt(2)) of members 8 and 9 is
+        # about 0.0772, between their targets 0.072 and 0.081
+        blocks, _ = run_experiment(ExperimentConfig(model=default_model()), write=False)
+        certified = [b.n for b in blocks if b.bound is not None]
+        assert certified == list(range(1, 9))
+        assert abs(blocks[7].kappa - 0.072) <= 1e-12
 
     def test_multichannel_pipeline(self, tmp_path):
         from helpers import random_model

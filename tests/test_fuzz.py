@@ -9,24 +9,35 @@ a larger sweep than the default configuration.
 
 A property test also draws random dimensions, ranks, seeds and distances
 for `Geodesic.member`, the closed form that every perturbed subspace comes
-from, and another draws member blocks for `write_trials_csv`, whose bytes
-must be those of the csv module.
+from; another evaluates the same members from their geodesic's blocks, the
+way the experiment sweep does, against the member bases; and another draws
+member blocks for `write_trials_csv`, whose bytes must be those of the csv
+module.
 """
 
 from types import SimpleNamespace
 
 import math
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_basis, trial_rows, write_csv_reference
+from helpers import MAP_RTOL, random_basis, trial_rows, write_csv_reference
 from subpred import chordal_distance, format_model, principal_angles, save_basis, simulate
+from subpred._linalg import IDENTITY_ERROR_TOL, prediction_map, spectral_norm
 from subpred.cli import main
 from subpred.errors import ConvergenceError
-from subpred.experiment import TrialBlock, default_model, write_trials_csv
+from subpred.experiment import (
+    TrialBlock,
+    _defect_bound,
+    _member,
+    _member_blocks,
+    default_model,
+    write_trials_csv,
+)
 from subpred.grassmann import BehaviorBasis, Geodesic, orthonormal_basis
 from subpred.hankel import persistently_exciting_input, stacked_data_matrix
 
@@ -199,6 +210,60 @@ class TestGeodesicMember:
             assert member is U
         else:
             np.testing.assert_array_equal(member.matrix[:, k:], geodesic.start[:, k:])
+
+
+class TestMemberBlocks:
+    """A sweep member evaluated from its geodesic's blocks (`_member`) against
+    the member basis that `Geodesic.member` builds, mapped by
+    `prediction_map`: SISO and MIMO, k = r and k < r, and distances from
+    1e-8 to the end of the geodesic.  The rank r is at most the number of
+    context rows, which then have full column rank."""
+
+    @pytest.mark.parametrize("complement", ["large", "small"])  # k = r, or k < r
+    @pytest.mark.parametrize("channels", ["siso", "mimo"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_the_member_basis(self, complement, channels, data):
+        m, p = (1, 1) if channels == "siso" else data.draw(
+            st.tuples(_SIZES, _SIZES).filter(lambda mp: mp != (1, 1)))
+        Tini, Tf = data.draw(st.tuples(_SIZES, _SIZES))
+        q, future = (m + p) * (Tini + Tf), p * Tf
+        if complement == "large":
+            r = data.draw(st.integers(1, min(q // 2, q - future)))
+        else:
+            hypothesis.assume(q // 2 + 1 <= q - future)
+            r = data.draw(st.integers(q // 2 + 1, q - future))
+        k = min(r, q - r)
+        largest = math.sqrt(k)
+        kappa = data.draw(st.one_of(
+            st.sampled_from([1e-8, largest]),
+            st.floats(-8.0, math.log10(largest)).map(lambda e: min(10.0**e, largest)),
+        ))
+        basis_seed, seed = (data.draw(st.integers(0, 2**32 - 1)) for _ in range(2))
+        hypothesis.assume(basis_seed != seed)  # one stream would draw inside span U
+        U = random_basis(np.random.default_rng(basis_seed), (m, p, Tini, Tf), r)
+        geodesic = Geodesic.draw(U, seed)
+        blocks = _member_blocks(geodesic, future)
+
+        member, measured = geodesic.member(kappa)
+        s = kappa / largest
+        c = math.sqrt((1 - s) * (1 + s))
+        assert _defect_bound(blocks, c, s) >= member.gram_defect
+        got = _member(blocks, kappa, p)
+        if got is None:  # the sweep builds this member as a basis instead
+            return
+        distance, rows, sigma_min, norm_first = got
+        assert abs(distance - measured) <= 1e-12
+        reference, _, ref_sigma_min = prediction_map(
+            member.context_block, member.y_future, member.gram_defect
+        )
+        # the guard keeps either Gram route within IDENTITY_ERROR_TOL of the
+        # SVD map; MAP_RTOL is what both show at sigma_min >= 0.03
+        rtol = MAP_RTOL if ref_sigma_min >= 0.03 else IDENTITY_ERROR_TOL
+        assert np.linalg.norm(rows - reference[:p]) <= rtol * np.linalg.norm(reference[:p])
+        assert abs(sigma_min - ref_sigma_min) <= rtol * ref_sigma_min
+        ref_norm = spectral_norm(member.y_future[:p])
+        assert abs(norm_first - ref_norm) <= MAP_RTOL * ref_norm
 
 
 # Any float, with the values whose repr is special drawn often: NaN, the

@@ -457,13 +457,17 @@ class TestGeodesic:
     def test_wrapper_is_bit_identical_to_sweep_member(self, small_config):
         from subpred.experiment import prepare, run_trial
 
+        # the sweep evaluates a member from its geodesic's blocks and builds
+        # it with Geodesic.member only when the Gram route declines
         workspace = prepare(small_config)
         for n in (1, 5, small_config.N):
             out = run_trial(workspace, n)
             kappa = small_config.kappas[n - 1]
             V = perturb_subspace(workspace.basis, kappa, seed=small_config.seed_perturb)
-            np.testing.assert_array_equal(V.matrix, out.basis.matrix)
-            assert out.block.kappa == chordal_distance(workspace.basis, V)
+            member, measured = workspace.geodesic.member(kappa)
+            np.testing.assert_array_equal(V.matrix, member.matrix)
+            assert measured == chordal_distance(workspace.basis, V)
+            assert abs(out.block.kappa - measured) <= 1e-12
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_kappa_rejected(self, rng, bad):

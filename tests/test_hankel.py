@@ -16,6 +16,7 @@ from subpred import (
     stacked_data_matrix,
     trajectory_generation_matrix,
 )
+from subpred.grassmann import BehaviorBasis, load_basis, save_basis
 from subpred.hankel import PartitionedMatrix, persistently_exciting_input
 from subpred._linalg import numerical_rank
 
@@ -163,9 +164,19 @@ class TestPartitionedMatrix:
         )
         np.testing.assert_array_equal(np.vstack([X.context_block, X.y_future]), X.data)
 
-    def test_row_count_validated(self, rng):
+    def test_row_count_validated(self, rng, tmp_path):
         with pytest.raises(ValueError, match="rows"):
             PartitionedMatrix(data=rng.standard_normal((9, 4)), m=1, p=1, Tini=2, Tf=3)
+        # each dim is read as an index: a float is rejected although its row
+        # count matches, and a numpy integer is kept as an int, which a basis
+        # file's header needs
+        for cls in (PartitionedMatrix, BehaviorBasis):
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+                cls(np.eye(8)[:, :3], 1.0, 1, 2, 2)
+        basis = BehaviorBasis(np.eye(8)[:, :3], *map(np.int64, (1, 1, 2, 2)))
+        assert [type(d) for d in basis.dims] == [int] * 4
+        save_basis(tmp_path / "basis.csv", basis)
+        assert load_basis(tmp_path / "basis.csv").dims == (1, 1, 2, 2)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_rejected(self, rng, value):

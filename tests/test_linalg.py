@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import cs_basis, random_basis
+from helpers import MAP_RTOL, cs_basis, random_basis
 from subpred._linalg import EPS, numerical_rank, prediction_map, spectral_norm, svd
 
 
@@ -58,11 +58,6 @@ class TestOrthonormalMap:
     """The map of an orthonormal basis from its output Gram matrix, against
     the SVD map that `prediction_map` builds without a Gram defect."""
 
-    # Largest relative gap, in the map and in sigma_min, between the two
-    # routes on bases with sigma_min >= 0.03; the benchmark inputs showed
-    # at most 1e-12 (sigma_min 0.024).
-    MAP_RTOL = 1e-11
-
     @pytest.mark.parametrize("dims", [(2, 3, 3, 3), (3, 3, 10, 10), (4, 4, 16, 16)])
     def test_matches_svd_map_on_random_mimo_bases(self, rng, svd_calls, dims):
         m, p, Tini, Tf = dims
@@ -77,8 +72,8 @@ class TestOrthonormalMap:
             assert svd_calls.eigvalsh == svd_calls.solve == [(p * Tf, p * Tf)]
             assert rank == ref_rank == r
             gap = np.linalg.norm(pred - ref_matrix) / np.linalg.norm(ref_matrix)
-            assert gap <= self.MAP_RTOL
-            assert abs(sigma_min - ref_sigma_min) <= self.MAP_RTOL * ref_sigma_min
+            assert gap <= MAP_RTOL
+            assert abs(sigma_min - ref_sigma_min) <= MAP_RTOL * ref_sigma_min
 
     def test_wide_context_rows_decline(self, rng, svd_calls):
         # 6 context rows for 7 columns: sigma_min = 0, so 1 - lambda_max(K) = 0

@@ -151,6 +151,13 @@ class TestSubspacePredict:
         )
         with pytest.raises(ValueError, match="do not match"):
             subspace_predict(X, ctx)
+        # each dim is read as an index: a float is rejected, a numpy integer
+        # is kept as an int
+        vectors = (np.zeros(2), np.zeros(2), np.zeros(2))
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            PredictionContext(*vectors, 1.0, 1, 2, 2)
+        ctx = PredictionContext(*vectors, *map(np.int64, (1, 1, 2, 2)))
+        assert [type(d) for d in (ctx.m, ctx.p, ctx.Tini, ctx.Tf)] == [int] * 4
 
     @pytest.mark.parametrize("field", ["u_ini", "u", "y_ini"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
