@@ -5,8 +5,8 @@ its relative cutoff: a singular value counts toward the rank when it exceeds
 ``max(rows, cols) * machine_eps * sigma_max``.  `prediction_map` builds
 the prediction map of a matrix: an orthonormal basis's from its output Gram
 matrix when that matches the SVD, and any other from one SVD.  That Gram
-route is `gram_map`, which the experiment sweep also calls with a member's
-Gram matrices formed from its geodesic's blocks.  `spectral_norm` takes
+route is `gram_map`, which the experiment sweep also calls on a member's
+two row blocks, for the first p rows of its map.  `spectral_norm` takes
 sigma_max from a Gram eigenvalue.
 """
 
@@ -60,10 +60,7 @@ def prediction_map(context_rows, future_rows=None, gram_defect=None):
     rank-deficient block.
     """
     if gram_defect is not None:
-        routed = gram_map(
-            future_rows @ future_rows.T, future_rows @ context_rows.T, gram_defect,
-            context_rows.shape[0] + future_rows.shape[0],
-        )
+        routed = gram_map(context_rows, future_rows, gram_defect)
         if routed is not None:
             return routed[0], context_rows.shape[1], routed[1]
     U, svals, Vt, rank = svd(context_rows, vectors=True)
@@ -78,22 +75,25 @@ def prediction_map(context_rows, future_rows=None, gram_defect=None):
     return (pinv if future_rows is None else future_rows @ pinv), rank, sigma_min
 
 
-def gram_map(gram, cross, gram_defect, q, rows=None):
+def gram_map(context_rows, future_rows, gram_defect, rows=None):
     """The Gram route of `prediction_map`, as ``(map, sigma_min)``, for a
-    basis of ``q`` rows known through ``gram`` = K = Yf Yf', ``cross`` =
-    Yf C' (C its context rows) and an upper bound ``gram_defect`` on
-    ||U'U - I||_F; None when the error estimate (gram_defect + q * eps) /
-    sigma_min^2 exceeds IDENTITY_ERROR_TOL.  With ``rows``, the map's first
-    ``rows`` rows only, from one solve with that many right-hand sides: K is
-    symmetric, so they are the transposed solution times ``cross``."""
+    basis with these two row blocks and an upper bound ``gram_defect`` on
+    its ||U'U - I||_F; None when the error estimate
+    (gram_defect + q * eps) / sigma_min^2 exceeds IDENTITY_ERROR_TOL, before
+    the cross product Yf C' (Yf the future rows, C the context rows) is
+    formed.  With ``rows``, the map's first ``rows`` rows only, from one
+    solve with that many right-hand sides: K = Yf Yf' is symmetric, so they
+    are the transposed solution times Yf, times C'."""
+    gram = future_rows @ future_rows.T
     gap = 1.0 - float(np.linalg.eigvalsh(gram).max(initial=0.0))
+    q = len(context_rows) + len(future_rows)
     if not gram_defect + q * EPS <= IDENTITY_ERROR_TOL * gap:
         return None
     eye = np.eye(len(gram))
     if rows is None:
-        matrix = np.linalg.solve(eye - gram, cross)
+        matrix = np.linalg.solve(eye - gram, future_rows @ context_rows.T)
     else:
-        matrix = np.linalg.solve(eye - gram, eye[:, :rows]).T @ cross
+        matrix = (np.linalg.solve(eye - gram, eye[:, :rows]).T @ future_rows) @ context_rows.T
     return matrix, float(np.sqrt(gap))
 
 

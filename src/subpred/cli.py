@@ -114,8 +114,12 @@ def _cmd_bound(args) -> int:
     if args.one_step:
         if args.sigma_min is None or args.uyf1 is None:
             raise ValueError("--one-step requires --sigma-min and --uyf1")
+        if (args.gamma, args.alpha, args.beta) != (None, None, None):
+            raise ValueError("--one-step takes --sigma-min and --uyf1, not --gamma, --alpha or --beta")
         value = one_step_bound(args.sigma_min, args.uyf1, args.kappa, args.bnorm)
     else:
+        if args.sigma_min is not None or args.uyf1 is not None:
+            raise ValueError("--sigma-min and --uyf1 need --one-step")
         if args.gamma is not None:
             if args.alpha is not None or args.beta is not None:
                 raise ValueError("give either --gamma or --alpha/--beta, not both")

@@ -10,11 +10,11 @@ makes the average error a smooth, near-linear function of the distance, as
 opposed to independent per-member directions whose direction-dependent
 sensitivity scatters the trend.
 
-Every number the sweep takes from a member is a quadratic form in the
-blend's coefficients, so `prepare` forms the geodesic's blocks once and a
-member is evaluated from them without a member matrix (`_member`), at a
-cost that does not grow with the ambient dimension q.  A member whose Gram
-route the guard declines is built and measured as the library builds it.
+A member's map depends only on its subspace, so `_member` reads it from the
+blend itself, split into context and future rows, with no member basis.
+Its distance is a quadratic form in the blend's coefficients, so `prepare`
+forms that form's blocks once per geodesic, with one bound on every
+member's Gram defect for the Gram route's guard.
 
 Seeds are split into three independent streams (offline/online data input,
 measurement noise, perturbation direction).  The online streams use the
@@ -23,9 +23,10 @@ offline draws.  Every output is a pure function of the configuration and
 the numerical libraries, so repeated runs on one numpy/BLAS build at one
 BLAS thread count are byte-identical.  Another thread count can round the
 offline basis's SVD differently, and with it every member's last digits.
-The block-built numbers agree with the library path (`perturb_subspace`,
+The sweep's numbers agree with the library path (`perturb_subspace`,
 `chordal_distance`, `predict_from_subspace`) to rounding, not bit for bit;
-a declined member has that path's bits.
+a member whose Gram route the guard declines is mapped by `prediction_map`'s
+SVD of the member basis's rows, with that route's bits.
 """
 
 from __future__ import annotations
@@ -88,11 +89,17 @@ def default_model() -> StateSpaceModel:
     )
 
 
+_CONFIG_SEED_KEYS = ("seed_data", "seed_noise", "seed_perturb")
+_CONFIG_INT_KEYS = ("Tini", "Tf", "T", "T_sim", "N", *_CONFIG_SEED_KEYS)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration of a perturbation sweep.  Defaults reproduce the bundled
     experiment: length-30 offline data, 50-step online run, 100 perturbations
-    with distances evenly spaced up to 0.9, noise-to-signal ratio 0.02."""
+    with distances evenly spaced up to 0.9, noise-to-signal ratio 0.02.
+    The lengths, N and the seeds are read with `operator.index`, so a float
+    raises TypeError, and a negative seed raises ValueError."""
 
     model: StateSpaceModel
     Tini: int = 4
@@ -109,6 +116,11 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for key in _CONFIG_INT_KEYS:
+            object.__setattr__(self, key, operator.index(getattr(self, key)))
+        for key in _CONFIG_SEED_KEYS:
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
         if min(self.Tini, self.Tf) < 1:
             raise ValueError(f"Tini and Tf must be positive, got ({self.Tini}, {self.Tf})")
         L = self.Tini + self.Tf
@@ -147,7 +159,6 @@ class ExperimentConfig:
         return tuple(self.kappa_max * (i + 1) / self.N for i in range(self.N))
 
 
-_CONFIG_INT_KEYS = ("Tini", "Tf", "T", "T_sim", "N", "seed_data", "seed_noise", "seed_perturb")
 _CONFIG_FLOAT_KEYS = ("sigma", "kappa_max")
 
 
@@ -157,7 +168,8 @@ def load_config(path) -> ExperimentConfig:
     Recognized keys: model (path to a model file), Tini, Tf, T, T_sim, N,
     sigma, kappa_max, kappa_grid (comma-separated), seed_data, seed_noise,
     seed_perturb, output_dir.  Missing keys fall back to the defaults;
-    relative paths are resolved against the config file's directory.
+    relative paths are resolved against the config file's directory.  Every
+    ValueError names the file.
     """
     path = Path(path)
     pairs = read_pairs(path.read_text(encoding="utf-8"), source=str(path))
@@ -176,7 +188,10 @@ def load_config(path) -> ExperimentConfig:
         else:
             raise ValueError(f"{path}: unknown configuration key {key!r}")
     kwargs.setdefault("model", default_model())
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _resolve(base: Path, raw: str) -> Path:
@@ -221,27 +236,24 @@ class SingleRecord(NamedTuple):
 
 
 class _MemberBlocks(NamedTuple):
-    """The fixed blocks of the sweep's geodesic from which `_member`
-    evaluates every member.  The member at kappa is [c S1 + s H, S2], with
-    S = [S1 S2] the geodesic's start split at column k, H its heading,
-    s = kappa / sqrt(k) and c = sqrt(1 - s^2), so each number the sweep
-    takes from it is a quadratic form in (c, s).  ``gram``, ``cross`` and
-    the rows of ``squares`` stack the blocks of one form each, weighted by
-    (1, c^2, s^2, cs) in that order: K = Yf Yf' (pTf x pTf), Yf C'
-    (pTf x (q - pTf)), with Yf the member's future-output rows and C its
-    context rows, and the squared distance and squared swapped residual.
-    ``defect`` holds the Frobenius norms of the blocks of Q'Q - I, with
-    Q = [S1 S2 H], that bound a member's Gram defect."""
+    """What `_member` takes from the sweep's geodesic besides its blend.
+    The member at kappa is [c S1 + s H, S2], with S = [S1 S2] the geodesic's
+    start split at column k, H its heading, s = kappa / sqrt(k) and
+    c = sqrt(1 - s^2).  The rows of ``squares`` stack the blocks of the
+    member's squared distance and squared swapped residual, quadratic forms
+    in (c, s), weighted by (1, c^2, s^2, cs) in that order.  ``defect`` is
+    ||Q'Q - I||_F + 6 eps sqrt(k), with Q = [S H], which bounds every
+    member's Gram defect: the member is Q T with ||T||_2^2 = c^2 + s^2, and
+    6 eps sqrt(k) covers c^2 + s^2 - 1 (at most 3 eps per column) and the
+    rounding of the blend (at most 2 sqrt(2) eps sqrt(k))."""
 
     k: int
-    gram: np.ndarray  # (4, pTf, pTf)
-    cross: np.ndarray  # (4, pTf, q - pTf)
     squares: np.ndarray  # (2, 4)
-    defect: tuple[float, ...]  # E11, Ehh, E1h + Eh1, E12, Eh2, E22
+    defect: float
 
 
-def _member_blocks(geodesic: Geodesic, future: int) -> _MemberBlocks:
-    """The blocks of ``geodesic`` whose members have ``future`` output rows.
+def _member_blocks(geodesic: Geodesic) -> _MemberBlocks:
+    """The blocks of ``geodesic``.
 
     The distance is ||(I - UU')B||_F for the origin U and member B, and
     (I - UU')B = [c P1 + s Hp, P2] with P = (I - UU')S and Hp = (I - UU')H
@@ -253,11 +265,9 @@ def _member_blocks(geodesic: Geodesic, future: int) -> _MemberBlocks:
     row blocks of (Q'Q - I)[:, :r] and Z = c E1 + s Eh; the cross terms
     cancel, leaving s^2 k + ||Z||^2 + ||E2||^2.  Reading Q as orthonormal
     scales that norm by at most 1 +- ||Q'Q - I||_2.  Q is never formed:
-    each product is taken of S and H apart, which holds fewer q-row arrays
-    at once."""
+    each product is taken of S and H apart."""
     origin, start, heading = geodesic.origin.matrix, geodesic.start, geodesic.heading
-    q, r = start.shape
-    k = heading.shape[1]
+    r, k = start.shape[1], heading.shape[1]
     P1, P2 = np.split(start - origin @ (origin.T @ start), [k], axis=1)
     Hp = heading - origin @ (origin.T @ heading)
     distance = [np.vdot(P2, P2), np.vdot(P1, P1), np.vdot(Hp, Hp), 2 * np.vdot(P1, Hp)]
@@ -268,17 +278,8 @@ def _member_blocks(geodesic: Geodesic, future: int) -> _MemberBlocks:
     Ehh.flat[:: k + 1] -= 1.0
     E1, E2 = Es[:k], Es[k:]
     swapped = [np.vdot(E2, E2), np.vdot(E1, E1), k + np.vdot(Eh, Eh), 2 * np.vdot(E1, Eh)]
-    blocks = (E1[:, :k], Ehh, Eh[:, :k] + Eh[:, :k].T, E1[:, k:], Eh[:, k:], E2[:, k:])
-    (M1, M2), (Y1, Y2) = (np.split(rows, [k], axis=1) for rows in np.split(start, [q - future]))
-    Mh, Yh = np.split(heading, [q - future])
-    mixed = Y1 @ Yh.T
-    return _MemberBlocks(
-        k=k,
-        gram=np.stack([Y2 @ Y2.T, Y1 @ Y1.T, Yh @ Yh.T, mixed + mixed.T]),
-        cross=np.stack([Y2 @ M2.T, Y1 @ M1.T, Yh @ Mh.T, Y1 @ Mh.T + Yh @ M1.T]),
-        squares=np.array([distance, swapped]),
-        defect=tuple(float(np.linalg.norm(b)) for b in blocks),
-    )
+    defect = math.sqrt(np.vdot(Es, Es) + 2 * np.vdot(Eh, Eh) + np.vdot(Ehh, Ehh))
+    return _MemberBlocks(k, np.array([distance, swapped]), defect + 6 * EPS * math.sqrt(k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,7 +334,7 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
         config=config,
         basis=basis,
         geodesic=geodesic,
-        blocks=_member_blocks(geodesic, model.p * config.Tf),
+        blocks=_member_blocks(geodesic),
         measured=measured,
         steps=tuple(range(config.Tini, config.T_sim - config.Tf + 1)),
         context_matrix=context_matrix,
@@ -357,39 +358,34 @@ def _check_index(config: ExperimentConfig, n: int) -> int:
     return n
 
 
-def _defect_bound(blocks: _MemberBlocks, c: float, s: float) -> float:
-    """An upper bound on ||B'B - I||_F for the member B with blend
-    coefficients (c, s): the triangle inequality on the blocks of
-    B'B - I = [c^2 E11 + cs (E1h + Eh1) + s^2 Ehh, c E12 + s Eh2; *, E22]
-    (E = Q'Q - I), plus 6 eps sqrt(k), which covers c^2 + s^2 - 1 (at most
-    3 eps per column) and the rounding that forming the blend adds in
-    `Geodesic.member` (at most 2 sqrt(2) eps sqrt(k))."""
-    e11, ehh, e1h, e12, eh2, e22 = blocks.defect
-    top_left, top_right = c * c * e11 + s * s * ehh + c * s * e1h, c * e12 + s * eh2
-    return math.sqrt(top_left**2 + 2 * top_right**2 + e22**2) + 6 * EPS * math.sqrt(blocks.k)
+def _member(geodesic: Geodesic, blocks: _MemberBlocks, kappa: float):
+    """``(measured distance, map, sigma_min, ||Yf[:p]||_2)`` of the member
+    of ``geodesic`` at target ``kappa``, with Yf its future-output rows.
 
-
-def _member(blocks: _MemberBlocks, kappa: float, p: int):
-    """``(measured distance, first p rows of the map, sigma_min,
-    ||Yf[:p]||_2)`` of the member at target ``kappa``, from the geodesic's
-    ``blocks`` with no member matrix; None when the Gram route's guard
-    declines it.  The distance passes `chordal_distance`'s cross-check and
-    `Geodesic.member`'s target check, and the guard reads `_defect_bound`."""
+    The distance comes from ``blocks`` and passes `chordal_distance`'s
+    cross-check and `Geodesic.member`'s target check.  The map comes from
+    the member's `Geodesic.blend`, split into context and future rows: its
+    first p rows by `gram_map`, whose guard reads ``blocks.defect``, or,
+    when the guard declines, all of it from one `prediction_map` SVD of the
+    same rows.  When ``blocks.defect`` exceeds ``ORTHONORMALITY_TOL`` the
+    blend is built as a `BehaviorBasis`, which measures its Gram defect or
+    rejects it."""
     s = kappa / math.sqrt(blocks.k)
     c = math.sqrt((1 - s) * (1 + s))
-    weights = np.array([1.0, c * c, s * s, c * s])
-    d, swapped = (math.sqrt(max(0.0, x)) for x in blocks.squares @ weights)
+    d, swapped = (math.sqrt(max(0.0, x)) for x in blocks.squares @ [1.0, c * c, s * s, c * s])
     measured = _on_target(kappa, _cross_checked(d, swapped))
-    defect = _defect_bound(blocks, c, s)
-    if not defect <= ORTHONORMALITY_TOL:  # BehaviorBasis may reject the blend: build it
-        return None
-    gram = np.tensordot(weights, blocks.gram, 1)
-    cross = np.tensordot(weights, blocks.cross, 1)
-    routed = gram_map(gram, cross, defect, len(gram) + cross.shape[1], rows=p)
+    data, defect = geodesic.blend(kappa), blocks.defect
+    if not defect <= ORTHONORMALITY_TOL:
+        basis = BehaviorBasis(data, *geodesic.origin.dims)
+        data, defect = basis.data, basis.gram_defect
+    p = geodesic.origin.p
+    context_rows, future_rows = np.split(data, [len(data) - p * geodesic.origin.Tf])
+    routed = gram_map(context_rows, future_rows, defect, rows=p)
     if routed is None:
-        return None
-    # ||Yf[:p]||_2^2 is lambda_max of K[:p, :p], which is its spectral norm
-    return measured, *routed, math.sqrt(spectral_norm(gram[:p, :p]))
+        matrix, _, sigma_min = prediction_map(context_rows, future_rows)
+    else:
+        matrix, sigma_min = routed
+    return measured, matrix, sigma_min, spectral_norm(future_rows[:p])
 
 
 def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
@@ -397,24 +393,15 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
 
     Member n lies at target distance kappas[n-1] along the shared geodesic
     drawn from seed_perturb; its reported kappa is the measured distance.
-    The member is evaluated from the geodesic's blocks (`_member`), with no
-    member matrix.  When the Gram route's guard declines, it is built and
-    measured by `Geodesic.member` and mapped by `prediction_map`, as the
-    library path does, so its outputs are that path's bits.
+    `_member` blends the member's matrix and maps its rows, with no member
+    basis unless the geodesic's Gram defect bound calls for one.
     """
     config = workspace.config
     n = _check_index(config, n)
-    target = config.kappas[n - 1]
     p = config.model.p
-    member = _member(workspace.blocks, target, p)
-    if member is None:
-        perturbed, kappa = workspace.geodesic.member(target)
-        matrix, _, sigma_min = prediction_map(  # the map and its sigma_min, from one factorization
-            perturbed.context_block, perturbed.y_future, perturbed.gram_defect
-        )
-        norm_first = spectral_norm(perturbed.y_future[:p])
-    else:
-        kappa, matrix, sigma_min, norm_first = member
+    kappa, matrix, sigma_min, norm_first = _member(
+        workspace.geodesic, workspace.blocks, config.kappas[n - 1]
+    )
     predictions = _apply(matrix, workspace.context_matrix)[:, :p]
     errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
     try:

@@ -279,12 +279,17 @@ class Geodesic:
         if kappa == 0:
             perturbed = self.origin
         else:
-            k = self.heading.shape[1]
-            s = kappa / math.sqrt(k)  # at most 1: check_distance caps kappa at sqrt(k)
-            data = self.start.copy()
-            data[:, :k] = self.start[:, :k] * math.sqrt((1 - s) * (1 + s)) + self.heading * s
-            perturbed = BehaviorBasis(data, *self.origin.dims)
+            perturbed = BehaviorBasis(self.blend(kappa), *self.origin.dims)
         return perturbed, _on_target(kappa, chordal_distance(self.origin, perturbed))
+
+    def blend(self, kappa: float) -> np.ndarray:
+        """The matrix of the member at ``kappa``, unchecked: a new copy of
+        ``start`` whose first k columns are start[:, :k] c + heading s."""
+        k = self.heading.shape[1]
+        s = kappa / math.sqrt(k)  # at most 1: check_distance caps kappa at sqrt(k)
+        data = self.start.copy()
+        data[:, :k] = self.start[:, :k] * math.sqrt((1 - s) * (1 + s)) + self.heading * s
+        return data
 
 
 def _on_target(kappa: float, measured: float) -> float:
@@ -310,8 +315,8 @@ def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis
     a caller that reports it would have to measure it again; it should call
     ``Geodesic.draw(U, seed).member(kappa)`` instead, which returns the same
     basis together with its measured distance.  The experiment sweep calls
-    neither: it evaluates its members from the geodesic's blocks and
-    measures each distance there.
+    neither: it maps each member's `Geodesic.blend` directly and measures
+    its distance from blocks that are fixed per geodesic.
     """
     return Geodesic.draw(U, seed).member(kappa)[0]
 

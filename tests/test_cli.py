@@ -257,6 +257,25 @@ class TestBoundCommand:
         assert main(["bound", "--kappa", "0.1", "--bnorm", "1"]) == 2
         assert main(["bound", "--one-step", "--kappa", "0.1", "--bnorm", "1"]) == 2
 
+    @pytest.mark.parametrize("extra", [["--gamma", "0.3"], ["--alpha", "2"], ["--beta", "3"],
+                                       ["--alpha", "2", "--beta", "3"]])
+    def test_one_step_with_full_horizon_flag_exit_2(self, capsys, extra):
+        argv = ["bound", "--one-step", "--sigma-min", "0.5", "--uyf1", "1", "--kappa", "0.1",
+                "--bnorm", "1"]
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--one-step takes --sigma-min and --uyf1, not --gamma, --alpha or --beta" in captured.err
+
+    @pytest.mark.parametrize("extra", [["--sigma-min", "0.5"], ["--uyf1", "1"]])
+    @pytest.mark.parametrize("form", FULL_HORIZON_FORMS)
+    def test_full_horizon_with_one_step_flag_exit_2(self, capsys, form, extra):
+        values = FULL_HORIZON_FORMS[form]
+        assert main(["bound"] + [f"{k}={v}" for k, v in values.items()] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--sigma-min and --uyf1 need --one-step" in captured.err
+
 
 class TestExperimentCommands:
     @pytest.fixture
@@ -363,6 +382,9 @@ class TestExperimentCommands:
             ("kappa_grid = 0.1,y", "{cfg}: kappa_grid: could not convert string to float: 'y'"),
             # order n + Tini + Tf = 6 for m = 1: no input of length 10 is exciting
             ("T = 10", "T must be at least (m+1)*order - 1 = 11"),
+            ("seed_data = -1", "{cfg}: seed_data must be non-negative, got -1"),
+            ("seed_noise = -3", "{cfg}: seed_noise must be non-negative, got -3"),
+            ("seed_perturb = -2", "{cfg}: seed_perturb must be non-negative, got -2"),
         ],
     )
     def test_bad_config_exit_2_before_simulation(self, tmp_path, monkeypatch, capsys, line, message):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from subpred.errors import ConvergenceError, RankDeficientError
 from subpred._linalg import prediction_map, spectral_norm
 from subpred.bounds import one_step_bound
 from subpred.experiment import TrialBlock, default_model, prepare, run_trial, write_trials_csv
-from subpred.grassmann import BehaviorBasis
+from subpred.grassmann import BehaviorBasis, Geodesic
 from subpred.predictor import _apply, context_windows, predict_from_subspace, rolling_one_step
 
 
@@ -61,6 +62,20 @@ class TestConfig:
             ExperimentConfig(model=default_model(), kappa_max=2.5)
         with pytest.raises(ValueError, match="out of range"):
             ExperimentConfig(model=default_model(), Tini=2, Tf=2, T_sim=12, kappa_grid=(3.0,))
+
+    @pytest.mark.parametrize(
+        "key", ["Tini", "Tf", "T", "T_sim", "N", "seed_data", "seed_noise", "seed_perturb"]
+    )
+    def test_integer_keys_read_as_indices(self, key):
+        cfg = ExperimentConfig(model=default_model(), **{key: np.int64(getattr(ExperimentConfig, key))})
+        assert type(getattr(cfg, key)) is int
+        with pytest.raises(TypeError):
+            ExperimentConfig(model=default_model(), **{key: float(getattr(ExperimentConfig, key))})
+
+    @pytest.mark.parametrize("key", ["seed_data", "seed_noise", "seed_perturb"])
+    def test_negative_seed_rejected_by_name(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be non-negative, got -1$"):
+            ExperimentConfig(model=default_model(), **{key: -1})
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -145,9 +160,10 @@ class TestRunExperiment:
         workspace = prepare(cfg)
         windows = list(context_windows(workspace.measured, cfg.Tini, cfg.Tf))
         assert tuple(t for t, _ in windows) == workspace.steps
-        # a sweep member is evaluated from its geodesic's blocks, so it
-        # matches the per-basis path to rounding, not bit for bit; the member
-        # at 0.01 is certified (sigma_min about 0.072), the other two are not
+        # a sweep member's map is the Gram route's first p rows, from its
+        # blend's rows, so it matches the per-basis path to rounding, not bit
+        # for bit; the member at 0.01 is certified (sigma_min about 0.072),
+        # the other two are not
         for n in (1, 2, 3):
             out = run_trial(workspace, n)
             member, kappa = workspace.geodesic.member(cfg.kappas[n - 1])
@@ -210,12 +226,13 @@ class TestRunExperiment:
     # the offline stage makes 3 SVDs: the persistency-of-excitation check,
     # the basis and the geodesic direction; a member makes none.  The
     # baseline's map comes from the output Gram matrix of its basis (one
-    # pTf x pTf eigvalsh and one solve).  A member is evaluated from the
-    # geodesic's blocks, with no member basis: one eigvalsh of its pTf x pTf
-    # Gram matrix K, one solve with p right-hand sides for the map's first p
+    # pTf x pTf eigvalsh and one solve).  A member's map comes from the rows
+    # of its blend, with no member basis: one eigvalsh of its pTf x pTf Gram
+    # matrix K, one solve with p right-hand sides for the map's first p
     # rows, and one p x p eigvalsh for the norm of y_future[:p].  That is
     # 2N + 1 eigvalsh and N + 1 solve calls per sweep, and the baseline is
-    # the only BehaviorBasis built when no member's guard declines.
+    # the only BehaviorBasis built when the geodesic's Gram defect bound is
+    # within ORTHONORMALITY_TOL and no member's guard declines.
     @pytest.mark.parametrize("mimo", [False, True], ids=["default", "mimo"])
     def test_svd_budget(self, mimo, svd_calls, monkeypatch):
         from helpers import random_model
@@ -235,38 +252,72 @@ class TestRunExperiment:
         assert len(built) == 1 and built[0].r == cfg.model.m * (cfg.Tini + cfg.Tf) + cfg.model.n
 
     def test_declined_member_is_built_as_a_basis(self, small_config, monkeypatch):
-        # with the Gram route declined, a member is built and measured by
-        # Geodesic.member and mapped by prediction_map: the library's bits
+        # with the Gram route declined, a member's rows are mapped by one
+        # prediction_map SVD: the bits of the SVD route on the member basis
         workspace = prepare(small_config)
+        geodesic, p = workspace.geodesic, small_config.model.p
+        members = (1, small_config.N)  # certified, then not
+        admitted = [run_trial(workspace, n).block for n in members]
         monkeypatch.setattr(experiment, "gram_map", lambda *args, **kwargs: None)
-        p = small_config.model.p
-        for n in (1, small_config.N):  # certified, then not
-            block = run_trial(workspace, n).block
-            member, kappa = workspace.geodesic.member(small_config.kappas[n - 1])
-            matrix, _, sigma_min = prediction_map(member.context_block, member.y_future,
-                                                  member.gram_defect)
+        for n, before in zip(members, admitted):
+            kappa = small_config.kappas[n - 1]
+            out = run_trial(workspace, n)
+            block = out.block
+            member, _ = geodesic.member(kappa)
+            matrix, _, sigma_min = prediction_map(member.context_block, member.y_future)
+            rows = experiment._member(geodesic, workspace.blocks, kappa)[1]
+            np.testing.assert_array_equal(rows, matrix)
             predictions = _apply(matrix, workspace.context_matrix)[:, :p]
+            np.testing.assert_array_equal(out.predictions, predictions)
             errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
-            assert (block.kappa, block.sigma_min_Mhat) == (kappa, sigma_min)
             np.testing.assert_array_equal(block.prediction_error, errors)
+            assert block.sigma_min_Mhat == sigma_min
+            assert block.kappa == before.kappa
             if n == 1:
-                unit = one_step_bound(sigma_min, spectral_norm(member.y_future[:p]), kappa, 1.0)
+                unit = one_step_bound(sigma_min, spectral_norm(member.y_future[:p]),
+                                      block.kappa, 1.0)
                 np.testing.assert_array_equal(block.bound, unit * workspace.b_norms)
             else:
                 assert block.bound is None
 
+    def test_defect_past_tolerance_builds_the_blend_as_a_basis(self, small_config, monkeypatch):
+        # a geodesic whose Gram defect bound exceeds ORTHONORMALITY_TOL has
+        # each blend measured by BehaviorBasis, whose smaller measured defect
+        # the guard then reads: the outputs are unchanged
+        workspace = prepare(small_config)
+        loose = dataclasses.replace(workspace, blocks=workspace.blocks._replace(defect=1.0))
+        built, check = [], BehaviorBasis.__post_init__
+        monkeypatch.setattr(BehaviorBasis, "__post_init__", lambda U: built.append(U) or check(U))
+        members = (1, 5, small_config.N)
+        for n in members:
+            expected, got = run_trial(workspace, n), run_trial(loose, n)
+            assert got.block.kappa == expected.block.kappa
+            assert got.block.sigma_min_Mhat == expected.block.sigma_min_Mhat
+            np.testing.assert_array_equal(got.predictions, expected.predictions)
+            np.testing.assert_array_equal(got.block.prediction_error, expected.block.prediction_error)
+            assert (got.block.bound is None) == (expected.block.bound is None)
+            if got.block.bound is not None:
+                np.testing.assert_array_equal(got.block.bound, expected.block.bound)
+        assert len(built) == len(members)
+        # a blend that is not orthonormal is rejected as a basis would be
+        geodesic = workspace.geodesic
+        skewed = Geodesic(geodesic.origin, geodesic.start, geodesic.heading * (1 + 1e-3))
+        with pytest.raises(ValueError, match="columns are not orthonormal"):
+            experiment._member(skewed, loose.blocks, small_config.kappas[0])
+
     def test_block_member_checks_its_distance(self, small_config):
-        # a member evaluated from the blocks keeps Geodesic.member's target
+        # a member's distance from the blocks keeps Geodesic.member's target
         # check and chordal_distance's cross-check, at their tolerances
-        blocks = prepare(small_config).blocks
-        kappa, p = small_config.kappas[0], small_config.model.p  # 0.05
-        assert experiment._member(blocks, kappa, p) is not None
+        workspace = prepare(small_config)
+        geodesic, blocks = workspace.geodesic, workspace.blocks
+        kappa = small_config.kappas[0]  # 0.05
+        assert experiment._member(geodesic, blocks, kappa)[0] == run_trial(workspace, 1).block.kappa
         swapped_off = blocks.squares + [[0.0] * 4, [1e-10, 0.0, 0.0, 0.0]]  # about 1e-9 off
         with pytest.raises(ArithmeticError, match="chordal distance formulas disagree"):
-            experiment._member(blocks._replace(squares=swapped_off), kappa, p)
+            experiment._member(geodesic, blocks._replace(squares=swapped_off), kappa)
         both_off = blocks.squares * (1 + 1e-4)  # both 5e-5 relative, 2.5e-6 absolute, off
         with pytest.raises(ConvergenceError, match="measures distance"):
-            experiment._member(blocks._replace(squares=both_off), kappa, p)
+            experiment._member(geodesic, blocks._replace(squares=both_off), kappa)
 
     def test_default_config_certifies_its_first_eight_members(self):
         # the certified limit sigma_min / (2 sqrt(2)) of members 8 and 9 is

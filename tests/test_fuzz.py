@@ -9,8 +9,9 @@ a larger sweep than the default configuration.
 
 A property test also draws random dimensions, ranks, seeds and distances
 for `Geodesic.member`, the closed form that every perturbed subspace comes
-from; another evaluates the same members from their geodesic's blocks, the
-way the experiment sweep does, against the member bases; and another draws
+from; another evaluates the same members from their blends and their
+geodesic's blocks, the way the experiment sweep does, against the member
+bases; and another draws
 member blocks for `write_trials_csv`, whose bytes must be those of the csv
 module.
 """
@@ -27,12 +28,11 @@ from hypothesis import strategies as st
 
 from helpers import MAP_RTOL, random_basis, trial_rows, write_csv_reference
 from subpred import chordal_distance, format_model, principal_angles, save_basis, simulate
-from subpred._linalg import IDENTITY_ERROR_TOL, prediction_map, spectral_norm
+from subpred._linalg import IDENTITY_ERROR_TOL, gram_map, prediction_map, spectral_norm
 from subpred.cli import main
 from subpred.errors import ConvergenceError
 from subpred.experiment import (
     TrialBlock,
-    _defect_bound,
     _member,
     _member_blocks,
     default_model,
@@ -213,11 +213,11 @@ class TestGeodesicMember:
 
 
 class TestMemberBlocks:
-    """A sweep member evaluated from its geodesic's blocks (`_member`) against
-    the member basis that `Geodesic.member` builds, mapped by
-    `prediction_map`: SISO and MIMO, k = r and k < r, and distances from
-    1e-8 to the end of the geodesic.  The rank r is at most the number of
-    context rows, which then have full column rank."""
+    """A sweep member evaluated from its blend and its geodesic's blocks
+    (`_member`) against the member basis that `Geodesic.member` builds,
+    mapped by `prediction_map`: SISO and MIMO, k = r and k < r, and
+    distances from 1e-8 to the end of the geodesic.  The rank r is at most
+    the number of context rows, which then have full column rank."""
 
     @pytest.mark.parametrize("complement", ["large", "small"])  # k = r, or k < r
     @pytest.mark.parametrize("channels", ["siso", "mimo"])
@@ -243,17 +243,19 @@ class TestMemberBlocks:
         hypothesis.assume(basis_seed != seed)  # one stream would draw inside span U
         U = random_basis(np.random.default_rng(basis_seed), (m, p, Tini, Tf), r)
         geodesic = Geodesic.draw(U, seed)
-        blocks = _member_blocks(geodesic, future)
+        blocks = _member_blocks(geodesic)
 
         member, measured = geodesic.member(kappa)
-        s = kappa / largest
-        c = math.sqrt((1 - s) * (1 + s))
-        assert _defect_bound(blocks, c, s) >= member.gram_defect
-        got = _member(blocks, kappa, p)
-        if got is None:  # the sweep builds this member as a basis instead
-            return
-        distance, rows, sigma_min, norm_first = got
+        assert blocks.defect >= member.gram_defect
+        distance, rows, sigma_min, norm_first = _member(geodesic, blocks, kappa)
         assert abs(distance - measured) <= 1e-12
+        assert norm_first == spectral_norm(member.y_future[:p])
+        if gram_map(member.context_block, member.y_future, blocks.defect) is None:
+            # the guard declined: one SVD of the member's rows, with its bits
+            reference, _, ref_sigma_min = prediction_map(member.context_block, member.y_future)
+            np.testing.assert_array_equal(rows, reference)
+            assert sigma_min == ref_sigma_min
+            return
         reference, _, ref_sigma_min = prediction_map(
             member.context_block, member.y_future, member.gram_defect
         )
@@ -262,8 +264,6 @@ class TestMemberBlocks:
         rtol = MAP_RTOL if ref_sigma_min >= 0.03 else IDENTITY_ERROR_TOL
         assert np.linalg.norm(rows - reference[:p]) <= rtol * np.linalg.norm(reference[:p])
         assert abs(sigma_min - ref_sigma_min) <= rtol * ref_sigma_min
-        ref_norm = spectral_norm(member.y_future[:p])
-        assert abs(norm_first - ref_norm) <= MAP_RTOL * ref_norm
 
 
 # Any float, with the values whose repr is special drawn often: NaN, the

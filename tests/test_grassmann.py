@@ -457,8 +457,8 @@ class TestGeodesic:
     def test_wrapper_is_bit_identical_to_sweep_member(self, small_config):
         from subpred.experiment import prepare, run_trial
 
-        # the sweep evaluates a member from its geodesic's blocks and builds
-        # it with Geodesic.member only when the Gram route declines
+        # the sweep maps the rows of a member's Geodesic.blend, the matrix of
+        # Geodesic.member, and measures its distance from the geodesic's blocks
         workspace = prepare(small_config)
         for n in (1, 5, small_config.N):
             out = run_trial(workspace, n)
@@ -466,6 +466,7 @@ class TestGeodesic:
             V = perturb_subspace(workspace.basis, kappa, seed=small_config.seed_perturb)
             member, measured = workspace.geodesic.member(kappa)
             np.testing.assert_array_equal(V.matrix, member.matrix)
+            np.testing.assert_array_equal(workspace.geodesic.blend(kappa), member.matrix)
             assert measured == chordal_distance(workspace.basis, V)
             assert abs(out.block.kappa - measured) <= 1e-12
 
