@@ -14,18 +14,14 @@ from .experiment import (
 )
 from .grassmann import (
     BehaviorBasis,
-    PrincipalAngles,
-    align_basis,
     chordal_distance,
     load_basis,
     orthonormal_basis,
     perturb_subspace,
-    principal_angles,
     save_basis,
 )
 from .hankel import (
     PartitionedMatrix,
-    hankel,
     is_persistently_exciting,
     load_trajectory,
     persistently_exciting_input,

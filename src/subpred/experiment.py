@@ -12,9 +12,9 @@ sensitivity scatters the trend.
 
 A member's map depends only on its subspace, so `_member` reads it from the
 blend itself, split into context and future rows, with no member basis.
-Its distance is a quadratic form in the blend's coefficients, so `prepare`
-forms that form's blocks once per geodesic, with one bound on every
-member's Gram defect for the Gram route's guard.
+Its distance is `Geodesic.measure`'s, read from quadratic forms that the
+geodesic forms once when it is drawn, and the Gram route's guard reads the
+geodesic's one bound on every member's Gram defect.
 
 Seeds are split into three independent streams (offline/online data input,
 measurement noise, perturbation direction).  The online streams use the
@@ -23,10 +23,11 @@ offline draws.  Every output is a pure function of the configuration and
 the numerical libraries, so repeated runs on one numpy/BLAS build at one
 BLAS thread count are byte-identical.  Another thread count can round the
 offline basis's SVD differently, and with it every member's last digits.
-The sweep's numbers agree with the library path (`perturb_subspace`,
-`chordal_distance`, `predict_from_subspace`) to rounding, not bit for bit;
-a member whose Gram route the guard declines is mapped by `prediction_map`'s
-SVD of the member basis's rows, with that route's bits.
+A member's ``kappa`` is bit for bit the one `Geodesic.member` returns.  Its
+map agrees with the library path (`perturb_subspace`,
+`predict_from_subspace`) to rounding, not bit for bit; a member whose Gram
+route the guard declines is mapped by `prediction_map`'s SVD of the member
+basis's rows, with that route's bits.
 """
 
 from __future__ import annotations
@@ -44,17 +45,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kv import finite_floats, integer, read_pairs
-from ._linalg import EPS, gram_map, prediction_map, spectral_norm
+from ._linalg import gram_map, prediction_map, spectral_norm
 from .bounds import one_step_bound
 from .errors import HypothesisViolationError
 from .grassmann import (
-    ORTHONORMALITY_TOL,
-    BehaviorBasis,
-    Geodesic,
-    _cross_checked,
-    _on_target,
-    check_distance,
-    orthonormal_basis,
+    ORTHONORMALITY_TOL, BehaviorBasis, Geodesic, check_distance, orthonormal_basis,
 )
 from .hankel import persistently_exciting_input, stacked_data_matrix
 from .lti import NoiseSpec, StateSpaceModel, Trajectory, load_model, simulate
@@ -98,7 +93,9 @@ class ExperimentConfig:
     """Configuration of a perturbation sweep.  Defaults reproduce the bundled
     experiment: length-30 offline data, 50-step online run, 100 perturbations
     with distances evenly spaced up to 0.9, noise-to-signal ratio 0.02.
-    The lengths, N and the seeds are read with `operator.index`, so a float
+    ``kappa_grid``, explicit targets, is given instead of ``N`` and
+    ``kappa_max`` (ValueError with either); it sets N to its length.  The
+    lengths, N and the seeds are read with `operator.index`, so a float
     raises TypeError, and a negative seed raises ValueError."""
 
     model: StateSpaceModel
@@ -106,9 +103,9 @@ class ExperimentConfig:
     Tf: int = 4
     T: int = 30
     T_sim: int = 50
-    N: int = 100
+    N: int | None = None  # 100 without kappa_grid
     sigma: float = 0.02
-    kappa_max: float = 0.9
+    kappa_max: float | None = None  # 0.9 without kappa_grid
     kappa_grid: tuple[float, ...] | None = None
     seed_data: int = 0
     seed_noise: int = 1
@@ -116,6 +113,23 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        if self.kappa_grid is not None:
+            given = [key for key in ("N", "kappa_max") if getattr(self, key) is not None]
+            if given:
+                raise ValueError(
+                    f"kappa_grid is given together with {' and '.join(given)}: "
+                    "give it instead of N and kappa_max"
+                )
+            grid = tuple(float(k) for k in self.kappa_grid)
+            if not grid:
+                raise ValueError("kappa_grid must not be empty")
+            if not all(math.isfinite(k) and k >= 0 for k in grid):
+                raise ValueError(f"kappa_grid values must be finite and nonnegative, got {grid}")
+            object.__setattr__(self, "kappa_grid", grid)
+            object.__setattr__(self, "N", len(grid))
+        else:
+            object.__setattr__(self, "N", 100 if self.N is None else self.N)
+            object.__setattr__(self, "kappa_max", 0.9 if self.kappa_max is None else self.kappa_max)
         for key in _CONFIG_INT_KEYS:
             object.__setattr__(self, key, operator.index(getattr(self, key)))
         for key in _CONFIG_SEED_KEYS:
@@ -130,15 +144,7 @@ class ExperimentConfig:
             raise ValueError(f"online length T_sim={self.T_sim} is shorter than Tini+Tf={L}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if self.kappa_grid is not None:
-            grid = tuple(float(k) for k in self.kappa_grid)
-            if not grid:
-                raise ValueError("kappa_grid must not be empty")
-            if not all(math.isfinite(k) and k >= 0 for k in grid):
-                raise ValueError(f"kappa_grid values must be finite and nonnegative, got {grid}")
-            object.__setattr__(self, "kappa_grid", grid)
-            object.__setattr__(self, "N", len(grid))
-        else:
+        if self.kappa_grid is None:
             if self.N < 1:
                 raise ValueError(f"N must be at least 1, got {self.N}")
             if not (math.isfinite(self.kappa_max) and self.kappa_max > 0):
@@ -166,10 +172,10 @@ def load_config(path) -> ExperimentConfig:
     """Read a key-value configuration file.
 
     Recognized keys: model (path to a model file), Tini, Tf, T, T_sim, N,
-    sigma, kappa_max, kappa_grid (comma-separated), seed_data, seed_noise,
-    seed_perturb, output_dir.  Missing keys fall back to the defaults;
-    relative paths are resolved against the config file's directory.  Every
-    ValueError names the file.
+    sigma, kappa_max, kappa_grid (comma-separated, given instead of N and
+    kappa_max), seed_data, seed_noise, seed_perturb, output_dir.  Missing
+    keys fall back to the defaults; relative paths are resolved against the
+    config file's directory.  Every ValueError names the file.
     """
     path = Path(path)
     pairs = read_pairs(path.read_text(encoding="utf-8"), source=str(path))
@@ -235,64 +241,16 @@ class SingleRecord(NamedTuple):
     bound: float | None
 
 
-class _MemberBlocks(NamedTuple):
-    """What `_member` takes from the sweep's geodesic besides its blend.
-    The member at kappa is [c S1 + s H, S2], with S = [S1 S2] the geodesic's
-    start split at column k, H its heading, s = kappa / sqrt(k) and
-    c = sqrt(1 - s^2).  The rows of ``squares`` stack the blocks of the
-    member's squared distance and squared swapped residual, quadratic forms
-    in (c, s), weighted by (1, c^2, s^2, cs) in that order.  ``defect`` is
-    ||Q'Q - I||_F + 6 eps sqrt(k), with Q = [S H], which bounds every
-    member's Gram defect: the member is Q T with ||T||_2^2 = c^2 + s^2, and
-    6 eps sqrt(k) covers c^2 + s^2 - 1 (at most 3 eps per column) and the
-    rounding of the blend (at most 2 sqrt(2) eps sqrt(k))."""
-
-    k: int
-    squares: np.ndarray  # (2, 4)
-    defect: float
-
-
-def _member_blocks(geodesic: Geodesic) -> _MemberBlocks:
-    """The blocks of ``geodesic``.
-
-    The distance is ||(I - UU')B||_F for the origin U and member B, and
-    (I - UU')B = [c P1 + s Hp, P2] with P = (I - UU')S and Hp = (I - UU')H
-    formed here once: its square is a sum of squares and a rounding-sized
-    cross term, which does not cancel at small kappa the way
-    r - ||U'B||_F^2 does.  The swapped residual is the component of S
-    outside span B, S - B(S'B)'.  In the coordinates of Q it is
-    [s^2 I 0; 0 0; -cs I 0] - [c Z; E2; s Z], where E1, E2 and Eh are the
-    row blocks of (Q'Q - I)[:, :r] and Z = c E1 + s Eh; the cross terms
-    cancel, leaving s^2 k + ||Z||^2 + ||E2||^2.  Reading Q as orthonormal
-    scales that norm by at most 1 +- ||Q'Q - I||_2.  Q is never formed:
-    each product is taken of S and H apart."""
-    origin, start, heading = geodesic.origin.matrix, geodesic.start, geodesic.heading
-    r, k = start.shape[1], heading.shape[1]
-    P1, P2 = np.split(start - origin @ (origin.T @ start), [k], axis=1)
-    Hp = heading - origin @ (origin.T @ heading)
-    distance = [np.vdot(P2, P2), np.vdot(P1, P1), np.vdot(Hp, Hp), 2 * np.vdot(P1, Hp)]
-    # Q'Q - I = [S'S - I, S'H; H'S, H'H - I]: E1 and E2 are the rows of
-    # S'S - I, and Eh = H'S
-    Es, Ehh, Eh = start.T @ start, heading.T @ heading, heading.T @ start
-    Es.flat[:: r + 1] -= 1.0
-    Ehh.flat[:: k + 1] -= 1.0
-    E1, E2 = Es[:k], Es[k:]
-    swapped = [np.vdot(E2, E2), np.vdot(E1, E1), k + np.vdot(Eh, Eh), 2 * np.vdot(E1, Eh)]
-    defect = math.sqrt(np.vdot(Es, Es) + 2 * np.vdot(Eh, Eh) + np.vdot(Ehh, Ehh))
-    return _MemberBlocks(k, np.array([distance, swapped]), defect + 6 * EPS * math.sqrt(k))
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentWorkspace:
     """Everything shared by the trials of one configuration: the baseline
-    basis from offline data, the geodesic the perturbed family lies on and
-    its blocks, the measured online trajectory, the sliding contexts, and
-    the baseline one-step predictions."""
+    basis from offline data, the geodesic the perturbed family lies on, the
+    measured online trajectory, the sliding contexts, and the baseline
+    one-step predictions."""
 
     config: ExperimentConfig
     basis: BehaviorBasis
     geodesic: Geodesic
-    blocks: _MemberBlocks
     measured: Trajectory
     steps: tuple[int, ...]
     context_matrix: np.ndarray  # (steps, len(b)) stacked context vectors
@@ -334,7 +292,6 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
         config=config,
         basis=basis,
         geodesic=geodesic,
-        blocks=_member_blocks(geodesic),
         measured=measured,
         steps=tuple(range(config.Tini, config.T_sim - config.Tf + 1)),
         context_matrix=context_matrix,
@@ -358,23 +315,19 @@ def _check_index(config: ExperimentConfig, n: int) -> int:
     return n
 
 
-def _member(geodesic: Geodesic, blocks: _MemberBlocks, kappa: float):
+def _member(geodesic: Geodesic, kappa: float):
     """``(measured distance, map, sigma_min, ||Yf[:p]||_2)`` of the member
     of ``geodesic`` at target ``kappa``, with Yf its future-output rows.
 
-    The distance comes from ``blocks`` and passes `chordal_distance`'s
-    cross-check and `Geodesic.member`'s target check.  The map comes from
-    the member's `Geodesic.blend`, split into context and future rows: its
-    first p rows by `gram_map`, whose guard reads ``blocks.defect``, or,
-    when the guard declines, all of it from one `prediction_map` SVD of the
-    same rows.  When ``blocks.defect`` exceeds ``ORTHONORMALITY_TOL`` the
-    blend is built as a `BehaviorBasis`, which measures its Gram defect or
-    rejects it."""
-    s = kappa / math.sqrt(blocks.k)
-    c = math.sqrt((1 - s) * (1 + s))
-    d, swapped = (math.sqrt(max(0.0, x)) for x in blocks.squares @ [1.0, c * c, s * s, c * s])
-    measured = _on_target(kappa, _cross_checked(d, swapped))
-    data, defect = geodesic.blend(kappa), blocks.defect
+    The distance is `Geodesic.measure`'s, with its checks.  The map comes
+    from the member's `Geodesic.blend`, split into context and future rows:
+    its first p rows by `gram_map`, whose guard reads ``geodesic.defect``,
+    or, when the guard declines, all of it from one `prediction_map` SVD of
+    the same rows.  When ``geodesic.defect`` exceeds ``ORTHONORMALITY_TOL``
+    the blend is built as a `BehaviorBasis`, which measures its Gram defect
+    or rejects it."""
+    measured = geodesic.measure(kappa)
+    data, defect = geodesic.blend(kappa), geodesic.defect
     if not defect <= ORTHONORMALITY_TOL:
         basis = BehaviorBasis(data, *geodesic.origin.dims)
         data, defect = basis.data, basis.gram_defect
@@ -399,9 +352,7 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
     config = workspace.config
     n = _check_index(config, n)
     p = config.model.p
-    kappa, matrix, sigma_min, norm_first = _member(
-        workspace.geodesic, workspace.blocks, config.kappas[n - 1]
-    )
+    kappa, matrix, sigma_min, norm_first = _member(workspace.geodesic, config.kappas[n - 1])
     predictions = _apply(matrix, workspace.context_matrix)[:, :p]
     errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
     try:

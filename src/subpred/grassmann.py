@@ -1,15 +1,15 @@
-"""Subspace geometry for behavior spaces: orthonormal bases, principal
-angles, chordal distance, Procrustes alignment, and perturbed subspaces at a
-prescribed distance along a geodesic whose k moving principal angles are
-equal, so the subspace at a distance is one blend of two matrices.
+"""Subspace geometry for behavior spaces: orthonormal bases, chordal
+distance, and perturbed subspaces at a prescribed distance along a geodesic
+whose k moving principal angles are equal, so the subspace at a distance is
+one blend of two matrices.
 
-Angles are computed from two SVDs: cosines from the product of the bases,
-sines from the projection of one basis onto the orthogonal complement of the
-other.  The sine route keeps full accuracy for nearly identical subspaces,
-where arccos of a cosine loses half the significant digits.  A distance needs
-only the 2-norm of the sines, which is the Frobenius norm of that projection,
-so it is evaluated without any SVD and checked against the projection taken
-the other way, of the first basis off the second.
+The chordal distance is the 2-norm of the principal-angle sines, which is
+the Frobenius norm of the projection of one basis onto the orthogonal
+complement of the other, so it is evaluated without any SVD and checked
+against the projection taken the other way, of the first basis off the
+second.  A geodesic member's two norms are quadratic forms in its blend
+coefficients, whose blocks the geodesic forms once when it is drawn, so
+every member is measured without being built.
 """
 
 from __future__ import annotations
@@ -23,17 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kv import finite_floats
-from ._linalg import svd
+from ._linalg import EPS, svd
 from .errors import ConvergenceError, RankDeficientError
 from .hankel import PartitionedMatrix
 
 __all__ = [
     "BehaviorBasis",
-    "PrincipalAngles",
     "orthonormal_basis",
-    "principal_angles",
     "chordal_distance",
-    "align_basis",
     "check_distance",
     "Geodesic",
     "perturb_subspace",
@@ -42,19 +39,6 @@ __all__ = [
 ]
 
 ORTHONORMALITY_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class PrincipalAngles:
-    """Canonical angles between two equal-rank subspaces.
-
-    ``angles`` is nondecreasing in [0, pi/2]; ``cosines`` (nonincreasing) and
-    ``sines`` (nondecreasing) are aligned index-wise with ``angles``.
-    """
-
-    angles: np.ndarray
-    cosines: np.ndarray
-    sines: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,27 +98,6 @@ def _check_comparable(U: BehaviorBasis, V: BehaviorBasis) -> None:
         raise ValueError(f"subspace ranks differ: {U.r} vs {V.r}")
 
 
-def _sines(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Sines (ascending) of the principal angles between the column spans of
-    two orthonormal matrices: the singular values of B's component outside
-    span A."""
-    return np.clip(svd(B - A @ (A.T @ B))[1][::-1], 0.0, 1.0)
-
-
-def principal_angles(U: BehaviorBasis, V: BehaviorBasis) -> PrincipalAngles:
-    """Principal angles between two equal-rank behavior subspaces.
-
-    Each angle is recovered from its (cosine, sine) pair via arctan2, which is
-    accurate at both ends of [0, pi/2].
-    """
-    _check_comparable(U, V)
-    A, B = U.matrix, V.matrix
-    cosines = np.clip(svd(A.T @ B)[1], 0.0, 1.0)
-    sines = _sines(A, B)
-    angles = np.arctan2(sines, cosines)
-    return PrincipalAngles(angles=angles, cosines=cosines, sines=sines)
-
-
 def chordal_distance(U: BehaviorBasis, V: BehaviorBasis) -> float:
     """Chordal distance: the root of the sum of squared principal-angle sines.
 
@@ -163,20 +126,6 @@ def _cross_checked(d: float, swapped: float) -> float:
     return d
 
 
-def align_basis(U: BehaviorBasis, Uhat: BehaviorBasis) -> BehaviorBasis:
-    """Rotate ``Uhat`` by the orthogonal matrix that brings it closest to
-    ``U`` in Frobenius norm (the orthogonal Procrustes minimizer).
-
-    The rotated basis spans the same subspace as ``Uhat``; the achieved gap
-    satisfies ||U - aligned||_F^2 = 2r - 2*sum(cos(theta_i)) and is at most
-    sqrt(2) times the chordal distance.
-    """
-    _check_comparable(U, Uhat)
-    P, _, Qt, _ = svd(U.matrix.T @ Uhat.matrix, vectors=True)
-    rotation = Qt.T @ P.T
-    return BehaviorBasis(Uhat.matrix @ rotation, *Uhat.dims)
-
-
 def check_distance(q: int, r: int, kappa: float) -> None:
     """Reject a target chordal distance that no rank-r subspace of R^q can
     lie at from another: ``kappa`` must be finite and in [0, sqrt(k)], with
@@ -192,10 +141,10 @@ def check_distance(q: int, r: int, kappa: float) -> None:
         )
 
 
-# The last draw from each live basis, as (seed, start, heading), keyed weakly
-# by the BehaviorBasis object.  A basis is frozen over a private read-only
-# copy of its data, so a stored draw is bit for bit a fresh one.  A value
-# holds no Geodesic, whose origin would keep its key alive.
+# The last draw from each live basis, as (seed, start, heading, squares,
+# defect), keyed weakly by the BehaviorBasis object.  A basis is frozen over a
+# private read-only copy of its data, so a stored draw is bit for bit a fresh
+# one.  A value holds no Geodesic, whose origin would keep its key alive.
 _DRAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -214,13 +163,20 @@ class Geodesic:
     distance is sqrt(k) s = kappa, for every kappa up to sqrt(k), the
     largest distance `check_distance` admits.  The textbook form
     U V cos(t Theta) + W sin(t Theta) gives the same subspace at
-    sin(t pi/2) = s.  The arrays are read-only, so one geodesic can serve
-    concurrent callers.
+    sin(t pi/2) = s.
+
+    The rows of ``squares`` hold the member's squared distance and squared
+    swapped residual, the two norms `chordal_distance` compares, as
+    quadratic forms in (c, s) weighted by (1, c^2, s^2, cs); `measure` reads
+    them.  ``defect`` bounds every member's Gram defect.  The arrays are
+    read-only, so one geodesic can serve concurrent callers.
     """
 
     origin: BehaviorBasis
     start: np.ndarray  # (q, r), orthonormal, spans the origin
     heading: np.ndarray  # (q, k), orthonormal, orthogonal to start
+    squares: np.ndarray  # (2, 4)
+    defect: float
 
     @classmethod
     def draw(cls, U: BehaviorBasis, seed: int) -> "Geodesic":
@@ -233,7 +189,7 @@ class Geodesic:
         within ``ORTHONORMALITY_TOL``, and TypeError when ``seed`` is not an
         integer.
 
-        The factorization is reused per live basis and seed: the arrays of
+        The factorization is reused per live basis and seed: the fields of
         the last seed drawn from ``U`` are kept while ``U`` is alive, so a
         second draw from the same basis object and seed makes no SVD and
         returns the bits of a fresh draw."""
@@ -261,43 +217,86 @@ class Geodesic:
                 f"tangent direction drawn from seed={seed} is not orthogonal to the basis: "
                 f"||U'W||_F = {leak:.3e}"
             )
-        arrays = (base @ Vt.T, heading)
-        for arr in arrays:
+        start = base @ Vt.T
+        squares, defect = _blocks(base, start, heading)
+        for arr in (start, heading, squares):
             arr.flags.writeable = False
-        _DRAWS[U] = (seed, *arrays)
-        return cls(U, *arrays)
+        _DRAWS[U] = (seed, start, heading, squares, defect)
+        return cls(U, start, heading, squares, defect)
 
     def member(self, kappa: float) -> tuple[BehaviorBasis, float]:
         """The subspace at chordal distance ``kappa`` from the origin, with
-        its distance as measured by `chordal_distance`; ``kappa = 0`` is the
-        origin itself.  Raises ValueError for a target no subspace can reach.
-
-        The measurement verifies the closed form: a miss beyond
-        1e-6 * max(1, kappa) raises ConvergenceError.
-        """
+        its distance from `measure`; ``kappa = 0`` is the origin itself.
+        Raises ValueError for a target no subspace can reach."""
         check_distance(self.origin.q, self.origin.r, kappa)
         if kappa == 0:
             perturbed = self.origin
         else:
             perturbed = BehaviorBasis(self.blend(kappa), *self.origin.dims)
-        return perturbed, _on_target(kappa, chordal_distance(self.origin, perturbed))
+        return perturbed, self.measure(kappa)
+
+    def measure(self, kappa: float) -> float:
+        """The chordal distance of the member at a reachable ``kappa`` from
+        the origin, read from ``squares``.  It is checked as
+        `chordal_distance` checks its value, against the swapped residual
+        to 1e-10 (ArithmeticError), and then against the closed form: a miss
+        beyond 1e-6 * max(1, kappa) raises ConvergenceError."""
+        s, c = self._coefficients(kappa)
+        d, swapped = (math.sqrt(max(0.0, x)) for x in self.squares @ [1.0, c * c, s * s, c * s])
+        measured = _cross_checked(d, swapped)
+        if not abs(measured - kappa) <= 1e-6 * max(1.0, kappa):
+            raise ConvergenceError(f"member for kappa={kappa} measures distance {measured!r}")
+        return measured
 
     def blend(self, kappa: float) -> np.ndarray:
         """The matrix of the member at ``kappa``, unchecked: a new copy of
         ``start`` whose first k columns are start[:, :k] c + heading s."""
         k = self.heading.shape[1]
-        s = kappa / math.sqrt(k)  # at most 1: check_distance caps kappa at sqrt(k)
+        s, c = self._coefficients(kappa)
         data = self.start.copy()
-        data[:, :k] = self.start[:, :k] * math.sqrt((1 - s) * (1 + s)) + self.heading * s
+        data[:, :k] = self.start[:, :k] * c + self.heading * s
         return data
 
+    def _coefficients(self, kappa: float) -> tuple[float, float]:
+        """(s, c) at ``kappa``: s <= 1 as `check_distance` caps kappa at
+        sqrt(k), and s = 0 when k = 0, whose one member is the origin."""
+        k = self.heading.shape[1]
+        s = kappa / math.sqrt(k) if k else 0.0
+        return s, math.sqrt((1 - s) * (1 + s))
 
-def _on_target(kappa: float, measured: float) -> float:
-    """``measured``, once it lies within 1e-6 * max(1, kappa) of the target
-    ``kappa``; ConvergenceError otherwise."""
-    if not abs(measured - kappa) <= 1e-6 * max(1.0, kappa):
-        raise ConvergenceError(f"member for kappa={kappa} measures distance {measured!r}")
-    return measured
+
+def _blocks(origin: np.ndarray, start: np.ndarray, heading: np.ndarray) -> tuple[np.ndarray, float]:
+    """``squares`` and ``defect`` of the geodesic from ``origin`` U with
+    ``start`` S = [S1 S2], split at column k, and ``heading`` H.  The member
+    B = [c S1 + s H, S2] has distance ||(I - UU')B||_F, and
+    (I - UU')B = [c P1 + s Hp, P2] with P = (I - UU')S and Hp = (I - UU')H
+    formed here once: its square is a sum of squares and a rounding-sized
+    cross term, which does not cancel at small kappa the way
+    r - ||U'B||_F^2 does.  The swapped residual is the component of S
+    outside span B, S - B(S'B)'.  In the coordinates of Q = [S H] it is
+    [s^2 I 0; 0 0; -cs I 0] - [c Z; E2; s Z], where E1, E2 and Eh are the
+    row blocks of (Q'Q - I)[:, :r] and Z = c E1 + s Eh; the cross terms
+    cancel, leaving s^2 k + ||Z||^2 + ||E2||^2.  Reading Q as orthonormal
+    scales that norm by at most 1 +- ||Q'Q - I||_2.  Q is never formed:
+    each product is taken of S and H apart.
+
+    ``defect`` is ||Q'Q - I||_F + 6 eps sqrt(k): the member is Q T with
+    ||T||_2^2 = c^2 + s^2, and 6 eps sqrt(k) covers c^2 + s^2 - 1 (at most
+    3 eps per column) and the rounding of the blend (at most
+    2 sqrt(2) eps sqrt(k))."""
+    r, k = start.shape[1], heading.shape[1]
+    P1, P2 = np.split(start - origin @ (origin.T @ start), [k], axis=1)
+    Hp = heading - origin @ (origin.T @ heading)
+    distance = [np.vdot(P2, P2), np.vdot(P1, P1), np.vdot(Hp, Hp), 2 * np.vdot(P1, Hp)]
+    # Q'Q - I = [S'S - I, S'H; H'S, H'H - I]: E1 and E2 are the rows of
+    # S'S - I, and Eh = H'S
+    Es, Ehh, Eh = start.T @ start, heading.T @ heading, heading.T @ start
+    Es.flat[:: r + 1] -= 1.0
+    Ehh.flat[:: k + 1] -= 1.0
+    E1, E2 = Es[:k], Es[k:]
+    swapped = [np.vdot(E2, E2), np.vdot(E1, E1), k + np.vdot(Eh, Eh), 2 * np.vdot(E1, Eh)]
+    defect = math.sqrt(np.vdot(Es, Es) + 2 * np.vdot(Eh, Eh) + np.vdot(Ehh, Ehh))
+    return np.array([distance, swapped]), defect + 6 * EPS * math.sqrt(k)
 
 
 def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis:
@@ -305,18 +304,16 @@ def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis
 
     The member at ``kappa`` of the geodesic drawn from ``seed`` (see
     `Geodesic`): its k = min(r, q - r) principal angles from ``U`` all equal
-    asin(kappa / sqrt(k)), and its distance is verified by one measurement
+    asin(kappa / sqrt(k)), and its distance is verified by `Geodesic.measure`
     to |d - kappa| <= 1e-6 * max(1, kappa).  The columns are the geodesic's
     blend of two orthonormal matrices, a basis that is not rotated towards
     ``U``.  ``kappa = 0`` returns ``U`` itself.  Deterministic for a fixed
     seed.  The direction's factorization is reused per live basis and seed
     (see `Geodesic.draw`), so calls at several distances on one (basis,
-    seed) make one SVD between them.  The measured distance is dropped, so
-    a caller that reports it would have to measure it again; it should call
-    ``Geodesic.draw(U, seed).member(kappa)`` instead, which returns the same
-    basis together with its measured distance.  The experiment sweep calls
-    neither: it maps each member's `Geodesic.blend` directly and measures
-    its distance from blocks that are fixed per geodesic.
+    seed) make one SVD between them.  The measured distance is dropped; a
+    caller that reports it should call ``Geodesic.draw(U, seed).member(kappa)``
+    instead, which returns the same basis together with its measured
+    distance.
     """
     return Geodesic.draw(U, seed).member(kappa)[0]
 

@@ -1,6 +1,8 @@
-"""Shared generators for randomized tests, and the proof-chain lemmas of the
+"""Shared generators for randomized tests, the proof-chain lemmas of the
 bounds (the matrix-norm bound, the pseudoinverse perturbation bound and
-Weyl's inequality), kept here as oracles for the certified bounds."""
+Weyl's inequality), kept here as oracles for the certified bounds, and the
+principal angles and Procrustes alignment of two bases, kept here as
+oracles for the chordal distance and the alignment step of the proof."""
 
 from __future__ import annotations
 
@@ -12,14 +14,14 @@ import numpy as np
 from subpred import NoiseSpec, StateSpaceModel
 from subpred._linalg import prediction_map, spectral_norm, svd
 from subpred.errors import RankDeficientError
-from subpred.grassmann import BehaviorBasis
+from subpred.grassmann import BehaviorBasis, _check_comparable
 from subpred.hankel import PartitionedMatrix
 
 _PINV_PERTURBATION_CONST = (1.0 + np.sqrt(5.0)) / 2.0
 
 # Largest relative gap, in a prediction map and in sigma_min, between the
 # Gram route and the SVD route on bases with sigma_min >= 0.03, and between
-# a sweep member built from its geodesic's blocks and the same member built
+# a sweep member mapped from the rows of its blend and the same member built
 # as a basis; the benchmark inputs showed at most 1e-12 (sigma_min 0.024).
 MAP_RTOL = 1e-11
 
@@ -276,3 +278,51 @@ def weyl_check(Mhat, M) -> bool:
         raise ValueError(f"shapes differ: {Mhat.shape} vs {M.shape}")
     smin_hat, smin = (float(svd(mat)[1][-1]) for mat in (Mhat, M))
     return abs(smin_hat - smin) <= spectral_norm(Mhat - M) + 1e-10
+
+
+@dataclass(frozen=True, eq=False)
+class PrincipalAngles:
+    """Canonical angles between two equal-rank subspaces.
+
+    ``angles`` is nondecreasing in [0, pi/2]; ``cosines`` (nonincreasing) and
+    ``sines`` (nondecreasing) are aligned index-wise with ``angles``.
+    """
+
+    angles: np.ndarray
+    cosines: np.ndarray
+    sines: np.ndarray
+
+
+def _sines(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Sines (ascending) of the principal angles between the column spans of
+    two orthonormal matrices: the singular values of B's component outside
+    span A."""
+    return np.clip(svd(B - A @ (A.T @ B))[1][::-1], 0.0, 1.0)
+
+
+def principal_angles(U: BehaviorBasis, V: BehaviorBasis) -> PrincipalAngles:
+    """Principal angles between two equal-rank behavior subspaces.
+
+    Each angle is recovered from its (cosine, sine) pair via arctan2, which is
+    accurate at both ends of [0, pi/2].
+    """
+    _check_comparable(U, V)
+    A, B = U.matrix, V.matrix
+    cosines = np.clip(svd(A.T @ B)[1], 0.0, 1.0)
+    sines = _sines(A, B)
+    angles = np.arctan2(sines, cosines)
+    return PrincipalAngles(angles=angles, cosines=cosines, sines=sines)
+
+
+def align_basis(U: BehaviorBasis, Uhat: BehaviorBasis) -> BehaviorBasis:
+    """Rotate ``Uhat`` by the orthogonal matrix that brings it closest to
+    ``U`` in Frobenius norm (the orthogonal Procrustes minimizer).
+
+    The rotated basis spans the same subspace as ``Uhat``; the achieved gap
+    satisfies ||U - aligned||_F^2 = 2r - 2*sum(cos(theta_i)) and is at most
+    sqrt(2) times the chordal distance.
+    """
+    _check_comparable(U, Uhat)
+    P, _, Qt, _ = svd(U.matrix.T @ Uhat.matrix, vectors=True)
+    rotation = Qt.T @ P.T
+    return BehaviorBasis(Uhat.matrix @ rotation, *Uhat.dims)

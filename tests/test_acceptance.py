@@ -10,8 +10,10 @@ import pytest
 from scipy import stats
 
 from helpers import (
+    align_basis,
     conditioned_invertible,
     pinv_perturbation_bound,
+    principal_angles,
     random_basis,
     random_model,
     random_orthogonal,
@@ -20,7 +22,6 @@ from helpers import (
 )
 from subpred import (
     ExperimentConfig,
-    align_basis,
     chordal_distance,
     gain_bound,
     gamma,
@@ -29,7 +30,6 @@ from subpred import (
     one_step_bound,
     orthonormal_basis,
     perturb_subspace,
-    principal_angles,
     pseudoinverse,
     simulate,
     stacked_data_matrix,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    align_basis,
     first_error_bound,
     first_error_bound_terms,
     pinv_perturbation_bound,
@@ -10,7 +11,6 @@ from helpers import (
     weyl_check,
 )
 from subpred import (
-    align_basis,
     chordal_distance,
     gain_bound,
     gamma,

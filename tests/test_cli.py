@@ -385,6 +385,11 @@ class TestExperimentCommands:
             ("seed_data = -1", "{cfg}: seed_data must be non-negative, got -1"),
             ("seed_noise = -3", "{cfg}: seed_noise must be non-negative, got -3"),
             ("seed_perturb = -2", "{cfg}: seed_perturb must be non-negative, got -2"),
+            # kappa_grid is given instead of N and kappa_max, never with them
+            ("kappa_grid = 0.1\nN = 5", "{cfg}: kappa_grid is given together with N: give it"),
+            ("kappa_grid = 0.1\nkappa_max = 0.3", "{cfg}: kappa_grid is given together with kappa_max:"),
+            ("N = 100\nkappa_max = 0.9\nkappa_grid = 0.1",
+             "{cfg}: kappa_grid is given together with N and kappa_max:"),
         ],
     )
     def test_bad_config_exit_2_before_simulation(self, tmp_path, monkeypatch, capsys, line, message):
@@ -393,7 +398,7 @@ class TestExperimentCommands:
 
         monkeypatch.setattr("subpred.experiment.simulate", offline_stage)
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"Tini = 2\nTf = 2\nT_sim = 12\nN = 2\n{line}\noutput_dir = o\n")
+        cfg.write_text(f"Tini = 2\nTf = 2\nT_sim = 12\n{line}\noutput_dir = o\n")
         assert main(["experiment", "--config", str(cfg)]) == 2
         assert message.format(cfg=cfg) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -12,7 +12,7 @@ from subpred.errors import ConvergenceError, RankDeficientError
 from subpred._linalg import prediction_map, spectral_norm
 from subpred.bounds import one_step_bound
 from subpred.experiment import TrialBlock, default_model, prepare, run_trial, write_trials_csv
-from subpred.grassmann import BehaviorBasis, Geodesic
+from subpred.grassmann import BehaviorBasis
 from subpred.predictor import _apply, context_windows, predict_from_subspace, rolling_one_step
 
 
@@ -27,9 +27,18 @@ class TestConfig:
 
     def test_kappa_grid_overrides_N(self):
         cfg = ExperimentConfig(model=default_model(), kappa_grid=(0.1, 0.2))
-        assert cfg.N == 2
+        assert (cfg.N, cfg.kappa_max) == (2, None)
         assert cfg.kappas == (0.1, 0.2)
         assert cfg.kappas is cfg.kappas
+
+    @pytest.mark.parametrize("given", [{"N": 5}, {"kappa_max": 0.3}, {"N": 5, "kappa_max": 0.3},
+                                       {"N": 100}, {"kappa_max": 0.9}])
+    def test_kappa_grid_with_N_or_kappa_max_rejected(self, given):
+        # an explicit value equal to the default conflicts too
+        names = " and ".join(given)
+        with pytest.raises(ValueError, match=f"^kappa_grid is given together with {names}: "
+                                             "give it instead of N and kappa_max$"):
+            ExperimentConfig(model=default_model(), kappa_grid=(0.1, 0.2), **given)
 
     def test_invalid_lengths_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
@@ -67,10 +76,11 @@ class TestConfig:
         "key", ["Tini", "Tf", "T", "T_sim", "N", "seed_data", "seed_noise", "seed_perturb"]
     )
     def test_integer_keys_read_as_indices(self, key):
-        cfg = ExperimentConfig(model=default_model(), **{key: np.int64(getattr(ExperimentConfig, key))})
+        default = getattr(ExperimentConfig(model=default_model()), key)  # N's default is resolved
+        cfg = ExperimentConfig(model=default_model(), **{key: np.int64(default)})
         assert type(getattr(cfg, key)) is int
         with pytest.raises(TypeError):
-            ExperimentConfig(model=default_model(), **{key: float(getattr(ExperimentConfig, key))})
+            ExperimentConfig(model=default_model(), **{key: float(default)})
 
     @pytest.mark.parametrize("key", ["seed_data", "seed_noise", "seed_perturb"])
     def test_negative_seed_rejected_by_name(self, key):
@@ -265,7 +275,7 @@ class TestRunExperiment:
             block = out.block
             member, _ = geodesic.member(kappa)
             matrix, _, sigma_min = prediction_map(member.context_block, member.y_future)
-            rows = experiment._member(geodesic, workspace.blocks, kappa)[1]
+            rows = experiment._member(geodesic, kappa)[1]
             np.testing.assert_array_equal(rows, matrix)
             predictions = _apply(matrix, workspace.context_matrix)[:, :p]
             np.testing.assert_array_equal(out.predictions, predictions)
@@ -285,7 +295,8 @@ class TestRunExperiment:
         # each blend measured by BehaviorBasis, whose smaller measured defect
         # the guard then reads: the outputs are unchanged
         workspace = prepare(small_config)
-        loose = dataclasses.replace(workspace, blocks=workspace.blocks._replace(defect=1.0))
+        loose_geodesic = dataclasses.replace(workspace.geodesic, defect=1.0)
+        loose = dataclasses.replace(workspace, geodesic=loose_geodesic)
         built, check = [], BehaviorBasis.__post_init__
         monkeypatch.setattr(BehaviorBasis, "__post_init__", lambda U: built.append(U) or check(U))
         members = (1, 5, small_config.N)
@@ -300,24 +311,29 @@ class TestRunExperiment:
                 np.testing.assert_array_equal(got.block.bound, expected.block.bound)
         assert len(built) == len(members)
         # a blend that is not orthonormal is rejected as a basis would be
-        geodesic = workspace.geodesic
-        skewed = Geodesic(geodesic.origin, geodesic.start, geodesic.heading * (1 + 1e-3))
+        skewed = dataclasses.replace(loose_geodesic, heading=loose_geodesic.heading * (1 + 1e-3))
         with pytest.raises(ValueError, match="columns are not orthonormal"):
-            experiment._member(skewed, loose.blocks, small_config.kappas[0])
+            experiment._member(skewed, small_config.kappas[0])
 
     def test_block_member_checks_its_distance(self, small_config):
-        # a member's distance from the blocks keeps Geodesic.member's target
-        # check and chordal_distance's cross-check, at their tolerances
+        # a member's distance from the geodesic's squares keeps the target
+        # check and chordal_distance's cross-check, at their tolerances, in
+        # the sweep and in Geodesic.member alike
         workspace = prepare(small_config)
-        geodesic, blocks = workspace.geodesic, workspace.blocks
+        geodesic = workspace.geodesic
         kappa = small_config.kappas[0]  # 0.05
-        assert experiment._member(geodesic, blocks, kappa)[0] == run_trial(workspace, 1).block.kappa
-        swapped_off = blocks.squares + [[0.0] * 4, [1e-10, 0.0, 0.0, 0.0]]  # about 1e-9 off
-        with pytest.raises(ArithmeticError, match="chordal distance formulas disagree"):
-            experiment._member(geodesic, blocks._replace(squares=swapped_off), kappa)
-        both_off = blocks.squares * (1 + 1e-4)  # both 5e-5 relative, 2.5e-6 absolute, off
-        with pytest.raises(ConvergenceError, match="measures distance"):
-            experiment._member(geodesic, blocks._replace(squares=both_off), kappa)
+        assert experiment._member(geodesic, kappa)[0] == run_trial(workspace, 1).block.kappa
+        assert geodesic.member(kappa)[1] == run_trial(workspace, 1).block.kappa
+        swapped_off = geodesic.squares + [[0.0] * 4, [1e-10, 0.0, 0.0, 0.0]]  # about 1e-9 off
+        both_off = geodesic.squares * (1 + 1e-4)  # both 5e-5 relative, 2.5e-6 absolute, off
+        for squares, error, message in (
+            (swapped_off, ArithmeticError, "chordal distance formulas disagree"),
+            (both_off, ConvergenceError, "measures distance"),
+        ):
+            changed = dataclasses.replace(geodesic, squares=squares)
+            for solve in (changed.member, lambda kappa: experiment._member(changed, kappa)):
+                with pytest.raises(error, match=message):
+                    solve(kappa)
 
     def test_default_config_certifies_its_first_eight_members(self):
         # the certified limit sigma_min / (2 sqrt(2)) of members 8 and 9 is

@@ -10,7 +10,7 @@ a larger sweep than the default configuration.
 A property test also draws random dimensions, ranks, seeds and distances
 for `Geodesic.member`, the closed form that every perturbed subspace comes
 from; another evaluates the same members from their blends and their
-geodesic's blocks, the way the experiment sweep does, against the member
+geodesic's squares, the way the experiment sweep does, against the member
 bases; and another draws
 member blocks for `write_trials_csv`, whose bytes must be those of the csv
 module.
@@ -26,15 +26,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import MAP_RTOL, random_basis, trial_rows, write_csv_reference
-from subpred import chordal_distance, format_model, principal_angles, save_basis, simulate
+from helpers import MAP_RTOL, principal_angles, random_basis, trial_rows, write_csv_reference
+from subpred import chordal_distance, format_model, save_basis, simulate
 from subpred._linalg import IDENTITY_ERROR_TOL, gram_map, prediction_map, spectral_norm
 from subpred.cli import main
 from subpred.errors import ConvergenceError
 from subpred.experiment import (
     TrialBlock,
     _member,
-    _member_blocks,
     default_model,
     write_trials_csv,
 )
@@ -200,7 +199,7 @@ class TestGeodesicMember:
 
         member, measured = geodesic.member(kappa)
         assert isinstance(member, BehaviorBasis)
-        assert measured == chordal_distance(U, member)
+        assert abs(measured - chordal_distance(U, member)) <= 1e-12
         assert abs(measured - kappa) <= 1e-12 * max(1.0, kappa)
         angles = principal_angles(U, member).angles
         if k:
@@ -213,8 +212,8 @@ class TestGeodesicMember:
 
 
 class TestMemberBlocks:
-    """A sweep member evaluated from its blend and its geodesic's blocks
-    (`_member`) against the member basis that `Geodesic.member` builds,
+    """A sweep member evaluated from its blend and its geodesic's squares
+    and defect (`_member`) against the member basis that `Geodesic.member` builds,
     mapped by `prediction_map`: SISO and MIMO, k = r and k < r, and
     distances from 1e-8 to the end of the geodesic.  The rank r is at most
     the number of context rows, which then have full column rank."""
@@ -243,14 +242,14 @@ class TestMemberBlocks:
         hypothesis.assume(basis_seed != seed)  # one stream would draw inside span U
         U = random_basis(np.random.default_rng(basis_seed), (m, p, Tini, Tf), r)
         geodesic = Geodesic.draw(U, seed)
-        blocks = _member_blocks(geodesic)
 
         member, measured = geodesic.member(kappa)
-        assert blocks.defect >= member.gram_defect
-        distance, rows, sigma_min, norm_first = _member(geodesic, blocks, kappa)
-        assert abs(distance - measured) <= 1e-12
+        assert geodesic.defect >= member.gram_defect
+        distance, rows, sigma_min, norm_first = _member(geodesic, kappa)
+        assert distance == measured
+        assert abs(measured - chordal_distance(U, member)) <= 1e-12
         assert norm_first == spectral_norm(member.y_future[:p])
-        if gram_map(member.context_block, member.y_future, blocks.defect) is None:
+        if gram_map(member.context_block, member.y_future, geodesic.defect) is None:
             # the guard declined: one SVD of the member's rows, with its bits
             reference, _, ref_sigma_min = prediction_map(member.context_block, member.y_future)
             np.testing.assert_array_equal(rows, reference)

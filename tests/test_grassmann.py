@@ -8,16 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_basis, random_orthogonal
-from subpred import (
-    align_basis,
-    chordal_distance,
-    load_basis,
-    orthonormal_basis,
-    perturb_subspace,
-    principal_angles,
-    save_basis,
-)
+from helpers import align_basis, principal_angles, random_basis, random_orthogonal
+from subpred import chordal_distance, load_basis, orthonormal_basis, perturb_subspace, save_basis
 from subpred.errors import ConvergenceError, RankDeficientError
 from subpred.grassmann import BehaviorBasis, Geodesic, check_distance
 from subpred.hankel import PartitionedMatrix
@@ -424,7 +416,8 @@ class TestGeodesic:
         # up to the largest distance check_distance admits, sqrt(min(r, q - r))
         for kappa in (*np.linspace(0.0, largest, 11), 1e-9, 1e-3, 0.1, 0.7):
             member, measured = geodesic.member(kappa)
-            assert measured == chordal_distance(basis, member)
+            # chordal_distance measures the built member independently
+            assert abs(measured - chordal_distance(basis, member)) <= 1e-12
             assert abs(measured - kappa) <= 1e-12
             angles = principal_angles(basis, member).angles
             expected = np.r_[np.zeros(basis.r - k), np.full(k, np.arcsin(kappa / largest))]
@@ -439,11 +432,13 @@ class TestGeodesic:
         assert np.count_nonzero(angles > 1e-8) == basis.q - basis.r
 
     def test_fields_are_start_and_k_heading_columns(self, basis):
-        assert [f.name for f in dataclasses.fields(Geodesic)] == ["origin", "start", "heading"]
+        names = [f.name for f in dataclasses.fields(Geodesic)]
+        assert names == ["origin", "start", "heading", "squares", "defect"]
         geodesic = Geodesic.draw(basis, seed=3)
         k, _ = _moving(basis)
         assert geodesic.start.shape == (basis.q, basis.r)
         assert geodesic.heading.shape == (basis.q, k)
+        assert geodesic.squares.shape == (2, 4)
         assert np.linalg.norm(geodesic.heading.T @ geodesic.heading - np.eye(k)) <= 1e-10
         assert np.linalg.norm(geodesic.start.T @ geodesic.heading) <= 1e-10
         assert chordal_distance(basis, _basis(geodesic.start, basis.dims)) <= 1e-12
@@ -458,7 +453,8 @@ class TestGeodesic:
         from subpred.experiment import prepare, run_trial
 
         # the sweep maps the rows of a member's Geodesic.blend, the matrix of
-        # Geodesic.member, and measures its distance from the geodesic's blocks
+        # Geodesic.member, and reports its distance from Geodesic.measure,
+        # as Geodesic.member does
         workspace = prepare(small_config)
         for n in (1, 5, small_config.N):
             out = run_trial(workspace, n)
@@ -467,8 +463,8 @@ class TestGeodesic:
             member, measured = workspace.geodesic.member(kappa)
             np.testing.assert_array_equal(V.matrix, member.matrix)
             np.testing.assert_array_equal(workspace.geodesic.blend(kappa), member.matrix)
-            assert measured == chordal_distance(workspace.basis, V)
-            assert abs(out.block.kappa - measured) <= 1e-12
+            assert abs(measured - chordal_distance(workspace.basis, V)) <= 1e-12
+            assert out.block.kappa == measured
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_kappa_rejected(self, rng, bad):
@@ -478,14 +474,17 @@ class TestGeodesic:
             with pytest.raises(ValueError):
                 solve(bad)
 
-    def test_measured_miss_raises(self, rng, monkeypatch):
-        import subpred.grassmann as grassmann
+    def test_measured_miss_raises(self, rng):
+        from subpred.experiment import _member
 
         U = random_basis(rng, DIMS, 3)
         geodesic = Geodesic.draw(U, seed=0)
-        monkeypatch.setattr(grassmann, "chordal_distance", lambda A, B: 0.3 + 2e-6)
-        with pytest.raises(ConvergenceError, match="measures distance"):
-            geodesic.member(0.3)
+        # both squared norms scaled alike: they still agree with each other,
+        # and both read 0.3 + 2e-6, past the target tolerance 1e-6
+        missed = dataclasses.replace(geodesic, squares=geodesic.squares * ((0.3 + 2e-6) / 0.3) ** 2)
+        for solve in (missed.member, lambda kappa: _member(missed, kappa)):
+            with pytest.raises(ConvergenceError, match="measures distance"):
+                solve(0.3)
 
     def test_member_angles_are_equal(self, basis):
         geodesic = Geodesic.draw(basis, seed=4)
@@ -533,7 +532,7 @@ class TestGeodesic:
 
     def test_arrays_are_read_only(self, rng):
         geodesic = Geodesic.draw(random_basis(rng, DIMS, 3), seed=0)
-        for arr in (geodesic.start, geodesic.heading):
+        for arr in (geodesic.start, geodesic.heading, geodesic.squares):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from helpers import random_model
 from subpred import (
     Trajectory,
     chordal_distance,
-    hankel,
     is_persistently_exciting,
     load_trajectory,
     orthonormal_basis,
@@ -17,7 +18,7 @@ from subpred import (
     trajectory_generation_matrix,
 )
 from subpred.grassmann import BehaviorBasis, load_basis, save_basis
-from subpred.hankel import PartitionedMatrix, persistently_exciting_input
+from subpred.hankel import PartitionedMatrix, hankel, persistently_exciting_input
 from subpred._linalg import numerical_rank
 
 
@@ -33,6 +34,13 @@ class TestHankel:
         ):
             with pytest.raises(ValueError, match=rf"^{name} must be 1-D or of shape \(T, d\)"):
                 call()
+
+    def test_module_is_not_shadowed_by_the_function(self):
+        import subpred
+        import subpred.hankel as module
+
+        assert inspect.ismodule(module) and subpred.hankel is module
+        assert module.hankel is hankel
 
     def test_scalar_example(self):
         np.testing.assert_array_equal(

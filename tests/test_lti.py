@@ -1,4 +1,3 @@
-import importlib
 import warnings
 
 import numpy as np
@@ -18,6 +17,7 @@ from subpred import (
     toeplitz_matrix,
     trajectory_generation_matrix,
 )
+import subpred.hankel as hankel_module
 from subpred.hankel import hankel, persistently_exciting_input
 
 
@@ -339,8 +339,6 @@ class TestPersistentlyExcitingInput:
         np.testing.assert_array_equal(a, b)
 
     def test_retries_with_offset_seeds(self, monkeypatch):
-        # subpred.hankel is also the name of a function, so load the module
-        hankel_module = importlib.import_module("subpred.hankel")
         verdicts = iter([False, False, True])
         monkeypatch.setattr(hankel_module, "is_persistently_exciting", lambda u, order: next(verdicts))
         u = persistently_exciting_input(2, 40, order=6, seed=5)
@@ -350,7 +348,6 @@ class TestPersistentlyExcitingInput:
         from subpred.errors import ConvergenceError
 
         # T = 7 is long enough for order 4, so only unlucky draws fail: fake ten
-        hankel_module = importlib.import_module("subpred.hankel")
         seen = []
 
         def never(u, order):
