@@ -3,11 +3,11 @@
 Every SVD in the library goes through `svd`, and every rank decision uses
 its relative cutoff: a singular value counts toward the rank when it exceeds
 ``max(rows, cols) * machine_eps * sigma_max``.  `prediction_map` builds
-the prediction map of a matrix: an orthonormal basis's from its output Gram
-matrix when that matches the SVD, and any other from one SVD.  That Gram
-route is `gram_map`, which the experiment sweep also calls on a member's
-two row blocks, for the first p rows of its map.  `spectral_norm` takes
-sigma_max from a Gram eigenvalue.
+every prediction map and is the one place that picks its route: an
+orthonormal basis's map comes from its output Gram matrix (`_gram_map`) when
+that matches the SVD, and any other from one SVD.  With ``rows``, either
+route builds only the map's first rows, as the experiment sweep does for a
+member's first p.  `spectral_norm` takes sigma_max from a Gram eigenvalue.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ def svd(matrix, vectors: bool = False):
     return U, s, Vt, rank
 
 
-def prediction_map(context_rows, future_rows=None, gram_defect=None):
+def prediction_map(context_rows, future_rows=None, gram_defect=None, rows=None):
     """``(future_rows @ pinv(context_rows), rank, sigma_min)``, with the rank
     of the context rows and sigma_min their r-th singular value for r
     columns, which is 0 when they have fewer rows than columns; without
-    ``future_rows`` the map is the pseudoinverse itself.
+    ``future_rows`` the map is the pseudoinverse itself.  With ``rows``, the
+    map's first ``rows`` rows only.
 
     Given ``gram_defect`` = ||U'U - I||_F of a basis U with these two row
     blocks, the map comes from its output Gram matrix: U'U = I makes
@@ -57,10 +58,10 @@ def prediction_map(context_rows, future_rows=None, gram_defect=None):
     IDENTITY_ERROR_TOL, which excludes context rows without full column
     rank.  Otherwise one SVD of the context rows builds the map, dropping
     singular values at or below the shared cutoff, which truncates a
-    rank-deficient block.
+    rank-deficient block, and maps ``future_rows[:rows]``.
     """
     if gram_defect is not None:
-        routed = gram_map(context_rows, future_rows, gram_defect)
+        routed = _gram_map(context_rows, future_rows, gram_defect, rows)
         if routed is not None:
             return routed[0], context_rows.shape[1], routed[1]
     U, svals, Vt, rank = svd(context_rows, vectors=True)
@@ -70,12 +71,12 @@ def prediction_map(context_rows, future_rows=None, gram_defect=None):
         inv = np.zeros_like(svals)
         inv[:rank] = 1.0 / svals[:rank]
         pinv = (Vt.T * inv) @ U.T
-        rows, cols = np.shape(context_rows)
-        sigma_min = float(svals[-1]) if rows >= cols else 0.0  # wide rows: sigma_cols is 0
-    return (pinv if future_rows is None else future_rows @ pinv), rank, sigma_min
+        height, width = np.shape(context_rows)
+        sigma_min = float(svals[-1]) if height >= width else 0.0  # wide rows: sigma_cols is 0
+    return (pinv if future_rows is None else future_rows[:rows] @ pinv), rank, sigma_min
 
 
-def gram_map(context_rows, future_rows, gram_defect, rows=None):
+def _gram_map(context_rows, future_rows, gram_defect, rows):
     """The Gram route of `prediction_map`, as ``(map, sigma_min)``, for a
     basis with these two row blocks and an upper bound ``gram_defect`` on
     its ||U'U - I||_F; None when the error estimate

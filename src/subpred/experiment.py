@@ -10,11 +10,13 @@ makes the average error a smooth, near-linear function of the distance, as
 opposed to independent per-member directions whose direction-dependent
 sensitivity scatters the trend.
 
-A member's map depends only on its subspace, so `_member` reads it from the
-blend itself, split into context and future rows, with no member basis.
-Its distance is `Geodesic.measure`'s, read from quadratic forms that the
-geodesic forms once when it is drawn, and the Gram route's guard reads the
-geodesic's one bound on every member's Gram defect.
+A member's map depends only on its subspace, so `_member` maps the blend
+itself, split into context and future rows, with no member basis: one
+`prediction_map` call builds the map's first p rows, and its Gram route's
+guard reads the geodesic's one bound on every member's Gram defect.  Its
+distance is `Geodesic.measure`'s, read from quadratic forms that the
+geodesic forms once when it is drawn.  The baseline's predictions are
+`rolling_one_step`'s, on the geodesic's origin.
 
 Seeds are split into three independent streams (offline/online data input,
 measurement noise, perturbation direction).  The online streams use the
@@ -26,8 +28,8 @@ offline basis's SVD differently, and with it every member's last digits.
 A member's ``kappa`` is bit for bit the one `Geodesic.member` returns.  Its
 map agrees with the library path (`perturb_subspace`,
 `predict_from_subspace`) to rounding, not bit for bit; a member whose Gram
-route the guard declines is mapped by `prediction_map`'s SVD of the member
-basis's rows, with that route's bits.
+route the guard declines has the bits of ``prediction_map(context_rows,
+future_rows, rows=p)`` on the member basis's rows.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kv import finite_floats, integer, read_pairs
-from ._linalg import gram_map, prediction_map, spectral_norm
+from ._linalg import prediction_map, spectral_norm
 from .bounds import one_step_bound
 from .errors import HypothesisViolationError
 from .grassmann import (
@@ -53,7 +55,7 @@ from .grassmann import (
 )
 from .hankel import persistently_exciting_input, stacked_data_matrix
 from .lti import NoiseSpec, StateSpaceModel, Trajectory, load_model, simulate
-from .predictor import _apply, _basis_map, _context_matrix
+from .predictor import _apply, _context_matrix, rolling_one_step
 
 __all__ = [
     "ExperimentConfig",
@@ -94,7 +96,8 @@ class ExperimentConfig:
     experiment: length-30 offline data, 50-step online run, 100 perturbations
     with distances evenly spaced up to 0.9, noise-to-signal ratio 0.02.
     ``kappa_grid``, explicit targets, is given instead of ``N`` and
-    ``kappa_max`` (ValueError with either); it sets N to its length.  The
+    ``kappa_max`` (ValueError with either); it sets N to its length, and
+    accepts an N of that length, so `dataclasses.replace` works.  The
     lengths, N and the seeds are read with `operator.index`, so a float
     raises TypeError, and a negative seed raises ValueError."""
 
@@ -114,13 +117,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.kappa_grid is not None:
+            grid = tuple(float(k) for k in self.kappa_grid)
+            if self.N is not None and operator.index(self.N) == len(grid):
+                object.__setattr__(self, "N", None)  # the resolved count, as from replace()
             given = [key for key in ("N", "kappa_max") if getattr(self, key) is not None]
             if given:
                 raise ValueError(
                     f"kappa_grid is given together with {' and '.join(given)}: "
                     "give it instead of N and kappa_max"
                 )
-            grid = tuple(float(k) for k in self.kappa_grid)
             if not grid:
                 raise ValueError("kappa_grid must not be empty")
             if not all(math.isfinite(k) and k >= 0 for k in grid):
@@ -243,13 +248,12 @@ class SingleRecord(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ExperimentWorkspace:
-    """Everything shared by the trials of one configuration: the baseline
-    basis from offline data, the geodesic the perturbed family lies on, the
-    measured online trajectory, the sliding contexts, and the baseline
-    one-step predictions."""
+    """Everything shared by the trials of one configuration: the geodesic the
+    perturbed family lies on, whose ``origin`` is the baseline basis from
+    offline data, the measured online trajectory, the sliding contexts, and
+    the baseline one-step predictions."""
 
     config: ExperimentConfig
-    basis: BehaviorBasis
     geodesic: Geodesic
     measured: Trajectory
     steps: tuple[int, ...]
@@ -259,9 +263,10 @@ class ExperimentWorkspace:
 
 
 def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
-    """Run the offline and online stages shared by every trial.  Like
-    `rolling_one_step`, it raises RankDeficientError when the baseline
-    basis's context rows lack full column rank."""
+    """Run the offline and online stages shared by every trial.  The
+    baseline predictions are `rolling_one_step`'s, which raises
+    RankDeficientError when the baseline basis's context rows lack full
+    column rank."""
     model = config.model
     L = config.Tini + config.Tf
     r = model.m * L + model.n
@@ -286,17 +291,14 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
     )
 
     context_matrix = _context_matrix(measured, config.Tini, config.Tf)
-    b_norms = np.linalg.norm(context_matrix, axis=1)
-    baseline = _apply(_basis_map(basis)[0], context_matrix)[:, : model.p]
     return ExperimentWorkspace(
         config=config,
-        basis=basis,
         geodesic=geodesic,
         measured=measured,
         steps=tuple(range(config.Tini, config.T_sim - config.Tf + 1)),
         context_matrix=context_matrix,
-        b_norms=b_norms,
-        baseline=baseline,
+        b_norms=np.linalg.norm(context_matrix, axis=1),
+        baseline=rolling_one_step(basis, measured, config.Tini, config.Tf),
     )
 
 
@@ -319,13 +321,12 @@ def _member(geodesic: Geodesic, kappa: float):
     """``(measured distance, map, sigma_min, ||Yf[:p]||_2)`` of the member
     of ``geodesic`` at target ``kappa``, with Yf its future-output rows.
 
-    The distance is `Geodesic.measure`'s, with its checks.  The map comes
-    from the member's `Geodesic.blend`, split into context and future rows:
-    its first p rows by `gram_map`, whose guard reads ``geodesic.defect``,
-    or, when the guard declines, all of it from one `prediction_map` SVD of
-    the same rows.  When ``geodesic.defect`` exceeds ``ORTHONORMALITY_TOL``
-    the blend is built as a `BehaviorBasis`, which measures its Gram defect
-    or rejects it."""
+    The distance is `Geodesic.measure`'s, with its checks.  The map's first
+    p rows come from one `prediction_map` call on the member's
+    `Geodesic.blend`, split into context and future rows; its Gram route's
+    guard reads ``geodesic.defect``.  When that exceeds
+    ``ORTHONORMALITY_TOL`` the blend is built as a `BehaviorBasis`, which
+    measures its Gram defect or rejects it."""
     measured = geodesic.measure(kappa)
     data, defect = geodesic.blend(kappa), geodesic.defect
     if not defect <= ORTHONORMALITY_TOL:
@@ -333,11 +334,7 @@ def _member(geodesic: Geodesic, kappa: float):
         data, defect = basis.data, basis.gram_defect
     p = geodesic.origin.p
     context_rows, future_rows = np.split(data, [len(data) - p * geodesic.origin.Tf])
-    routed = gram_map(context_rows, future_rows, defect, rows=p)
-    if routed is None:
-        matrix, _, sigma_min = prediction_map(context_rows, future_rows)
-    else:
-        matrix, sigma_min = routed
+    matrix, _, sigma_min = prediction_map(context_rows, future_rows, defect, rows=p)
     return measured, matrix, sigma_min, spectral_norm(future_rows[:p])
 
 
@@ -351,9 +348,8 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
     """
     config = workspace.config
     n = _check_index(config, n)
-    p = config.model.p
     kappa, matrix, sigma_min, norm_first = _member(workspace.geodesic, config.kappas[n - 1])
-    predictions = _apply(matrix, workspace.context_matrix)[:, :p]
+    predictions = _apply(matrix, workspace.context_matrix)
     errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
     try:
         bounds = one_step_bound(sigma_min, norm_first, kappa, 1.0) * workspace.b_norms

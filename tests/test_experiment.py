@@ -7,7 +7,7 @@ import pytest
 
 from helpers import MAP_RTOL, random_basis, trial_rows, write_csv_reference
 from subpred import ExperimentConfig, chordal_distance, load_config, run_experiment, run_single
-from subpred import experiment, simulate
+from subpred import _linalg, experiment, simulate
 from subpred.errors import ConvergenceError, RankDeficientError
 from subpred._linalg import prediction_map, spectral_norm
 from subpred.bounds import one_step_bound
@@ -30,6 +30,16 @@ class TestConfig:
         assert (cfg.N, cfg.kappa_max) == (2, None)
         assert cfg.kappas == (0.1, 0.2)
         assert cfg.kappas is cfg.kappas
+
+    def test_grid_config_survives_replace(self):
+        # the resolved N is passed back in by replace; it is not a conflict
+        model = default_model()
+        cfg = ExperimentConfig(model=model, kappa_grid=(0.1, 0.2))
+        moved = dataclasses.replace(cfg, output_dir="elsewhere")
+        assert (moved.N, moved.kappa_max, moved.kappas) == (2, None, (0.1, 0.2))
+        assert ExperimentConfig(model=model, kappa_grid=(0.1, 0.2), N=2) == cfg
+        with pytest.raises(ValueError, match="kappa_grid is given together with N:"):
+            dataclasses.replace(cfg, kappa_grid=(0.1, 0.2, 0.3))
 
     @pytest.mark.parametrize("given", [{"N": 5}, {"kappa_max": 0.3}, {"N": 5, "kappa_max": 0.3},
                                        {"N": 100}, {"kappa_max": 0.9}])
@@ -149,7 +159,7 @@ class TestRunExperiment:
         workspace = prepare(small_config)
         out = run_trial(workspace, 4)
         member, _ = workspace.geodesic.member(small_config.kappas[3])
-        assert abs(out.block.kappa - chordal_distance(workspace.basis, member)) <= 1e-12
+        assert abs(out.block.kappa - chordal_distance(workspace.geodesic.origin, member)) <= 1e-12
         assert abs(out.block.kappa - small_config.kappas[3]) <= 1e-6
 
     def test_single_uses_the_trial_predictions(self, small_config):
@@ -186,7 +196,7 @@ class TestRunExperiment:
                                       kappa, 1.0)
                 np.testing.assert_allclose(out.block.bound, unit * workspace.b_norms, rtol=MAP_RTOL)
         for i, (_, ctx) in enumerate(windows):
-            expected = predict_from_subspace(workspace.basis, ctx).y_pred[: model.p]
+            expected = predict_from_subspace(workspace.geodesic.origin, ctx).y_pred[: model.p]
             np.testing.assert_array_equal(workspace.baseline[i], expected)
 
     def test_target_at_reachable_limit_is_built_and_measured(self):
@@ -198,7 +208,7 @@ class TestRunExperiment:
         out = run_trial(workspace, 2)
         assert abs(out.block.kappa - limit) <= 1e-6 * limit
         member, _ = workspace.geodesic.member(limit)
-        assert abs(out.block.kappa - chordal_distance(workspace.basis, member)) <= 1e-12
+        assert abs(out.block.kappa - chordal_distance(workspace.geodesic.origin, member)) <= 1e-12
 
     def test_wide_context_rows_rejected(self, tmp_path):
         # p*Tini = 1 < n = 2: the baseline's context rows are 6 x 7, so no
@@ -263,21 +273,22 @@ class TestRunExperiment:
 
     def test_declined_member_is_built_as_a_basis(self, small_config, monkeypatch):
         # with the Gram route declined, a member's rows are mapped by one
-        # prediction_map SVD: the bits of the SVD route on the member basis
+        # prediction_map SVD: the bits of the SVD route's first p rows on the
+        # member basis
         workspace = prepare(small_config)
         geodesic, p = workspace.geodesic, small_config.model.p
         members = (1, small_config.N)  # certified, then not
         admitted = [run_trial(workspace, n).block for n in members]
-        monkeypatch.setattr(experiment, "gram_map", lambda *args, **kwargs: None)
+        monkeypatch.setattr(_linalg, "_gram_map", lambda *args, **kwargs: None)
         for n, before in zip(members, admitted):
             kappa = small_config.kappas[n - 1]
             out = run_trial(workspace, n)
             block = out.block
             member, _ = geodesic.member(kappa)
-            matrix, _, sigma_min = prediction_map(member.context_block, member.y_future)
+            matrix, _, sigma_min = prediction_map(member.context_block, member.y_future, rows=p)
             rows = experiment._member(geodesic, kappa)[1]
             np.testing.assert_array_equal(rows, matrix)
-            predictions = _apply(matrix, workspace.context_matrix)[:, :p]
+            predictions = _apply(matrix, workspace.context_matrix)
             np.testing.assert_array_equal(out.predictions, predictions)
             errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
             np.testing.assert_array_equal(block.prediction_error, errors)

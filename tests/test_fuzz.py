@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from helpers import MAP_RTOL, principal_angles, random_basis, trial_rows, write_csv_reference
 from subpred import chordal_distance, format_model, save_basis, simulate
-from subpred._linalg import IDENTITY_ERROR_TOL, gram_map, prediction_map, spectral_norm
+from subpred._linalg import IDENTITY_ERROR_TOL, _gram_map, prediction_map, spectral_norm
 from subpred.cli import main
 from subpred.errors import ConvergenceError
 from subpred.experiment import (
@@ -249,9 +249,11 @@ class TestMemberBlocks:
         assert distance == measured
         assert abs(measured - chordal_distance(U, member)) <= 1e-12
         assert norm_first == spectral_norm(member.y_future[:p])
-        if gram_map(member.context_block, member.y_future, geodesic.defect) is None:
-            # the guard declined: one SVD of the member's rows, with its bits
-            reference, _, ref_sigma_min = prediction_map(member.context_block, member.y_future)
+        if _gram_map(member.context_block, member.y_future, geodesic.defect, p) is None:
+            # the guard declined: one SVD of the member's rows, with the bits
+            # of its first p rows
+            reference, _, ref_sigma_min = prediction_map(member.context_block,
+                                                         member.y_future[:p])
             np.testing.assert_array_equal(rows, reference)
             assert sigma_min == ref_sigma_min
             return

@@ -459,11 +459,11 @@ class TestGeodesic:
         for n in (1, 5, small_config.N):
             out = run_trial(workspace, n)
             kappa = small_config.kappas[n - 1]
-            V = perturb_subspace(workspace.basis, kappa, seed=small_config.seed_perturb)
+            V = perturb_subspace(workspace.geodesic.origin, kappa, seed=small_config.seed_perturb)
             member, measured = workspace.geodesic.member(kappa)
             np.testing.assert_array_equal(V.matrix, member.matrix)
             np.testing.assert_array_equal(workspace.geodesic.blend(kappa), member.matrix)
-            assert abs(measured - chordal_distance(workspace.basis, V)) <= 1e-12
+            assert abs(measured - chordal_distance(workspace.geodesic.origin, V)) <= 1e-12
             assert out.block.kappa == measured
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
