@@ -23,9 +23,7 @@ from .grassmann import (
 from .hankel import (
     PartitionedMatrix,
     is_persistently_exciting,
-    load_trajectory,
     persistently_exciting_input,
-    save_trajectory,
     stacked_data_matrix,
 )
 from .lti import (

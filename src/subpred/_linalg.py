@@ -98,11 +98,6 @@ def _gram_map(context_rows, future_rows, gram_defect, rows):
     return matrix, float(np.sqrt(gap))
 
 
-def numerical_rank(matrix: np.ndarray) -> int:
-    """Rank of ``matrix`` under the shared singular-value cutoff."""
-    return svd(matrix)[3]
-
-
 def spectral_norm(matrix: np.ndarray) -> float:
     """Largest singular value of ``matrix`` (0 for an empty one), without an
     SVD: the root of lambda_max of the smaller Gram matrix, M M' or M'M, by

@@ -55,7 +55,7 @@ from .grassmann import (
 )
 from .hankel import persistently_exciting_input, stacked_data_matrix
 from .lti import NoiseSpec, StateSpaceModel, Trajectory, load_model, simulate
-from .predictor import _apply, _context_matrix, rolling_one_step
+from .predictor import _apply, _context_matrix, _rolling
 
 __all__ = [
     "ExperimentConfig",
@@ -263,10 +263,10 @@ class ExperimentWorkspace:
 
 
 def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
-    """Run the offline and online stages shared by every trial.  The
-    baseline predictions are `rolling_one_step`'s, which raises
-    RankDeficientError when the baseline basis's context rows lack full
-    column rank."""
+    """Run the offline and online stages shared by every trial.  The online
+    contexts are stacked once; the baseline predictions are
+    `rolling_one_step`'s on them, which raises RankDeficientError when the
+    baseline basis's context rows lack full column rank."""
     model = config.model
     L = config.Tini + config.Tf
     r = model.m * L + model.n
@@ -298,7 +298,7 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
         steps=tuple(range(config.Tini, config.T_sim - config.Tf + 1)),
         context_matrix=context_matrix,
         b_norms=np.linalg.norm(context_matrix, axis=1),
-        baseline=rolling_one_step(basis, measured, config.Tini, config.Tf),
+        baseline=_rolling(basis, context_matrix),
     )
 
 

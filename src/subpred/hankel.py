@@ -10,16 +10,14 @@ window; no row permutation is needed and none is applied.
 
 from __future__ import annotations
 
-import csv
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kv import finite_floats
-from ._linalg import numerical_rank
+from ._linalg import svd
 from .errors import ConvergenceError
-from .lti import Trajectory, _time_major
+from .lti import _time_major
 
 __all__ = [
     "PartitionedMatrix",
@@ -27,8 +25,6 @@ __all__ = [
     "is_persistently_exciting",
     "persistently_exciting_input",
     "stacked_data_matrix",
-    "save_trajectory",
-    "load_trajectory",
 ]
 
 
@@ -134,7 +130,7 @@ def hankel(z, depth: int) -> np.ndarray:
 def is_persistently_exciting(u, order: int) -> bool:
     """True iff the depth-``order`` Hankel matrix of ``u`` has full row rank."""
     H = hankel(_time_major(u, "u"), order)
-    return numerical_rank(H) == H.shape[0]
+    return svd(H)[3] == H.shape[0]
 
 
 _PE_ATTEMPTS = 10
@@ -182,47 +178,3 @@ def stacked_data_matrix(u_data, y_data, Tini: int, Tf: int) -> PartitionedMatrix
     data = np.vstack([hankel(u, L), hankel(y, L)])
     return PartitionedMatrix(data=data, m=u.shape[1], p=y.shape[1], Tini=Tini, Tf=Tf)
 
-
-# ---------------------------------------------------------------------------
-# Trajectory files: CSV with header t,u_0..u_{m-1},y_0..y_{p-1}
-# ---------------------------------------------------------------------------
-
-
-def _header(m: int, p: int) -> list[str]:
-    return ["t"] + [f"u_{i}" for i in range(m)] + [f"y_{i}" for i in range(p)]
-
-
-def save_trajectory(path, trajectory: Trajectory) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(trajectory.m, trajectory.p))
-        for t in range(trajectory.length):
-            row = [str(t)]
-            row += [repr(float(v)) for v in trajectory.inputs[t]]
-            row += [repr(float(v)) for v in trajectory.outputs[t]]
-            writer.writerow(row)
-
-
-def load_trajectory(path, m: int, p: int) -> Trajectory:
-    """Read a trajectory CSV, validating the column layout against (m, p)."""
-    expected = _header(m, p)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise ValueError(
-                f"{path}: header {header} does not match declared (m={m}, p={p}); "
-                f"expected {expected}"
-            )
-        inputs, outputs = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 1 + m + p:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {1 + m + p} columns, got {len(row)}"
-                )
-            values = finite_floats(row[1:], f"{path}:{lineno}")
-            inputs.append(values[:m])
-            outputs.append(values[m:])
-    if not inputs:
-        raise ValueError(f"{path}: no data rows")
-    return Trajectory(inputs=np.array(inputs), outputs=np.array(outputs))

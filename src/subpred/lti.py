@@ -11,6 +11,7 @@ the length-L generator and the observability degree over the past window.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +130,9 @@ class NoiseSpec:
     N(0, sigma * ||y_t||^2 * I_p) where y_t is the noise-free output, so
     ``sigma`` acts as a noise-to-signal ratio; ``sigma`` = 0 adds nothing.
     Draws come from a seeded NumPy PCG64 generator, so outputs are
-    bit-reproducible across platforms.
+    bit-reproducible across platforms.  ``seed`` is read with
+    `operator.index`, so a float raises TypeError, and a negative seed
+    raises ValueError.
     """
 
     sigma: float = 0.0
@@ -138,6 +141,9 @@ class NoiseSpec:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def none(cls) -> "NoiseSpec":
@@ -145,7 +151,7 @@ class NoiseSpec:
 
     @classmethod
     def relative_gaussian(cls, sigma: float, seed: int) -> "NoiseSpec":
-        return cls(sigma=float(sigma), seed=int(seed))
+        return cls(sigma=float(sigma), seed=seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +183,6 @@ class Trajectory:
             if value is not None and not np.isfinite(value).all():
                 raise ValueError(f"{name} has non-finite entries")
             object.__setattr__(self, name, value)
-
-    @property
-    def length(self) -> int:
-        return len(self.inputs)
 
     @property
     def m(self) -> int:

@@ -23,7 +23,7 @@ from ._linalg import prediction_map
 from .errors import RankDeficientError
 from .grassmann import BehaviorBasis
 from .hankel import PartitionedMatrix, stacked_data_matrix
-from .lti import Trajectory, _time_major
+from .lti import Trajectory
 
 __all__ = [
     "PredictionContext",
@@ -106,31 +106,6 @@ class PredictionContext:
     def b(self) -> np.ndarray:
         """The stacked context vector, length m*Tini + m*Tf + p*Tini."""
         return np.concatenate([self.u_ini, self.u, self.y_ini])
-
-    @classmethod
-    def from_windows(cls, u_past, u_future, y_past) -> "PredictionContext":
-        """Build from time-major windows of shapes (Tini, m), (Tf, m), (Tini, p);
-        a 1-D window is one channel, of shape (T, 1)."""
-        u_past = _time_major(u_past, "u_past")
-        u_future = _time_major(u_future, "u_future")
-        y_past = _time_major(y_past, "y_past")
-        if u_past.shape[1] != u_future.shape[1]:
-            raise ValueError(
-                f"input widths differ between windows: {u_past.shape[1]} vs {u_future.shape[1]}"
-            )
-        if u_past.shape[0] != y_past.shape[0]:
-            raise ValueError(
-                f"past windows differ in length: {u_past.shape[0]} vs {y_past.shape[0]}"
-            )
-        return cls(
-            u_ini=u_past.reshape(-1),
-            u=u_future.reshape(-1),
-            y_ini=y_past.reshape(-1),
-            m=u_past.shape[1],
-            p=y_past.shape[1],
-            Tini=u_past.shape[0],
-            Tf=u_future.shape[0],
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,4 +190,10 @@ def rolling_one_step(
     """
     contexts = _context_matrix(measured, Tini, Tf)
     _check_dims(U, (measured.m, measured.p, Tini, Tf))
-    return _apply(_basis_map(U)[0], contexts)[:, : measured.p]
+    return _rolling(U, contexts)
+
+
+def _rolling(U: BehaviorBasis, contexts: np.ndarray) -> np.ndarray:
+    """`rolling_one_step` on contexts already stacked by `_context_matrix`
+    for the basis's dims."""
+    return _apply(_basis_map(U)[0], contexts)[:, : U.p]

@@ -177,6 +177,24 @@ class TestPredictCommand:
         assert captured.out == ""
         assert f"{ctx_path}: m must be an integer, got 'x'" in captured.err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("y_ini = 0.0 0.0 0.0 0.0\n", "", "missing keys: y_ini"),
+            ("m = 1\n", "m = 1\nw = 0\n", "unknown keys: w"),
+        ],
+        ids=["missing", "unknown"],
+    )
+    def test_context_keys_checked_exit_2(self, tmp_path, example_basis_file, capsys, old, new, message):
+        path, _, _ = example_basis_file
+        ctx_path = tmp_path / "ctx.txt"
+        _write_context(ctx_path, np.zeros(4), np.zeros(4), np.zeros(4), 1, 1, 4, 4)
+        ctx_path.write_text(ctx_path.read_text().replace(old, new))
+        assert main(["predict", "--basis", str(path), "--context", str(ctx_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{ctx_path}: {message}" in captured.err
+
     def test_diagnostics_on_stderr(self, tmp_path, example_basis_file, capsys):
         path, _, _ = example_basis_file
         ctx_path = tmp_path / "ctx.txt"

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import MAP_RTOL, random_basis, trial_rows, write_csv_reference
 from subpred import ExperimentConfig, chordal_distance, load_config, run_experiment, run_single
-from subpred import _linalg, experiment, simulate
+from subpred import _linalg, experiment, predictor, simulate
 from subpred.errors import ConvergenceError, RankDeficientError
 from subpred._linalg import prediction_map, spectral_norm
 from subpred.bounds import one_step_bound
@@ -270,6 +270,20 @@ class TestRunExperiment:
         assert svd_calls.eigvalsh == [(future, future)] + [(future, future), (p, p)] * cfg.N
         assert svd_calls.solve == [(future, future)] * (cfg.N + 1)
         assert len(built) == 1 and built[0].r == cfg.model.m * (cfg.Tini + cfg.Tf) + cfg.model.n
+
+    def test_contexts_built_once_per_prepare(self, small_config, monkeypatch):
+        # the baseline is predicted from the contexts prepare already holds
+        built, build = [], predictor._context_matrix
+        counting = lambda *args: built.append(args) or build(*args)
+        monkeypatch.setattr(predictor, "_context_matrix", counting)
+        monkeypatch.setattr(experiment, "_context_matrix", counting)
+        workspace = prepare(small_config)
+        assert len(built) == 1
+        monkeypatch.undo()
+        expected = rolling_one_step(
+            workspace.geodesic.origin, workspace.measured, small_config.Tini, small_config.Tf
+        )
+        np.testing.assert_array_equal(workspace.baseline, expected)
 
     def test_declined_member_is_built_as_a_basis(self, small_config, monkeypatch):
         # with the Gram route declined, a member's rows are mapped by one

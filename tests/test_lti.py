@@ -32,6 +32,12 @@ def _impulse_oracle(model, T):
     return np.array(ys)
 
 
+# the two ways to build a NoiseSpec, which read a seed alike
+NOISE_SPEC_MAKERS = pytest.mark.parametrize(
+    "make", [NoiseSpec, NoiseSpec.relative_gaussian], ids=["init", "relative"]
+)
+
+
 class TestSimulate:
     def test_zero_input_zero_state_gives_zero_output(self, example_model):
         traj = simulate(example_model, np.zeros((10, 1)))
@@ -89,6 +95,27 @@ class TestSimulate:
         with pytest.raises(ValueError, match=match):
             NoiseSpec.relative_gaussian(sigma, seed=0)
 
+    @NOISE_SPEC_MAKERS
+    def test_float_seed_rejected(self, make):
+        # not truncated to 1, and not left for simulate's generator to reject
+        with pytest.raises(TypeError):
+            make(0.02, 1.5)
+
+    @NOISE_SPEC_MAKERS
+    def test_negative_seed_rejected(self, make):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            make(0.02, -1)
+
+    @NOISE_SPEC_MAKERS
+    def test_integer_seed_read_as_index(self, example_model, make):
+        noise = make(0.02, np.int64(5))
+        assert type(noise.seed) is int and noise.seed == 5
+        u = np.ones((20, 1))
+        np.testing.assert_array_equal(
+            simulate(example_model, u, noise=noise).outputs,
+            simulate(example_model, u, noise=NoiseSpec(0.02, 5)).outputs,
+        )
+
     def test_bad_x0_dimension_is_named(self, example_model):
         with pytest.raises(ValueError, match="x0 has length 3"):
             simulate(example_model, np.zeros((4, 1)), x0=[1.0, 2.0, 3.0])
@@ -140,7 +167,7 @@ class TestTrajectory:
         u = np.arange(6.0)
         traj = simulate(example_model, u)
         flat = Trajectory(u, traj.outputs[:, 0], traj.states[:, 0])
-        assert (flat.length, flat.m, flat.p) == (6, 1, 1)
+        assert (len(flat.inputs), flat.m, flat.p) == (6, 1, 1)
         np.testing.assert_array_equal(flat.inputs, traj.inputs)
         np.testing.assert_array_equal(flat.outputs, traj.outputs)
         assert flat.states.shape == (7, 1)
@@ -151,6 +178,14 @@ class TestTrajectory:
         arrays = {"inputs": np.zeros((4, 1)), "outputs": np.zeros((4, 1)), name: np.zeros(shape)}
         with pytest.raises(ValueError, match=rf"^{name} must be 1-D or of shape \(T, d\)"):
             Trajectory(**arrays)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["inputs", "outputs", "states"])
+    def test_non_finite_trajectory_rejected(self, bad, name):
+        fields = {"inputs": np.ones((5, 1)), "outputs": np.ones((5, 1)), "states": np.ones((6, 2))}
+        fields[name][1, 0] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+            Trajectory(**fields)
 
 
 class TestStructuredMatrices:
@@ -321,6 +356,10 @@ class TestModelFiles:
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="missing keys"):
             parse_model("n = 1\nm = 1\np = 1\nA = 1\nB = 1\nC = 1\n")
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown keys: E$"):
+            parse_model("n = 1\nm = 1\np = 1\nA = 1\nB = 1\nC = 1\nD = 0\nE = 1\n")
 
     def test_dimension_mismatch_rejected(self):
         text = "n = 2\nm = 1\np = 1\nA = 1 0 ; 0 1\nB = 1 ; 1\nC = 1\nD = 0\n"

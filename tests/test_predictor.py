@@ -39,30 +39,14 @@ def _true_window_context(model, Tini, Tf, seed=0):
     T = Tini + Tf + 6
     traj = simulate(model, rng.standard_normal((T, model.m)), x0=rng.standard_normal(model.n))
     t = 5
-    ctx = PredictionContext.from_windows(
-        u_past=traj.inputs[t : t + Tini],
-        u_future=traj.inputs[t + Tini : t + Tini + Tf],
-        y_past=traj.outputs[t : t + Tini],
+    ctx = PredictionContext(
+        u_ini=traj.inputs[t : t + Tini],
+        u=traj.inputs[t + Tini : t + Tini + Tf],
+        y_ini=traj.outputs[t : t + Tini],
+        m=model.m, p=model.p, Tini=Tini, Tf=Tf,
     )
     future = traj.outputs[t + Tini : t + Tini + Tf].reshape(-1)
     return ctx, future
-
-
-class TestFromWindows:
-    def test_flat_siso_windows_are_time_series(self):
-        ctx = PredictionContext.from_windows(np.arange(4.0), np.arange(4.0), np.arange(4.0))
-        assert (ctx.m, ctx.p, ctx.Tini, ctx.Tf) == (1, 1, 4, 4)
-        ctx = PredictionContext.from_windows(np.arange(4.0), np.arange(2.0), np.arange(4.0))
-        assert (ctx.m, ctx.p, ctx.Tini, ctx.Tf) == (1, 1, 4, 2)
-        np.testing.assert_array_equal(ctx.b, [0, 1, 2, 3, 0, 1, 0, 1, 2, 3])
-
-    @pytest.mark.parametrize("name", ["u_past", "u_future", "y_past"])
-    @pytest.mark.parametrize("shape", [(), (4, 1, 2)])
-    def test_window_of_other_rank_is_named(self, name, shape):
-        windows = {"u_past": np.zeros(4), "u_future": np.zeros(4), "y_past": np.zeros(4)}
-        windows[name] = np.zeros(shape)
-        with pytest.raises(ValueError, match=rf"^{name} must be 1-D or of shape \(T, d\)"):
-            PredictionContext.from_windows(**windows)
 
 
 class TestPseudoinverse:
@@ -325,13 +309,14 @@ class TestSharedMap:
         Tini, Tf = 10, 10
         windows = list(context_windows(measured, Tini, Tf))
         # reference: slice every window out of the trajectory directly
-        expected = range(Tini, measured.length - Tf + 1)
+        expected = range(Tini, len(measured.inputs) - Tf + 1)
         assert [t for t, _ in windows] == list(expected)
         for t, ctx in windows:
-            ref = PredictionContext.from_windows(
-                u_past=measured.inputs[t - Tini : t],
-                u_future=measured.inputs[t : t + Tf],
-                y_past=measured.outputs[t - Tini : t],
+            ref = PredictionContext(
+                u_ini=measured.inputs[t - Tini : t],
+                u=measured.inputs[t : t + Tf],
+                y_ini=measured.outputs[t - Tini : t],
+                m=measured.m, p=measured.p, Tini=Tini, Tf=Tf,
             )
             np.testing.assert_array_equal(ctx.b, ref.b)
             assert (ctx.m, ctx.p, ctx.Tini, ctx.Tf) == (ref.m, ref.p, ref.Tini, ref.Tf)
