@@ -30,8 +30,13 @@ def integer(raw: str, where: str) -> int:
         raise ValueError(f"{where} must be an integer, got {raw!r}") from None
 
 
-def read_pairs(text: str, source: str = "<string>") -> dict[str, str]:
-    """Parse key/value lines, rejecting duplicates and malformed lines."""
+def read_pairs(text: str, source: str = "<string>", required: tuple[str, ...] = (),
+               optional: tuple[str, ...] = ()) -> dict[str, str]:
+    """Parse key/value lines into a dict, with ValueErrors prefixed by
+    ``source``: a malformed line, an empty key or a duplicate key names its
+    line; then every ``required`` key that is absent, in declared order
+    (``missing keys: a, b``); then every key in neither ``required`` nor
+    ``optional``, sorted (``unknown keys: w, x``)."""
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -47,4 +52,10 @@ def read_pairs(text: str, source: str = "<string>") -> dict[str, str]:
         if key in pairs:
             raise ValueError(f"{source}:{lineno}: duplicate key {key!r}")
         pairs[key] = value
+    missing = [k for k in required if k not in pairs]
+    if missing:
+        raise ValueError(f"{source}: missing keys: {', '.join(missing)}")
+    unknown = sorted(pairs.keys() - {*required, *optional})
+    if unknown:
+        raise ValueError(f"{source}: unknown keys: {', '.join(unknown)}")
     return pairs

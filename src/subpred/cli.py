@@ -82,15 +82,8 @@ def _cmd_distance(args) -> int:
 def load_context(path) -> PredictionContext:
     """Read a context file: keys m, p, Tini, Tf and whitespace-separated
     vectors u_ini, u, y_ini of finite numbers."""
-    text = Path(path).read_text(encoding="utf-8")
-    pairs = read_pairs(text, source=str(path))
     required = ("m", "p", "Tini", "Tf", "u_ini", "u", "y_ini")
-    missing = [k for k in required if k not in pairs]
-    if missing:
-        raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
-    unknown = [k for k in pairs if k not in required]
-    if unknown:
-        raise ValueError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
+    pairs = read_pairs(Path(path).read_text(encoding="utf-8"), str(path), required)
     dims = {k: integer(pairs[k], f"{path}: {k}") for k in ("m", "p", "Tini", "Tf")}
     vectors = {k: finite_floats(pairs[k].split(), f"{path}: {k}") for k in ("u_ini", "u", "y_ini")}
     return PredictionContext(

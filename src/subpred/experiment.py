@@ -13,10 +13,10 @@ sensitivity scatters the trend.
 A member's map depends only on its subspace, so `_member` maps the blend
 itself, split into context and future rows, with no member basis: one
 `prediction_map` call builds the map's first p rows, and its Gram route's
-guard reads the geodesic's one bound on every member's Gram defect.  Its
-distance is `Geodesic.measure`'s, read from quadratic forms that the
-geodesic forms once when it is drawn.  The baseline's predictions are
-`rolling_one_step`'s, on the geodesic's origin.
+guard reads the geodesic's one bound on every member's Gram defect,
+checked by `Geodesic.draw`.  Its distance is `Geodesic.measure`'s, read
+from quadratic forms that the geodesic forms once when it is drawn.  The
+baseline's predictions are `rolling_one_step`'s, on the geodesic's origin.
 
 Seeds are split into three independent streams (offline/online data input,
 measurement noise, perturbation direction).  The online streams use the
@@ -50,9 +50,7 @@ from ._kv import finite_floats, integer, read_pairs
 from ._linalg import prediction_map, spectral_norm
 from .bounds import one_step_bound
 from .errors import HypothesisViolationError
-from .grassmann import (
-    ORTHONORMALITY_TOL, BehaviorBasis, Geodesic, check_distance, orthonormal_basis,
-)
+from .grassmann import Geodesic, check_distance, orthonormal_basis
 from .hankel import persistently_exciting_input, stacked_data_matrix
 from .lti import NoiseSpec, StateSpaceModel, Trajectory, load_model, simulate
 from .predictor import _apply, _context_matrix, _rolling
@@ -171,6 +169,7 @@ class ExperimentConfig:
 
 
 _CONFIG_FLOAT_KEYS = ("sigma", "kappa_max")
+_CONFIG_KEYS = (*_CONFIG_INT_KEYS, *_CONFIG_FLOAT_KEYS, "kappa_grid", "model", "output_dir")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -180,10 +179,11 @@ def load_config(path) -> ExperimentConfig:
     sigma, kappa_max, kappa_grid (comma-separated, given instead of N and
     kappa_max), seed_data, seed_noise, seed_perturb, output_dir.  Missing
     keys fall back to the defaults; relative paths are resolved against the
-    config file's directory.  Every ValueError names the file.
+    config file's directory.  Every ValueError names the file, and every key
+    not recognized here is named before any value is parsed.
     """
     path = Path(path)
-    pairs = read_pairs(path.read_text(encoding="utf-8"), source=str(path))
+    pairs = read_pairs(path.read_text(encoding="utf-8"), source=str(path), optional=_CONFIG_KEYS)
     kwargs: dict = {}
     for key, raw in pairs.items():
         if key in _CONFIG_INT_KEYS:
@@ -194,10 +194,8 @@ def load_config(path) -> ExperimentConfig:
             kwargs[key] = tuple(finite_floats(raw.split(","), f"{path}: {key}"))
         elif key == "model":
             kwargs[key] = load_model(_resolve(path.parent, raw))
-        elif key == "output_dir":
+        else:  # output_dir
             kwargs[key] = str(_resolve(path.parent, raw))
-        else:
-            raise ValueError(f"{path}: unknown configuration key {key!r}")
     kwargs.setdefault("model", default_model())
     try:
         return ExperimentConfig(**kwargs)
@@ -324,17 +322,12 @@ def _member(geodesic: Geodesic, kappa: float):
     The distance is `Geodesic.measure`'s, with its checks.  The map's first
     p rows come from one `prediction_map` call on the member's
     `Geodesic.blend`, split into context and future rows; its Gram route's
-    guard reads ``geodesic.defect``.  When that exceeds
-    ``ORTHONORMALITY_TOL`` the blend is built as a `BehaviorBasis`, which
-    measures its Gram defect or rejects it."""
+    guard reads ``geodesic.defect``, which `Geodesic.draw` has checked
+    against the basis tolerance."""
     measured = geodesic.measure(kappa)
-    data, defect = geodesic.blend(kappa), geodesic.defect
-    if not defect <= ORTHONORMALITY_TOL:
-        basis = BehaviorBasis(data, *geodesic.origin.dims)
-        data, defect = basis.data, basis.gram_defect
-    p = geodesic.origin.p
+    data, p = geodesic.blend(kappa), geodesic.origin.p
     context_rows, future_rows = np.split(data, [len(data) - p * geodesic.origin.Tf])
-    matrix, _, sigma_min = prediction_map(context_rows, future_rows, defect, rows=p)
+    matrix, _, sigma_min = prediction_map(context_rows, future_rows, geodesic.defect, rows=p)
     return measured, matrix, sigma_min, spectral_norm(future_rows[:p])
 
 
@@ -343,8 +336,7 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
 
     Member n lies at target distance kappas[n-1] along the shared geodesic
     drawn from seed_perturb; its reported kappa is the measured distance.
-    `_member` blends the member's matrix and maps its rows, with no member
-    basis unless the geodesic's Gram defect bound calls for one.
+    `_member` blends the member's matrix and maps its rows, with no member basis.
     """
     config = workspace.config
     n = _check_index(config, n)

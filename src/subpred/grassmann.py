@@ -128,9 +128,11 @@ def _cross_checked(d: float, swapped: float) -> float:
 
 def check_distance(q: int, r: int, kappa: float) -> None:
     """Reject a target chordal distance that no rank-r subspace of R^q can
-    lie at from another: ``kappa`` must be finite and in [0, sqrt(k)], with
-    k = min(r, q - r) the number of principal angles that the complement of
-    dimension q - r leaves room to be nonzero."""
+    lie at from another: ``r`` must be in 1..q, and ``kappa`` finite and in
+    [0, sqrt(k)], with k = min(r, q - r) the number of principal angles that
+    the complement of dimension q - r leaves room to be nonzero."""
+    if not 1 <= r <= q:
+        raise ValueError(f"rank r={r} out of range for ambient dimension q={q}")
     if not np.isfinite(kappa):
         raise ValueError(f"kappa={kappa} is not a finite number")
     largest = math.sqrt(min(r, q - r))
@@ -185,9 +187,9 @@ class Geodesic:
         complement of span U and factored by one SVD, W S V'.  ``start`` is
         U V and ``heading`` the first k columns of W.  Raises
         ConvergenceError when the projected draw has numerical rank below
-        k = min(r, q - r) or its heading is not orthogonal to span U to
-        within ``ORTHONORMALITY_TOL``, and TypeError when ``seed`` is not an
-        integer.
+        k = min(r, q - r) or ``defect``, which bounds every member's Gram
+        defect, exceeds ``ORTHONORMALITY_TOL``, and TypeError when ``seed``
+        is not an integer.
 
         The factorization is reused per live basis and seed: the fields of
         the last seed drawn from ``U`` are kept while ``U`` is alive, so a
@@ -208,17 +210,16 @@ class Geodesic:
                 f"tangent direction drawn from seed={seed} has rank {rank}, below {k}"
             )
         heading = np.ascontiguousarray(W[:, :k])
-        # The rank is relative to the projected draw itself, so a draw inside
-        # span U, which projects to rounding error, passes it; the blend needs
-        # a heading orthogonal to U, so that is measured.
-        leak = float(np.linalg.norm(base.T @ heading))
-        if not leak <= ORTHONORMALITY_TOL:
-            raise ConvergenceError(
-                f"tangent direction drawn from seed={seed} is not orthogonal to the basis: "
-                f"||U'W||_F = {leak:.3e}"
-            )
         start = base @ Vt.T
         squares, defect = _blocks(base, start, heading)
+        # The rank is relative to the projected draw itself, so a draw inside
+        # span U, which projects to rounding error, passes it; ``defect``
+        # holds ||H'S||_F = ||U'W||_F twice, so such a heading fails here.
+        if not defect <= ORTHONORMALITY_TOL:  # NaN fails too
+            raise ConvergenceError(
+                f"tangent direction drawn from seed={seed} is not orthogonal to the basis: "
+                f"member Gram defect bound {defect:.3e} exceeds {ORTHONORMALITY_TOL:.0e}"
+            )
         for arr in (start, heading, squares):
             arr.flags.writeable = False
         _DRAWS[U] = (seed, start, heading, squares, defect)
@@ -283,7 +284,8 @@ def _blocks(origin: np.ndarray, start: np.ndarray, heading: np.ndarray) -> tuple
     ``defect`` is ||Q'Q - I||_F + 6 eps sqrt(k): the member is Q T with
     ||T||_2^2 = c^2 + s^2, and 6 eps sqrt(k) covers c^2 + s^2 - 1 (at most
     3 eps per column) and the rounding of the blend (at most
-    2 sqrt(2) eps sqrt(k))."""
+    2 sqrt(2) eps sqrt(k)); `Geodesic.draw` refuses one past
+    ``ORTHONORMALITY_TOL``."""
     r, k = start.shape[1], heading.shape[1]
     P1, P2 = np.split(start - origin @ (origin.T @ start), [k], axis=1)
     Hp = heading - origin @ (origin.T @ heading)

@@ -374,14 +374,8 @@ def _parse_matrix(text: str, rows: int, cols: int, name: str, source: str) -> np
 
 
 def parse_model(text: str, source: str = "<string>") -> StateSpaceModel:
-    """Parse the plain-text model format documented above."""
-    pairs = read_pairs(text, source)
-    missing = [k for k in _MODEL_KEYS if k not in pairs]
-    if missing:
-        raise ValueError(f"{source}: missing keys: {', '.join(missing)}")
-    unknown = [k for k in pairs if k not in _MODEL_KEYS]
-    if unknown:
-        raise ValueError(f"{source}: unknown keys: {', '.join(sorted(unknown))}")
+    """Parse the plain-text model format documented above; `read_pairs` checks its keys."""
+    pairs = read_pairs(text, source, required=_MODEL_KEYS)
     dims = {}
     for key in ("n", "m", "p"):
         dims[key] = integer(pairs[key], f"{source}: {key}")

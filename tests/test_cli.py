@@ -437,6 +437,38 @@ class TestExperimentCommands:
         assert not (tmp_path / "o").exists()
 
 
+class TestKeyValueFiles:
+    """The line rules of model, config and context files, which all three
+    take from one parser: each error names the file and line, and `behave`
+    exits 2 before any output."""
+
+    @pytest.mark.parametrize("rule", ["no-equals", "empty-key", "duplicate"])
+    @pytest.mark.parametrize("kind", ["model", "config", "context"])
+    def test_line_rules_exit_2(self, tmp_path, capsys, kind, rule):
+        cfg, ctx = tmp_path / "exp.cfg", tmp_path / "ctx.txt"
+        (tmp_path / "model.txt").write_text(format_model(default_model()))
+        cfg.write_text("model = model.txt\nTini = 2\nTf = 2\nT_sim = 12\noutput_dir = o\n")
+        (tmp_path / "line.csv").write_text("# m=1 p=1 Tini=1 Tf=1 r=1\n1.0\n0.0\n0.0\n0.0\n")
+        ctx.write_text("m = 1\np = 1\nTini = 1\nTf = 1\nu_ini = 0\nu = 0\ny_ini = 0\n")
+        bad = {"model": tmp_path / "model.txt", "config": cfg, "context": ctx}[kind]
+        text = bad.read_text()
+        line, message = {
+            "no-equals": ("just words", "expected 'key = value', got 'just words'"),
+            "empty-key": ("= 1", "empty key"),
+            "duplicate": (text.splitlines()[0], "duplicate key"),
+        }[rule]
+        bad.write_text(f"{text}{line}\n")
+        if kind == "context":
+            args = ["predict", "--basis", str(tmp_path / "line.csv"), "--context", str(ctx)]
+        else:
+            args = ["experiment", "--config", str(cfg)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}:{len(text.splitlines()) + 1}: {message}" in captured.err
+        assert not (tmp_path / "o").exists()
+
+
 class TestReadmeExamples:
     """The README's file examples are valid input as written."""
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from helpers import MAP_RTOL, random_basis, trial_rows, write_csv_reference
 from subpred import ExperimentConfig, chordal_distance, load_config, run_experiment, run_single
+from subpred import StateSpaceModel, format_model
 from subpred import _linalg, experiment, predictor, simulate
 from subpred.errors import ConvergenceError, RankDeficientError
 from subpred._linalg import prediction_map, spectral_norm
@@ -98,9 +100,22 @@ class TestConfig:
             ExperimentConfig(model=default_model(), **{key: -1})
 
     def test_unknown_key_rejected(self, tmp_path):
+        # every unknown key is named, sorted, before any value is parsed
         path = tmp_path / "exp.cfg"
-        path.write_text("bogus = 1\n")
-        with pytest.raises(ValueError, match="unknown"):
+        path.write_text("x = 1\nsigma = nope\nw = 2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unknown keys: w, x$"):
+            load_config(path)
+
+    def test_rank_beyond_the_dimension_rejected(self, tmp_path):
+        # SISO n = 5 at Tini = Tf = 1: rank mL + n = 7 in dimension (m+p)L = 4
+        model = StateSpaceModel(A=0.5 * np.eye(5), B=np.ones((5, 1)), C=np.ones((1, 5)), D=[[0.0]])
+        message = "rank r=7 out of range for ambient dimension q=4$"
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ExperimentConfig(model=model, Tini=1, Tf=1)
+        (tmp_path / "model.txt").write_text(format_model(model))
+        path = tmp_path / "big.cfg"
+        path.write_text("model = model.txt\nTini = 1\nTf = 1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             load_config(path)
 
 
@@ -251,8 +266,7 @@ class TestRunExperiment:
     # matrix K, one solve with p right-hand sides for the map's first p
     # rows, and one p x p eigvalsh for the norm of y_future[:p].  That is
     # 2N + 1 eigvalsh and N + 1 solve calls per sweep, and the baseline is
-    # the only BehaviorBasis built when the geodesic's Gram defect bound is
-    # within ORTHONORMALITY_TOL and no member's guard declines.
+    # the only BehaviorBasis built.
     @pytest.mark.parametrize("mimo", [False, True], ids=["default", "mimo"])
     def test_svd_budget(self, mimo, svd_calls, monkeypatch):
         from helpers import random_model
@@ -315,30 +329,23 @@ class TestRunExperiment:
             else:
                 assert block.bound is None
 
-    def test_defect_past_tolerance_builds_the_blend_as_a_basis(self, small_config, monkeypatch):
-        # a geodesic whose Gram defect bound exceeds ORTHONORMALITY_TOL has
-        # each blend measured by BehaviorBasis, whose smaller measured defect
-        # the guard then reads: the outputs are unchanged
-        workspace = prepare(small_config)
-        loose_geodesic = dataclasses.replace(workspace.geodesic, defect=1.0)
-        loose = dataclasses.replace(workspace, geodesic=loose_geodesic)
-        built, check = [], BehaviorBasis.__post_init__
-        monkeypatch.setattr(BehaviorBasis, "__post_init__", lambda U: built.append(U) or check(U))
-        members = (1, 5, small_config.N)
-        for n in members:
-            expected, got = run_trial(workspace, n), run_trial(loose, n)
-            assert got.block.kappa == expected.block.kappa
-            assert got.block.sigma_min_Mhat == expected.block.sigma_min_Mhat
-            np.testing.assert_array_equal(got.predictions, expected.predictions)
-            np.testing.assert_array_equal(got.block.prediction_error, expected.block.prediction_error)
-            assert (got.block.bound is None) == (expected.block.bound is None)
-            if got.block.bound is not None:
-                np.testing.assert_array_equal(got.block.bound, expected.block.bound)
-        assert len(built) == len(members)
-        # a blend that is not orthonormal is rejected as a basis would be
-        skewed = dataclasses.replace(loose_geodesic, heading=loose_geodesic.heading * (1 + 1e-3))
-        with pytest.raises(ValueError, match="columns are not orthonormal"):
-            experiment._member(skewed, small_config.kappas[0])
+    def test_defect_past_tolerance_refused_at_the_draw(self, small_config, monkeypatch):
+        # the sweep maps every member with the geodesic's one Gram defect
+        # bound, so a bound past ORTHONORMALITY_TOL stops the draw
+        from subpred import grassmann
+
+        blocks = grassmann._blocks
+
+        def loose_blocks(*args):
+            squares, defect = blocks(*args)
+            return squares, defect + grassmann.ORTHONORMALITY_TOL
+
+        monkeypatch.setattr(grassmann, "_blocks", loose_blocks)
+        message = f"seed={small_config.seed_perturb} is not orthogonal to the basis: .* exceeds 1e-10"
+        with pytest.raises(ConvergenceError, match=message):
+            prepare(small_config)
+        with pytest.raises(ConvergenceError, match="seed=0 is not orthogonal to the basis"):
+            grassmann.Geodesic.draw(random_basis(np.random.default_rng(1), (1, 1, 2, 2), 3), 0)
 
     def test_block_member_checks_its_distance(self, small_config):
         # a member's distance from the geodesic's squares keeps the target

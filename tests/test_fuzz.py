@@ -37,7 +37,7 @@ from subpred.experiment import (
     default_model,
     write_trials_csv,
 )
-from subpred.grassmann import BehaviorBasis, Geodesic, orthonormal_basis
+from subpred.grassmann import ORTHONORMALITY_TOL, BehaviorBasis, Geodesic, orthonormal_basis
 from subpred.hankel import persistently_exciting_input, stacked_data_matrix
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -245,6 +245,7 @@ class TestMemberBlocks:
 
         member, measured = geodesic.member(kappa)
         assert geodesic.defect >= member.gram_defect
+        assert geodesic.defect <= ORTHONORMALITY_TOL
         distance, rows, sigma_min, norm_first = _member(geodesic, kappa)
         assert distance == measured
         assert abs(measured - chordal_distance(U, member)) <= 1e-12

@@ -363,6 +363,12 @@ class TestPerturbSubspace:
         with pytest.raises(ValueError, match=r"^kappa=-?(nan|inf) is not a finite number$"):
             check_distance(8, 3, bad)
 
+    @pytest.mark.parametrize("q, r", [(4, 7), (8, 9), (8, 0)])
+    def test_rank_outside_the_dimension_named(self, q, r):
+        # checked before sqrt(min(r, q - r)), which has no value for r > q
+        with pytest.raises(ValueError, match=f"^rank r={r} out of range for ambient dimension q={q}$"):
+            check_distance(q, r, 0.0)
+
     def test_unreachable_distance_rejected(self, rng):
         # rank 6 in dimension 8 leaves a 2-dimensional complement
         U = random_basis(rng, DIMS, 6)
