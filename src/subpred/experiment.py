@@ -52,7 +52,7 @@ from .bounds import one_step_bound
 from .errors import HypothesisViolationError
 from .grassmann import Geodesic, check_distance, orthonormal_basis
 from .hankel import persistently_exciting_input, stacked_data_matrix
-from .lti import NoiseSpec, StateSpaceModel, Trajectory, load_model, simulate
+from .lti import NoiseSpec, StateSpaceModel, Trajectory, _seed, load_model, simulate
 from .predictor import _apply, _context_matrix, _rolling
 
 __all__ = [
@@ -84,8 +84,9 @@ def default_model() -> StateSpaceModel:
     )
 
 
+_CONFIG_LENGTH_KEYS = ("Tini", "Tf", "T", "T_sim", "N")
 _CONFIG_SEED_KEYS = ("seed_data", "seed_noise", "seed_perturb")
-_CONFIG_INT_KEYS = ("Tini", "Tf", "T", "T_sim", "N", *_CONFIG_SEED_KEYS)
+_CONFIG_INT_KEYS = (*_CONFIG_LENGTH_KEYS, *_CONFIG_SEED_KEYS)
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,9 @@ class ExperimentConfig:
     ``kappa_grid``, explicit targets, is given instead of ``N`` and
     ``kappa_max`` (ValueError with either); it sets N to its length, and
     accepts an N of that length, so `dataclasses.replace` works.  The
-    lengths, N and the seeds are read with `operator.index`, so a float
-    raises TypeError, and a negative seed raises ValueError."""
+    lengths and N are read with `operator.index` and the seeds by
+    `lti._seed`, so a float raises TypeError, and a negative seed raises
+    ValueError naming its key."""
 
     model: StateSpaceModel
     Tini: int = 4
@@ -133,11 +135,10 @@ class ExperimentConfig:
         else:
             object.__setattr__(self, "N", 100 if self.N is None else self.N)
             object.__setattr__(self, "kappa_max", 0.9 if self.kappa_max is None else self.kappa_max)
-        for key in _CONFIG_INT_KEYS:
+        for key in _CONFIG_LENGTH_KEYS:
             object.__setattr__(self, key, operator.index(getattr(self, key)))
         for key in _CONFIG_SEED_KEYS:
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
+            object.__setattr__(self, key, _seed(getattr(self, key), key))
         if min(self.Tini, self.Tf) < 1:
             raise ValueError(f"Tini and Tf must be positive, got ({self.Tini}, {self.Tf})")
         L = self.Tini + self.Tf

@@ -15,7 +15,6 @@ every member is measured without being built.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import weakref
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from ._kv import finite_floats
 from ._linalg import EPS, svd
 from .errors import ConvergenceError, RankDeficientError
 from .hankel import PartitionedMatrix
+from .lti import _seed
 
 __all__ = [
     "BehaviorBasis",
@@ -188,14 +188,14 @@ class Geodesic:
         U V and ``heading`` the first k columns of W.  Raises
         ConvergenceError when the projected draw has numerical rank below
         k = min(r, q - r) or ``defect``, which bounds every member's Gram
-        defect, exceeds ``ORTHONORMALITY_TOL``, and TypeError when ``seed``
-        is not an integer.
+        defect, exceeds ``ORTHONORMALITY_TOL``.  ``seed`` is read by
+        `lti._seed`: a float raises TypeError and a negative seed ValueError.
 
         The factorization is reused per live basis and seed: the fields of
         the last seed drawn from ``U`` are kept while ``U`` is alive, so a
         second draw from the same basis object and seed makes no SVD and
         returns the bits of a fresh draw."""
-        seed = operator.index(seed)  # None or a Generator would not repeat
+        seed = _seed(seed)  # None or a Generator would not repeat
         stored = _DRAWS.get(U)
         if stored is not None and stored[0] == seed:
             return cls(U, *stored[1:])

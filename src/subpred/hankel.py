@@ -17,7 +17,7 @@ import numpy as np
 
 from ._linalg import svd
 from .errors import ConvergenceError
-from .lti import _time_major
+from .lti import _frozen, _seed, _time_major
 
 __all__ = [
     "PartitionedMatrix",
@@ -33,9 +33,9 @@ class PartitionedMatrix:
     """A ((m+p)(Tini+Tf), r) matrix of finite entries with the canonical
     block-row partition.
 
-    Construction keeps a private read-only copy of ``data`` and reads each
-    dim with `operator.index`, so a float dim raises TypeError and a numpy
-    integer is stored as an int.  Block views are pure slices of the data:
+    Construction keeps a private read-only copy of ``data`` from
+    `lti._frozen` and reads each dim with `operator.index`, so a float dim
+    raises TypeError and a numpy integer is stored as an int.  Block views are pure slices of the data:
     stacking (u_past, u_future, y_past, y_future) reproduces ``data``
     exactly.  ``Tini`` or ``Tf`` may be zero for payloads that only need
     the ambient space (e.g. distance computations); the predictor requires
@@ -53,11 +53,7 @@ class PartitionedMatrix:
     def __post_init__(self):
         for name in ("m", "p", "Tini", "Tf"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
-        data = np.array(self.data, dtype=float, order="C")  # private copy, safe to freeze
-        if data.ndim != 2:
-            raise ValueError(f"data must be 2-dimensional, got shape {data.shape}")
-        if not np.isfinite(data).all():
-            raise ValueError("data has non-finite entries")
+        data = _frozen(self.data, "data")
         if min(self.m, self.p) < 1 or min(self.Tini, self.Tf) < 0 or self.Tini + self.Tf < 1:
             raise ValueError(
                 f"invalid dims (m={self.m}, p={self.p}, Tini={self.Tini}, Tf={self.Tf})"
@@ -68,7 +64,6 @@ class PartitionedMatrix:
                 f"data has {data.shape[0]} rows, expected (m+p)(Tini+Tf) = {q} "
                 f"for dims (m={self.m}, p={self.p}, Tini={self.Tini}, Tf={self.Tf})"
             )
-        data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
     @property
@@ -143,7 +138,10 @@ def persistently_exciting_input(m: int, T: int, order: int, seed: int) -> np.nda
 
     The depth-``order`` Hankel matrix has m * order rows and T - order + 1
     columns, so no draw can have full row rank when T < (m + 1) * order - 1;
-    such a T raises ValueError, naming that minimum, before any draw."""
+    such a T raises ValueError, naming that minimum, before any draw.
+    ``seed`` is read by `lti._seed`: a float raises TypeError and a
+    negative seed ValueError."""
+    seed = _seed(seed)
     shortest = (m + 1) * order - 1
     if T < shortest:
         raise ValueError(

@@ -46,37 +46,46 @@ def _time_major(values, name: str) -> np.ndarray:
     return arr
 
 
-def _as_matrix(value, rows: int | None, cols: int | None, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        if rows is None or cols is None:
-            raise ValueError(f"{name} given as a scalar but its dimensions are unknown")
-        arr = np.full((rows, cols), float(arr))
-    elif arr.ndim == 1:
-        if cols == 1:
-            arr = arr.reshape(-1, 1)
-        elif rows == 1:
-            arr = arr.reshape(1, -1)
-        else:
-            raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+def _frozen(
+    value, name: str, rows: int | None = None, cols: int | None = None, *, length: int | None = None
+) -> np.ndarray:
+    """A private read-only C-ordered float copy of ``value``, checked by
+    name: 2-D with ``rows`` rows and ``cols`` columns where given, or, with
+    ``length``, flattened to a vector of that length; every entry finite."""
+    arr = np.array(value, dtype=float, order="C")
+    if length is not None:
+        arr = arr.reshape(-1)
+        if arr.size != length:
+            raise ValueError(f"{name} has length {arr.size}, expected {length}")
     elif arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if rows is not None and arr.shape[0] != rows:
+    elif rows is not None and arr.shape[0] != rows:
         raise ValueError(f"{name} has {arr.shape[0]} rows, expected {rows}")
-    if cols is not None and arr.shape[1] != cols:
+    elif cols is not None and arr.shape[1] != cols:
         raise ValueError(f"{name} has {arr.shape[1]} columns, expected {cols}")
-    arr = np.array(arr, dtype=float, order="C")  # private copy, safe to freeze
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
     arr.flags.writeable = False
     return arr
+
+
+def _seed(value, name: str = "seed") -> int:
+    """``value`` read with `operator.index`, so a float raises TypeError,
+    and rejected by name when negative."""
+    seed = operator.index(value)
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True, eq=False)
 class StateSpaceModel:
     """Matrices (A, B, C, D) of a discrete-time LTI system.
 
-    A is n x n, B is n x m, C is p x n, D is p x m.  Scalars and vectors are
-    promoted to the implied matrix shape where unambiguous.  Instances are
-    immutable; the stored arrays are read-only.
+    A is n x n, B is n x m, C is p x n, D is p x m, each given 2-D, as a
+    model file gives it; a scalar or flat matrix is rejected by name, as is
+    a non-finite entry.  Instances are immutable; the stored arrays are
+    private read-only copies.
     """
 
     A: np.ndarray
@@ -85,28 +94,19 @@ class StateSpaceModel:
     D: np.ndarray
 
     def __post_init__(self):
-        A = _as_matrix(self.A, None, None, "A")
+        A = _frozen(self.A, "A")
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
         if n < 1:
             raise ValueError("state dimension n must be at least 1")
-        B = np.asarray(self.B, dtype=float)
-        if B.ndim == 1:
-            B = B.reshape(-1, 1)
-        B = _as_matrix(B, n, None, "B")
-        m = B.shape[1]
-        C = np.asarray(self.C, dtype=float)
-        if C.ndim == 1:
-            C = C.reshape(-1, n)
-        C = _as_matrix(C, None, n, "C")
-        p = C.shape[0]
-        D = _as_matrix(self.D, p, m, "D")
+        B = _frozen(self.B, "B", rows=n)
+        C = _frozen(self.C, "C", cols=n)
+        m, p = B.shape[1], C.shape[0]
+        D = _frozen(self.D, "D", rows=p, cols=m)
         if m < 1 or p < 1:
             raise ValueError(f"input/output dimensions must be at least 1, got m={m}, p={p}")
         for name, value in zip("ABCD", (A, B, C, D)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} has non-finite entries")
             object.__setattr__(self, name, value)
 
     @property
@@ -130,9 +130,8 @@ class NoiseSpec:
     N(0, sigma * ||y_t||^2 * I_p) where y_t is the noise-free output, so
     ``sigma`` acts as a noise-to-signal ratio; ``sigma`` = 0 adds nothing.
     Draws come from a seeded NumPy PCG64 generator, so outputs are
-    bit-reproducible across platforms.  ``seed`` is read with
-    `operator.index`, so a float raises TypeError, and a negative seed
-    raises ValueError.
+    bit-reproducible across platforms.  ``seed`` is read by `_seed`, so a
+    float raises TypeError, and a negative seed raises ValueError.
     """
 
     sigma: float = 0.0
@@ -141,9 +140,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        object.__setattr__(self, "seed", operator.index(self.seed))
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     @classmethod
     def none(cls) -> "NoiseSpec":
@@ -160,7 +157,8 @@ class Trajectory:
 
     ``inputs`` is (T, m), ``outputs`` is (T, p); ``states`` is (T+1, n) when
     the generating simulation recorded them.  A 1-D array is one channel.
-    Every entry is finite.
+    Each is kept as a private read-only copy, and a wrong length or a
+    non-finite entry is rejected by name.
     """
 
     inputs: np.ndarray
@@ -168,21 +166,15 @@ class Trajectory:
     states: np.ndarray | None = None
 
     def __post_init__(self):
-        inputs = _as_matrix(_time_major(self.inputs, "inputs"), None, None, "inputs")
-        outputs = _as_matrix(_time_major(self.outputs, "outputs"), None, None, "outputs")
-        if len(inputs) != len(outputs):
-            raise ValueError(
-                f"inputs and outputs must have equal length, got {len(inputs)} and {len(outputs)}"
-            )
+        inputs = _frozen(_time_major(self.inputs, "inputs"), "inputs")
+        outputs = _frozen(_time_major(self.outputs, "outputs"), "outputs", rows=len(inputs))
         if len(inputs) < 1:
             raise ValueError("a trajectory must contain at least one sample")
-        states = self.states
-        if states is not None:
-            states = _as_matrix(_time_major(states, "states"), len(inputs) + 1, None, "states")
-        for name, value in (("inputs", inputs), ("outputs", outputs), ("states", states)):
-            if value is not None and not np.isfinite(value).all():
-                raise ValueError(f"{name} has non-finite entries")
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
+        if self.states is not None:
+            states = _frozen(_time_major(self.states, "states"), "states", rows=len(inputs) + 1)
+            object.__setattr__(self, "states", states)
 
     @property
     def m(self) -> int:
@@ -205,9 +197,9 @@ def simulate(
     ----------
     model : StateSpaceModel
     inputs : array-like, shape (T, m)
-        Input sequence of finite numbers; a flat array is accepted when m = 1.
-    x0 : array-like, shape (n,), optional
-        Finite initial state; defaults to the zero vector.
+        Input sequence of finite numbers; a flat array is one channel.
+    x0 : array-like of n entries, optional
+        Finite initial state, read flattened; defaults to the zero vector.
     noise : NoiseSpec
         Output disturbance.  With ``sigma`` > 0 the step-t output
         is y_t + sqrt(sigma) * ||y_t|| * z_t, y_t the noise-free output, z one
@@ -219,21 +211,11 @@ def simulate(
     Trajectory
         With states recorded, length T.
     """
-    u = _time_major(inputs, "inputs")
-    if u.shape[1] != model.m:
-        raise ValueError(f"inputs has {u.shape[1]} channels, expected m={model.m}")
+    u = _frozen(_time_major(inputs, "inputs"), "inputs", cols=model.m)
     T = len(u)
     if T < 1:
         raise ValueError("inputs must contain at least one sample")
-    if x0 is None:
-        x = np.zeros(model.n)
-    else:
-        x = np.asarray(x0, dtype=float).reshape(-1)
-        if x.shape[0] != model.n:
-            raise ValueError(f"x0 has length {x.shape[0]}, expected state dimension n={model.n}")
-    for name, value in (("inputs", u), ("x0", x)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} has non-finite entries")
+    x = np.zeros(model.n) if x0 is None else _frozen(x0, "x0", length=model.n)
 
     states = np.empty((T + 1, model.n))
     states[0] = x

@@ -23,7 +23,7 @@ from ._linalg import prediction_map
 from .errors import RankDeficientError
 from .grassmann import BehaviorBasis
 from .hankel import PartitionedMatrix, stacked_data_matrix
-from .lti import Trajectory
+from .lti import Trajectory, _frozen
 
 __all__ = [
     "PredictionContext",
@@ -69,8 +69,10 @@ class PredictionContext:
     """The vector b = (u_ini, u, y_ini) together with its window dimensions.
 
     ``u_ini`` has length m*Tini, ``u`` length m*Tf, ``y_ini`` length p*Tini,
-    and every entry is finite.  Each dim is read with `operator.index`, so a
-    float dim raises TypeError and a numpy integer is stored as an int.
+    each read flattened by `lti._frozen` into a private read-only copy with
+    every entry finite, so a (Tini, m) window stacks time-major.  Each dim
+    is read with `operator.index`, so a float dim raises TypeError and a
+    numpy integer is stored as an int.
     """
 
     u_ini: np.ndarray
@@ -94,13 +96,7 @@ class PredictionContext:
             ("u", self.u, self.m * self.Tf),
             ("y_ini", self.y_ini, self.p * self.Tini),
         ):
-            arr = np.asarray(value, dtype=float).reshape(-1).copy()
-            if arr.shape[0] != expected:
-                raise ValueError(f"{name} has length {arr.shape[0]}, expected {expected}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} has non-finite entries")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(value, name, length=expected))
 
     @property
     def b(self) -> np.ndarray:

@@ -18,6 +18,7 @@ from subpred import (
     trajectory_generation_matrix,
 )
 import subpred.hankel as hankel_module
+from subpred.grassmann import BehaviorBasis, Geodesic, perturb_subspace
 from subpred.hankel import hankel, persistently_exciting_input
 
 
@@ -35,6 +36,24 @@ def _impulse_oracle(model, T):
 # the two ways to build a NoiseSpec, which read a seed alike
 NOISE_SPEC_MAKERS = pytest.mark.parametrize(
     "make", [NoiseSpec, NoiseSpec.relative_gaussian], ids=["init", "relative"]
+)
+
+
+def _plane():
+    return BehaviorBasis(np.eye(4)[:, :2], 1, 1, 1, 1)
+
+
+# every public reader of a seed, which reads it alike
+SEED_READERS = pytest.mark.parametrize(
+    "read",
+    [
+        lambda seed: NoiseSpec(0.02, seed),
+        lambda seed: NoiseSpec.relative_gaussian(0.02, seed),
+        lambda seed: Geodesic.draw(_plane(), seed),
+        lambda seed: perturb_subspace(_plane(), 0.1, seed),
+        lambda seed: persistently_exciting_input(1, 30, order=4, seed=seed),
+    ],
+    ids=["init", "relative", "draw", "perturb", "pe-input"],
 )
 
 
@@ -95,16 +114,16 @@ class TestSimulate:
         with pytest.raises(ValueError, match=match):
             NoiseSpec.relative_gaussian(sigma, seed=0)
 
-    @NOISE_SPEC_MAKERS
-    def test_float_seed_rejected(self, make):
-        # not truncated to 1, and not left for simulate's generator to reject
-        with pytest.raises(TypeError):
-            make(0.02, 1.5)
+    @SEED_READERS
+    def test_float_seed_rejected(self, read):
+        # not truncated to 1, and not left for numpy's generator to reject
+        with pytest.raises(TypeError, match=r"^'float' object cannot be interpreted as an integer$"):
+            read(1.5)
 
-    @NOISE_SPEC_MAKERS
-    def test_negative_seed_rejected(self, make):
+    @SEED_READERS
+    def test_negative_seed_rejected(self, read):
         with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
-            make(0.02, -1)
+            read(-1)
 
     @NOISE_SPEC_MAKERS
     def test_integer_seed_read_as_index(self, example_model, make):
@@ -121,7 +140,7 @@ class TestSimulate:
             simulate(example_model, np.zeros((4, 1)), x0=[1.0, 2.0, 3.0])
 
     def test_bad_input_width_rejected(self, example_model):
-        with pytest.raises(ValueError, match="inputs"):
+        with pytest.raises(ValueError, match="^inputs has 2 columns, expected 1$"):
             simulate(example_model, np.zeros((4, 2)))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -179,6 +198,16 @@ class TestTrajectory:
         with pytest.raises(ValueError, match=rf"^{name} must be 1-D or of shape \(T, d\)"):
             Trajectory(**arrays)
 
+    @pytest.mark.parametrize(
+        "name, rows, message",
+        [("outputs", 5, "outputs has 5 rows, expected 4"), ("states", 4, "states has 4 rows, expected 5")],
+        ids=["outputs", "states"],
+    )
+    def test_lengths_checked_against_the_inputs(self, name, rows, message):
+        arrays = {"inputs": np.zeros((4, 1)), "outputs": np.zeros((4, 1)), name: np.zeros((rows, 1))}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Trajectory(**arrays)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("name", ["inputs", "outputs", "states"])
     def test_non_finite_trajectory_rejected(self, bad, name):
@@ -222,7 +251,7 @@ class TestStructuredMatrices:
                     assert np.all(block == 0.0)
 
     def test_generator_structure_for_zero_C_D(self):
-        model = StateSpaceModel(A=np.eye(2), B=np.ones((2, 1)), C=np.zeros((1, 2)), D=0.0)
+        model = StateSpaceModel(A=np.eye(2), B=np.ones((2, 1)), C=np.zeros((1, 2)), D=[[0.0]])
         L = 3
         phi = trajectory_generation_matrix(model, L)
         assert phi.shape == ((1 + 1) * L, 2 + L)
@@ -294,7 +323,7 @@ class TestSingularValueConstants:
             assert abs(observability_degree(example_model, L) - svals[-1]) <= 1e-10
 
     def test_gain_is_one_for_zero_C_D(self):
-        model = StateSpaceModel(A=np.eye(2), B=np.ones((2, 1)), C=np.zeros((1, 2)), D=0.0)
+        model = StateSpaceModel(A=np.eye(2), B=np.ones((2, 1)), C=np.zeros((1, 2)), D=[[0.0]])
         assert abs(gain_bound(model, 4) - 1.0) <= 1e-12
 
     def test_gain_at_least_one(self, rng):
@@ -321,6 +350,33 @@ class TestStateSpaceModel:
         matrices[name] = [[bad]]
         with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
             StateSpaceModel(**matrices)
+
+    # each case changes the example model's matrices (n = 2, m = p = 1); the
+    # last three are a scalar or flat matrix, which is not promoted
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"A": [[0.8, 0.2]]}, r"A must be square, got shape \(1, 2\)"),
+            ({"A": np.zeros((0, 0))}, "state dimension n must be at least 1"),
+            ({"B": [[0.3], [0.7], [0.1]]}, "B has 3 rows, expected 2"),
+            ({"C": [[1.0, 1.0, 1.0]]}, "C has 3 columns, expected 2"),
+            ({"D": [[0.0], [0.0]]}, "D has 2 rows, expected 1"),
+            ({"D": [[0.0, 0.0]]}, "D has 2 columns, expected 1"),
+            (
+                {"B": np.zeros((2, 0)), "D": np.zeros((1, 0))},
+                "input/output dimensions must be at least 1, got m=0, p=1",
+            ),
+            ({"D": 0.5}, r"D must be 2-dimensional, got shape \(\)"),
+            ({"B": [0.3, 0.7]}, r"B must be 2-dimensional, got shape \(2,\)"),
+            ({"C": [1.0, 1.0, 1.0, 1.0]}, r"C must be 2-dimensional, got shape \(4,\)"),
+        ],
+        ids=["A-wide", "A-empty", "B-rows", "C-cols", "D-rows", "D-cols", "m-zero",
+             "D-scalar", "B-flat", "C-flat"],
+    )
+    def test_shapes_checked_by_name(self, changes, message):
+        matrices = {"A": [[0.8, 0.2], [0.1, 0.9]], "B": [[0.3], [0.7]], "C": [[1.0, 1.0]], "D": [[0.0]]}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StateSpaceModel(**{**matrices, **changes})
 
 
 class TestModelFiles:
