@@ -52,7 +52,7 @@ from .bounds import one_step_bound
 from .errors import HypothesisViolationError
 from .grassmann import Geodesic, check_distance, orthonormal_basis
 from .hankel import persistently_exciting_input, stacked_data_matrix
-from .lti import NoiseSpec, StateSpaceModel, Trajectory, _seed, load_model, simulate
+from .lti import NoiseSpec, StateSpaceModel, Trajectory, _frozen, _seed, load_model, simulate
 from .predictor import _apply, _context_matrix, _rolling
 
 __all__ = [
@@ -96,7 +96,9 @@ class ExperimentConfig:
     with distances evenly spaced up to 0.9, noise-to-signal ratio 0.02.
     ``kappa_grid``, explicit targets, is given instead of ``N`` and
     ``kappa_max`` (ValueError with either); it sets N to its length, and
-    accepts an N of that length, so `dataclasses.replace` works.  The
+    accepts an N of that length, so `dataclasses.replace` works.  The grid
+    is read by `lti._frozen` as a 1-D vector of finite entries, so a string
+    or a 2-D grid is refused by name, and a negative target is refused.  The
     lengths and N are read with `operator.index` and the seeds by
     `lti._seed`, so a float raises TypeError, and a negative seed raises
     ValueError naming its key."""
@@ -117,7 +119,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.kappa_grid is not None:
-            grid = tuple(float(k) for k in self.kappa_grid)
+            # a vector of any length: 1-D, every entry finite
+            grid = _frozen(self.kappa_grid, "kappa_grid", length=np.size(self.kappa_grid))
+            grid = tuple(grid.tolist())
             if self.N is not None and operator.index(self.N) == len(grid):
                 object.__setattr__(self, "N", None)  # the resolved count, as from replace()
             given = [key for key in ("N", "kappa_max") if getattr(self, key) is not None]
@@ -128,7 +132,7 @@ class ExperimentConfig:
                 )
             if not grid:
                 raise ValueError("kappa_grid must not be empty")
-            if not all(math.isfinite(k) and k >= 0 for k in grid):
+            if min(grid) < 0:
                 raise ValueError(f"kappa_grid values must be finite and nonnegative, got {grid}")
             object.__setattr__(self, "kappa_grid", grid)
             object.__setattr__(self, "N", len(grid))

@@ -50,12 +50,21 @@ def _frozen(
     value, name: str, rows: int | None = None, cols: int | None = None, *, length: int | None = None
 ) -> np.ndarray:
     """A private read-only C-ordered float copy of ``value``, checked by
-    name: 2-D with ``rows`` rows and ``cols`` columns where given, or, with
-    ``length``, flattened to a vector of that length; every entry finite."""
+    name, every entry finite.  Without ``length`` it is 2-D, with ``rows``
+    rows and ``cols`` columns where given.  With ``length`` it is a vector:
+    1-D of that length, or, when ``cols`` channels are given, also the 2-D
+    (length // cols, cols) window that it stacks time-major.  Every other
+    shape is refused, the (cols, length // cols) transpose included; only a
+    square window cannot be told from its transpose."""
     arr = np.array(value, dtype=float, order="C")
     if length is not None:
-        arr = arr.reshape(-1)
-        if arr.size != length:
+        window = None if cols is None else (length // cols, cols)
+        if arr.shape == window:
+            arr = arr.reshape(-1)
+        elif arr.ndim != 1:
+            shapes = "1-D" if window is None else f"1-D or of shape {window}"
+            raise ValueError(f"{name} must be {shapes}, got shape {arr.shape}")
+        elif arr.size != length:
             raise ValueError(f"{name} has length {arr.size}, expected {length}")
     elif arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
@@ -198,8 +207,10 @@ def simulate(
     model : StateSpaceModel
     inputs : array-like, shape (T, m)
         Input sequence of finite numbers; a flat array is one channel.
-    x0 : array-like of n entries, optional
-        Finite initial state, read flattened; defaults to the zero vector.
+    x0 : array-like, shape (n,), optional
+        Finite initial state, a 1-D vector of length n; any other shape,
+        (n, 1) or a scalar included, is refused by name.  Defaults to the
+        zero vector.
     noise : NoiseSpec
         Output disturbance.  With ``sigma`` > 0 the step-t output
         is y_t + sqrt(sigma) * ||y_t|| * z_t, y_t the noise-free output, z one

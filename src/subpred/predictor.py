@@ -68,11 +68,14 @@ def pseudoinverse(M) -> np.ndarray:
 class PredictionContext:
     """The vector b = (u_ini, u, y_ini) together with its window dimensions.
 
-    ``u_ini`` has length m*Tini, ``u`` length m*Tf, ``y_ini`` length p*Tini,
-    each read flattened by `lti._frozen` into a private read-only copy with
-    every entry finite, so a (Tini, m) window stacks time-major.  Each dim
-    is read with `operator.index`, so a float dim raises TypeError and a
-    numpy integer is stored as an int.
+    ``u_ini`` has length m*Tini, ``u`` length m*Tf, ``y_ini`` length p*Tini.
+    Each block is read by `lti._frozen` into a private read-only copy with
+    every entry finite: a 1-D vector of its length, or its (steps, channels)
+    window, such as (Tini, m) for ``u_ini``, which is stacked time-major.
+    Any other shape is refused by name, the (channels, steps) transpose
+    included; only a square window (steps == channels) cannot be told from
+    its transpose.  Each dim is read with `operator.index`, so a float dim
+    raises TypeError and a numpy integer is stored as an int.
     """
 
     u_ini: np.ndarray
@@ -91,12 +94,13 @@ class PredictionContext:
                 f"dims must be positive, got (m={self.m}, p={self.p}, "
                 f"Tini={self.Tini}, Tf={self.Tf})"
             )
-        for name, value, expected in (
-            ("u_ini", self.u_ini, self.m * self.Tini),
-            ("u", self.u, self.m * self.Tf),
-            ("y_ini", self.y_ini, self.p * self.Tini),
+        for name, value, steps, channels in (
+            ("u_ini", self.u_ini, self.Tini, self.m),
+            ("u", self.u, self.Tf, self.m),
+            ("y_ini", self.y_ini, self.Tini, self.p),
         ):
-            object.__setattr__(self, name, _frozen(value, name, length=expected))
+            block = _frozen(value, name, cols=channels, length=steps * channels)
+            object.__setattr__(self, name, block)
 
     @property
     def b(self) -> np.ndarray:
@@ -184,9 +188,8 @@ def rolling_one_step(
     The basis's map is factored once and applied to every window; each row
     equals ``one_step(predict_from_subspace(U, ctx))`` for that window.
     """
-    contexts = _context_matrix(measured, Tini, Tf)
     _check_dims(U, (measured.m, measured.p, Tini, Tf))
-    return _rolling(U, contexts)
+    return _rolling(U, _context_matrix(measured, Tini, Tf))
 
 
 def _rolling(U: BehaviorBasis, contexts: np.ndarray) -> np.ndarray:

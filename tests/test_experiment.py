@@ -32,6 +32,16 @@ class TestConfig:
         assert (cfg.N, cfg.kappa_max) == (2, None)
         assert cfg.kappas == (0.1, 0.2)
         assert cfg.kappas is cfg.kappas
+        # a list or an array gives the same tuple of Python floats
+        for grid in ([0.1, 0.2], np.array([0.1, 0.2])):
+            kappas = ExperimentConfig(model=default_model(), kappa_grid=grid).kappas
+            assert kappas == cfg.kappas and [type(k) for k in kappas] == [float, float]
+
+    @pytest.mark.parametrize("grid, shape", [("12", "()"), (0.5, "()"), ([[0.1, 0.2]], "(1, 2)")])
+    def test_kappa_grid_must_be_1d(self, grid, shape):
+        # a string is not iterated character by character
+        with pytest.raises(ValueError, match=f"^kappa_grid must be 1-D, got shape {re.escape(shape)}$"):
+            ExperimentConfig(model=default_model(), kappa_grid=grid)
 
     def test_grid_config_survives_replace(self):
         # the resolved N is passed back in by replace; it is not a conflict

@@ -138,6 +138,11 @@ class TestSimulate:
     def test_bad_x0_dimension_is_named(self, example_model):
         with pytest.raises(ValueError, match="x0 has length 3"):
             simulate(example_model, np.zeros((4, 1)), x0=[1.0, 2.0, 3.0])
+        # x0 is 1-D: a column of n entries or a scalar is refused, not flattened
+        with pytest.raises(ValueError, match=r"^x0 must be 1-D, got shape \(2, 1\)$"):
+            simulate(example_model, np.zeros((4, 1)), x0=np.ones((2, 1)))
+        with pytest.raises(ValueError, match=r"^x0 must be 1-D, got shape \(\)$"):
+            simulate(example_model, np.zeros((4, 1)), x0=1.0)
 
     def test_bad_input_width_rejected(self, example_model):
         with pytest.raises(ValueError, match="^inputs has 2 columns, expected 1$"):

@@ -24,6 +24,9 @@ from subpred.hankel import PartitionedMatrix, persistently_exciting_input
 from subpred.predictor import PredictionContext, context_windows
 
 
+CONTEXT_FIELDS = pytest.mark.parametrize("field", ["u_ini", "u", "y_ini"])
+
+
 def _noise_free_data(model, Tini, Tf, seed=0, T=None):
     L = Tini + Tf
     if T is None:
@@ -143,13 +146,30 @@ class TestSubspacePredict:
         ctx = PredictionContext(*vectors, *map(np.int64, (1, 1, 2, 2)))
         assert [type(d) for d in (ctx.m, ctx.p, ctx.Tini, ctx.Tf)] == [int] * 4
 
-    @pytest.mark.parametrize("field", ["u_ini", "u", "y_ini"])
+    @CONTEXT_FIELDS
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_context_rejected(self, field, bad):
         vectors = {"u_ini": [0.0] * 4, "u": [0.0] * 4, "y_ini": [0.0] * 4}
         vectors[field][2] = bad
         with pytest.raises(ValueError, match=f"^{field} has non-finite entries$"):
             PredictionContext(**vectors, m=1, p=1, Tini=4, Tf=4)
+
+    @CONTEXT_FIELDS
+    def test_context_window_read_time_major(self, rng, field):
+        # m = p = 2, Tini = 3, Tf = 4: a block's (steps, 2) window gives the
+        # bits of its flat vector, and the (2, steps) transpose is refused
+        dims = {"m": 2, "p": 2, "Tini": 3, "Tf": 4}
+        vectors = {"u_ini": rng.standard_normal(6), "u": rng.standard_normal(8),
+                   "y_ini": rng.standard_normal(6)}
+        flat = PredictionContext(**vectors, **dims)
+        window = vectors[field].reshape(-1, 2)
+        ctx = PredictionContext(**{**vectors, field: window}, **dims)
+        assert getattr(ctx, field).shape == vectors[field].shape
+        assert ctx.b.tobytes() == flat.b.tobytes()
+        steps = len(window)
+        message = rf"^{field} must be 1-D or of shape \({steps}, 2\), got shape \(2, {steps}\)$"
+        with pytest.raises(ValueError, match=message):
+            PredictionContext(**{**vectors, field: window.T}, **dims)
 
     def test_diagnostics_reported(self, example_model):
         X = _noise_free_data(example_model, 2, 2)
@@ -352,10 +372,16 @@ class TestSharedMap:
         with pytest.raises(RankDeficientError, match="sigma_min"):
             rolling_one_step(basis, measured, 1, 1)
 
-    def test_rolling_dims_checked(self, rng):
+    def test_rolling_dims_checked(self, rng, example_model):
         U, measured = _noisy_mimo_basis(rng)
         with pytest.raises(ValueError, match="do not match"):
             rolling_one_step(U, measured, 9, 11)
+        # the dims are named before any context is built, here one that a
+        # length-3 trajectory could not hold
+        U = orthonormal_basis(_noise_free_data(example_model, 4, 4), 1 * 8 + 2)
+        short = simulate(example_model, np.ones((3, 1)))
+        with pytest.raises(ValueError, match="do not match"):
+            rolling_one_step(U, short, 2, 2)
 
 
 class TestGramRoute:
