@@ -37,7 +37,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -52,7 +51,8 @@ from .bounds import one_step_bound
 from .errors import HypothesisViolationError
 from .grassmann import Geodesic, check_distance, orthonormal_basis
 from .hankel import persistently_exciting_input, stacked_data_matrix
-from .lti import NoiseSpec, StateSpaceModel, Trajectory, _frozen, _seed, load_model, simulate
+from .lti import NoiseSpec, StateSpaceModel, Trajectory, load_model, simulate
+from .lti import _count, _frozen, _seed
 from .predictor import _apply, _context_matrix, _rolling
 
 __all__ = [
@@ -99,9 +99,9 @@ class ExperimentConfig:
     accepts an N of that length, so `dataclasses.replace` works.  The grid
     is read by `lti._frozen` as a 1-D vector of finite entries, so a string
     or a 2-D grid is refused by name, and a negative target is refused.  The
-    lengths and N are read with `operator.index` and the seeds by
-    `lti._seed`, so a float raises TypeError, and a negative seed raises
-    ValueError naming its key."""
+    lengths and N are read by `lti._count` and the seeds by `lti._seed`, so
+    a float raises TypeError, and a length or N below 1 or a negative seed
+    raises ValueError naming its key."""
 
     model: StateSpaceModel
     Tini: int = 4
@@ -122,7 +122,7 @@ class ExperimentConfig:
             # a vector of any length: 1-D, every entry finite
             grid = _frozen(self.kappa_grid, "kappa_grid", length=np.size(self.kappa_grid))
             grid = tuple(grid.tolist())
-            if self.N is not None and operator.index(self.N) == len(grid):
+            if self.N is not None and _count(self.N, "N") == len(grid):
                 object.__setattr__(self, "N", None)  # the resolved count, as from replace()
             given = [key for key in ("N", "kappa_max") if getattr(self, key) is not None]
             if given:
@@ -140,11 +140,9 @@ class ExperimentConfig:
             object.__setattr__(self, "N", 100 if self.N is None else self.N)
             object.__setattr__(self, "kappa_max", 0.9 if self.kappa_max is None else self.kappa_max)
         for key in _CONFIG_LENGTH_KEYS:
-            object.__setattr__(self, key, operator.index(getattr(self, key)))
+            object.__setattr__(self, key, _count(getattr(self, key), key))
         for key in _CONFIG_SEED_KEYS:
             object.__setattr__(self, key, _seed(getattr(self, key), key))
-        if min(self.Tini, self.Tf) < 1:
-            raise ValueError(f"Tini and Tf must be positive, got ({self.Tini}, {self.Tf})")
         L = self.Tini + self.Tf
         if self.T < L:
             raise ValueError(f"offline length T={self.T} is shorter than Tini+Tf={L}")
@@ -152,11 +150,8 @@ class ExperimentConfig:
             raise ValueError(f"online length T_sim={self.T_sim} is shorter than Tini+Tf={L}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if self.kappa_grid is None:
-            if self.N < 1:
-                raise ValueError(f"N must be at least 1, got {self.N}")
-            if not (math.isfinite(self.kappa_max) and self.kappa_max > 0):
-                raise ValueError(f"kappa_max must be finite and positive, got {self.kappa_max}")
+        if self.kappa_grid is None and not (math.isfinite(self.kappa_max) and self.kappa_max > 0):
+            raise ValueError(f"kappa_max must be finite and positive, got {self.kappa_max}")
         # Every target must be reachable from a basis of rank r = mL+n in
         # dimension q = (m+p)L, checked before any simulation runs.
         m, p, n = self.model.m, self.model.p, self.model.n
@@ -312,10 +307,10 @@ class TrialOutput:
 
 
 def _check_index(config: ExperimentConfig, n: int) -> int:
-    """``n`` as an int, the rule `Geodesic.draw` applies to seeds: TypeError
-    for a float, ValueError outside 1..N."""
-    n = operator.index(n)
-    if not 1 <= n <= config.N:
+    """``n`` read by `lti._count`, TypeError for a float and ValueError
+    below 1, and refused above N."""
+    n = _count(n, "trial index n")
+    if n > config.N:
         raise ValueError(f"trial index n={n} out of range 1..{config.N}")
     return n
 

@@ -25,7 +25,7 @@ from ._kv import finite_floats
 from ._linalg import EPS, svd
 from .errors import ConvergenceError, RankDeficientError
 from .hankel import PartitionedMatrix
-from .lti import _seed
+from .lti import _count, _seed
 
 __all__ = [
     "BehaviorBasis",
@@ -79,8 +79,10 @@ def orthonormal_basis(X: PartitionedMatrix, r: int) -> BehaviorBasis:
     The returned columns span the best rank-r approximation of the column
     space of ``X``.  Rejects the request when the r-th singular value falls
     under the shared rank cutoff, i.e. when r exceeds the numerical rank.
+    ``r`` is read by `lti._count` and checked against min(q, columns) first.
     """
-    if not 1 <= r <= min(X.q, X.r):
+    r = _count(r, "r")
+    if r > min(X.q, X.r):
         raise ValueError(f"rank r={r} out of range for a {X.q}x{X.r} matrix")
     U, svals, _, rank = svd(X.data, vectors=True)
     if rank < r:
@@ -321,12 +323,12 @@ def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis
 
 
 # ---------------------------------------------------------------------------
-# Basis files: one header line '# m=<m> p=<p> Tini=<Tini> Tf=<Tf> r=<r>'
-# followed by q comma-separated rows of r entries.
+# Basis files: one header line '# m=<m> p=<p> Tini=<Tini> Tf=<Tf> r=<r>',
+# each count at least 1, followed by q comma-separated rows of r entries.
 # ---------------------------------------------------------------------------
 
 _HEADER_RE = re.compile(
-    r"^#\s*m=(\d+)\s+p=(\d+)\s+Tini=(\d+)\s+Tf=(\d+)\s+r=(\d+)\s*$"
+    r"^#\s*m=(?P<m>\d+)\s+p=(?P<p>\d+)\s+Tini=(?P<Tini>\d+)\s+Tf=(?P<Tf>\d+)\s+r=(?P<r>\d+)\s*$"
 )
 
 
@@ -347,7 +349,7 @@ def load_basis(path) -> BehaviorBasis:
                 f"{path}:1: expected header '# m=<m> p=<p> Tini=<Tini> Tf=<Tf> r=<r>', "
                 f"got {header.strip()!r}"
             )
-        m, p, Tini, Tf, r = (int(g) for g in match.groups())
+        m, p, Tini, Tf, r = (_count(int(v), f"{path}:1: {k}") for k, v in match.groupdict().items())
         rows = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():

@@ -10,14 +10,13 @@ window; no row permutation is needed and none is applied.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import svd
 from .errors import ConvergenceError
-from .lti import _frozen, _seed, _time_major
+from .lti import _count, _frozen, _seed, _time_major
 
 __all__ = [
     "PartitionedMatrix",
@@ -33,13 +32,12 @@ class PartitionedMatrix:
     """A ((m+p)(Tini+Tf), r) matrix of finite entries with the canonical
     block-row partition.
 
-    Construction keeps a private read-only copy of ``data`` from
-    `lti._frozen` and reads each dim with `operator.index`, so a float dim
-    raises TypeError and a numpy integer is stored as an int.  Block views are pure slices of the data:
+    Construction reads each dim with `lti._count`, so a float dim raises
+    TypeError, a dim below 1 is refused by name and a numpy integer is
+    stored as an int, and then keeps a private read-only copy of ``data``
+    from `lti._frozen`.  Block views are pure slices of the data:
     stacking (u_past, u_future, y_past, y_future) reproduces ``data``
-    exactly.  ``Tini`` or ``Tf`` may be zero for payloads that only need
-    the ambient space (e.g. distance computations); the predictor requires
-    both positive.  An orthonormal one is a
+    exactly.  An orthonormal one is a
     `grassmann.BehaviorBasis`, a subclass, so a basis goes wherever a
     PartitionedMatrix does.
     """
@@ -52,12 +50,8 @@ class PartitionedMatrix:
 
     def __post_init__(self):
         for name in ("m", "p", "Tini", "Tf"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         data = _frozen(self.data, "data")
-        if min(self.m, self.p) < 1 or min(self.Tini, self.Tf) < 0 or self.Tini + self.Tf < 1:
-            raise ValueError(
-                f"invalid dims (m={self.m}, p={self.p}, Tini={self.Tini}, Tf={self.Tf})"
-            )
         q = (self.m + self.p) * (self.Tini + self.Tf)
         if data.shape[0] != q:
             raise ValueError(
@@ -110,10 +104,12 @@ def hankel(z, depth: int) -> np.ndarray:
 
     ``z`` has shape (T, d), or (T,) for one channel; column j of the result
     stacks z(j), z(j+1), ..., z(j+depth-1), giving shape (d*depth, T-depth+1).
+    ``depth`` is read by `lti._count` and may not exceed T.
     """
+    depth = _count(depth, "depth")
     z = _time_major(z, "z")
     T, d = z.shape
-    if not 1 <= depth <= T:
+    if depth > T:
         raise ValueError(f"depth {depth} out of range for a sequence of length {T}")
     cols = T - depth + 1
     out = np.empty((d * depth, cols))
@@ -139,8 +135,10 @@ def persistently_exciting_input(m: int, T: int, order: int, seed: int) -> np.nda
     The depth-``order`` Hankel matrix has m * order rows and T - order + 1
     columns, so no draw can have full row rank when T < (m + 1) * order - 1;
     such a T raises ValueError, naming that minimum, before any draw.
-    ``seed`` is read by `lti._seed`: a float raises TypeError and a
+    ``m``, ``T`` and ``order`` are read by `lti._count` and ``seed`` by
+    `lti._seed`: a float raises TypeError, and a count below 1 or a
     negative seed ValueError."""
+    m, T, order = _count(m, "m"), _count(T, "T"), _count(order, "order")
     seed = _seed(seed)
     shortest = (m + 1) * order - 1
     if T < shortest:
@@ -163,13 +161,13 @@ def stacked_data_matrix(u_data, y_data, Tini: int, Tf: int) -> PartitionedMatrix
     offline trajectory into a partitioned data matrix.
 
     The result has T - (Tini+Tf) + 1 columns, one per sliding window.
+    ``Tini`` and ``Tf`` are read by `lti._count` before the data.
     """
+    Tini, Tf = _count(Tini, "Tini"), _count(Tf, "Tf")
     u = _time_major(u_data, "u_data")
     y = _time_major(y_data, "y_data")
     if len(u) != len(y):
         raise ValueError(f"input and output sequences differ in length: {len(u)} vs {len(y)}")
-    if min(Tini, Tf) < 1:
-        raise ValueError(f"Tini and Tf must be positive, got ({Tini}, {Tf})")
     L = Tini + Tf
     if len(u) < L:
         raise ValueError(f"sequence length {len(u)} is shorter than Tini+Tf = {L}")

@@ -55,8 +55,13 @@ def _frozen(
     1-D of that length, or, when ``cols`` channels are given, also the 2-D
     (length // cols, cols) window that it stacks time-major.  Every other
     shape is refused, the (cols, length // cols) transpose included; only a
-    square window cannot be told from its transpose."""
-    arr = np.array(value, dtype=float, order="C")
+    square window cannot be told from its transpose.  A value numpy cannot
+    convert, such as a string or a ragged list, raises its ValueError
+    prefixed by ``name``."""
+    try:
+        arr = np.array(value, dtype=float, order="C")
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
     if length is not None:
         window = None if cols is None else (length // cols, cols)
         if arr.shape == window:
@@ -85,6 +90,15 @@ def _seed(value, name: str = "seed") -> int:
     if seed < 0:
         raise ValueError(f"{name} must be non-negative, got {seed}")
     return seed
+
+
+def _count(value, name: str) -> int:
+    """A dimension, window length, count or index: ``value`` read with
+    `operator.index`, so a float raises TypeError, and refused below 1."""
+    count = operator.index(value)
+    if count < 1:
+        raise ValueError(f"{name} must be positive, got {count}")
+    return count
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,9 +269,8 @@ def simulate(
 
 
 def observability_matrix(model: StateSpaceModel, k: int) -> np.ndarray:
-    """Stack of C, CA, ..., CA^(k-1); shape (p*k, n)."""
-    if k < 1:
-        raise ValueError(f"window length k must be positive, got {k}")
+    """Stack of C, CA, ..., CA^(k-1); shape (p*k, n); ``k`` is read by `_count`."""
+    k = _count(k, "window length k")
     blocks = [model.C]
     for _ in range(k - 1):
         blocks.append(blocks[-1] @ model.A)
@@ -268,10 +281,9 @@ def toeplitz_matrix(model: StateSpaceModel, k: int) -> np.ndarray:
     """Lower block Toeplitz matrix of Markov parameters; shape (p*k, m*k).
 
     Block (i, j) is D when i = j, C A^(i-j-1) B when i > j, and zero above
-    the diagonal.
+    the diagonal.  ``k`` is read by `_count`.
     """
-    if k < 1:
-        raise ValueError(f"window length k must be positive, got {k}")
+    k = _count(k, "window length k")
     p, m = model.p, model.m
     markov = [model.D]
     reach = model.B
@@ -290,10 +302,9 @@ def trajectory_generation_matrix(model: StateSpaceModel, L: int) -> np.ndarray:
 
     Its columns generate every length-L trajectory of the model: the stacked
     input/output Hankel matrix of any trajectory equals this matrix applied to
-    the stacked [initial states; input Hankel].
+    the stacked [initial states; input Hankel].  ``L`` is read by `_count`.
     """
-    if L < 1:
-        raise ValueError(f"horizon L must be positive, got {L}")
+    L = _count(L, "horizon L")
     n, m, p = model.n, model.m, model.p
     out = np.zeros(((m + p) * L, n + m * L))
     out[: m * L, n:] = np.eye(m * L)
@@ -367,14 +378,11 @@ def _parse_matrix(text: str, rows: int, cols: int, name: str, source: str) -> np
 
 
 def parse_model(text: str, source: str = "<string>") -> StateSpaceModel:
-    """Parse the plain-text model format documented above; `read_pairs` checks its keys."""
+    """Parse the plain-text model format documented above; `read_pairs`
+    checks its keys and `_count` reads n, m and p."""
     pairs = read_pairs(text, source, required=_MODEL_KEYS)
-    dims = {}
-    for key in ("n", "m", "p"):
-        dims[key] = integer(pairs[key], f"{source}: {key}")
-        if dims[key] < 1:
-            raise ValueError(f"{source}: {key} must be positive, got {dims[key]}")
-    n, m, p = dims["n"], dims["m"], dims["p"]
+    where = {key: f"{source}: {key}" for key in "nmp"}
+    n, m, p = (_count(integer(pairs[key], where[key]), where[key]) for key in "nmp")
     A = _parse_matrix(pairs["A"], n, n, "A", source)
     B = _parse_matrix(pairs["B"], n, m, "B", source)
     C = _parse_matrix(pairs["C"], p, n, "C", source)

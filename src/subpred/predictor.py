@@ -13,7 +13,6 @@ and otherwise from one SVD of the context rows.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,7 +22,7 @@ from ._linalg import prediction_map
 from .errors import RankDeficientError
 from .grassmann import BehaviorBasis
 from .hankel import PartitionedMatrix, stacked_data_matrix
-from .lti import Trajectory, _frozen
+from .lti import Trajectory, _count, _frozen
 
 __all__ = [
     "PredictionContext",
@@ -74,8 +73,9 @@ class PredictionContext:
     window, such as (Tini, m) for ``u_ini``, which is stacked time-major.
     Any other shape is refused by name, the (channels, steps) transpose
     included; only a square window (steps == channels) cannot be told from
-    its transpose.  Each dim is read with `operator.index`, so a float dim
-    raises TypeError and a numpy integer is stored as an int.
+    its transpose.  Each dim is read first, with `lti._count`, so a float
+    dim raises TypeError, a dim below 1 is refused by name and a numpy
+    integer is stored as an int.
     """
 
     u_ini: np.ndarray
@@ -88,12 +88,7 @@ class PredictionContext:
 
     def __post_init__(self):
         for name in ("m", "p", "Tini", "Tf"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if min(self.m, self.p, self.Tini, self.Tf) < 1:
-            raise ValueError(
-                f"dims must be positive, got (m={self.m}, p={self.p}, "
-                f"Tini={self.Tini}, Tf={self.Tf})"
-            )
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         for name, value, steps, channels in (
             ("u_ini", self.u_ini, self.Tini, self.m),
             ("u", self.u, self.Tf, self.m),

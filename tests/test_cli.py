@@ -17,13 +17,13 @@ from subpred.grassmann import orthonormal_basis
 DIMS = (1, 1, 2, 2)
 
 
-def _line_basis(q, angle):
-    """A line in the plane of the first two coordinates, padded to dimension q."""
-    mat = np.zeros((q, 1))
+def _line_basis(angle):
+    """A line in the plane of the first two coordinates, in the ambient
+    dimension q = (m+p)(Tini+Tf) = 4 of the smallest windows."""
+    mat = np.zeros((4, 1))
     mat[0, 0] = np.cos(angle)
     mat[1, 0] = np.sin(angle)
-    # Tf = 0: distance-only payload in ambient dimension q = (m+p)*Tini
-    return BehaviorBasis(data=mat, m=1, p=1, Tini=q // 2, Tf=0)
+    return BehaviorBasis(data=mat, m=1, p=1, Tini=1, Tf=1)
 
 
 class TestDistanceCommand:
@@ -36,8 +36,8 @@ class TestDistanceCommand:
 
     def test_orthogonal_lines_in_the_plane(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_basis(a, _line_basis(2, 0.0))
-        save_basis(b, _line_basis(2, np.pi / 2))
+        save_basis(a, _line_basis(0.0))
+        save_basis(b, _line_basis(np.pi / 2))
         assert main(["distance", str(a), str(b)]) == 0
         assert abs(float(capsys.readouterr().out.strip()) - 1.0) <= 1e-12
 
@@ -54,9 +54,19 @@ class TestDistanceCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("nonsense\n")
         good = tmp_path / "good.csv"
-        save_basis(good, _line_basis(2, 0.0))
+        save_basis(good, _line_basis(0.0))
         assert main(["distance", str(bad), str(good)]) == 2
         assert main(["distance", str(tmp_path / "missing.csv"), str(good)]) == 2
+
+    def test_window_below_one_exit_2(self, tmp_path, capsys):
+        # every header count is at least 1: a Tf = 0 file was read as a payload
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text("# m=1 p=1 Tini=2 Tf=0 r=1\n1.0\n0.0\n0.0\n0.0\n")
+        save_basis(good, _line_basis(0.0))
+        assert main(["distance", str(bad), str(good)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}:1: Tf must be positive, got 0\n"
 
 
 def _write_context(path, u_ini, u, y_ini, m, p, Tini, Tf):

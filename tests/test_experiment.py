@@ -416,6 +416,8 @@ class TestRunSingle:
             return
         if isinstance(n, float):
             error, message = TypeError, "'float' object cannot be interpreted as an integer"
+        elif n < 1:
+            error, message = ValueError, rf"^trial index n must be positive, got {n}$"
         else:
             error, message = ValueError, rf"^trial index n={n} out of range 1\.\.{small_config.N}$"
         with pytest.raises(error, match=message):

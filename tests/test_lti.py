@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -18,8 +19,11 @@ from subpred import (
     trajectory_generation_matrix,
 )
 import subpred.hankel as hankel_module
-from subpred.grassmann import BehaviorBasis, Geodesic, perturb_subspace
-from subpred.hankel import hankel, persistently_exciting_input
+from subpred import experiment
+from subpred.experiment import ExperimentConfig, default_model
+from subpred.grassmann import BehaviorBasis, Geodesic, orthonormal_basis, perturb_subspace
+from subpred.hankel import PartitionedMatrix, hankel, persistently_exciting_input, stacked_data_matrix
+from subpred.predictor import PredictionContext
 
 
 def _impulse_oracle(model, T):
@@ -55,6 +59,106 @@ SEED_READERS = pytest.mark.parametrize(
     ],
     ids=["init", "relative", "draw", "perturb", "pe-input"],
 )
+
+
+# unit windows, m = p = Tini = Tf = 1, whose arrays stay those of the unit
+# windows whatever one dim is set to, so nothing but the reader refuses it
+_UNIT_WINDOWS = {
+    "partitioned": lambda **dims: PartitionedMatrix(np.zeros((4, 1)), **dims),
+    "context": lambda **dims: PredictionContext([0.0], [0.0], [0.0], **dims),
+}
+_DIMS = ("m", "p", "Tini", "Tf")
+
+
+def _window_dim(kind, dim, k):
+    """``dim`` as stored by a unit-window ``kind`` built with ``dim`` = k."""
+    return getattr(_UNIT_WINDOWS[kind](**{**dict.fromkeys(_DIMS, 1), dim: k}), dim)
+
+
+def _offline(Tini, Tf):
+    return stacked_data_matrix(np.arange(10.0), np.arange(10.0) ** 2, Tini, Tf)
+
+
+# every reader of a count: (read, the name it is refused by, a count it accepts)
+COUNT_READERS = pytest.mark.parametrize(
+    ("read", "name", "count"),
+    [
+        *[
+            (lambda k, kind=kind, d=d: _window_dim(kind, d, k), d, 1)
+            for kind in _UNIT_WINDOWS for d in _DIMS
+        ],
+        *[
+            (lambda k, key=key: getattr(ExperimentConfig(default_model(), **{key: k}), key), key, count)
+            for key, count in (("Tini", 4), ("Tf", 4), ("T", 30), ("T_sim", 50), ("N", 100))
+        ],
+        (lambda k: experiment._check_index(ExperimentConfig(default_model()), k), "trial index n", 1),
+        (lambda k: _offline(k, 2).Tini, "Tini", 2),
+        (lambda k: _offline(2, k).Tf, "Tf", 2),
+        (lambda k: hankel(np.arange(5.0), k).tolist(), "depth", 2),
+        (lambda k: persistently_exciting_input(k, 30, 5, 0).tolist(), "m", 1),
+        (lambda k: persistently_exciting_input(1, k, 5, 0).tolist(), "T", 30),
+        (lambda k: persistently_exciting_input(1, 30, k, 0).tolist(), "order", 5),
+        (lambda k: orthonormal_basis(_offline(2, 2), k).r, "r", 2),
+        (lambda k: observability_matrix(default_model(), k).tolist(), "window length k", 2),
+        (lambda k: toeplitz_matrix(default_model(), k).tolist(), "window length k", 2),
+        (lambda k: trajectory_generation_matrix(default_model(), k).tolist(), "horizon L", 2),
+        (lambda k: gain_bound(default_model(), k), "horizon L", 2),
+    ],
+    ids=[
+        *[f"{kind}-{d}" for kind in _UNIT_WINDOWS for d in _DIMS],
+        *[f"config-{key}" for key in ("Tini", "Tf", "T", "T_sim", "N")],
+        "trial-index", "stacked-Tini", "stacked-Tf", "hankel-depth",
+        "pe-input-m", "pe-input-T", "pe-input-order", "basis-r",
+        "observability-k", "toeplitz-k", "generator-L", "gain-L",
+    ],
+)
+
+
+class TestCountReaders:
+    @COUNT_READERS
+    def test_float_count_rejected(self, read, name, count):
+        # an integral float too: not truncated, and not left to numpy
+        with pytest.raises(TypeError, match=r"^'float' object cannot be interpreted as an integer$"):
+            read(float(count))
+
+    @COUNT_READERS
+    def test_count_below_one_rejected_by_name(self, read, name, count):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be positive, got 0$"):
+            read(0)
+
+    @COUNT_READERS
+    def test_numpy_integer_read_as_int(self, read, name, count):
+        got, want = read(np.int64(count)), read(count)
+        assert type(got) is type(want) and got == want
+
+    def test_rank_read_before_the_svd(self, svd_calls):
+        X = _offline(2, 2)
+        with pytest.raises(TypeError):
+            orthonormal_basis(X, 2.0)
+        with pytest.raises(ValueError, match=r"^rank r=9 out of range for a 8x7 matrix$"):
+            orthonormal_basis(X, 9)
+        assert svd_calls == []
+
+    def test_input_without_channels_rejected(self):
+        # it used to return a (30, 0) input
+        with pytest.raises(ValueError, match=r"^m must be positive, got 0$"):
+            persistently_exciting_input(0, 30, 5, 0)
+
+
+class TestArrayReader:
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: ExperimentConfig(default_model(), kappa_grid="0.1,0.2"), "kappa_grid"),
+            (lambda: StateSpaceModel([[1.0, 2.0], [3.0]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]]), "A"),
+            (lambda: PredictionContext("x", [0.0], [0.0], 1, 1, 1, 1), "u_ini"),
+        ],
+        ids=["string-grid", "ragged-A", "string-context"],
+    )
+    def test_unconvertible_array_named(self, build, name):
+        # numpy's own conversion error, prefixed by the input it came from
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            build()
 
 
 class TestSimulate:
@@ -421,6 +525,13 @@ class TestModelFiles:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown keys: E$"):
             parse_model("n = 1\nm = 1\np = 1\nA = 1\nB = 1\nC = 1\nD = 0\nE = 1\n")
+
+    @pytest.mark.parametrize("key", ["n", "m", "p"])
+    def test_dimension_below_one_rejected(self, key):
+        dims = {"n": 1, "m": 1, "p": 1, key: 0}
+        text = "".join(f"{k} = {v}\n" for k, v in dims.items()) + "A = 1\nB = 1\nC = 1\nD = 0\n"
+        with pytest.raises(ValueError, match=f"^<string>: {key} must be positive, got 0$"):
+            parse_model(text)
 
     def test_dimension_mismatch_rejected(self):
         text = "n = 2\nm = 1\np = 1\nA = 1 0 ; 0 1\nB = 1 ; 1\nC = 1\nD = 0\n"
