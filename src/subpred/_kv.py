@@ -6,6 +6,7 @@ entries of every input file go through `finite_floats` or `integer`."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 
 def finite_floats(tokens: list[str], where: str) -> list[float]:
@@ -19,6 +20,15 @@ def finite_floats(tokens: list[str], where: str) -> list[float]:
         if not math.isfinite(value):
             raise ValueError(f"{where}: non-finite entry {tok.strip()!r}")
     return values
+
+
+@contextmanager
+def named(source):
+    """Prefix ``source: `` to a ValueError raised in the block, keeping its type."""
+    try:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"{source}: {exc}") from None
 
 
 def integer(raw: str, where: str) -> int:

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kv import finite_floats, integer, read_pairs
+from ._kv import finite_floats, integer, named, read_pairs
 from ._linalg import prediction_map, spectral_norm
 from .bounds import one_step_bound
 from .errors import HypothesisViolationError
@@ -97,8 +97,8 @@ class ExperimentConfig:
     ``kappa_grid``, explicit targets, is given instead of ``N`` and
     ``kappa_max`` (ValueError with either); it sets N to its length, and
     accepts an N of that length, so `dataclasses.replace` works.  The grid
-    is read by `lti._frozen` as a 1-D vector of finite entries, so a string
-    or a 2-D grid is refused by name, and a negative target is refused.  The
+    is read by `lti._frozen` as a 1-D vector of finite entries, so a string,
+    ragged or 2-D grid is refused by name, and a negative target is refused.  The
     lengths and N are read by `lti._count` and the seeds by `lti._seed`, so
     a float raises TypeError, and a length or N below 1 or a negative seed
     raises ValueError naming its key."""
@@ -120,7 +120,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kappa_grid is not None:
             # a vector of any length: 1-D, every entry finite
-            grid = _frozen(self.kappa_grid, "kappa_grid", length=np.size(self.kappa_grid))
+            grid = _frozen(self.kappa_grid, "kappa_grid", length=-1)
             grid = tuple(grid.tolist())
             if self.N is not None and _count(self.N, "N") == len(grid):
                 object.__setattr__(self, "N", None)  # the resolved count, as from replace()
@@ -197,10 +197,8 @@ def load_config(path) -> ExperimentConfig:
         else:  # output_dir
             kwargs[key] = str(_resolve(path.parent, raw))
     kwargs.setdefault("model", default_model())
-    try:
+    with named(path):
         return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _resolve(base: Path, raw: str) -> Path:

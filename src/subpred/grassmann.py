@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kv import finite_floats
+from ._kv import finite_floats, named
 from ._linalg import EPS, svd
 from .errors import ConvergenceError, RankDeficientError
 from .hankel import PartitionedMatrix
@@ -361,4 +361,5 @@ def load_basis(path) -> BehaviorBasis:
     q = (m + p) * (Tini + Tf)
     if len(rows) != q:
         raise ValueError(f"{path}: expected {q} data rows for the declared dims, got {len(rows)}")
-    return BehaviorBasis(np.array(rows), m, p, Tini, Tf)
+    with named(path):
+        return BehaviorBasis(np.array(rows), m, p, Tini, Tf)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import svd
 from .errors import ConvergenceError
-from .lti import _count, _frozen, _seed, _time_major
+from .lti import _count, _frozen, _seed
 
 __all__ = [
     "PartitionedMatrix",
@@ -102,12 +102,12 @@ class PartitionedMatrix:
 def hankel(z, depth: int) -> np.ndarray:
     """Hankel matrix of the given depth for a vector sequence.
 
-    ``z`` has shape (T, d), or (T,) for one channel; column j of the result
+    ``z`` is a (T, d) array read by `lti._frozen`; column j of the result
     stacks z(j), z(j+1), ..., z(j+depth-1), giving shape (d*depth, T-depth+1).
     ``depth`` is read by `lti._count` and may not exceed T.
     """
     depth = _count(depth, "depth")
-    z = _time_major(z, "z")
+    z = _frozen(z, "z")
     T, d = z.shape
     if depth > T:
         raise ValueError(f"depth {depth} out of range for a sequence of length {T}")
@@ -119,8 +119,9 @@ def hankel(z, depth: int) -> np.ndarray:
 
 
 def is_persistently_exciting(u, order: int) -> bool:
-    """True iff the depth-``order`` Hankel matrix of ``u`` has full row rank."""
-    H = hankel(_time_major(u, "u"), order)
+    """True iff the depth-``order`` Hankel matrix of the (T, m) array ``u``,
+    read by `lti._frozen` before the SVD, has full row rank."""
+    H = hankel(_frozen(u, "u"), order)
     return svd(H)[3] == H.shape[0]
 
 
@@ -161,13 +162,12 @@ def stacked_data_matrix(u_data, y_data, Tini: int, Tf: int) -> PartitionedMatrix
     offline trajectory into a partitioned data matrix.
 
     The result has T - (Tini+Tf) + 1 columns, one per sliding window.
-    ``Tini`` and ``Tf`` are read by `lti._count` before the data.
+    ``Tini`` and ``Tf`` are read by `lti._count`, then the (T, m)
+    ``u_data`` and (T, p) ``y_data`` by `lti._frozen`.
     """
     Tini, Tf = _count(Tini, "Tini"), _count(Tf, "Tf")
-    u = _time_major(u_data, "u_data")
-    y = _time_major(y_data, "y_data")
-    if len(u) != len(y):
-        raise ValueError(f"input and output sequences differ in length: {len(u)} vs {len(y)}")
+    u = _frozen(u_data, "u_data")
+    y = _frozen(y_data, "y_data", rows=len(u))
     L = Tini + Tf
     if len(u) < L:
         raise ValueError(f"sequence length {len(u)} is shorter than Tini+Tf = {L}")

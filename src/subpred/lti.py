@@ -35,24 +35,14 @@ __all__ = [
 ]
 
 
-def _time_major(values, name: str) -> np.ndarray:
-    """``values`` as a float array of shape (T, d), rows indexed by time: a
-    1-D array is one channel, of shape (T, 1); a 2-D array passes through."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        return arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 1-D or of shape (T, d), got shape {arr.shape}")
-    return arr
-
-
 def _frozen(
     value, name: str, rows: int | None = None, cols: int | None = None, *, length: int | None = None
 ) -> np.ndarray:
     """A private read-only C-ordered float copy of ``value``, checked by
     name, every entry finite.  Without ``length`` it is 2-D, with ``rows``
-    rows and ``cols`` columns where given.  With ``length`` it is a vector:
-    1-D of that length, or, when ``cols`` channels are given, also the 2-D
+    rows and ``cols`` columns where given: a matrix, or a time series as
+    (steps, channels).  With ``length`` it is a vector: 1-D of that length
+    (any length for -1), or, when ``cols`` channels are given, also the 2-D
     (length // cols, cols) window that it stacks time-major.  Every other
     shape is refused, the (cols, length // cols) transpose included; only a
     square window cannot be told from its transpose.  A value numpy cannot
@@ -69,7 +59,7 @@ def _frozen(
         elif arr.ndim != 1:
             shapes = "1-D" if window is None else f"1-D or of shape {window}"
             raise ValueError(f"{name} must be {shapes}, got shape {arr.shape}")
-        elif arr.size != length:
+        elif length != -1 and arr.size != length:
             raise ValueError(f"{name} has length {arr.size}, expected {length}")
     elif arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
@@ -107,8 +97,8 @@ class StateSpaceModel:
 
     A is n x n, B is n x m, C is p x n, D is p x m, each given 2-D, as a
     model file gives it; a scalar or flat matrix is rejected by name, as is
-    a non-finite entry.  Instances are immutable; the stored arrays are
-    private read-only copies.
+    a non-finite entry, and n, m and p are read by `_count`.  Instances are
+    immutable; the stored arrays are private read-only copies.
     """
 
     A: np.ndarray
@@ -120,15 +110,11 @@ class StateSpaceModel:
         A = _frozen(self.A, "A")
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
-        n = A.shape[0]
-        if n < 1:
-            raise ValueError("state dimension n must be at least 1")
+        n = _count(A.shape[0], "n")
         B = _frozen(self.B, "B", rows=n)
         C = _frozen(self.C, "C", cols=n)
-        m, p = B.shape[1], C.shape[0]
+        m, p = _count(B.shape[1], "m"), _count(C.shape[0], "p")
         D = _frozen(self.D, "D", rows=p, cols=m)
-        if m < 1 or p < 1:
-            raise ValueError(f"input/output dimensions must be at least 1, got m={m}, p={p}")
         for name, value in zip("ABCD", (A, B, C, D)):
             object.__setattr__(self, name, value)
 
@@ -179,9 +165,9 @@ class Trajectory:
     """Paired input/output sequences over a horizon, rows indexed by time.
 
     ``inputs`` is (T, m), ``outputs`` is (T, p); ``states`` is (T+1, n) when
-    the generating simulation recorded them.  A 1-D array is one channel.
-    Each is kept as a private read-only copy, and a wrong length or a
-    non-finite entry is rejected by name.
+    the generating simulation recorded them.  Each is read by `_frozen` into
+    a private read-only copy, and T by `_count`, so a flat array, a wrong
+    length, no sample or a non-finite entry is rejected by name.
     """
 
     inputs: np.ndarray
@@ -189,14 +175,13 @@ class Trajectory:
     states: np.ndarray | None = None
 
     def __post_init__(self):
-        inputs = _frozen(_time_major(self.inputs, "inputs"), "inputs")
-        outputs = _frozen(_time_major(self.outputs, "outputs"), "outputs", rows=len(inputs))
-        if len(inputs) < 1:
-            raise ValueError("a trajectory must contain at least one sample")
+        inputs = _frozen(self.inputs, "inputs")
+        T = _count(len(inputs), "T")
+        outputs = _frozen(self.outputs, "outputs", rows=T)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         if self.states is not None:
-            states = _frozen(_time_major(self.states, "states"), "states", rows=len(inputs) + 1)
+            states = _frozen(self.states, "states", rows=T + 1)
             object.__setattr__(self, "states", states)
 
     @property
@@ -220,7 +205,8 @@ def simulate(
     ----------
     model : StateSpaceModel
     inputs : array-like, shape (T, m)
-        Input sequence of finite numbers; a flat array is one channel.
+        Input sequence of finite numbers, read by `_frozen`, so a flat
+        array is refused by name; `Trajectory` refuses T = 0.
     x0 : array-like, shape (n,), optional
         Finite initial state, a 1-D vector of length n; any other shape,
         (n, 1) or a scalar included, is refused by name.  Defaults to the
@@ -236,10 +222,8 @@ def simulate(
     Trajectory
         With states recorded, length T.
     """
-    u = _frozen(_time_major(inputs, "inputs"), "inputs", cols=model.m)
+    u = _frozen(inputs, "inputs", cols=model.m)
     T = len(u)
-    if T < 1:
-        raise ValueError("inputs must contain at least one sample")
     x = np.zeros(model.n) if x0 is None else _frozen(x0, "x0", length=model.n)
 
     states = np.empty((T + 1, model.n))

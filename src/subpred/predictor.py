@@ -57,10 +57,11 @@ def _apply(matrix: np.ndarray, contexts: np.ndarray) -> np.ndarray:
 def pseudoinverse(M) -> np.ndarray:
     """Moore-Penrose inverse via SVD.
 
-    Singular values at or below the shared rank cutoff of `_linalg.svd` are
-    treated as zero.  A zero matrix maps to a zero matrix.
+    ``M`` is read by `lti._frozen` before the SVD.  Singular values at or
+    below the shared rank cutoff of `_linalg.svd` are treated as zero.  A
+    zero matrix maps to a zero matrix.
     """
-    return prediction_map(M)[0]
+    return prediction_map(_frozen(M, "M"))[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,9 @@ import pytest
 
 from helpers import random_basis, random_orthogonal
 from subpred import format_model, perturb_subspace, save_basis, simulate
+from subpred._kv import named
 from subpred.cli import load_context, main
+from subpred.errors import HypothesisViolationError, RankDeficientError
 from subpred.experiment import default_model, load_config
 from subpred.grassmann import BehaviorBasis
 from subpred.hankel import persistently_exciting_input, stacked_data_matrix
@@ -67,6 +69,16 @@ class TestDistanceCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {bad}:1: Tf must be positive, got 0\n"
+
+    def test_basis_error_names_its_file(self, tmp_path, capsys):
+        # BehaviorBasis's own refusal, prefixed by the file it was read from
+        bad, good = tmp_path / "notortho.csv", tmp_path / "ok.csv"
+        bad.write_text("# m=1 p=1 Tini=1 Tf=1 r=1\n2.0\n0.0\n0.0\n0.0\n")
+        save_basis(good, _line_basis(0.0))
+        assert main(["distance", str(bad), str(good)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: columns are not orthonormal: ||U'U - I||_F = 3.000e+00\n"
 
 
 def _write_context(path, u_ini, u, y_ini, m, p, Tini, Tf):
@@ -140,6 +152,16 @@ class TestPredictCommand:
         a = np.array([float(l.split(",")[1]) for l in first.splitlines()[1:]])
         b = np.array([float(l.split(",")[1]) for l in second.splitlines()[1:]])
         np.testing.assert_allclose(a, b, atol=1e-9)
+
+    def test_context_error_names_its_file(self, tmp_path, capsys):
+        # PredictionContext's own refusal, prefixed by the file it was read from
+        path, ctx_path = tmp_path / "basis.csv", tmp_path / "ctx.txt"
+        save_basis(path, _line_basis(0.0))
+        _write_context(ctx_path, [0.0, 0.0], [0.0], [0.0], 1, 1, 1, 1)
+        assert main(["predict", "--basis", str(path), "--context", str(ctx_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {ctx_path}: u_ini has length 2, expected 1\n"
 
     def test_rank_deficient_basis_exit_4(self, tmp_path, capsys):
         mat = np.zeros((4, 2))
@@ -477,6 +499,14 @@ class TestKeyValueFiles:
         assert captured.out == ""
         assert f"{bad}:{len(text.splitlines()) + 1}: {message}" in captured.err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("error", [ValueError, RankDeficientError, HypothesisViolationError])
+    def test_file_prefix_keeps_the_error_type(self, error):
+        # so naming the file never changes which exit code an error maps to
+        with pytest.raises(error, match=r"^f\.txt: bad$") as caught:
+            with named("f.txt"):
+                raise error("bad")
+        assert type(caught.value) is error
 
 
 class TestReadmeExamples:

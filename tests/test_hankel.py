@@ -29,7 +29,7 @@ class TestHankel:
             (lambda: stacked_data_matrix(bad, good, 2, 2), "u_data"),
             (lambda: stacked_data_matrix(good, bad, 2, 2), "y_data"),
         ):
-            with pytest.raises(ValueError, match=rf"^{name} must be 1-D or of shape \(T, d\)"):
+            with pytest.raises(ValueError, match=rf"^{name} must be 2-dimensional, got shape "):
                 call()
 
     def test_module_is_not_shadowed_by_the_function(self):
@@ -41,11 +41,11 @@ class TestHankel:
 
     def test_scalar_example(self):
         np.testing.assert_array_equal(
-            hankel([1.0, 2.0, 3.0, 4.0], 2), [[1, 2, 3], [2, 3, 4]]
+            hankel([[1.0], [2.0], [3.0], [4.0]], 2), [[1, 2, 3], [2, 3, 4]]
         )
 
     def test_full_depth_single_column(self):
-        H = hankel([1.0, 2.0, 3.0], 3)
+        H = hankel([[1.0], [2.0], [3.0]], 3)
         np.testing.assert_array_equal(H, [[1], [2], [3]])
 
     def test_vector_layout_matches_definition(self):
@@ -59,9 +59,9 @@ class TestHankel:
 
     def test_depth_out_of_range(self):
         with pytest.raises(ValueError, match="depth"):
-            hankel([1.0, 2.0], 3)
+            hankel([[1.0], [2.0]], 3)
         with pytest.raises(ValueError, match="depth"):
-            hankel([1.0, 2.0], 0)
+            hankel([[1.0], [2.0]], 0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -83,23 +83,23 @@ class TestHankel:
 
 class TestPersistencyOfExcitation:
     def test_constant_sequence_not_exciting(self):
-        assert not is_persistently_exciting(np.full(10, 3.0), 2)
+        assert not is_persistently_exciting(np.full((10, 1), 3.0), 2)
 
     def test_gaussian_sequence_exciting(self):
         for seed in range(5):
-            u = np.random.default_rng(seed).standard_normal(30)
+            u = np.random.default_rng(seed).standard_normal((30, 1))
             assert is_persistently_exciting(u, 10)
             assert svd(hankel(u, 10))[3] == 10
 
     def test_too_few_columns_never_exciting(self):
         # rows m*k exceed columns T-k+1
-        u = np.random.default_rng(0).standard_normal(10)
+        u = np.random.default_rng(0).standard_normal((10, 1))
         assert not is_persistently_exciting(u, 8)
 
 
 class TestStackedDataMatrix:
     def test_smallest_case_blocks(self):
-        X = stacked_data_matrix([1.0, 2.0], [3.0, 4.0], Tini=1, Tf=1)
+        X = stacked_data_matrix([[1.0], [2.0]], [[3.0], [4.0]], Tini=1, Tf=1)
         np.testing.assert_array_equal(X.u_past, [[1.0]])
         np.testing.assert_array_equal(X.u_future, [[2.0]])
         np.testing.assert_array_equal(X.y_past, [[3.0]])
@@ -118,7 +118,7 @@ class TestStackedDataMatrix:
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
-            stacked_data_matrix(np.ones(3), np.ones(3), Tini=2, Tf=2)
+            stacked_data_matrix(np.ones((3, 1)), np.ones((3, 1)), Tini=2, Tf=2)
 
     def test_example_configuration_shape_and_rank(self, example_model):
         u = persistently_exciting_input(1, 30, order=example_model.n + 8, seed=0)

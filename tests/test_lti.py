@@ -22,8 +22,14 @@ import subpred.hankel as hankel_module
 from subpred import experiment
 from subpred.experiment import ExperimentConfig, default_model
 from subpred.grassmann import BehaviorBasis, Geodesic, orthonormal_basis, perturb_subspace
-from subpred.hankel import PartitionedMatrix, hankel, persistently_exciting_input, stacked_data_matrix
-from subpred.predictor import PredictionContext
+from subpred.hankel import (
+    PartitionedMatrix,
+    hankel,
+    is_persistently_exciting,
+    persistently_exciting_input,
+    stacked_data_matrix,
+)
+from subpred.predictor import PredictionContext, pseudoinverse
 
 
 def _impulse_oracle(model, T):
@@ -76,7 +82,7 @@ def _window_dim(kind, dim, k):
 
 
 def _offline(Tini, Tf):
-    return stacked_data_matrix(np.arange(10.0), np.arange(10.0) ** 2, Tini, Tf)
+    return stacked_data_matrix(np.arange(10.0)[:, None], np.arange(10.0)[:, None] ** 2, Tini, Tf)
 
 
 # every reader of a count: (read, the name it is refused by, a count it accepts)
@@ -94,7 +100,7 @@ COUNT_READERS = pytest.mark.parametrize(
         (lambda k: experiment._check_index(ExperimentConfig(default_model()), k), "trial index n", 1),
         (lambda k: _offline(k, 2).Tini, "Tini", 2),
         (lambda k: _offline(2, k).Tf, "Tf", 2),
-        (lambda k: hankel(np.arange(5.0), k).tolist(), "depth", 2),
+        (lambda k: hankel(np.arange(5.0)[:, None], k).tolist(), "depth", 2),
         (lambda k: persistently_exciting_input(k, 30, 5, 0).tolist(), "m", 1),
         (lambda k: persistently_exciting_input(1, k, 5, 0).tolist(), "T", 30),
         (lambda k: persistently_exciting_input(1, 30, k, 0).tolist(), "order", 5),
@@ -145,15 +151,90 @@ class TestCountReaders:
             persistently_exciting_input(0, 30, 5, 0)
 
 
+# (T, 1) sequences of T = 4 steps, and T + 1 states, for the readers below
+_U = np.array([[1.0], [-2.0], [0.5], [3.0]])
+_Y = np.array([[0.0], [1.0], [-1.0], [2.0]])
+_S = np.arange(5.0)[:, None]
+
+
+def _hankel_by_hand(z, depth):
+    cols = len(z) - depth + 1
+    return np.array([[z[i + j, 0] for j in range(cols)] for i in range(depth)])
+
+
+# every reader of a time series, and pseudoinverse's matrix: (read, the name
+# it is refused by, a (T, 1) value it accepts, what it gives for that value)
+SEQUENCE_READERS = pytest.mark.parametrize(
+    ("read", "name", "good", "want"),
+    [
+        (lambda x: Trajectory(x, _Y, _S).inputs, "inputs", _U, _U),
+        (lambda x: Trajectory(_U, x, _S).outputs, "outputs", _Y, _Y),
+        (lambda x: Trajectory(_U, _Y, x).states, "states", _S, _S),
+        (
+            lambda x: simulate(default_model(), x).outputs,
+            "inputs", _U, simulate_reference(default_model(), _U)[1],
+        ),
+        (lambda x: hankel(x, 2), "z", _U, _hankel_by_hand(_U, 2)),
+        (lambda x: is_persistently_exciting(x, 2), "u", _U, True),
+        (
+            lambda x: stacked_data_matrix(x, _Y, 1, 1).data,
+            "u_data", _U, np.vstack([_hankel_by_hand(_U, 2), _hankel_by_hand(_Y, 2)]),
+        ),
+        (
+            lambda x: stacked_data_matrix(_U, x, 1, 1).data,
+            "y_data", _Y, np.vstack([_hankel_by_hand(_U, 2), _hankel_by_hand(_Y, 2)]),
+        ),
+        (pseudoinverse, "M", np.array([[2.0], [0.0]]), np.array([[0.5, 0.0]])),
+    ],
+    ids=[
+        "trajectory-inputs", "trajectory-outputs", "trajectory-states", "simulate-inputs",
+        "hankel-z", "pe-u", "stacked-u_data", "stacked-y_data", "pinv-M",
+    ],
+)
+
+
+class TestSequenceReaders:
+    @SEQUENCE_READERS
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_rejected_before_any_factorization(
+        self, svd_calls, read, name, good, want, bad
+    ):
+        value = good.copy()
+        value[1, 0] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+            read(value)
+        assert svd_calls == [] and svd_calls.eigvalsh == [] and svd_calls.solve == []
+
+    @SEQUENCE_READERS
+    def test_flat_array_rejected_by_name(self, read, name, good, want):
+        # (T,) could be one channel of T steps or one step of T channels
+        message = rf"^{name} must be 2-dimensional, got shape \({len(good)},\)$"
+        with pytest.raises(ValueError, match=message):
+            read(good[:, 0])
+
+    @SEQUENCE_READERS
+    def test_ragged_list_rejected_by_name(self, read, name, good, want):
+        rows = good.tolist()
+        rows[1].append(0.0)
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            read(rows)
+
+    @SEQUENCE_READERS
+    def test_column_accepted(self, read, name, good, want):
+        np.testing.assert_array_equal(read(good), want)
+        np.testing.assert_array_equal(read(good.tolist()), want)
+
+
 class TestArrayReader:
     @pytest.mark.parametrize(
         "build, name",
         [
             (lambda: ExperimentConfig(default_model(), kappa_grid="0.1,0.2"), "kappa_grid"),
+            (lambda: ExperimentConfig(default_model(), kappa_grid=[[0.1], [0.2, 0.3]]), "kappa_grid"),
             (lambda: StateSpaceModel([[1.0, 2.0], [3.0]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]]), "A"),
             (lambda: PredictionContext("x", [0.0], [0.0], 1, 1, 1, 1), "u_ini"),
         ],
-        ids=["string-grid", "ragged-A", "string-context"],
+        ids=["string-grid", "ragged-grid", "ragged-A", "string-context"],
     )
     def test_unconvertible_array_named(self, build, name):
         # numpy's own conversion error, prefixed by the input it came from
@@ -291,20 +372,20 @@ class TestSimulate:
 
 
 class TestTrajectory:
-    def test_flat_arrays_are_one_channel(self, example_model):
-        u = np.arange(6.0)
-        traj = simulate(example_model, u)
-        flat = Trajectory(u, traj.outputs[:, 0], traj.states[:, 0])
-        assert (len(flat.inputs), flat.m, flat.p) == (6, 1, 1)
-        np.testing.assert_array_equal(flat.inputs, traj.inputs)
-        np.testing.assert_array_equal(flat.outputs, traj.outputs)
-        assert flat.states.shape == (7, 1)
+    def test_flat_arrays_refused_by_name(self, example_model):
+        # a (T,) array could be one channel of T steps or one step of T
+        # channels, so it is not read as either
+        traj = simulate(example_model, np.arange(6.0)[:, None])
+        arrays = {"inputs": traj.inputs, "outputs": traj.outputs, "states": traj.states}
+        for name, steps in (("inputs", 6), ("outputs", 6), ("states", 7)):
+            with pytest.raises(ValueError, match=rf"^{name} must be 2-dimensional, got shape \({steps},\)$"):
+                Trajectory(**{**arrays, name: arrays[name][:, 0]})
 
     @pytest.mark.parametrize("name", ["inputs", "outputs"])
     @pytest.mark.parametrize("shape", [(), (4, 1, 1)])
     def test_other_ranks_are_named(self, name, shape):
         arrays = {"inputs": np.zeros((4, 1)), "outputs": np.zeros((4, 1)), name: np.zeros(shape)}
-        with pytest.raises(ValueError, match=rf"^{name} must be 1-D or of shape \(T, d\)"):
+        with pytest.raises(ValueError, match=rf"^{name} must be 2-dimensional, got shape "):
             Trajectory(**arrays)
 
     @pytest.mark.parametrize(
@@ -466,14 +547,14 @@ class TestStateSpaceModel:
         "changes, message",
         [
             ({"A": [[0.8, 0.2]]}, r"A must be square, got shape \(1, 2\)"),
-            ({"A": np.zeros((0, 0))}, "state dimension n must be at least 1"),
+            ({"A": np.zeros((0, 0))}, "n must be positive, got 0"),
             ({"B": [[0.3], [0.7], [0.1]]}, "B has 3 rows, expected 2"),
             ({"C": [[1.0, 1.0, 1.0]]}, "C has 3 columns, expected 2"),
             ({"D": [[0.0], [0.0]]}, "D has 2 rows, expected 1"),
             ({"D": [[0.0, 0.0]]}, "D has 2 columns, expected 1"),
             (
                 {"B": np.zeros((2, 0)), "D": np.zeros((1, 0))},
-                "input/output dimensions must be at least 1, got m=0, p=1",
+                "m must be positive, got 0",
             ),
             ({"D": 0.5}, r"D must be 2-dimensional, got shape \(\)"),
             ({"B": [0.3, 0.7]}, r"B must be 2-dimensional, got shape \(2,\)"),
