@@ -2,15 +2,26 @@
 
 Every SVD in the library goes through `svd`, and every rank decision uses
 its relative cutoff: a singular value counts toward the rank when it exceeds
-``max(rows, cols) * machine_eps * sigma_max``.  `prediction_map` builds
-every prediction map and is the one place that picks its route: an
-orthonormal basis's map comes from its output Gram matrix (`_gram_map`) when
-that matches the SVD, and any other from one SVD.  With ``rows``, either
-route builds only the map's first rows, as the experiment sweep does for a
-member's first p.  `spectral_norm` takes sigma_max from a Gram eigenvalue.
+``max(rows, cols) * machine_eps * sigma_max``.  A caller that needs only to
+know whether the rank reaches some ``least``, with at most the leading
+``least`` singular vectors, passes it to `svd`, which then tries its Gram
+route (`_gram_svd`) first: `eigh`, or `eigvalsh` without vectors, of the
+smaller Gram matrix, M M' or M'M.  That route answers only in the clear
+case, where its error estimates put the rank at ``least`` or more and the
+vectors within tolerance; otherwise the SVD runs and decides, so every
+refusal comes from the SVD.
+`prediction_map` builds every prediction map and is the one place that
+picks its route: an orthonormal basis's map comes from its output Gram
+matrix (`_gram_map`) when that matches the SVD, and any other from one SVD.
+With ``rows``, either route builds only the map's first rows, as the
+experiment sweep does for a member's first p.  `spectral_norm` takes
+sigma_max from a Gram eigenvalue; it and the Gram route share one
+scaling and orientation rule, `_scaled_gram`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,10 +39,22 @@ EPS = float(np.finfo(np.float64).eps)
 IDENTITY_ERROR_TOL = 1e-9
 
 
-def svd(matrix, vectors: bool = False):
+def svd(matrix, vectors: bool = False, least: int = 0):
     """Thin SVD of ``matrix`` as ``(U, s, Vt, rank)``, with ``rank`` under the
     shared cutoff (0 for an empty or zero matrix).  ``U`` and ``Vt`` are None
-    unless ``vectors``; without them only the singular values are computed."""
+    unless ``vectors``; without them only the singular values are computed.
+
+    With ``least`` >= 1 the caller asks only whether the rank reaches
+    ``least`` and, with ``vectors``, for the leading ``least`` columns of U
+    and, when ``matrix`` has at least as many rows as columns, for all of
+    Vt.  The Gram route runs first, and when its estimates clear the case
+    (see `_gram_svd`) it returns ``(U[:, :least], s[:least], Vt, least)``, with
+    ``Vt`` None for a matrix with fewer rows than columns.  Otherwise this
+    SVD runs, so a rank below ``least`` is always the SVD's finding."""
+    if least >= 1:
+        routed = _gram_svd(matrix, least, vectors)
+        if routed is not None:
+            return routed
     matrix = np.asarray(matrix, dtype=float)
     if vectors:
         U, s, Vt = np.linalg.svd(matrix, full_matrices=False)
@@ -39,6 +62,80 @@ def svd(matrix, vectors: bool = False):
         U, s, Vt = None, np.linalg.svd(matrix, compute_uv=False), None
     rank = int(np.count_nonzero(s > max(matrix.shape) * EPS * s[0])) if s.size else 0
     return U, s, Vt, rank
+
+
+def _gram_svd(matrix, least, vectors):
+    """The Gram route of `svd`: its result from the eigendecomposition of
+    the smaller Gram matrix G of ``matrix`` M (see `_scaled_gram`), or None
+    outside the clear case that its estimates show.
+
+    G's eigenvalues are the squared singular values lambda_i = sigma_i^2.
+    Forming G moves each by at most about gamma_cols * || |M| ||_2^2, at
+    most rows * cols * eps * lambda_1 since || |M| ||_2^2 is at most
+    min(rows, cols) * lambda_1, and `eigh` adds a few
+    min(rows, cols) * eps * lambda_1.  So the rank is taken to reach
+    ``least`` once lambda_least clears error = rows * cols * eps * lambda_1,
+    an estimate of that bound up to its small constant: the SVD's cutoff,
+    max(rows, cols) * eps * sigma_1 on sigma, lies far below it, and on the
+    benchmark's inputs it is at most 2.1e-11 relative against a
+    lambda_least of 1.57e-4 or more.  With ``vectors``, the eigenvectors of
+    the leading ``least`` eigenvalues are accurate to about
+    eps * lambda_1 / (lambda_least - lambda_least+1) (LAPACK Users' Guide,
+    section 4.7), with lambda_least+1 = 0 past the last, and the route
+    answers only while that estimate is at most IDENTITY_ERROR_TOL.  For a
+    wide M they are U; for a tall or square M they are V, the full
+    eigenbasis gives Vt, and U's leading columns are M V / sigma, whose
+    orthonormality the factorization's residual degrades by about
+    eps * lambda_1 / lambda_least.  So that U is measured, and the route
+    answers only while ||U'U - I||_F is at most
+    max(rows, cols) * least * eps, about the rounding of an SVD's U over
+    its least x least Gram matrix: a U near the basis tolerance would
+    leave a geodesic drawn from it no room under that tolerance.  On the
+    first ten draws from each benchmark input the measured value is at
+    most a third of that limit."""
+    matrix = np.asarray(matrix, dtype=float)
+    if not 1 <= least <= min(matrix.shape):
+        return None
+    routed = _scaled_gram(matrix)
+    if routed is None:
+        return None
+    scaled, scale, gram, wide = routed
+    if vectors:
+        lam, V = np.linalg.eigh(gram)
+        lam, V = lam[::-1], V[:, ::-1]
+    else:
+        lam = np.linalg.eigvalsh(gram)[::-1]
+    if not lam[least - 1] > matrix.size * EPS * lam[0]:  # NaN fails too
+        return None
+    sigma = np.sqrt(lam[:least])
+    if not vectors:
+        return None, sigma / scale, None, least
+    gap = lam[least - 1] - (lam[least] if least < len(lam) else 0.0)
+    if not EPS * lam[0] <= IDENTITY_ERROR_TOL * gap:
+        return None
+    if wide:
+        return V[:, :least], sigma / scale, None, least
+    U = (scaled @ V[:, :least]) / sigma
+    if not np.linalg.norm(U.T @ U - np.eye(least)) <= max(matrix.shape) * least * EPS:
+        return None
+    return U, sigma / scale, V.T, least
+
+
+def _scaled_gram(matrix):
+    """``(scaled, scale, gram, wide)`` for the 2-D float array ``matrix`` M:
+    ``scaled`` is M times ``scale``, a power of two that brings its largest
+    magnitude into [0.5, 1) exactly, so that its squares neither overflow
+    nor underflow, and ``gram`` the smaller Gram matrix of ``scaled``,
+    scaled scaled' when M is ``wide`` (fewer rows than columns) and
+    scaled' scaled otherwise.  None when M has no nonzero entry or a
+    non-finite one."""
+    peak = float(np.abs(matrix).max(initial=0.0))
+    if not 0.0 < peak < np.inf:
+        return None
+    scale = math.ldexp(1.0, -math.frexp(peak)[1])
+    scaled = matrix * scale
+    wide = matrix.shape[0] < matrix.shape[1]
+    return scaled, scale, (scaled @ scaled.T if wide else scaled.T @ scaled), wide
 
 
 def prediction_map(context_rows, future_rows=None, gram_defect=None, rows=None):
@@ -100,15 +197,13 @@ def _gram_map(context_rows, future_rows, gram_defect, rows):
 
 def spectral_norm(matrix: np.ndarray) -> float:
     """Largest singular value of ``matrix`` (0 for an empty one), without an
-    SVD: the root of lambda_max of the smaller Gram matrix, M M' or M'M, by
-    `eigvalsh`.  lambda_max is perfectly conditioned, so this is accurate to
-    a few eps relative.  M is first scaled by its largest magnitude, so that
-    the squares neither overflow nor underflow; a non-finite entry gives
-    that entry's magnitude (inf or nan)."""
+    SVD: the root of lambda_max of its smaller Gram matrix (see
+    `_scaled_gram`), by `eigvalsh`.  lambda_max is perfectly conditioned, so
+    this is accurate to a few eps relative.  A non-finite entry gives that
+    entry's magnitude (inf or nan)."""
     matrix = np.asarray(matrix, dtype=float)
-    scale = float(np.abs(matrix).max(initial=0.0))
-    if not 0.0 < scale < np.inf:
-        return scale
-    scaled = matrix / scale
-    gram = scaled @ scaled.T if scaled.shape[0] <= scaled.shape[1] else scaled.T @ scaled
-    return scale * float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+    routed = _scaled_gram(matrix)
+    if routed is None:
+        return float(np.abs(matrix).max(initial=0.0))
+    _, scale, gram, _ = routed
+    return float(np.sqrt(np.linalg.eigvalsh(gram)[-1])) / scale

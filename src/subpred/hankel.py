@@ -107,7 +107,7 @@ def hankel(z, depth: int) -> np.ndarray:
     ``depth`` is read by `lti._count` and may not exceed T.
     """
     depth = _count(depth, "depth")
-    z = _frozen(z, "z")
+    z = _frozen(z, "z", series=True)
     T, d = z.shape
     if depth > T:
         raise ValueError(f"depth {depth} out of range for a sequence of length {T}")
@@ -120,9 +120,12 @@ def hankel(z, depth: int) -> np.ndarray:
 
 def is_persistently_exciting(u, order: int) -> bool:
     """True iff the depth-``order`` Hankel matrix of the (T, m) array ``u``,
-    read by `lti._frozen` before the SVD, has full row rank."""
-    H = hankel(_frozen(u, "u"), order)
-    return svd(H)[3] == H.shape[0]
+    read by `lti._frozen` before any factorization, has full row rank.  The
+    rank comes from `_linalg.svd` asked for at least the row count: the
+    eigenvalues of the smaller Gram matrix settle a clear full row rank, and
+    the SVD decides every other case, so only the SVD returns False."""
+    H = hankel(_frozen(u, "u", series=True), order)
+    return svd(H, least=H.shape[0])[3] == H.shape[0]
 
 
 _PE_ATTEMPTS = 10
@@ -166,8 +169,8 @@ def stacked_data_matrix(u_data, y_data, Tini: int, Tf: int) -> PartitionedMatrix
     ``u_data`` and (T, p) ``y_data`` by `lti._frozen`.
     """
     Tini, Tf = _count(Tini, "Tini"), _count(Tf, "Tf")
-    u = _frozen(u_data, "u_data")
-    y = _frozen(y_data, "y_data", rows=len(u))
+    u = _frozen(u_data, "u_data", series=True)
+    y = _frozen(y_data, "y_data", rows=len(u), series=True)
     L = Tini + Tf
     if len(u) < L:
         raise ValueError(f"sequence length {len(u)} is shorter than Tini+Tf = {L}")

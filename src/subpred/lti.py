@@ -36,12 +36,21 @@ __all__ = [
 
 
 def _frozen(
-    value, name: str, rows: int | None = None, cols: int | None = None, *, length: int | None = None
+    value,
+    name: str,
+    rows: int | None = None,
+    cols: int | None = None,
+    *,
+    length: int | None = None,
+    series: bool = False,
 ) -> np.ndarray:
     """A private read-only C-ordered float copy of ``value``, checked by
     name, every entry finite.  Without ``length`` it is 2-D, with ``rows``
-    rows and ``cols`` columns where given: a matrix, or a time series as
-    (steps, channels).  With ``length`` it is a vector: 1-D of that length
+    rows and ``cols`` columns where given: a matrix, or, with ``series``, a
+    time series as (steps, channels) whose channel count `_count` reads, so
+    one with no channel is refused by name; a model matrix leaves an empty
+    dimension to the count its reader names (n, m or p).  With ``length``
+    it is a vector: 1-D of that length
     (any length for -1), or, when ``cols`` channels are given, also the 2-D
     (length // cols, cols) window that it stacks time-major.  Every other
     shape is refused, the (cols, length // cols) transpose included; only a
@@ -67,6 +76,8 @@ def _frozen(
         raise ValueError(f"{name} has {arr.shape[0]} rows, expected {rows}")
     elif cols is not None and arr.shape[1] != cols:
         raise ValueError(f"{name} has {arr.shape[1]} columns, expected {cols}")
+    elif series:
+        _count(arr.shape[1], f"{name} channel count")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     arr.flags.writeable = False
@@ -175,13 +186,13 @@ class Trajectory:
     states: np.ndarray | None = None
 
     def __post_init__(self):
-        inputs = _frozen(self.inputs, "inputs")
+        inputs = _frozen(self.inputs, "inputs", series=True)
         T = _count(len(inputs), "T")
-        outputs = _frozen(self.outputs, "outputs", rows=T)
+        outputs = _frozen(self.outputs, "outputs", rows=T, series=True)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         if self.states is not None:
-            states = _frozen(self.states, "states", rows=T + 1)
+            states = _frozen(self.states, "states", rows=T + 1, series=True)
             object.__setattr__(self, "states", states)
 
     @property

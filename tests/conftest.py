@@ -16,15 +16,17 @@ def rng():
 
 class FactorizationCalls(list):
     """Shapes of the matrices passed to np.linalg.svd, in call order, with
-    those passed to np.linalg.eigvalsh and np.linalg.solve (the first
-    argument's) in the lists of the same names; clear() empties all three."""
+    those passed to np.linalg.eigh, np.linalg.eigvalsh and np.linalg.solve
+    (the first argument's) in the lists of the same names; clear() empties
+    all four."""
 
     def __init__(self):
         super().__init__()
-        self.eigvalsh, self.solve = [], []
+        self.eigh, self.eigvalsh, self.solve = [], [], []
 
     def clear(self):
         super().clear()
+        self.eigh.clear()
         self.eigvalsh.clear()
         self.solve.clear()
 
@@ -41,7 +43,9 @@ def svd_calls(monkeypatch):
 
         return recorded
 
-    for name, shapes in (("svd", calls), ("eigvalsh", calls.eigvalsh), ("solve", calls.solve)):
+    kinds = (("svd", calls), ("eigh", calls.eigh), ("eigvalsh", calls.eigvalsh),
+             ("solve", calls.solve))
+    for name, shapes in kinds:
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), shapes))
     return calls
 

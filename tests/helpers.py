@@ -7,15 +7,17 @@ oracles for the chordal distance and the alignment step of the proof."""
 from __future__ import annotations
 
 import csv
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from subpred import NoiseSpec, StateSpaceModel
+from subpred import NoiseSpec, StateSpaceModel, load_config, simulate, stacked_data_matrix
 from subpred._linalg import prediction_map, spectral_norm, svd
 from subpred.errors import RankDeficientError
 from subpred.grassmann import BehaviorBasis, _check_comparable
-from subpred.hankel import PartitionedMatrix
+from subpred.hankel import PartitionedMatrix, persistently_exciting_input
 
 _PINV_PERTURBATION_CONST = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -106,6 +108,27 @@ def unobservable_model(n: int = 2, m: int = 1) -> StateSpaceModel:
     C = np.zeros((1, n))
     C[0, 0] = 1.0
     return StateSpaceModel(A=A, B=B, C=C, D=np.zeros((1, m)))
+
+
+def benchmark_config(workload: str, seed: int, directory):
+    """The configuration that the benchmark runs for ``workload`` at
+    ``seed``, read from the model and configuration files that
+    bench/workloads.py writes into ``directory``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return load_config(workloads.write_inputs(workload, seed, Path(directory))[0])
+
+
+def offline_data(config) -> tuple[PartitionedMatrix, int]:
+    """The offline data matrix that `experiment.prepare` builds for
+    ``config``, with the basis rank r = m(Tini + Tf) + n it takes."""
+    model, L = config.model, config.Tini + config.Tf
+    u = persistently_exciting_input(model.m, config.T, order=model.n + L, seed=config.seed_data)
+    offline = simulate(model, u, noise=NoiseSpec.relative_gaussian(config.sigma, config.seed_noise))
+    data = stacked_data_matrix(offline.inputs, offline.outputs, config.Tini, config.Tf)
+    return data, model.m * L + model.n
 
 
 def random_basis(

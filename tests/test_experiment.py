@@ -268,15 +268,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="out of range"):
             run_trial(workspace, small_config.N + 1)
 
-    # the offline stage makes 3 SVDs: the persistency-of-excitation check,
-    # the basis and the geodesic direction; a member makes none.  The
-    # baseline's map comes from the output Gram matrix of its basis (one
-    # pTf x pTf eigvalsh and one solve).  A member's map comes from the rows
-    # of its blend, with no member basis: one eigvalsh of its pTf x pTf Gram
+    # the offline stage makes no SVD: the persistency-of-excitation check is
+    # one eigvalsh of the m(n + L)-row Hankel matrix's Gram matrix, the
+    # basis one eigh of the q x q Gram matrix of the wide data matrix and
+    # the geodesic direction one eigh of its r x r Gram matrix, each proven
+    # by the Gram route's guard; a member factors nothing.  The baseline's
+    # map comes from the output Gram matrix of its basis (one pTf x pTf
+    # eigvalsh and one solve).  A member's map comes from the rows of its
+    # blend, with no member basis: one eigvalsh of its pTf x pTf Gram
     # matrix K, one solve with p right-hand sides for the map's first p
     # rows, and one p x p eigvalsh for the norm of y_future[:p].  That is
-    # 2N + 1 eigvalsh and N + 1 solve calls per sweep, and the baseline is
-    # the only BehaviorBasis built.
+    # 2N + 2 eigvalsh, 2 eigh and N + 1 solve calls per sweep, and the
+    # baseline is the only BehaviorBasis built.
     @pytest.mark.parametrize("mimo", [False, True], ids=["default", "mimo"])
     def test_svd_budget(self, mimo, svd_calls, monkeypatch):
         from helpers import random_model
@@ -289,11 +292,16 @@ class TestRunExperiment:
         built, check = [], BehaviorBasis.__post_init__
         monkeypatch.setattr(BehaviorBasis, "__post_init__", lambda U: built.append(U) or check(U))
         run_experiment(cfg, write=False)
-        assert len(svd_calls) == 3
+        assert svd_calls == []
+        model, L = cfg.model, cfg.Tini + cfg.Tf
+        hankel_rows, q, r = model.m * (model.n + L), (model.m + model.p) * L, model.m * L + model.n
+        assert svd_calls.eigh == [(q, q), (r, r)]
         future, p = cfg.model.p * cfg.Tf, cfg.model.p
-        assert svd_calls.eigvalsh == [(future, future)] + [(future, future), (p, p)] * cfg.N
+        assert svd_calls.eigvalsh == (
+            [(hankel_rows, hankel_rows), (future, future)] + [(future, future), (p, p)] * cfg.N
+        )
         assert svd_calls.solve == [(future, future)] * (cfg.N + 1)
-        assert len(built) == 1 and built[0].r == cfg.model.m * (cfg.Tini + cfg.Tf) + cfg.model.n
+        assert len(built) == 1 and built[0].r == r
 
     def test_contexts_built_once_per_prepare(self, small_config, monkeypatch):
         # the baseline is predicted from the contexts prepare already holds
@@ -379,7 +387,8 @@ class TestRunExperiment:
 
     def test_default_config_certifies_its_first_eight_members(self):
         # the certified limit sigma_min / (2 sqrt(2)) of members 8 and 9 is
-        # about 0.0772, between their targets 0.072 and 0.081
+        # about 0.0771 (0.07707 and 0.07717), between their targets 0.072
+        # and 0.081
         blocks, _ = run_experiment(ExperimentConfig(model=default_model()), write=False)
         certified = [b.n for b in blocks if b.bound is not None]
         assert certified == list(range(1, 9))

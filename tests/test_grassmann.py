@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import warnings
 import weakref
 
@@ -8,10 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import align_basis, principal_angles, random_basis, random_orthogonal
-from subpred import chordal_distance, load_basis, orthonormal_basis, perturb_subspace, save_basis
+import subpred.grassmann as grassmann
+from helpers import (
+    align_basis,
+    benchmark_config,
+    offline_data,
+    principal_angles,
+    random_basis,
+    random_orthogonal,
+)
+from subpred import ExperimentConfig, chordal_distance, default_model, load_basis
+from subpred import orthonormal_basis, perturb_subspace, save_basis
+from subpred._linalg import EPS, svd
 from subpred.errors import ConvergenceError, RankDeficientError
-from subpred.grassmann import BehaviorBasis, Geodesic, check_distance
+from subpred.grassmann import ORTHONORMALITY_TOL, BehaviorBasis, Geodesic, check_distance
 from subpred.hankel import PartitionedMatrix
 
 DIMS = (1, 1, 2, 2)  # m, p, Tini, Tf -> ambient dimension 8
@@ -26,6 +37,16 @@ def _wrap(matrix, dims=DIMS):
 
 def _basis(matrix, dims=DIMS):
     return BehaviorBasis(matrix, *dims)
+
+
+def _svd_only(monkeypatch):
+    """Make grassmann factor by the SVD alone, without the Gram route."""
+    monkeypatch.setattr(grassmann, "svd", lambda matrix, vectors=False, least=0: svd(matrix, vectors))
+
+
+def _signed(U):
+    """``U`` with each column's largest-magnitude entry made positive."""
+    return U * np.copysign(1.0, U[np.abs(U).argmax(axis=0), range(U.shape[1])])
 
 
 def _twin(U):
@@ -82,15 +103,134 @@ class TestOrthonormalBasis:
         P_oracle = U_full[:, :10] @ U_full[:, :10].T
         assert np.linalg.norm(V.matrix @ V.matrix.T - P_oracle) <= 1e-8
 
-    def test_rank_deficient_request_rejected(self):
-        X = _wrap(np.outer(np.arange(8.0), [1.0, 2.0, 3.0]))  # rank one
-        with pytest.raises(RankDeficientError, match="numerical rank"):
+    def test_rank_deficient_request_rejected(self, svd_calls):
+        # the Gram route cannot prove rank 2 of a rank-one matrix, so the SVD
+        # finds sigma_2 below the cutoff and words the refusal
+        X = _wrap(np.outer(np.arange(8.0), [1.0, 2.0, 3.0]))
+        sigma_2 = np.linalg.svd(X.data, compute_uv=False)[1]
+        svd_calls.clear()
+        message = (
+            f"requested rank r=2 exceeds the numerical rank: sigma_2 = {sigma_2:.3e} "
+            "is below the cutoff"
+        )
+        with pytest.raises(RankDeficientError, match=f"^{re.escape(message)}$"):
             orthonormal_basis(X, 2)
+        assert svd_calls.eigh == [(3, 3)] and svd_calls == [(8, 3)]
 
     def test_rank_out_of_range(self, rng):
         X = _wrap(rng.standard_normal((8, 3)))
         with pytest.raises(ValueError, match="out of range"):
             orthonormal_basis(X, 4)
+
+
+# the benchmark's ten inputs: each workload at the seeds 1, 3 and 11 that its
+# correctness gate runs, and the default configuration (None)
+BENCH_INPUTS = [
+    (workload, seed)
+    for seed in (1, 3, 11)
+    for workload in ("sweep-mimo", "sweep-longrun", "rolling-predict")
+] + [(None, None)]
+
+
+class TestGramRoute:
+    """The basis from the eigenvectors of the data matrix's smaller Gram
+    matrix, against the SVD's, and the cases the route leaves to the SVD."""
+
+    @pytest.mark.parametrize(
+        "workload, seed", BENCH_INPUTS, ids=[f"{w}-{s}" for w, s in BENCH_INPUTS[:-1]] + ["default"]
+    )
+    def test_routes_agree_on_benchmark_inputs(self, tmp_path, monkeypatch, svd_calls, workload, seed):
+        if workload is None:
+            config = ExperimentConfig(model=default_model())
+        else:
+            config = benchmark_config(workload, seed, tmp_path)
+        X, r = offline_data(config)
+        svd_calls.clear()
+        routed = orthonormal_basis(X, r)
+        assert svd_calls == [] and svd_calls.eigh == [(X.q, X.q)]
+        _svd_only(monkeypatch)
+        plain = orthonormal_basis(X, r)
+        # the route's estimate eps lambda_1 / (lambda_r - lambda_r+1), from
+        # the SVD's values: at most 9.2e-11, on the default configuration
+        s = np.linalg.svd(X.data, compute_uv=False)
+        estimate = EPS * s[0] ** 2 / ((s[r - 1] - s[r]) * (s[r - 1] + s[r]))
+        assert estimate <= 1e-10
+        assert np.abs(routed.matrix - plain.matrix).max() <= estimate
+        assert chordal_distance(routed, plain) <= estimate
+
+    @pytest.mark.parametrize("shape", [(8, 12), (8, 5)], ids=["wide", "tall"])
+    def test_sign_rule_holds_on_both_routes(self, rng, monkeypatch, shape):
+        # a wide matrix's U comes from the eigenvectors of X X', a tall one's
+        # as X V / sigma from those of X'X
+        X, r = _wrap(rng.standard_normal(shape)), 3
+        routed = orthonormal_basis(X, r).matrix
+        _svd_only(monkeypatch)
+        plain = orthonormal_basis(X, r).matrix
+        for U in (routed, plain):
+            assert np.all(U[np.abs(U).argmax(axis=0), range(r)] > 0)
+        np.testing.assert_allclose(routed, plain, rtol=0, atol=1e-13)
+
+    def test_close_singular_values_take_the_svd_route(self, rng, svd_calls):
+        # sigma_3 / sigma_4 = 1 + 1e-9, so the subspace estimate
+        # eps lambda_1 / (lambda_3 - lambda_4) is about 2e-6, past the
+        # route's 1e-9: the basis is the SVD's, bit for bit
+        svals = [4.0, 3.0, 1.0 + 1e-9, 1.0, 0.5, 0.4, 0.3, 0.2]
+        data = random_orthogonal(rng, 8) @ np.diag(svals) @ random_orthogonal(rng, 12)[:8]
+        svd_calls.clear()
+        basis = orthonormal_basis(_wrap(data), 3)
+        assert svd_calls.eigh == [(8, 8)] and svd_calls == [(8, 12)]
+        np.testing.assert_array_equal(basis.matrix, _signed(np.linalg.svd(data)[0][:, :3]))
+
+    def test_ill_conditioned_tall_basis_falls_back_to_the_svd(self, monkeypatch, svd_calls):
+        # sigma_5 / sigma_1 = 1.4e-3 on an 8 x 5 data matrix: the Gram route
+        # clears the rank and V, but its X V / sigma has a Gram defect of
+        # 1.6e-10, which BehaviorBasis would refuse, so the SVD builds the
+        # basis instead of the request raising
+        rng = np.random.default_rng(10)
+        data = random_orthogonal(rng, 8)[:, :5] @ np.diag(np.geomspace(1.0, 1.4e-3, 5)) @ random_orthogonal(rng, 5)
+        basis = orthonormal_basis(_wrap(data), 5)
+        assert svd_calls.eigh == [(5, 5)] and svd_calls == [(8, 5)]
+        _svd_only(monkeypatch)
+        np.testing.assert_array_equal(basis.matrix, orthonormal_basis(_wrap(data), 5).matrix)
+
+    def test_ill_conditioned_draw_falls_back_to_the_svd(self, monkeypatch, svd_calls):
+        # span U holds g3 - g1 - 1e-4 w, for g the columns of seed 2's draw,
+        # so the projected draw's third singular value is 2.9e-5 of its
+        # first: the Gram route's estimate for V, 2.6e-7, exceeds 1e-9, and
+        # one SVD factors the draw instead of refusing it
+        rng = np.random.default_rng(0)
+        g = np.random.default_rng(2).standard_normal((8, 3))
+        spanning = np.column_stack([g[:, 2] - g[:, 0] - 1e-4 * rng.standard_normal(8),
+                                    rng.standard_normal((8, 2))])
+        U = BehaviorBasis(np.linalg.qr(spanning)[0], *DIMS)
+        svd_calls.clear()
+        geodesic = Geodesic.draw(U, seed=2)
+        assert svd_calls.eigh == [(3, 3)] and svd_calls == [(8, 3)]
+        assert geodesic.defect <= ORTHONORMALITY_TOL
+        _svd_only(monkeypatch)
+        plain = Geodesic.draw(_twin(U), seed=2)
+        for name in ("start", "heading", "squares"):
+            np.testing.assert_array_equal(getattr(geodesic, name), getattr(plain, name))
+
+    def test_gram_draw_past_tolerance_is_factored_again(self, rng, monkeypatch, svd_calls):
+        # a Gram-route draw whose member Gram-defect bound exceeds the
+        # tolerance is not refused: the SVD factors it again and decides
+        U = random_basis(rng, DIMS, 3)
+        blocks, bounds = grassmann._blocks, []
+
+        def first_loose(*args):
+            squares, defect = blocks(*args)
+            bounds.append(defect)
+            return squares, defect + (ORTHONORMALITY_TOL if len(bounds) == 1 else 0.0)
+
+        monkeypatch.setattr(grassmann, "_blocks", first_loose)
+        geodesic = Geodesic.draw(U, seed=3)
+        assert svd_calls.eigh == [(3, 3)] and svd_calls == [(8, 3)] and len(bounds) == 2
+        monkeypatch.setattr(grassmann, "_blocks", blocks)
+        _svd_only(monkeypatch)
+        plain = Geodesic.draw(_twin(U), seed=3)
+        for name in ("start", "heading", "squares"):
+            np.testing.assert_array_equal(getattr(geodesic, name), getattr(plain, name))
 
 
 class TestPrincipalAngles:
@@ -310,11 +450,13 @@ class TestPerturbSubspace:
         U = random_basis(rng, DIMS, 3)
         for kappa in (0.1, 0.5, 1.2):
             perturb_subspace(U, kappa, seed=3)
-        assert svd_calls == [(8, 3)]
+        # the 8 x 3 direction is factored by one eigh of its 3 x 3 Gram matrix
+        assert svd_calls == [] and svd_calls.eigh == [(3, 3)]
         perturb_subspace(U, 0.5, seed=4)
-        assert len(svd_calls) == 2  # a new seed draws again
+        assert svd_calls.eigh == [(3, 3)] * 2  # a new seed draws again
         perturb_subspace(_twin(U), 0.5, seed=4)
-        assert len(svd_calls) == 3  # so does another basis object with equal data
+        assert svd_calls.eigh == [(3, 3)] * 3  # so does another basis object with equal data
+        assert svd_calls == []
 
     def test_reused_draw_is_bit_identical_to_fresh_draw(self, rng):
         U = random_basis(rng, DIMS, 3)
@@ -506,19 +648,21 @@ class TestGeodesic:
             assert np.max(angles[:-k], initial=0.0) <= 1e-12
             np.testing.assert_array_equal(member.matrix[:, k:], geodesic.start[:, k:])
 
-    def test_direction_below_full_rank_raises(self, rng, monkeypatch):
-        import subpred.grassmann as grassmann
-
+    def test_direction_below_full_rank_raises(self, rng, monkeypatch, svd_calls):
+        # the rank finding is the SVD's: with the Gram route declined, the
+        # draw makes one SVD of the 8 x 3 direction, whose rank reads 2
         U = random_basis(rng, DIMS, 3)  # k = min(3, 8 - 3) = 3
-        svd = grassmann.svd
+        svd, asked = grassmann.svd, []
 
-        def rank_two_svd(matrix, vectors=False):
+        def rank_two_svd(matrix, vectors=False, least=0):
+            asked.append(least)
             W, s, Vt, _ = svd(matrix, vectors)
             return W, s, Vt, 2
 
         monkeypatch.setattr(grassmann, "svd", rank_two_svd)
         with pytest.raises(ConvergenceError, match="seed=5 has rank 2, below 3"):
             Geodesic.draw(U, seed=5)
+        assert asked == [3] and svd_calls == [(8, 3)] and svd_calls.eigh == []
 
     def test_draw_inside_the_basis_span_raises(self):
         # U spans the columns of the normal draw of seed 7, so the projected

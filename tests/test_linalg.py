@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import MAP_RTOL, cs_basis, random_basis
+from helpers import MAP_RTOL, cs_basis, random_basis, random_orthogonal
 from subpred._linalg import EPS, prediction_map, spectral_norm, svd
 
 
@@ -28,6 +28,83 @@ class TestSvd:
         U, s, Vt, _ = svd(M)
         assert U is None and Vt is None
         np.testing.assert_array_equal(s, np.linalg.svd(M, compute_uv=False))
+
+
+class TestGramRoute:
+    """`svd` with ``least``: the eigendecomposition of the smaller Gram
+    matrix answers when it proves the rank and the vectors; the SVD
+    answers otherwise."""
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])  # squares under/overflow
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (6, 6)], ids=["wide", "tall", "square"])
+    def test_leading_vectors_match_the_svd(self, rng, svd_calls, shape, scale):
+        M = scale * rng.standard_normal(shape)
+        U, s, Vt, rank = svd(M, vectors=True, least=3)
+        assert svd_calls == [] and svd_calls.eigh == [(min(shape),) * 2] and rank == 3
+        Ue, se, Vte = np.linalg.svd(M, full_matrices=False)
+        signs = np.sign(np.sum(U * Ue[:, :3], axis=0))
+        np.testing.assert_allclose(U * signs, Ue[:, :3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s, se[:3], rtol=1e-12)
+        if shape[0] < shape[1]:
+            assert Vt is None  # a wide matrix's eigenvectors give U only
+        else:
+            signs = np.sign(np.sum(Vt * Vte, axis=1))
+            np.testing.assert_allclose(Vt * signs[:, None], Vte, rtol=0, atol=1e-12)
+
+    def test_values_only_from_eigvalsh(self, rng, svd_calls):
+        U, s, Vt, rank = svd(rng.standard_normal((4, 9)), least=4)
+        assert U is None and Vt is None and rank == 4 and s.shape == (4,)
+        assert svd_calls == [] and svd_calls.eigvalsh == [(4, 4)] and svd_calls.eigh == []
+
+    @pytest.mark.parametrize(
+        "M, least",
+        [
+            (np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 2.0, 5.0]), 2),  # rank one
+            (np.diag([1.0, 1e-9]), 2),  # lambda_2 = 1e-18 is below 4 eps lambda_1
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), 1),  # a non-finite entry
+            (np.ones((2, 3)), 3),  # least above min(rows, cols)
+        ],
+        ids=["rank-one", "ill-conditioned", "nan", "least-too-large"],
+    )
+    def test_unproven_rank_is_the_svds(self, M, least):
+        # the SVD's own answer, bit for bit (or its own error)
+        try:
+            expected = svd(M)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                svd(M, least=least)
+            return
+        got = svd(M, least=least)
+        np.testing.assert_array_equal(got[1], expected[1])
+        assert got[3] == expected[3]
+
+    def test_close_singular_values_leave_the_vectors_to_the_svd(self, rng, svd_calls):
+        # lambda_2 - lambda_3 = 2e-9 against eps lambda_1 = 3.6e-15: the
+        # estimate 1.8e-6 exceeds IDENTITY_ERROR_TOL, and the rank alone is
+        # still proven
+        M = np.diag([4.0, 1.0 + 1e-9, 1.0])
+        assert svd(M, least=2)[3] == 2 and svd_calls == []
+        U = svd(M, vectors=True, least=2)[0]
+        assert svd_calls == [(3, 3)]
+        np.testing.assert_array_equal(U, np.linalg.svd(M)[0])
+
+
+    def test_tall_route_returns_only_rounding_orthonormal_vectors(self, svd_calls):
+        # sigma_5 / sigma_1 from 0.5 down to 1e-3, past which the V
+        # estimate declines: each U is either the route's, with
+        # ||U'U - I||_F at most 8 * 5 * eps, or the SVD's
+        routes = set()
+        for seed, floor in enumerate(np.geomspace(0.5, 1e-3, 20)):
+            rng = np.random.default_rng(seed)
+            M = random_orthogonal(rng, 8)[:, :5] @ np.diag(np.geomspace(1.0, floor, 5)) @ random_orthogonal(rng, 5)
+            svd_calls.clear()
+            U = svd(M, vectors=True, least=5)[0]
+            if svd_calls == []:
+                assert np.linalg.norm(U.T @ U - np.eye(5)) <= 40 * EPS
+            else:
+                np.testing.assert_array_equal(U, np.linalg.svd(M, full_matrices=False)[0])
+            routes.add(svd_calls == [])
+        assert routes == {True, False}
 
 
 class TestSpectralNorm:

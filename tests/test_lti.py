@@ -225,6 +225,40 @@ class TestSequenceReaders:
         np.testing.assert_array_equal(read(good.tolist()), want)
 
 
+# every reader of a time series whose channel count is not given: (read,
+# the name it is refused by, the number of steps it expects)
+CHANNEL_READERS = pytest.mark.parametrize(
+    ("read", "name", "steps"),
+    [
+        (lambda x: Trajectory(x, _Y, _S), "inputs", 4),
+        (lambda x: Trajectory(_U, x, _S), "outputs", 4),
+        (lambda x: Trajectory(_U, _Y, x), "states", 5),
+        (lambda x: hankel(x, 2), "z", 4),
+        (lambda x: is_persistently_exciting(x, 2), "u", 4),
+        (lambda x: stacked_data_matrix(x, _Y, 1, 1), "u_data", 4),
+        (lambda x: stacked_data_matrix(_U, x, 1, 1), "y_data", 4),
+    ],
+    ids=[
+        "trajectory-inputs", "trajectory-outputs", "trajectory-states", "hankel-z", "pe-u",
+        "stacked-u_data", "stacked-y_data",
+    ],
+)
+
+
+class TestSeriesChannels:
+    @CHANNEL_READERS
+    def test_no_channel_refused_by_name(self, svd_calls, read, name, steps):
+        # a (T, 0) series used to pass: a (0, T - 1) Hankel matrix had "full
+        # row rank" 0, and a Trajectory took m = 0
+        with pytest.raises(ValueError, match=f"^{name} channel count must be positive, got 0$"):
+            read(np.zeros((steps, 0)))
+        assert svd_calls == [] and svd_calls.eigh == [] and svd_calls.eigvalsh == []
+
+    def test_simulate_names_its_channel_count(self):
+        with pytest.raises(ValueError, match=r"^inputs has 0 columns, expected 1$"):
+            simulate(default_model(), np.zeros((4, 0)))
+
+
 class TestArrayReader:
     @pytest.mark.parametrize(
         "build, name",
@@ -656,8 +690,11 @@ class TestPersistentlyExcitingInput:
         # order * m Hankel rows need as many columns, T - order + 1
         shortest = (m + 1) * order - 1
         u = persistently_exciting_input(m, shortest, order=order, seed=0)
-        assert u.shape == (shortest, m) and len(svd_calls) == 1
+        # the square Hankel matrix's full rank is proven by one eigvalsh of
+        # its Gram matrix, with no SVD
+        assert u.shape == (shortest, m)
+        assert svd_calls == [] and svd_calls.eigvalsh == [(m * order, m * order)]
         svd_calls.clear()
         with pytest.raises(ValueError, match=rf"T={shortest - 1} is too short.* = {shortest}$"):
             persistently_exciting_input(m, shortest - 1, order=order, seed=0)
-        assert svd_calls == []  # rejected before any draw
+        assert svd_calls == [] and svd_calls.eigvalsh == []  # rejected before any draw
