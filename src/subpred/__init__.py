@@ -30,7 +30,6 @@ from .lti import (
     NoiseSpec,
     StateSpaceModel,
     Trajectory,
-    format_model,
     gain_bound,
     load_model,
     observability_degree,

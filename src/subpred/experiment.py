@@ -102,7 +102,7 @@ class ExperimentConfig:
     is read by `lti._frozen` as a 1-D vector of finite entries, so a string,
     ragged or 2-D grid is refused by name, and a negative target is refused.  The
     lengths and N are read by `lti._count` and the seeds by `lti._seed`, so
-    a float raises TypeError, and a length or N below 1 or a negative seed
+    a float or a bool raises TypeError, and a length or N below 1 or a negative seed
     raises ValueError naming its key."""
 
     model: StateSpaceModel
@@ -307,8 +307,8 @@ class TrialOutput:
 
 
 def _check_index(config: ExperimentConfig, n: int) -> int:
-    """``n`` read by `lti._count`, TypeError for a float and ValueError
-    below 1, and refused above N."""
+    """``n`` read by `lti._count`, TypeError for a float or a bool and
+    ValueError below 1, and refused above N."""
     n = _count(n, "trial index n")
     if n > config.N:
         raise ValueError(f"trial index n={n} out of range 1..{config.N}")
@@ -359,11 +359,9 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
     )
 
 
-def run_experiment(
-    config: ExperimentConfig, write: bool = True
-) -> tuple[list[TrialBlock], list[SummaryRecord]]:
-    """Run every trial of the sweep, in trial order, and (optionally) write
-    ``trials.csv`` and ``summary.csv`` to the configured output directory.
+def run_experiment(config: ExperimentConfig) -> tuple[list[TrialBlock], list[SummaryRecord]]:
+    """Run every trial of the sweep, in trial order, and write ``trials.csv``
+    and ``summary.csv`` to the configured output directory.
 
     Returns one block and one summary per member; only these are kept, so a
     member's basis and predictions are freed as the sweep goes on.  A
@@ -376,25 +374,23 @@ def run_experiment(
         avg_bound = None if b.bound is None else float(np.mean(b.bound))
         blocks.append(b)
         summaries.append(SummaryRecord(n, b.kappa, float(np.mean(b.prediction_error)), avg_bound))
-    if write:
-        out_dir = Path(config.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_trials_csv(out_dir / "trials.csv", blocks)
-        write_summary_csv(out_dir / "summary.csv", summaries)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_trials_csv(out_dir / "trials.csv", blocks)
+    write_summary_csv(out_dir / "summary.csv", summaries)
     return blocks, summaries
 
 
-def run_single(
-    config: ExperimentConfig, n: int, write: bool = True
-) -> tuple[list[SingleRecord], float]:
+def run_single(config: ExperimentConfig, n: int) -> tuple[list[SingleRecord], float]:
     """Trace one perturbation: per-step baseline and perturbed one-step
     predictions, their gap, and the computable bound where it is certified.
 
-    Writes ``single_<n>.csv`` with columns t,baseline,perturbed,error,bound
-    (output channels are expanded to baseline_i/perturbed_i when p > 1).
+    Writes ``single_<n>.csv`` to the configured output directory, with
+    columns t,baseline,perturbed,error,bound (output channels are expanded
+    to baseline_i/perturbed_i when p > 1).
     Returns the records and the measured chordal distance.  An ``n`` that
-    is not an integer raises TypeError, and one outside 1..N ValueError,
-    before any simulation runs.
+    is not an integer, a bool included, raises TypeError, and one outside
+    1..N ValueError, before any simulation runs.
     """
     n = _check_index(config, n)
     workspace = prepare(config)
@@ -403,17 +399,16 @@ def run_single(
     bounds = repeat(None) if block.bound is None else block.bound.tolist()
     records = list(map(SingleRecord, block.t, workspace.baseline, out.predictions,
                        block.prediction_error.tolist(), bounds))
-    if write:
-        out_dir = Path(config.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        p = config.model.p
-        channels = [""] if p == 1 else [f"_{i}" for i in range(p)]
-        columns = [f"{name}{c}" for name in ("baseline", "perturbed") for c in channels]
-        rows = (
-            [rec.t, *rec.baseline.tolist(), *rec.perturbed.tolist(), rec.error, rec.bound]
-            for rec in records
-        )
-        _write_csv(out_dir / f"single_{n}.csv", ["t", *columns, "error", "bound"], rows)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    p = config.model.p
+    channels = [""] if p == 1 else [f"_{i}" for i in range(p)]
+    columns = [f"{name}{c}" for name in ("baseline", "perturbed") for c in channels]
+    rows = (
+        [rec.t, *rec.baseline.tolist(), *rec.perturbed.tolist(), rec.error, rec.bound]
+        for rec in records
+    )
+    _write_csv(out_dir / f"single_{n}.csv", ["t", *columns, "error", "bound"], rows)
     return records, out.block.kappa
 
 

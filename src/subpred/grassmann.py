@@ -206,8 +206,8 @@ class Geodesic:
         or ``defect``, which bounds every member's Gram defect, exceeds
         ``ORTHONORMALITY_TOL``; both are the SVD's findings, since a Gram
         route draw with too large a ``defect`` is factored again by the
-        SVD.  ``seed`` is read by `lti._seed`: a float raises TypeError and
-        a negative seed ValueError.
+        SVD.  ``seed`` is read by `lti._seed`: a float or a bool raises
+        TypeError and a negative seed ValueError.
 
         The factorization is reused per live basis and seed: the fields of
         the last seed drawn from ``U`` are kept while ``U`` is alive, so a

@@ -32,8 +32,8 @@ class PartitionedMatrix:
     """A ((m+p)(Tini+Tf), r) matrix of finite entries with the canonical
     block-row partition.
 
-    Construction reads each dim with `lti._count`, so a float dim raises
-    TypeError, a dim below 1 is refused by name and a numpy integer is
+    Construction reads each dim with `lti._count`, so a float or bool dim
+    raises TypeError, a dim below 1 is refused by name and a numpy integer is
     stored as an int, and then keeps a private read-only copy of ``data``
     from `lti._frozen`.  Block views are pure slices of the data:
     stacking (u_past, u_future, y_past, y_future) reproduces ``data``
@@ -140,8 +140,8 @@ def persistently_exciting_input(m: int, T: int, order: int, seed: int) -> np.nda
     columns, so no draw can have full row rank when T < (m + 1) * order - 1;
     such a T raises ValueError, naming that minimum, before any draw.
     ``m``, ``T`` and ``order`` are read by `lti._count` and ``seed`` by
-    `lti._seed`: a float raises TypeError, and a count below 1 or a
-    negative seed ValueError."""
+    `lti._seed`: a float or a bool raises TypeError, and a count below 1
+    or a negative seed ValueError."""
     m, T, order = _count(m, "m"), _count(T, "T"), _count(order, "order")
     seed = _seed(seed)
     shortest = (m + 1) * order - 1

@@ -31,7 +31,6 @@ __all__ = [
     "gain_bound",
     "parse_model",
     "load_model",
-    "format_model",
 ]
 
 
@@ -84,19 +83,27 @@ def _frozen(
     return arr
 
 
-def _seed(value, name: str = "seed") -> int:
+def _index(value, name: str) -> int:
     """``value`` read with `operator.index`, so a float raises TypeError,
+    and a bool, which it would read as 0 or 1, raises TypeError by name."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value}")
+    return operator.index(value)
+
+
+def _seed(value, name: str = "seed") -> int:
+    """``value`` read by `_index`, so a float or a bool raises TypeError,
     and rejected by name when negative."""
-    seed = operator.index(value)
+    seed = _index(value, name)
     if seed < 0:
         raise ValueError(f"{name} must be non-negative, got {seed}")
     return seed
 
 
 def _count(value, name: str) -> int:
-    """A dimension, window length, count or index: ``value`` read with
-    `operator.index`, so a float raises TypeError, and refused below 1."""
-    count = operator.index(value)
+    """A dimension, window length, count or index: ``value`` read by
+    `_index`, so a float or a bool raises TypeError, and refused below 1."""
+    count = _index(value, name)
     if count < 1:
         raise ValueError(f"{name} must be positive, got {count}")
     return count
@@ -151,7 +158,7 @@ class NoiseSpec:
     ``sigma`` acts as a noise-to-signal ratio; ``sigma`` = 0 adds nothing.
     Draws come from a seeded NumPy PCG64 generator, so outputs are
     bit-reproducible across platforms.  ``seed`` is read by `_seed`, so a
-    float raises TypeError, and a negative seed raises ValueError.
+    float or a bool raises TypeError, and a negative seed raises ValueError.
     """
 
     sigma: float = 0.0
@@ -175,15 +182,14 @@ class NoiseSpec:
 class Trajectory:
     """Paired input/output sequences over a horizon, rows indexed by time.
 
-    ``inputs`` is (T, m), ``outputs`` is (T, p); ``states`` is (T+1, n) when
-    the generating simulation recorded them.  Each is read by `_frozen` into
-    a private read-only copy, and T by `_count`, so a flat array, a wrong
+    ``inputs`` is (T, m), ``outputs`` is (T, p): a trajectory of the
+    behavior, which holds no states.  Each is read by `_frozen` into a
+    private read-only copy, and T by `_count`, so a flat array, a wrong
     length, no sample or a non-finite entry is rejected by name.
     """
 
     inputs: np.ndarray
     outputs: np.ndarray
-    states: np.ndarray | None = None
 
     def __post_init__(self):
         inputs = _frozen(self.inputs, "inputs", series=True)
@@ -191,9 +197,6 @@ class Trajectory:
         outputs = _frozen(self.outputs, "outputs", rows=T, series=True)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
-        if self.states is not None:
-            states = _frozen(self.states, "states", rows=T + 1, series=True)
-            object.__setattr__(self, "states", states)
 
     @property
     def m(self) -> int:
@@ -231,7 +234,7 @@ def simulate(
     Returns
     -------
     Trajectory
-        With states recorded, length T.
+        The inputs and outputs, length T; the states stay local.
     """
     u = _frozen(inputs, "inputs", cols=model.m)
     T = len(u)
@@ -260,7 +263,7 @@ def simulate(
         raise ValueError(
             f"simulation diverged: non-finite output or state from step t={int(np.argmin(finite))}"
         )
-    return Trajectory(inputs=u, outputs=outputs, states=states)
+    return Trajectory(inputs=u, outputs=outputs)
 
 
 def observability_matrix(model: StateSpaceModel, k: int) -> np.ndarray:
@@ -389,19 +392,3 @@ def load_model(path) -> StateSpaceModel:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_model(fh.read(), source=str(path))
 
-
-def format_model(model: StateSpaceModel) -> str:
-    """Serialize a model in the plain-text format accepted by `parse_model`."""
-
-    def rows(mat: np.ndarray) -> str:
-        return " ; ".join(" ".join(repr(float(v)) for v in row) for row in mat)
-
-    return (
-        f"n = {model.n}\n"
-        f"m = {model.m}\n"
-        f"p = {model.p}\n"
-        f"A = {rows(model.A)}\n"
-        f"B = {rows(model.B)}\n"
-        f"C = {rows(model.C)}\n"
-        f"D = {rows(model.D)}\n"
-    )

@@ -75,7 +75,7 @@ class PredictionContext:
     Any other shape is refused by name, the (channels, steps) transpose
     included; only a square window (steps == channels) cannot be told from
     its transpose.  Each dim is read first, with `lti._count`, so a float
-    dim raises TypeError, a dim below 1 is refused by name and a numpy
+    or bool dim raises TypeError, a dim below 1 is refused by name and a numpy
     integer is stored as an int.
     """
 

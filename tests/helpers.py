@@ -7,6 +7,7 @@ oracles for the chordal distance and the alignment step of the proof."""
 from __future__ import annotations
 
 import csv
+import functools
 import importlib.util
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,15 +111,29 @@ def unobservable_model(n: int = 2, m: int = 1) -> StateSpaceModel:
     return StateSpaceModel(A=A, B=B, C=C, D=np.zeros((1, m)))
 
 
-def benchmark_config(workload: str, seed: int, directory):
-    """The configuration that the benchmark runs for ``workload`` at
-    ``seed``, read from the model and configuration files that
-    bench/workloads.py writes into ``directory``."""
+@functools.cache
+def _bench_workloads():
+    """bench/workloads.py, loaded as a module: the benchmark's inputs and the
+    repo's one model-file writer."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return load_config(workloads.write_inputs(workload, seed, Path(directory))[0])
+    return workloads
+
+
+def benchmark_config(workload: str, seed: int, directory):
+    """The configuration that the benchmark runs for ``workload`` at
+    ``seed``, read from the model and configuration files that
+    bench/workloads.py writes into ``directory``."""
+    return load_config(_bench_workloads().write_inputs(workload, seed, Path(directory))[0])
+
+
+def format_model(model) -> str:
+    """The text of a model file for ``model``, any object with matrices A,
+    B, C and D, written by bench/workloads.py's ``format_model``, which
+    takes n, m and p from the shapes of B and C."""
+    return _bench_workloads().format_model({key: getattr(model, key) for key in "ABCD"})
 
 
 def offline_data(config) -> tuple[PartitionedMatrix, int]:

@@ -2,6 +2,7 @@
 and prints one pass/fail line.  Criteria 7, 8 and 10 exercise the bundled
 experiment end to end; the rest are randomized property checks."""
 
+import tempfile
 import time
 from functools import lru_cache
 
@@ -80,8 +81,9 @@ def _genuine_context(rng, model, Tini, Tf):
 
 @lru_cache(maxsize=None)
 def _sweep(Tini: int, Tf: int):
-    config = ExperimentConfig(model=default_model(), Tini=Tini, Tf=Tf)
-    _, summaries = run_experiment(config, write=False)
+    with tempfile.TemporaryDirectory() as out:
+        config = ExperimentConfig(model=default_model(), Tini=Tini, Tf=Tf, output_dir=out)
+        _, summaries = run_experiment(config)
     kappas = np.array([s.kappa for s in summaries])
     errors = np.array([s.avg_error for s in summaries])
     bounds = [(s.kappa, s.avg_bound) for s in summaries if s.avg_bound is not None]
@@ -318,7 +320,7 @@ def test_criterion_07_single_perturbation_trace(tmp_path):
         model=default_model(), Tini=4, Tf=2, sigma=0.02, kappa_max=0.8680,
         output_dir=str(tmp_path),
     )
-    records, kappa = run_single(config, n=config.N, write=False)
+    records, kappa = run_single(config, n=config.N)
     assert abs(kappa - 0.8680) <= 1e-3
     assert len(records) == 45
     for rec in records:

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_basis, random_orthogonal
-from subpred import format_model, perturb_subspace, save_basis, simulate
+from helpers import format_model, random_basis, random_orthogonal
+from subpred import perturb_subspace, save_basis, simulate
 from subpred._kv import named
 from subpred.cli import load_context, main
 from subpred.errors import HypothesisViolationError, RankDeficientError

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import MAP_RTOL, random_basis, trial_rows, write_csv_reference
+from helpers import MAP_RTOL, format_model, random_basis, trial_rows, write_csv_reference
 from subpred import ExperimentConfig, chordal_distance, load_config, run_experiment, run_single
-from subpred import StateSpaceModel, format_model
+from subpred import StateSpaceModel
 from subpred import _linalg, experiment, predictor, simulate
 from subpred.errors import ConvergenceError, RankDeficientError
 from subpred._linalg import prediction_map, spectral_norm
@@ -76,8 +76,6 @@ class TestConfig:
         assert cfg.output_dir == str(tmp_path / "results")
 
     def test_load_config_with_model_file(self, tmp_path, example_model):
-        from subpred import format_model
-
         (tmp_path / "model.txt").write_text(format_model(example_model))
         (tmp_path / "exp.cfg").write_text("model = model.txt\nN = 3\n")
         cfg = load_config(tmp_path / "exp.cfg")
@@ -103,6 +101,10 @@ class TestConfig:
         assert type(getattr(cfg, key)) is int
         with pytest.raises(TypeError):
             ExperimentConfig(model=default_model(), **{key: float(default)})
+        # not read as 1 or 0, as operator.index would read it
+        for flag in (True, False):
+            with pytest.raises(TypeError, match=f"^{key} must be an integer, got {flag}$"):
+                ExperimentConfig(model=default_model(), **{key: flag})
 
     @pytest.mark.parametrize("key", ["seed_data", "seed_noise", "seed_perturb"])
     def test_negative_seed_rejected_by_name(self, key):
@@ -156,7 +158,7 @@ class TestRunExperiment:
         assert summaries[0].avg_error <= 1e-9
 
     def test_bound_covers_error_when_certified(self, small_config):
-        blocks, _ = run_experiment(small_config, write=False)
+        blocks, _ = run_experiment(small_config)
         certified = [b for b in blocks if b.bound is not None]
         assert certified, "expected at least some certified rows"
         for b in certified:
@@ -190,7 +192,7 @@ class TestRunExperiment:
     def test_single_uses_the_trial_predictions(self, small_config):
         workspace = prepare(small_config)
         out = run_trial(workspace, 6)
-        records, kappa = run_single(small_config, n=6, write=False)
+        records, kappa = run_single(small_config, n=6)
         assert kappa == out.block.kappa
         np.testing.assert_array_equal(np.array([rec.perturbed for rec in records]), out.predictions)
 
@@ -281,7 +283,7 @@ class TestRunExperiment:
     # 2N + 2 eigvalsh, 2 eigh and N + 1 solve calls per sweep, and the
     # baseline is the only BehaviorBasis built.
     @pytest.mark.parametrize("mimo", [False, True], ids=["default", "mimo"])
-    def test_svd_budget(self, mimo, svd_calls, monkeypatch):
+    def test_svd_budget(self, mimo, svd_calls, monkeypatch, tmp_path):
         from helpers import random_model
 
         if mimo:
@@ -289,9 +291,10 @@ class TestRunExperiment:
             cfg = ExperimentConfig(model=model, Tini=3, Tf=3, T=80, T_sim=20, N=4, kappa_max=0.5)
         else:
             cfg = ExperimentConfig(model=default_model(), N=3)
+        cfg = dataclasses.replace(cfg, output_dir=str(tmp_path))
         built, check = [], BehaviorBasis.__post_init__
         monkeypatch.setattr(BehaviorBasis, "__post_init__", lambda U: built.append(U) or check(U))
-        run_experiment(cfg, write=False)
+        run_experiment(cfg)
         assert svd_calls == []
         model, L = cfg.model, cfg.Tini + cfg.Tf
         hankel_rows, q, r = model.m * (model.n + L), (model.m + model.p) * L, model.m * L + model.n
@@ -385,11 +388,11 @@ class TestRunExperiment:
                 with pytest.raises(error, match=message):
                     solve(kappa)
 
-    def test_default_config_certifies_its_first_eight_members(self):
+    def test_default_config_certifies_its_first_eight_members(self, tmp_path):
         # the certified limit sigma_min / (2 sqrt(2)) of members 8 and 9 is
         # about 0.0771 (0.07707 and 0.07717), between their targets 0.072
         # and 0.081
-        blocks, _ = run_experiment(ExperimentConfig(model=default_model()), write=False)
+        blocks, _ = run_experiment(ExperimentConfig(model=default_model(), output_dir=str(tmp_path)))
         certified = [b.n for b in blocks if b.bound is not None]
         assert certified == list(range(1, 9))
         assert abs(blocks[7].kappa - 0.072) <= 1e-12
@@ -418,30 +421,27 @@ class TestRunSingle:
         monkeypatch.setattr(
             experiment, "simulate", lambda *a, **k: simulated.append(a) or simulate(*a, **k)
         )
-        if n is True:  # read as an index, the way Geodesic.draw reads a seed: 1
-            run_single(small_config, n=n)
-            assert len(simulated) == 2
-            assert [p.name for p in Path(small_config.output_dir).iterdir()] == ["single_1.csv"]
-            return
-        if isinstance(n, float):
+        if n is True:  # not read as index 1, as operator.index would read it
+            error, message = TypeError, r"^trial index n must be an integer, got True$"
+        elif isinstance(n, float):
             error, message = TypeError, "'float' object cannot be interpreted as an integer"
         elif n < 1:
             error, message = ValueError, rf"^trial index n must be positive, got {n}$"
         else:
             error, message = ValueError, rf"^trial index n={n} out of range 1\.\.{small_config.N}$"
         with pytest.raises(error, match=message):
-            run_single(small_config, n=n, write=False)
+            run_single(small_config, n=n)
         assert simulated == []
 
     def test_error_column_matches_difference(self, small_config):
-        records, _ = run_single(small_config, n=3, write=False)
+        records, _ = run_single(small_config, n=3)
         for rec in records:
             np.testing.assert_allclose(
                 rec.error, abs(float(rec.baseline[0] - rec.perturbed[0])), atol=1e-12
             )
 
     def test_bound_covers_error_rowwise(self, small_config):
-        records, _ = run_single(small_config, n=2, write=False)
+        records, _ = run_single(small_config, n=2)
         for rec in records:
             if rec.bound is not None:
                 assert rec.bound >= rec.error - 1e-12
@@ -456,7 +456,7 @@ class TestRunSingle:
         assert lines[1].split(",")[0] == str(small_config.Tini)
 
     def test_reported_kappa_recoverable(self, small_config):
-        _, kappa = run_single(small_config, n=5, write=False)
+        _, kappa = run_single(small_config, n=5)
         workspace = prepare(small_config)
         out = run_trial(workspace, 5)
         assert abs(kappa - out.block.kappa) <= 1e-15
@@ -577,7 +577,7 @@ class TestTrialsCsvBytes:
             config = ExperimentConfig(model=model, Tini=2, Tf=2, T=40, T_sim=12, N=3, kappa_max=0.2)
         elif shape == "longrun":
             config = ExperimentConfig(model=default_model(), T_sim=1000, N=25)
-        blocks, _ = run_experiment(config, write=False)
+        blocks, _ = run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "out")))
         assert {b.bound is None for b in blocks} == {True, False}
         assert all(type(x) is float for row in trial_rows(blocks[:1]) for x in row[3:])
         self._assert_reference_bytes(tmp_path, blocks)

@@ -26,8 +26,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import MAP_RTOL, principal_angles, random_basis, trial_rows, write_csv_reference
-from subpred import chordal_distance, format_model, save_basis, simulate
+from helpers import (
+    MAP_RTOL,
+    format_model,
+    principal_angles,
+    random_basis,
+    trial_rows,
+    write_csv_reference,
+)
+from subpred import chordal_distance, save_basis, simulate
 from subpred._linalg import IDENTITY_ERROR_TOL, _gram_map, prediction_map, spectral_norm
 from subpred.cli import main
 from subpred.errors import ConvergenceError
@@ -102,7 +109,7 @@ def _small_model_text():
         n, m, p = dims
         shapes = ((n, n), (n, m), (p, n), (p, m))
         A, B, C, D = (np.resize(entries, shape) for shape in shapes)
-        return format_model(SimpleNamespace(n=n, m=m, p=p, A=A, B=B, C=C, D=D))
+        return format_model(SimpleNamespace(A=A, B=B, C=C, D=D))
 
     dims = st.tuples(*(st.integers(1, 3),) * 3)
     return st.builds(text, dims, st.lists(st.floats(), min_size=1, max_size=9))

@@ -4,12 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_model, random_orthogonal, simulate_reference, unobservable_model
+from helpers import (
+    format_model,
+    random_model,
+    random_orthogonal,
+    simulate_reference,
+    unobservable_model,
+)
 from subpred import (
     NoiseSpec,
     StateSpaceModel,
     Trajectory,
-    format_model,
     gain_bound,
     observability_degree,
     observability_matrix,
@@ -128,6 +133,12 @@ class TestCountReaders:
             read(float(count))
 
     @COUNT_READERS
+    def test_bool_count_rejected_by_name(self, read, name, count):
+        # operator.index reads True as 1, so True used to pass as a count
+        with pytest.raises(TypeError, match=rf"^{re.escape(name)} must be an integer, got True$"):
+            read(True)
+
+    @COUNT_READERS
     def test_count_below_one_rejected_by_name(self, read, name, count):
         with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be positive, got 0$"):
             read(0)
@@ -151,10 +162,9 @@ class TestCountReaders:
             persistently_exciting_input(0, 30, 5, 0)
 
 
-# (T, 1) sequences of T = 4 steps, and T + 1 states, for the readers below
+# (T, 1) sequences of T = 4 steps, for the readers below
 _U = np.array([[1.0], [-2.0], [0.5], [3.0]])
 _Y = np.array([[0.0], [1.0], [-1.0], [2.0]])
-_S = np.arange(5.0)[:, None]
 
 
 def _hankel_by_hand(z, depth):
@@ -167,9 +177,8 @@ def _hankel_by_hand(z, depth):
 SEQUENCE_READERS = pytest.mark.parametrize(
     ("read", "name", "good", "want"),
     [
-        (lambda x: Trajectory(x, _Y, _S).inputs, "inputs", _U, _U),
-        (lambda x: Trajectory(_U, x, _S).outputs, "outputs", _Y, _Y),
-        (lambda x: Trajectory(_U, _Y, x).states, "states", _S, _S),
+        (lambda x: Trajectory(x, _Y).inputs, "inputs", _U, _U),
+        (lambda x: Trajectory(_U, x).outputs, "outputs", _Y, _Y),
         (
             lambda x: simulate(default_model(), x).outputs,
             "inputs", _U, simulate_reference(default_model(), _U)[1],
@@ -187,7 +196,7 @@ SEQUENCE_READERS = pytest.mark.parametrize(
         (pseudoinverse, "M", np.array([[2.0], [0.0]]), np.array([[0.5, 0.0]])),
     ],
     ids=[
-        "trajectory-inputs", "trajectory-outputs", "trajectory-states", "simulate-inputs",
+        "trajectory-inputs", "trajectory-outputs", "simulate-inputs",
         "hankel-z", "pe-u", "stacked-u_data", "stacked-y_data", "pinv-M",
     ],
 )
@@ -230,16 +239,15 @@ class TestSequenceReaders:
 CHANNEL_READERS = pytest.mark.parametrize(
     ("read", "name", "steps"),
     [
-        (lambda x: Trajectory(x, _Y, _S), "inputs", 4),
-        (lambda x: Trajectory(_U, x, _S), "outputs", 4),
-        (lambda x: Trajectory(_U, _Y, x), "states", 5),
+        (lambda x: Trajectory(x, _Y), "inputs", 4),
+        (lambda x: Trajectory(_U, x), "outputs", 4),
         (lambda x: hankel(x, 2), "z", 4),
         (lambda x: is_persistently_exciting(x, 2), "u", 4),
         (lambda x: stacked_data_matrix(x, _Y, 1, 1), "u_data", 4),
         (lambda x: stacked_data_matrix(_U, x, 1, 1), "y_data", 4),
     ],
     ids=[
-        "trajectory-inputs", "trajectory-outputs", "trajectory-states", "hankel-z", "pe-u",
+        "trajectory-inputs", "trajectory-outputs", "hankel-z", "pe-u",
         "stacked-u_data", "stacked-y_data",
     ],
 )
@@ -280,7 +288,6 @@ class TestSimulate:
     def test_zero_input_zero_state_gives_zero_output(self, example_model):
         traj = simulate(example_model, np.zeros((10, 1)))
         assert np.all(traj.outputs == 0.0)
-        assert np.all(traj.states == 0.0)
 
     def test_impulse_response_matches_hand_values(self, example_model):
         traj = simulate(example_model, [[1.0], [0.0], [0.0]])
@@ -298,16 +305,16 @@ class TestSimulate:
     @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
     @pytest.mark.parametrize("with_x0", [False, True], ids=["zero-x0", "x0"])
     def test_state_recursion_holds(self, example_model, dims, noisy, with_x0):
-        # bit for bit against the per-step loop, so the seeded noise stream
-        # behind byte-identical CSVs is pinned
+        # outputs bit for bit against the per-step loop, so the state
+        # recursion and the seeded noise stream behind byte-identical CSVs
+        # are pinned
         rng = np.random.default_rng(46)
         model = example_model if dims is None else random_model(rng, *dims)
         u = rng.standard_normal((200, model.m))
         x0 = rng.standard_normal(model.n) if with_x0 else None
         noise = NoiseSpec.relative_gaussian(0.02, seed=5) if noisy else NoiseSpec.none()
         traj = simulate(model, u, x0=x0, noise=noise)
-        states, outputs = simulate_reference(model, u, x0=x0, noise=noise)
-        np.testing.assert_array_equal(traj.states, states)
+        _, outputs = simulate_reference(model, u, x0=x0, noise=noise)
         np.testing.assert_array_equal(traj.outputs, outputs)
 
     def test_noise_deterministic_for_fixed_seed(self, example_model):
@@ -338,6 +345,12 @@ class TestSimulate:
         # not truncated to 1, and not left for numpy's generator to reject
         with pytest.raises(TypeError, match=r"^'float' object cannot be interpreted as an integer$"):
             read(1.5)
+
+    @SEED_READERS
+    def test_bool_seed_rejected_by_name(self, read):
+        # operator.index reads True as 1, so True used to pass as seed 1
+        with pytest.raises(TypeError, match=r"^seed must be an integer, got True$"):
+            read(True)
 
     @SEED_READERS
     def test_negative_seed_rejected(self, read):
@@ -410,9 +423,9 @@ class TestTrajectory:
         # a (T,) array could be one channel of T steps or one step of T
         # channels, so it is not read as either
         traj = simulate(example_model, np.arange(6.0)[:, None])
-        arrays = {"inputs": traj.inputs, "outputs": traj.outputs, "states": traj.states}
-        for name, steps in (("inputs", 6), ("outputs", 6), ("states", 7)):
-            with pytest.raises(ValueError, match=rf"^{name} must be 2-dimensional, got shape \({steps},\)$"):
+        arrays = {"inputs": traj.inputs, "outputs": traj.outputs}
+        for name in arrays:
+            with pytest.raises(ValueError, match=rf"^{name} must be 2-dimensional, got shape \(6,\)$"):
                 Trajectory(**{**arrays, name: arrays[name][:, 0]})
 
     @pytest.mark.parametrize("name", ["inputs", "outputs"])
@@ -423,9 +436,7 @@ class TestTrajectory:
             Trajectory(**arrays)
 
     @pytest.mark.parametrize(
-        "name, rows, message",
-        [("outputs", 5, "outputs has 5 rows, expected 4"), ("states", 4, "states has 4 rows, expected 5")],
-        ids=["outputs", "states"],
+        "name, rows, message", [("outputs", 5, "outputs has 5 rows, expected 4")], ids=["outputs"]
     )
     def test_lengths_checked_against_the_inputs(self, name, rows, message):
         arrays = {"inputs": np.zeros((4, 1)), "outputs": np.zeros((4, 1)), name: np.zeros((rows, 1))}
@@ -433,9 +444,9 @@ class TestTrajectory:
             Trajectory(**arrays)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("name", ["inputs", "outputs", "states"])
+    @pytest.mark.parametrize("name", ["inputs", "outputs"])
     def test_non_finite_trajectory_rejected(self, bad, name):
-        fields = {"inputs": np.ones((5, 1)), "outputs": np.ones((5, 1)), "states": np.ones((6, 2))}
+        fields = {"inputs": np.ones((5, 1)), "outputs": np.ones((5, 1))}
         fields[name][1, 0] = bad
         with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
             Trajectory(**fields)
@@ -484,13 +495,16 @@ class TestStructuredMatrices:
         assert np.linalg.matrix_rank(phi) == L
 
     def test_generator_reproduces_trajectories(self, rng, example_model):
-        # both sides of the state-space/behavior identity on simulated data
+        # both sides of the state-space/behavior identity on simulated data,
+        # with the states of the per-step reference loop
         L, T = 8, 30
         u = rng.standard_normal((T, 1))
-        traj = simulate(example_model, u, x0=rng.standard_normal(2))
+        x0 = rng.standard_normal(2)
+        traj = simulate(example_model, u, x0=x0)
+        states, _ = simulate_reference(example_model, u, x0=x0)
         phi = trajectory_generation_matrix(example_model, L)
         lhs = np.vstack([hankel(traj.inputs, L), hankel(traj.outputs, L)])
-        rhs = phi @ np.vstack([hankel(traj.states[: T - L + 1], 1), hankel(traj.inputs, L)])
+        rhs = phi @ np.vstack([hankel(states[: T - L + 1], 1), hankel(traj.inputs, L)])
         residual = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
         assert residual <= 1e-10
 
@@ -500,10 +514,12 @@ class TestStructuredMatrices:
             L = model.n + int(rng.integers(1, 4))
             T = L + 15
             u = rng.standard_normal((T, model.m))
-            traj = simulate(model, u, x0=rng.standard_normal(model.n))
+            x0 = rng.standard_normal(model.n)
+            traj = simulate(model, u, x0=x0)
+            states, _ = simulate_reference(model, u, x0=x0)
             phi = trajectory_generation_matrix(model, L)
             lhs = np.vstack([hankel(traj.inputs, L), hankel(traj.outputs, L)])
-            rhs = phi @ np.vstack([hankel(traj.states[: T - L + 1], 1), hankel(traj.inputs, L)])
+            rhs = phi @ np.vstack([hankel(states[: T - L + 1], 1), hankel(traj.inputs, L)])
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(lhs))
 
     def test_generator_full_column_rank_when_observable(self, rng):
@@ -605,12 +621,18 @@ class TestStateSpaceModel:
 
 class TestModelFiles:
     def test_round_trip(self, rng):
-        model = random_model(rng, n=3, m=2, p=2)
-        parsed = parse_model(format_model(model))
-        np.testing.assert_array_equal(parsed.A, model.A)
-        np.testing.assert_array_equal(parsed.B, model.B)
-        np.testing.assert_array_equal(parsed.C, model.C)
-        np.testing.assert_array_equal(parsed.D, model.D)
+        # the one model writer, bench/workloads.py's, read back bit for bit:
+        # the default model, random MIMO models, and entries whose repr is
+        # special (an exponent, the least subnormal, a negative zero)
+        special = StateSpaceModel(
+            A=[[1e16, -0.0], [5e-324, 0.5]], B=[[-0.0], [1e-16]], C=[[5e-324, -1e16]], D=[[-0.0]]
+        )
+        mimo = [random_model(rng, n=n, m=m, p=p) for n, m, p in ((3, 2, 2), (4, 3, 2), (6, 2, 4))]
+        for model in (default_model(), special, *mimo):
+            parsed = parse_model(format_model(model))
+            for key in "ABCD":
+                written, read = getattr(model, key), getattr(parsed, key)
+                assert read.shape == written.shape and read.tobytes() == written.tobytes(), key
 
     def test_parse_with_comments_and_blanks(self):
         text = """
