@@ -33,10 +33,8 @@ from .lti import (
     gain_bound,
     load_model,
     observability_degree,
-    observability_matrix,
     parse_model,
     simulate,
-    toeplitz_matrix,
     trajectory_generation_matrix,
 )
 from .predictor import (

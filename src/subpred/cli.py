@@ -81,7 +81,7 @@ def _cmd_distance(args) -> int:
 
 def load_context(path) -> PredictionContext:
     """Read a context file: keys m, p, Tini, Tf and whitespace-separated
-    vectors u_ini, u, y_ini of finite numbers; every ValueError names the file."""
+    vectors u_ini, u, y_ini of finite entries; every ValueError names the file."""
     required = ("m", "p", "Tini", "Tf", "u_ini", "u", "y_ini")
     pairs = read_pairs(Path(path).read_text(encoding="utf-8"), str(path), required)
     dims = {k: integer(pairs[k], f"{path}: {k}") for k in ("m", "p", "Tini", "Tf")}

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -54,7 +53,7 @@ from .errors import HypothesisViolationError
 from .grassmann import Geodesic, check_distance, orthonormal_basis
 from .hankel import persistently_exciting_input, stacked_data_matrix
 from .lti import NoiseSpec, StateSpaceModel, Trajectory, load_model, simulate
-from .lti import _count, _frozen, _seed
+from .lti import _count, _frozen, _real, _seed
 from .predictor import _apply, _context_matrix, _rolling
 
 __all__ = [
@@ -100,10 +99,12 @@ class ExperimentConfig:
     ``kappa_max`` (ValueError with either); it sets N to its length, and
     accepts an N of that length, so `dataclasses.replace` works.  The grid
     is read by `lti._frozen` as a 1-D vector of finite entries, so a string,
-    ragged or 2-D grid is refused by name, and a negative target is refused.  The
-    lengths and N are read by `lti._count` and the seeds by `lti._seed`, so
-    a float or a bool raises TypeError, and a length or N below 1 or a negative seed
-    raises ValueError naming its key."""
+    ragged, bool or 2-D grid is refused by name, as is a negative target.
+    The lengths and N are read by `lti._count`, the seeds by `lti._seed` and
+    ``sigma`` and ``kappa_max`` by `lti._real`, so a bool raises TypeError
+    naming its key, as does a float length or seed, and ValueError names a
+    length or N below 1, a negative seed or sigma, a kappa_max of 0 or less,
+    and a non-finite sigma or kappa_max."""
 
     model: StateSpaceModel
     Tini: int = 4
@@ -135,12 +136,13 @@ class ExperimentConfig:
             if not grid:
                 raise ValueError("kappa_grid must not be empty")
             if min(grid) < 0:
-                raise ValueError(f"kappa_grid values must be finite and nonnegative, got {grid}")
+                raise ValueError(f"kappa_grid values must be nonnegative, got {grid}")
             object.__setattr__(self, "kappa_grid", grid)
             object.__setattr__(self, "N", len(grid))
         else:
             object.__setattr__(self, "N", 100 if self.N is None else self.N)
-            object.__setattr__(self, "kappa_max", 0.9 if self.kappa_max is None else self.kappa_max)
+            kappa_max = 0.9 if self.kappa_max is None else self.kappa_max
+            object.__setattr__(self, "kappa_max", _real(kappa_max, "kappa_max"))
         for key in _CONFIG_LENGTH_KEYS:
             object.__setattr__(self, key, _count(getattr(self, key), key))
         for key in _CONFIG_SEED_KEYS:
@@ -150,10 +152,11 @@ class ExperimentConfig:
             raise ValueError(f"offline length T={self.T} is shorter than Tini+Tf={L}")
         if self.T_sim < L:
             raise ValueError(f"online length T_sim={self.T_sim} is shorter than Tini+Tf={L}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if self.kappa_grid is None and not (math.isfinite(self.kappa_max) and self.kappa_max > 0):
-            raise ValueError(f"kappa_max must be finite and positive, got {self.kappa_max}")
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
+        if self.sigma < 0:
+            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if self.kappa_grid is None and self.kappa_max <= 0:
+            raise ValueError(f"kappa_max must be positive, got {self.kappa_max}")
         # Every target must be reachable from a basis of rank r = mL+n in
         # dimension q = (m+p)L, checked before any simulation runs.
         m, p, n = self.model.m, self.model.p, self.model.n

@@ -25,7 +25,7 @@ from ._kv import finite_floats, named
 from ._linalg import EPS, svd
 from .errors import ConvergenceError, RankDeficientError
 from .hankel import PartitionedMatrix
-from .lti import _count, _seed
+from .lti import _count, _real, _seed
 
 __all__ = [
     "BehaviorBasis",
@@ -140,13 +140,13 @@ def _cross_checked(d: float, swapped: float) -> float:
 
 def check_distance(q: int, r: int, kappa: float) -> None:
     """Reject a target chordal distance that no rank-r subspace of R^q can
-    lie at from another: ``r`` must be in 1..q, and ``kappa`` finite and in
-    [0, sqrt(k)], with k = min(r, q - r) the number of principal angles that
-    the complement of dimension q - r leaves room to be nonzero."""
+    lie at from another: ``r`` must be in 1..q, and ``kappa``, read by
+    `lti._real`, in [0, sqrt(k)], with k = min(r, q - r) the number of
+    principal angles that the complement of dimension q - r leaves room to
+    be nonzero."""
     if not 1 <= r <= q:
         raise ValueError(f"rank r={r} out of range for ambient dimension q={q}")
-    if not np.isfinite(kappa):
-        raise ValueError(f"kappa={kappa} is not a finite number")
+    kappa = _real(kappa, "kappa")
     largest = math.sqrt(min(r, q - r))
     if not 0 <= kappa <= largest:
         raise ValueError(

@@ -1,16 +1,17 @@
-"""Discrete-time LTI systems: simulation and the structured matrices behind
-restricted-behavior subspaces.
-
-A model evolves as ``x(t+1) = A x(t) + B u(t)``, ``y(t) = C x(t) + D u(t)``.
-The module builds the extended observability matrix, the lower block Toeplitz
-matrix of Markov parameters, and the trajectory generation matrix whose image
-is the set of all length-L input/output trajectories.  It also computes the
+"""Discrete-time LTI systems: simulation, the trajectory generation matrix
+whose image is the set of all length-L input/output trajectories, and the
 two singular-value constants consumed by the robustness bounds: the gain of
 the length-L generator and the observability degree over the past window.
+
+A model evolves as ``x(t+1) = A x(t) + B u(t)``, ``y(t) = C x(t) + D u(t)``.
+Every module reads its input here, one reader per kind: arrays by
+`_frozen`, counts by `_count`, seeds by `_seed` and real numbers by `_real`.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -24,8 +25,6 @@ __all__ = [
     "NoiseSpec",
     "Trajectory",
     "simulate",
-    "observability_matrix",
-    "toeplitz_matrix",
     "trajectory_generation_matrix",
     "observability_degree",
     "gain_bound",
@@ -55,11 +54,13 @@ def _frozen(
     shape is refused, the (cols, length // cols) transpose included; only a
     square window cannot be told from its transpose.  A value numpy cannot
     convert, such as a string or a ragged list, raises its ValueError
-    prefixed by ``name``."""
+    prefixed by ``name``; a bool array raises TypeError by name."""
     try:
         arr = np.array(value, dtype=float, order="C")
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
+    if (value if isinstance(value, np.ndarray) else np.array(value)).dtype == bool:
+        raise TypeError(f"{name} must hold real numbers, got a bool array")
     if length is not None:
         window = None if cols is None else (length // cols, cols)
         if arr.shape == window:
@@ -107,6 +108,18 @@ def _count(value, name: str) -> int:
     if count < 1:
         raise ValueError(f"{name} must be positive, got {count}")
     return count
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a Python float.  A bool (``np.bool_`` too) or a
+    non-`numbers.Real`, such as a string, raises TypeError by name, and NaN
+    or +-inf ValueError by name; each caller checks its own range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    real = float(value)
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be finite, got {real}")
+    return real
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,16 +170,19 @@ class NoiseSpec:
     N(0, sigma * ||y_t||^2 * I_p) where y_t is the noise-free output, so
     ``sigma`` acts as a noise-to-signal ratio; ``sigma`` = 0 adds nothing.
     Draws come from a seeded NumPy PCG64 generator, so outputs are
-    bit-reproducible across platforms.  ``seed`` is read by `_seed`, so a
-    float or a bool raises TypeError, and a negative seed raises ValueError.
+    bit-reproducible across platforms.  ``sigma`` is read by `_real` and
+    ``seed`` by `_seed`, so a bool raises TypeError, as does a float seed,
+    and a negative sigma or seed raises ValueError.
     """
 
     sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        sigma = _real(self.sigma, "sigma")
+        if sigma < 0:
+            raise ValueError(f"sigma must be nonnegative, got {sigma}")
+        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "seed", _seed(self.seed))
 
     @classmethod
@@ -175,7 +191,7 @@ class NoiseSpec:
 
     @classmethod
     def relative_gaussian(cls, sigma: float, seed: int) -> "NoiseSpec":
-        return cls(sigma=float(sigma), seed=seed)
+        return cls(sigma=sigma, seed=seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,48 +282,27 @@ def simulate(
     return Trajectory(inputs=u, outputs=outputs)
 
 
-def observability_matrix(model: StateSpaceModel, k: int) -> np.ndarray:
-    """Stack of C, CA, ..., CA^(k-1); shape (p*k, n); ``k`` is read by `_count`."""
-    k = _count(k, "window length k")
-    blocks = [model.C]
-    for _ in range(k - 1):
-        blocks.append(blocks[-1] @ model.A)
-    return np.vstack(blocks)
-
-
-def toeplitz_matrix(model: StateSpaceModel, k: int) -> np.ndarray:
-    """Lower block Toeplitz matrix of Markov parameters; shape (p*k, m*k).
-
-    Block (i, j) is D when i = j, C A^(i-j-1) B when i > j, and zero above
-    the diagonal.  ``k`` is read by `_count`.
-    """
-    k = _count(k, "window length k")
-    p, m = model.p, model.m
-    markov = [model.D]
-    reach = model.B
-    for _ in range(k - 1):
-        markov.append(model.C @ reach)
-        reach = model.A @ reach
-    out = np.zeros((p * k, m * k))
-    for i in range(k):
-        for j in range(i + 1):
-            out[i * p : (i + 1) * p, j * m : (j + 1) * m] = markov[i - j]
-    return out
-
-
 def trajectory_generation_matrix(model: StateSpaceModel, L: int) -> np.ndarray:
     """Block matrix [[0, I_mL], [O_L, T_L]]; shape ((m+p)L, n + mL).
 
-    Its columns generate every length-L trajectory of the model: the stacked
-    input/output Hankel matrix of any trajectory equals this matrix applied to
-    the stacked [initial states; input Hankel].  ``L`` is read by `_count`.
+    O_L stacks C, CA, ..., CA^(L-1), the extended observability matrix.
+    T_L is the lower block Toeplitz matrix of Markov parameters: block
+    (i, j) is D when i = j, C (A^(i-j-1) B) when i > j, and zero above the
+    diagonal.  Its columns generate every length-L trajectory of the model:
+    the stacked input/output Hankel matrix of any trajectory equals this
+    matrix applied to the stacked [initial states; input Hankel].  ``L`` is
+    read by `_count`.
     """
     L = _count(L, "horizon L")
     n, m, p = model.n, model.m, model.p
     out = np.zeros(((m + p) * L, n + m * L))
     out[: m * L, n:] = np.eye(m * L)
-    out[m * L :, :n] = observability_matrix(model, L)
-    out[m * L :, n:] = toeplitz_matrix(model, L)
+    observe, reach, markov = model.C, model.B, [model.D]
+    for i in range(L):  # output block row i: C A^i, then markov[i], ..., markov[0] = D
+        rows = slice(m * L + i * p, m * L + (i + 1) * p)
+        out[rows, : n + (i + 1) * m] = np.hstack([observe, *markov[::-1]])
+        markov.append(model.C @ reach)
+        observe, reach = observe @ model.A, model.A @ reach
     return out
 
 

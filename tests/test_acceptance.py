@@ -13,6 +13,7 @@ from scipy import stats
 from helpers import (
     align_basis,
     conditioned_invertible,
+    offline_data,
     pinv_perturbation_bound,
     principal_angles,
     random_basis,
@@ -23,6 +24,7 @@ from helpers import (
 )
 from subpred import (
     ExperimentConfig,
+    StateSpaceModel,
     chordal_distance,
     gain_bound,
     gamma,
@@ -311,6 +313,67 @@ def test_one_step_bound_at_single_angle_members(mimo):
     _report(
         f"one-step bound at {SINGLE_ANGLE_CASES} single-angle members "
         f"({'mimo' if mimo else 'default model'}; largest worst-context ratio {worst_ratio:.3g})"
+    )
+
+
+def _ci_mimo_config(sigma):
+    """The MIMO configuration of the CI's byte-identical reruns (n = 2,
+    m = p = 2, Tini = Tf = 2, T = 40) at noise level ``sigma``."""
+    model = StateSpaceModel(
+        A=[[0.5, 0.1], [-0.2, 0.7]], B=[[1.0, 0.0], [0.5, 1.0]],
+        C=[[1.0, 0.0], [0.3, 1.0]], D=[[0.0, 0.0], [0.1, 0.0]],
+    )
+    return ExperimentConfig(model, Tini=2, Tf=2, T=40, sigma=sigma)
+
+
+ESTIMATE_CONTEXTS = 50
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        *[ExperimentConfig(default_model(), sigma=sigma) for sigma in (0.0, 1e-8, 1e-6)],
+        *[_ci_mimo_config(sigma) for sigma in (0.0, 1e-8, 1e-6, 1e-4)],
+    ],
+    ids=lambda config: f"{'default' if config.model.m == 1 else 'mimo'}-{config.sigma:g}",
+)
+def test_bounds_cover_the_estimated_basis(config):
+    # the paper's setting: the basis estimated from the sweep's offline data,
+    # at the default seeds, against the true behavior, at the distance
+    # between them; not a geodesic member drawn around either
+    model, Tini, Tf, p = config.model, config.Tini, config.Tf, config.model.p
+    data, r = offline_data(config)
+    Uhat = orthonormal_basis(data, r)
+    U = _behavior_basis(model, Tini, Tf)
+    kappa = chordal_distance(U, Uhat)
+    sigma_hat = float(np.linalg.svd(Uhat.context_block, compute_uv=False)[-1])
+    norm_first = float(np.linalg.norm(Uhat.y_future[:p], 2))
+    g = gamma(gain_bound(model, Tini + Tf), observability_degree(model, Tini))
+    full_horizon = kappa <= g / (2 * SQRT2)
+    rng = np.random.default_rng(3110)
+    genuine_ratio = 0.0
+    for _ in range(ESTIMATE_CONTEXTS):
+        ctx = _genuine_context(rng, model, Tini, Tf)
+        b_norm = np.linalg.norm(ctx.b)
+        gap = predict_from_subspace(Uhat, ctx).y_pred - predict_from_subspace(U, ctx).y_pred
+        bound = one_step_bound(sigma_hat, norm_first, kappa, b_norm)
+        assert np.linalg.norm(gap[:p]) <= bound + 1e-9 * b_norm
+        genuine_ratio = max(genuine_ratio, np.linalg.norm(gap[:p]) / bound)
+        if full_horizon:
+            assert np.linalg.norm(gap) <= lipschitz_bound(g, kappa, b_norm) + 1e-9 * b_norm
+    # the worst context of unit norm, as in criteria 5 and 6
+    worst = np.linalg.norm(_one_step_map(Uhat, p) - _one_step_map(U, p), 2)
+    bound = one_step_bound(sigma_hat, norm_first, kappa, 1.0)
+    assert worst <= bound + 1e-9
+    if full_horizon:
+        Q = np.linalg.qr(U.context_block)[0]
+        worst_full = np.linalg.norm((_full_map(Uhat) - _full_map(U)) @ Q, 2)
+        assert worst_full <= lipschitz_bound(g, kappa, 1.0) + 1e-9
+    _report(
+        f"bounds at the estimated basis (kappa {kappa:.3g}, sigma_hat/(2 sqrt 2) "
+        f"{sigma_hat / (2 * SQRT2):.3g}, gamma/(2 sqrt 2) {g / (2 * SQRT2):.3g}; ratio "
+        f"worst {worst / bound:.3g}, genuine {genuine_ratio:.3g}; full horizon "
+        f"{'checked' if full_horizon else 'not certified'})"
     )
 
 

@@ -72,7 +72,7 @@ class TestGamma:
             lipschitz_bound(gamma(alpha, 1.0), 0.5, 1.0)
         with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
             lipschitz_bound(1.0 / alpha, 0.5, 1.0)
-        with pytest.raises(ValueError, match="alpha must be at least 1"):
+        with pytest.raises(ValueError, match=r"^alpha must be finite, got nan$"):
             gamma(float("nan"), 1.0)
         assert gamma(1.0, 1.0) == 1.0
 
@@ -115,17 +115,20 @@ class TestLipschitzBound:
             lipschitz_bound(0.5, limit * 1.01, 1.0)
 
     def test_invalid_inputs(self):
-        for bad in (0.0, -0.5, 1.5, np.nan, np.inf):
+        for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
                 lipschitz_bound(bad, 0.1, 1.0)
-        for position in (1, 2):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=rf"^gamma must be finite, got {bad}$"):
+                lipschitz_bound(bad, 0.1, 1.0)
+        for position, name in ((1, "kappa"), (2, "b_norm")):
             args = [0.5, 0.1, 1.0]
             args[position] = -1.0
             with pytest.raises(ValueError, match="must be nonnegative"):
                 lipschitz_bound(*args)
             for bad in (np.nan, np.inf, -np.inf):
                 args[position] = bad
-                with pytest.raises(ValueError, match="all bound inputs must be finite"):
+                with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad}$"):
                     lipschitz_bound(*args)
 
     def test_monotone_in_beta_and_alpha(self):
@@ -165,11 +168,11 @@ class TestOneStepBound:
             one_step_bound(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             one_step_bound(0.5, -1.0, 0.0, 1.0)
-        for position in range(4):
+        for position, name in enumerate(("sigma_min_Mhat", "norm_Uyf1", "kappa", "b_norm")):
             for bad in (np.nan, np.inf, -np.inf):
                 args = [0.5, 0.9, 0.01, 2.0]
                 args[position] = bad
-                with pytest.raises(ValueError, match="all bound inputs must be finite"):
+                with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad}$"):
                     one_step_bound(*args)
 
     def test_equals_lipschitz_bound_at_unit_first_block(self):

@@ -295,7 +295,8 @@ class TestBoundCommand:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "all bound inputs must be finite" in captured.err
+        names = {"--sigma-min": "sigma_min_Mhat", "--uyf1": "norm_Uyf1", "--kappa": "kappa", "--bnorm": "b_norm"}
+        assert captured.err == f"error: {names[flag]} must be finite, got {bad}\n"
 
     @pytest.mark.parametrize("form, flag, bad", FULL_HORIZON_NON_FINITE)
     def test_full_horizon_non_finite_exit_2(self, capsys, form, flag, bad):

@@ -502,7 +502,7 @@ class TestPerturbSubspace:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_distance_named(self, bad):
         # finiteness is checked before the range, so inf is not "out of range"
-        with pytest.raises(ValueError, match=r"^kappa=-?(nan|inf) is not a finite number$"):
+        with pytest.raises(ValueError, match=r"^kappa must be finite, got -?(nan|inf)$"):
             check_distance(8, 3, bad)
 
     @pytest.mark.parametrize("q, r", [(4, 7), (8, 9), (8, 0)])

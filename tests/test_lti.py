@@ -16,11 +16,12 @@ from subpred import (
     StateSpaceModel,
     Trajectory,
     gain_bound,
+    gamma,
+    lipschitz_bound,
     observability_degree,
-    observability_matrix,
+    one_step_bound,
     parse_model,
     simulate,
-    toeplitz_matrix,
     trajectory_generation_matrix,
 )
 import subpred.hankel as hankel_module
@@ -110,17 +111,16 @@ COUNT_READERS = pytest.mark.parametrize(
         (lambda k: persistently_exciting_input(1, k, 5, 0).tolist(), "T", 30),
         (lambda k: persistently_exciting_input(1, 30, k, 0).tolist(), "order", 5),
         (lambda k: orthonormal_basis(_offline(2, 2), k).r, "r", 2),
-        (lambda k: observability_matrix(default_model(), k).tolist(), "window length k", 2),
-        (lambda k: toeplitz_matrix(default_model(), k).tolist(), "window length k", 2),
         (lambda k: trajectory_generation_matrix(default_model(), k).tolist(), "horizon L", 2),
         (lambda k: gain_bound(default_model(), k), "horizon L", 2),
+        (lambda k: observability_degree(default_model(), k), "horizon L", 2),
     ],
     ids=[
         *[f"{kind}-{d}" for kind in _UNIT_WINDOWS for d in _DIMS],
         *[f"config-{key}" for key in ("Tini", "Tf", "T", "T_sim", "N")],
         "trial-index", "stacked-Tini", "stacked-Tf", "hankel-depth",
         "pe-input-m", "pe-input-T", "pe-input-order", "basis-r",
-        "observability-k", "toeplitz-k", "generator-L", "gain-L",
+        "generator-L", "gain-L", "degree-Tini",
     ],
 )
 
@@ -160,6 +160,54 @@ class TestCountReaders:
         # it used to return a (30, 0) input
         with pytest.raises(ValueError, match=r"^m must be positive, got 0$"):
             persistently_exciting_input(0, 30, 5, 0)
+
+
+# every reader of a real number: (read, the name it is refused by, a value
+# it accepts); each read returns the float it took or built
+REAL_READERS = pytest.mark.parametrize(
+    ("read", "name", "good"),
+    [
+        (lambda x: ExperimentConfig(default_model(), sigma=x).sigma, "sigma", 0.02),
+        (lambda x: ExperimentConfig(default_model(), kappa_max=x).kappa_max, "kappa_max", 0.9),
+        (lambda x: NoiseSpec(sigma=x).sigma, "sigma", 0.02),
+        (lambda x: NoiseSpec.relative_gaussian(x, 0).sigma, "sigma", 0.02),
+        (lambda x: gamma(x, 0.5), "alpha", 2.0),
+        (lambda x: gamma(2.0, x), "beta", 0.5),
+        (lambda x: lipschitz_bound(x, 0.01, 1.0), "gamma", 0.5),
+        (lambda x: lipschitz_bound(0.5, x, 1.0), "kappa", 0.01),
+        (lambda x: lipschitz_bound(0.5, 0.01, x), "b_norm", 2.0),
+        (lambda x: one_step_bound(x, 0.9, 0.01, 2.0), "sigma_min_Mhat", 0.5),
+        (lambda x: one_step_bound(0.5, x, 0.01, 2.0), "norm_Uyf1", 0.9),
+        (lambda x: one_step_bound(0.5, 0.9, x, 2.0), "kappa", 0.01),
+        (lambda x: one_step_bound(0.5, 0.9, 0.01, x), "b_norm", 2.0),
+        (lambda x: Geodesic.draw(_plane(), 0).member(x)[1], "kappa", 0.1),
+    ],
+    ids=[
+        "config-sigma", "config-kappa_max", "noise-sigma", "relative-sigma",
+        "gamma-alpha", "gamma-beta", "lipschitz-gamma", "lipschitz-kappa", "lipschitz-b_norm",
+        "one-step-sigma", "one-step-Uyf1", "one-step-kappa", "one-step-b_norm", "member-kappa",
+    ],
+)
+
+
+class TestRealReaders:
+    @REAL_READERS
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.1"], ids=["True", "False", "np-True", "str"])
+    def test_bool_or_string_rejected_by_name(self, read, name, good, value):
+        # a bool used to pass as 1.0 or 0.0, and a string reached numpy's isfinite
+        with pytest.raises(TypeError, match=rf"^{name} must be a real number, got {re.escape(repr(value))}$"):
+            read(value)
+
+    @REAL_READERS
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_rejected_by_name(self, read, name, good, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+            read(value)
+
+    @REAL_READERS
+    def test_numpy_float_read_as_float(self, read, name, good):
+        got, want = read(np.float64(good)), read(good)
+        assert type(got) is float and got == want
 
 
 # (T, 1) sequences of T = 4 steps, for the readers below
@@ -229,6 +277,12 @@ class TestSequenceReaders:
             read(rows)
 
     @SEQUENCE_READERS
+    def test_bool_series_rejected_by_name(self, read, name, good, want):
+        # numpy reads a bool array as 0s and 1s
+        with pytest.raises(TypeError, match=f"^{name} must hold real numbers, got a bool array$"):
+            read(good != 0)
+
+    @SEQUENCE_READERS
     def test_column_accepted(self, read, name, good, want):
         np.testing.assert_array_equal(read(good), want)
         np.testing.assert_array_equal(read(good.tolist()), want)
@@ -283,6 +337,22 @@ class TestArrayReader:
         with pytest.raises(ValueError, match=f"^{name}: "):
             build()
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: ExperimentConfig(default_model(), kappa_grid=(True, False)), "kappa_grid"),
+            (lambda: StateSpaceModel([[True]], [[1.0]], [[1.0]], [[0.0]]), "A"),
+            (lambda: StateSpaceModel([[0.5]], [[1.0]], [[1.0]], np.array([[False]])), "D"),
+            (lambda: PredictionContext([True], [0.0], [0.0], 1, 1, 1, 1), "u_ini"),
+            (lambda: simulate(default_model(), [[1.0]], x0=[True, False]), "x0"),
+        ],
+        ids=["bool-grid", "bool-A", "numpy-bool-D", "bool-context", "bool-x0"],
+    )
+    def test_bool_array_rejected_by_name(self, build, name):
+        # it used to be read as 0s and 1s: the grid (True, False) swept (1.0, 0.0)
+        with pytest.raises(TypeError, match=f"^{name} must hold real numbers, got a bool array$"):
+            build()
+
 
 class TestSimulate:
     def test_zero_input_zero_state_gives_zero_output(self, example_model):
@@ -334,7 +404,8 @@ class TestSimulate:
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf"), -0.1])
     def test_bad_noise_sigma_rejected(self, sigma):
         # rejected at the noise argument, before simulate could blame the model
-        match = "sigma must be finite and nonnegative"
+        rule = "nonnegative" if np.isfinite(sigma) else "finite"
+        match = f"^sigma must be {rule}, got {sigma}$"
         with pytest.raises(ValueError, match=match):
             NoiseSpec(sigma=sigma)
         with pytest.raises(ValueError, match=match):
@@ -452,38 +523,64 @@ class TestTrajectory:
             Trajectory(**fields)
 
 
+def _generator_blocks(model, L):
+    """The observability block O_L and the Toeplitz block T_L of the
+    trajectory generation matrix [[0, I_mL], [O_L, T_L]]."""
+    outputs = trajectory_generation_matrix(model, L)[model.m * L :]
+    return outputs[:, : model.n], outputs[:, model.n :]
+
+
 class TestStructuredMatrices:
     def test_observability_single_block_is_C(self, example_model):
-        np.testing.assert_array_equal(observability_matrix(example_model, 1), example_model.C)
+        np.testing.assert_array_equal(_generator_blocks(example_model, 1)[0], example_model.C)
 
     def test_observability_two_blocks(self, example_model):
         # C A = [0.9, 1.1] by direct multiply
         expected = np.vstack([example_model.C, example_model.C @ example_model.A])
-        got = observability_matrix(example_model, 2)
+        got = _generator_blocks(example_model, 2)[0]
         np.testing.assert_allclose(got, expected, atol=1e-15)
         np.testing.assert_allclose(got, [[1.0, 1.0], [0.9, 1.1]], atol=1e-12)
 
     def test_observability_zero_C(self):
         model = StateSpaceModel(A=np.eye(3), B=np.ones((3, 1)), C=np.zeros((2, 3)), D=np.zeros((2, 1)))
-        assert np.all(observability_matrix(model, 4) == 0.0)
-        assert observability_matrix(model, 4).shape == (8, 3)
+        observe = _generator_blocks(model, 4)[0]
+        assert np.all(observe == 0.0)
+        assert observe.shape == (8, 3)
 
     def test_toeplitz_single_block_is_D(self, example_model):
-        np.testing.assert_array_equal(toeplitz_matrix(example_model, 1), example_model.D)
+        np.testing.assert_array_equal(_generator_blocks(example_model, 1)[1], example_model.D)
 
     def test_toeplitz_two_blocks(self, example_model):
         # C B = 1 by direct multiply; D = 0
-        got = toeplitz_matrix(example_model, 2)
+        got = _generator_blocks(example_model, 2)[1]
         np.testing.assert_allclose(got, [[0.0, 0.0], [1.0, 0.0]], atol=1e-15)
 
     def test_toeplitz_strictly_upper_blocks_zero(self, rng):
         model = random_model(rng)
         for k in (1, 2, 5):
-            T = toeplitz_matrix(model, k)
+            T = _generator_blocks(model, k)[1]
             for i in range(k):
                 for j in range(i + 1, k):
                     block = T[i * model.p : (i + 1) * model.p, j * model.m : (j + 1) * model.m]
                     assert np.all(block == 0.0)
+
+    def test_blocks_formed_as_products_bit_for_bit(self, rng):
+        # row block i of O_L is (C A) A ... A, and the Markov parameter of lag
+        # k >= 1 is C (A^(k-1) B), multiplied in these orders: (C A^(k-1)) B
+        # moves entries in the last digits
+        for model in [default_model()] + [random_model(rng, n=4, m=2, p=3) for _ in range(5)]:
+            L, n, m, p = 6, model.n, model.m, model.p
+            observe, toeplitz = _generator_blocks(model, L)
+            row, reach, markov = model.C, model.B, [model.D]
+            for i in range(L):
+                np.testing.assert_array_equal(observe[i * p : (i + 1) * p], row)
+                row = row @ model.A
+                markov.append(model.C @ reach)
+                reach = model.A @ reach
+            for i in range(L):
+                for j in range(i + 1):
+                    block = toeplitz[i * p : (i + 1) * p, j * m : (j + 1) * m]
+                    np.testing.assert_array_equal(block, markov[i - j])
 
     def test_generator_structure_for_zero_C_D(self):
         model = StateSpaceModel(A=np.eye(2), B=np.ones((2, 1)), C=np.zeros((1, 2)), D=[[0.0]])
@@ -537,7 +634,7 @@ class TestSingularValueConstants:
 
     def test_example_model_positive(self, example_model):
         # the pair (A, C) is observable: rank of the two-block stack is n
-        assert np.linalg.matrix_rank(observability_matrix(example_model, 2)) == 2
+        assert np.linalg.matrix_rank(_generator_blocks(example_model, 2)[0]) == 2
         assert observability_degree(example_model, 2) > 0.0
         assert observability_degree(example_model, 4) > 0.0
 
