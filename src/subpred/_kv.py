@@ -1,25 +1,20 @@
 """Parser for the plain-text ``key = value`` grammar used by model, config and
 context files.  Lines are either blank, ``# comment``, or ``key = value``;
 values keep their raw string form for the caller to interpret.  Numeric
-entries of every input file go through `finite_floats` or `integer`."""
+entries are read by `floats` or `integer` and checked by what a file builds."""
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 
 
-def finite_floats(tokens: list[str], where: str) -> list[float]:
-    """Parse number tokens, rejecting anything that is not a finite float
-    (``nan`` and ``inf`` included) with a ValueError prefixed by ``where``."""
+def floats(tokens: list[str], where: str) -> list[float]:
+    """Parse number tokens with `float` (``nan``, ``inf`` and ``1e400`` too),
+    with a ValueError prefixed by ``where`` for a token that is no number."""
     try:
-        values = [float(tok) for tok in tokens]
+        return [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
-    for tok, value in zip(tokens, values):
-        if not math.isfinite(value):
-            raise ValueError(f"{where}: non-finite entry {tok.strip()!r}")
-    return values
 
 
 @contextmanager

@@ -199,8 +199,8 @@ def spectral_norm(matrix: np.ndarray) -> float:
     """Largest singular value of ``matrix`` (0 for an empty one), without an
     SVD: the root of lambda_max of its smaller Gram matrix (see
     `_scaled_gram`), by `eigvalsh`.  lambda_max is perfectly conditioned, so
-    this is accurate to a few eps relative.  A non-finite entry gives that
-    entry's magnitude (inf or nan)."""
+    this is accurate to a few eps relative.  An inf or nan entry gives its
+    own magnitude, inf or nan."""
     matrix = np.asarray(matrix, dtype=float)
     routed = _scaled_gram(matrix)
     if routed is None:

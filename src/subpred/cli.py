@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ._kv import finite_floats, integer, named, read_pairs
+from ._kv import floats, integer, named, read_pairs
 from .bounds import gamma, lipschitz_bound, one_step_bound
 from .errors import ConvergenceError, HypothesisViolationError, RankDeficientError
 from .experiment import load_config, run_experiment, run_single
@@ -85,7 +85,7 @@ def load_context(path) -> PredictionContext:
     required = ("m", "p", "Tini", "Tf", "u_ini", "u", "y_ini")
     pairs = read_pairs(Path(path).read_text(encoding="utf-8"), str(path), required)
     dims = {k: integer(pairs[k], f"{path}: {k}") for k in ("m", "p", "Tini", "Tf")}
-    vectors = {k: finite_floats(pairs[k].split(), f"{path}: {k}") for k in ("u_ini", "u", "y_ini")}
+    vectors = {k: floats(pairs[k].split(), f"{path}: {k}") for k in ("u_ini", "u", "y_ini")}
     with named(path):
         return PredictionContext(**vectors, **dims)
 

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kv import finite_floats, integer, named, read_pairs
+from ._kv import floats, integer, named, read_pairs
 from ._linalg import prediction_map, spectral_norm
 from .bounds import one_step_bound
 from .errors import HypothesisViolationError
@@ -98,8 +98,9 @@ class ExperimentConfig:
     ``kappa_grid``, explicit targets, is given instead of ``N`` and
     ``kappa_max`` (ValueError with either); it sets N to its length, and
     accepts an N of that length, so `dataclasses.replace` works.  The grid
-    is read by `lti._frozen` as a 1-D vector of finite entries, so a string,
-    ragged, bool or 2-D grid is refused by name, as is a negative target.
+    is read by `lti._frozen` as a 1-D vector and each entry by `lti._real`,
+    so a string, a ragged or 2-D grid, a bool, string or complex entry and a
+    non-finite or negative target are refused by name.
     The lengths and N are read by `lti._count`, the seeds by `lti._seed` and
     ``sigma`` and ``kappa_max`` by `lti._real`, so a bool raises TypeError
     naming its key, as does a float length or seed, and ValueError names a
@@ -122,9 +123,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.kappa_grid is not None:
-            # a vector of any length: 1-D, every entry finite
-            grid = _frozen(self.kappa_grid, "kappa_grid", length=-1)
-            grid = tuple(grid.tolist())
+            # a 1-D vector; numpy reads a bool among numbers as 1.0, so `_real` reads each entry
+            _frozen(self.kappa_grid, "kappa_grid", length=-1)
+            grid = tuple(_real(kappa, "kappa_grid") for kappa in self.kappa_grid)
             if self.N is not None and _count(self.N, "N") == len(grid):
                 object.__setattr__(self, "N", None)  # the resolved count, as from replace()
             given = [key for key in ("N", "kappa_max") if getattr(self, key) is not None]
@@ -194,9 +195,9 @@ def load_config(path) -> ExperimentConfig:
         if key in _CONFIG_INT_KEYS:
             kwargs[key] = integer(raw, f"{path}: {key}")
         elif key in _CONFIG_FLOAT_KEYS:
-            (kwargs[key],) = finite_floats([raw], f"{path}: {key}")
+            (kwargs[key],) = floats([raw], f"{path}: {key}")
         elif key == "kappa_grid":
-            kwargs[key] = tuple(finite_floats(raw.split(","), f"{path}: {key}"))
+            kwargs[key] = tuple(floats(raw.split(","), f"{path}: {key}"))
         elif key == "model":
             kwargs[key] = load_model(_resolve(path.parent, raw))
         else:  # output_dir

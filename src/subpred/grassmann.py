@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kv import finite_floats, named
+from ._kv import floats, named
 from ._linalg import EPS, svd
 from .errors import ConvergenceError, RankDeficientError
 from .hankel import PartitionedMatrix
@@ -361,6 +361,8 @@ def save_basis(path, basis: BehaviorBasis) -> None:
 
 
 def load_basis(path) -> BehaviorBasis:
+    """Read a basis file: the header and each row's entry count are checked
+    here, and `BehaviorBasis`, named by the file, checks the rest."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         match = _HEADER_RE.match(header.strip())
@@ -377,9 +379,6 @@ def load_basis(path) -> BehaviorBasis:
             entries = line.strip().split(",")
             if len(entries) != r:
                 raise ValueError(f"{path}:{lineno}: expected {r} entries, got {len(entries)}")
-            rows.append(finite_floats(entries, f"{path}:{lineno}"))
-    q = (m + p) * (Tini + Tf)
-    if len(rows) != q:
-        raise ValueError(f"{path}: expected {q} data rows for the declared dims, got {len(rows)}")
+            rows.append(floats(entries, f"{path}:{lineno}"))
     with named(path):
-        return BehaviorBasis(np.array(rows), m, p, Tini, Tf)
+        return BehaviorBasis(rows or np.zeros((0, r)), m, p, Tini, Tf)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kv import finite_floats, integer, read_pairs
+from ._kv import floats, integer, named, read_pairs
 from ._linalg import spectral_norm, svd
 
 __all__ = [
@@ -52,15 +52,20 @@ def _frozen(
     (any length for -1), or, when ``cols`` channels are given, also the 2-D
     (length // cols, cols) window that it stacks time-major.  Every other
     shape is refused, the (cols, length // cols) transpose included; only a
-    square window cannot be told from its transpose.  A value numpy cannot
-    convert, such as a string or a ragged list, raises its ValueError
-    prefixed by ``name``; a bool array raises TypeError by name."""
+    square window cannot be told from its transpose.  ``value`` is converted
+    once and read by `_real`'s rule: a bool, string, bytes, complex or
+    object array raises TypeError by name, a non-finite entry ValueError
+    naming the first's index, and a ragged list numpy's ValueError
+    prefixed by ``name``."""
     try:
-        arr = np.array(value, dtype=float, order="C")
+        arr = np.array(value, order="C")
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
-    if (value if isinstance(value, np.ndarray) else np.array(value)).dtype == bool:
-        raise TypeError(f"{name} must hold real numbers, got a bool array")
+    if arr.dtype.kind not in "iuf":
+        kinds = {"b": "a bool", "U": "a string", "S": "a bytes", "c": "a complex", "O": "an object"}
+        kind = kinds.get(arr.dtype.kind, f"a {arr.dtype}")
+        raise TypeError(f"{name} must hold real numbers, got {kind} array")
+    arr = arr.astype(float, copy=False)
     if length is not None:
         window = None if cols is None else (length // cols, cols)
         if arr.shape == window:
@@ -79,7 +84,8 @@ def _frozen(
     elif series:
         _count(arr.shape[1], f"{name} channel count")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} has non-finite entries")
+        first = np.argwhere(~np.isfinite(arr))[0].tolist()
+        raise ValueError(f"{name} has non-finite entries: {name}{first} is {arr[tuple(first)]}")
     arr.flags.writeable = False
     return arr
 
@@ -113,10 +119,14 @@ def _count(value, name: str) -> int:
 def _real(value, name: str) -> float:
     """``value`` as a Python float.  A bool (``np.bool_`` too) or a
     non-`numbers.Real`, such as a string, raises TypeError by name, and NaN
-    or +-inf ValueError by name; each caller checks its own range."""
+    or +-inf ValueError by name, as does an integer beyond the float range,
+    read as +-inf; each caller checks its own range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    real = float(value)
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf if value > 0 else -math.inf
     if not math.isfinite(real):
         raise ValueError(f"{name} must be finite, got {real}")
     return real
@@ -346,41 +356,34 @@ def gain_bound(model: StateSpaceModel, L: int) -> float:
 _MODEL_KEYS = ("n", "m", "p", "A", "B", "C", "D")
 
 
-def _parse_matrix(text: str, rows: int, cols: int, name: str, source: str) -> np.ndarray:
-    row_texts = [r.strip() for r in text.split(";")]
+def _parse_matrix(text: str, name: str) -> list[list[float]]:
     parsed = []
-    width = None
-    for i, row in enumerate(row_texts):
-        entries = finite_floats(row.split(), f"{source}: matrix {name}, row {i + 1}")
+    for i, row in enumerate(r.strip() for r in text.split(";")):
+        entries = floats(row.split(), f"matrix {name}, row {i + 1}")
         if not entries:
-            raise ValueError(f"{source}: matrix {name}, row {i + 1} is empty")
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
+            raise ValueError(f"matrix {name}, row {i + 1} is empty")
+        if parsed and len(entries) != len(parsed[0]):
             raise ValueError(
-                f"{source}: matrix {name} is ragged: row {i + 1} has {len(entries)} entries, "
-                f"row 1 has {width}"
+                f"matrix {name} is ragged: row {i + 1} has {len(entries)} entries, "
+                f"row 1 has {len(parsed[0])}"
             )
         parsed.append(entries)
-    arr = np.array(parsed, dtype=float)
-    if arr.shape != (rows, cols):
-        raise ValueError(
-            f"{source}: matrix {name} has shape {arr.shape}, expected ({rows}, {cols})"
-        )
-    return arr
+    return parsed
 
 
 def parse_model(text: str, source: str = "<string>") -> StateSpaceModel:
     """Parse the plain-text model format documented above; `read_pairs`
-    checks its keys and `_count` reads n, m and p."""
+    checks its keys, `_count` reads n, m and p, and `StateSpaceModel` checks
+    the matrices, which must give the declared n, m and p; every error
+    names ``source``."""
     pairs = read_pairs(text, source, required=_MODEL_KEYS)
-    where = {key: f"{source}: {key}" for key in "nmp"}
-    n, m, p = (_count(integer(pairs[key], where[key]), where[key]) for key in "nmp")
-    A = _parse_matrix(pairs["A"], n, n, "A", source)
-    B = _parse_matrix(pairs["B"], n, m, "B", source)
-    C = _parse_matrix(pairs["C"], p, n, "C", source)
-    D = _parse_matrix(pairs["D"], p, m, "D", source)
-    return StateSpaceModel(A=A, B=B, C=C, D=D)
+    with named(source):
+        declared = tuple(_count(integer(pairs[key], key), key) for key in "nmp")
+        model = StateSpaceModel(*(_parse_matrix(pairs[key], key) for key in "ABCD"))
+        built = (model.n, model.m, model.p)
+        if built != declared:
+            raise ValueError(f"the matrices give (n, m, p) = {built}, declared {declared}")
+    return model
 
 
 def load_model(path) -> StateSpaceModel:

@@ -174,7 +174,7 @@ class TestPredictCommand:
         _write_context(ctx_path, [1.0], [1.0], [1.0], 1, 1, 1, 1)
         assert main(["predict", "--basis", str(path), "--context", str(ctx_path)]) == 4
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_context_exit_2(self, tmp_path, example_basis_file, capsys, token):
         path, _, _ = example_basis_file
         ctx_path = tmp_path / "ctx.txt"
@@ -183,21 +183,26 @@ class TestPredictCommand:
         assert main(["predict", "--basis", str(path), "--context", str(ctx_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{ctx_path}: u_ini: non-finite entry '{token}'" in captured.err
+        # read from text as a float, 1e400 as inf, and refused by the context
+        assert captured.err == f"error: {ctx_path}: u_ini has non-finite entries: u_ini[1] is {float(token)}\n"
 
     def test_non_finite_basis_exit_2(self, tmp_path, example_basis_file, capsys):
         path, _, _ = example_basis_file
-        lines = path.read_text().splitlines()
-        lines[3] = ",".join(["nan"] + lines[3].split(",")[1:])
-        bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
         ctx_path = tmp_path / "ctx.txt"
         _write_context(ctx_path, np.zeros(4), np.zeros(4), np.zeros(4), 1, 1, 4, 4)
-        assert main(["predict", "--basis", str(bad), "--context", str(ctx_path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{bad}:4: non-finite entry 'nan'" in captured.err
-        assert main(["distance", str(bad), str(path)]) == 2
+        for token in ("nan", "inf", "1e400"):
+            lines = path.read_text().splitlines()
+            lines[3] = ",".join([token] + lines[3].split(",")[1:])
+            bad = tmp_path / "bad.csv"
+            bad.write_text("\n".join(lines) + "\n")
+            assert main(["predict", "--basis", str(bad), "--context", str(ctx_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            # line 4 holds the data's row 2
+            message = f"data has non-finite entries: data[2, 0] is {float(token)}"
+            assert captured.err == f"error: {bad}: {message}\n"
+            assert main(["distance", str(bad), str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_non_integer_dimension_names_file_and_key(self, tmp_path, example_basis_file, capsys):
         path, _, _ = example_basis_file
@@ -376,14 +381,15 @@ class TestExperimentCommands:
             raise AssertionError("the offline stage ran")
 
         monkeypatch.setattr("subpred.experiment.simulate", offline_stage)
-        (tmp_path / "model.txt").write_text(
-            format_model(default_model()).replace("A = 0.8 0.2", "A = 0.8 inf")
-        )
+        model = tmp_path / "model.txt"
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("model = model.txt\nTini = 2\nTf = 2\nT_sim = 12\nN = 2\noutput_dir = o\n")
-        assert main(["experiment", "--config", str(cfg)]) == 2
-        assert "matrix A, row 1: non-finite entry 'inf'" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        for token in ("nan", "inf", "1e400"):
+            model.write_text(format_model(default_model()).replace("A = 0.8 0.2", f"A = 0.8 {token}"))
+            assert main(["experiment", "--config", str(cfg)]) == 2
+            message = f"A has non-finite entries: A[0, 1] is {float(token)}"
+            assert capsys.readouterr().err == f"error: {model}: {message}\n"
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", ["N", "Tini", "seed_perturb"])
     def test_non_integer_config_key_names_file_and_key(self, tmp_path, capsys, key):
@@ -427,6 +433,10 @@ class TestExperimentCommands:
             ("kappa_max = inf", "kappa_max"),
             ("kappa_grid = 0.1,nan", "kappa_grid"),
             ("kappa_grid = inf", "kappa_grid"),
+            # read from text as inf, and refused by the configuration
+            ("sigma = 1e400", "{cfg}: sigma must be finite, got inf"),
+            ("kappa_max = 1e400", "{cfg}: kappa_max must be finite, got inf"),
+            ("kappa_grid = 0.1,1e400", "{cfg}: kappa_grid has non-finite entries: kappa_grid[1] is inf"),
             # rank 6 in dimension 8: at most sqrt(2) is reachable
             ("kappa_grid = 0.1,2.0", "unreachable"),
             ("sigma = x", "{cfg}: sigma: could not convert string to float: 'x'"),

@@ -37,10 +37,41 @@ class TestConfig:
             kappas = ExperimentConfig(model=default_model(), kappa_grid=grid).kappas
             assert kappas == cfg.kappas and [type(k) for k in kappas] == [float, float]
 
-    @pytest.mark.parametrize("grid, shape", [("12", "()"), (0.5, "()"), ([[0.1, 0.2]], "(1, 2)")])
-    def test_kappa_grid_must_be_1d(self, grid, shape):
-        # a string is not iterated character by character
-        with pytest.raises(ValueError, match=f"^kappa_grid must be 1-D, got shape {re.escape(shape)}$"):
+    @pytest.mark.parametrize(
+        "grid, error, message",
+        [
+            pytest.param("12", TypeError, "must hold real numbers, got a string array", id="12-()"),
+            pytest.param(0.5, ValueError, "must be 1-D, got shape ()", id="0.5-()"),
+            pytest.param([[0.1, 0.2]], ValueError, "must be 1-D, got shape (1, 2)", id="grid2-(1, 2)"),
+        ],
+    )
+    def test_kappa_grid_must_be_1d(self, grid, error, message):
+        # a string is not iterated character by character: it is refused
+        # whole, as no vector of real numbers
+        with pytest.raises(error, match=f"^kappa_grid {re.escape(message)}$"):
+            ExperimentConfig(model=default_model(), kappa_grid=grid)
+
+    @pytest.mark.parametrize(
+        "grid, kind", [(("0.1", "0.2"), "string"), ([b"0.1"], "bytes")], ids=["strings", "bytes"]
+    )
+    def test_string_grid_rejected_by_name(self, grid, kind):
+        # a string entry is not parsed: ("0.1", "0.2") used to sweep (0.1, 0.2)
+        with pytest.raises(TypeError, match=f"^kappa_grid must hold real numbers, got a {kind} array$"):
+            ExperimentConfig(model=default_model(), kappa_grid=grid)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ((True, 0.5), "must be a real number, got True"),
+            ([0.1, False], "must be a real number, got False"),
+            ((np.True_, 0.5), f"must be a real number, got {np.True_!r}"),
+            (np.array([0.5, True], dtype=object), "must hold real numbers, got an object array"),
+        ],
+        ids=["True-first", "False-last", "numpy-True", "object-array"],
+    )
+    def test_bool_among_numbers_rejected_by_name(self, grid, message):
+        # numpy reads the list as floats, so (True, 0.5) used to sweep (1.0, 0.5)
+        with pytest.raises(TypeError, match=f"^kappa_grid {re.escape(message)}$"):
             ExperimentConfig(model=default_model(), kappa_grid=grid)
 
     def test_grid_config_survives_replace(self):

@@ -199,15 +199,40 @@ class TestRealReaders:
             read(value)
 
     @REAL_READERS
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_non_finite_rejected_by_name(self, read, name, good, value):
-        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(float("nan"), "nan"), (float("inf"), "inf"), (10**400, "inf"), (-(10**400), "-inf")],
+        ids=["nan", "inf", "huge-int", "huge-negative-int"],
+    )
+    def test_non_finite_rejected_by_name(self, read, name, good, value, shown):
+        # an integer beyond the float range reads as +-inf; float() raised
+        # an OverflowError that named no input and that the CLI maps to exit 4
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {shown}$"):
             read(value)
 
     @REAL_READERS
     def test_numpy_float_read_as_float(self, read, name, good):
         got, want = read(np.float64(good)), read(good)
         assert type(got) is float and got == want
+
+
+def _nested(value, entry):
+    """``value``, a list or a nested list, with ``entry`` applied to each entry."""
+    return [_nested(v, entry) for v in value] if isinstance(value, list) else entry(value)
+
+
+# values whose entries `lti._real` refuses, each made from a list of floats:
+# (make, the kind of array it is refused as)
+NON_REAL_VALUES = pytest.mark.parametrize(
+    ("make", "kind"),
+    [
+        (lambda good: _nested(good, str), "a string"),
+        (lambda good: _nested(good, lambda v: str(v).encode()), "a bytes"),
+        (lambda good: _nested(good, lambda v: complex(v, 1.0)), "a complex"),
+        (lambda good: np.array(good) + 5j, "a complex"),
+    ],
+    ids=["string", "bytes", "complex-list", "complex-array"],
+)
 
 
 # (T, 1) sequences of T = 4 steps, for the readers below
@@ -256,9 +281,11 @@ class TestSequenceReaders:
     def test_non_finite_entry_rejected_before_any_factorization(
         self, svd_calls, read, name, good, want, bad
     ):
+        # the first non-finite entry is named by its index
         value = good.copy()
+        value[-1, 0] = np.nan
         value[1, 0] = bad
-        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        with pytest.raises(ValueError, match=rf"^{name} has non-finite entries: {name}\[1, 0\] is {bad}$"):
             read(value)
         assert svd_calls == [] and svd_calls.eigvalsh == [] and svd_calls.solve == []
 
@@ -281,6 +308,13 @@ class TestSequenceReaders:
         # numpy reads a bool array as 0s and 1s
         with pytest.raises(TypeError, match=f"^{name} must hold real numbers, got a bool array$"):
             read(good != 0)
+
+    @SEQUENCE_READERS
+    @NON_REAL_VALUES
+    def test_non_real_series_rejected_by_name(self, svd_calls, read, name, good, want, make, kind):
+        with pytest.raises(TypeError, match=f"^{name} must hold real numbers, got {kind} array$"):
+            read(make(good.tolist()))
+        assert svd_calls == [] and svd_calls.eigvalsh == [] and svd_calls.solve == []
 
     @SEQUENCE_READERS
     def test_column_accepted(self, read, name, good, want):
@@ -321,21 +355,56 @@ class TestSeriesChannels:
             simulate(default_model(), np.zeros((4, 0)))
 
 
+# every kind of array reader: (read, the name it is refused by, a value it accepts)
+ARRAY_READERS = pytest.mark.parametrize(
+    ("read", "name", "good"),
+    [
+        (lambda x: ExperimentConfig(default_model(), kappa_grid=x).kappas, "kappa_grid", [0.1, 0.2]),
+        (lambda x: StateSpaceModel(x, [[1.0]], [[1.0]], [[0.0]]).A, "A", [[0.5]]),
+        (lambda x: StateSpaceModel([[0.5]], [[1.0]], [[1.0]], x).D, "D", [[0.5]]),
+        (lambda x: PredictionContext(x, [0.0], [0.0], 1, 1, 1, 1).u_ini, "u_ini", [0.5]),
+        (lambda x: simulate(default_model(), [[1.0]], x0=x).outputs, "x0", [0.5, 0.5]),
+    ],
+    ids=["grid", "A", "D", "context", "x0"],
+)
+
+
 class TestArrayReader:
     @pytest.mark.parametrize(
-        "build, name",
+        "build, error, message",
         [
-            (lambda: ExperimentConfig(default_model(), kappa_grid="0.1,0.2"), "kappa_grid"),
-            (lambda: ExperimentConfig(default_model(), kappa_grid=[[0.1], [0.2, 0.3]]), "kappa_grid"),
-            (lambda: StateSpaceModel([[1.0, 2.0], [3.0]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]]), "A"),
-            (lambda: PredictionContext("x", [0.0], [0.0], 1, 1, 1, 1), "u_ini"),
+            (
+                lambda: ExperimentConfig(default_model(), kappa_grid="0.1,0.2"),
+                TypeError, "^kappa_grid must hold real numbers, got a string array$",
+            ),
+            (
+                lambda: ExperimentConfig(default_model(), kappa_grid=[[0.1], [0.2, 0.3]]),
+                ValueError, "^kappa_grid: ",
+            ),
+            (
+                lambda: StateSpaceModel([[1.0, 2.0], [3.0]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]]),
+                ValueError, "^A: ",
+            ),
+            (
+                lambda: PredictionContext("x", [0.0], [0.0], 1, 1, 1, 1),
+                TypeError, "^u_ini must hold real numbers, got a string array$",
+            ),
         ],
         ids=["string-grid", "ragged-grid", "ragged-A", "string-context"],
     )
-    def test_unconvertible_array_named(self, build, name):
-        # numpy's own conversion error, prefixed by the input it came from
-        with pytest.raises(ValueError, match=f"^{name}: "):
+    def test_unconvertible_array_named(self, build, error, message):
+        # numpy's own conversion error for a ragged list, prefixed by the
+        # input it came from; a string is refused as no real number
+        with pytest.raises(error, match=message):
             build()
+
+    @ARRAY_READERS
+    @NON_REAL_VALUES
+    def test_non_real_array_rejected_by_name(self, read, name, good, make, kind):
+        # numpy parsed "0.5" and b"0.5" as numbers, and dropped the imaginary
+        # part of a complex array with only a ComplexWarning
+        with pytest.raises(TypeError, match=f"^{name} must hold real numbers, got {kind} array$"):
+            read(make(good))
 
     @pytest.mark.parametrize(
         "build, name",
@@ -456,9 +525,9 @@ class TestSimulate:
         # rejected before the loop, not reported as a divergence of the model
         u = np.zeros((4, 1))
         u[1, 0] = bad
-        with pytest.raises(ValueError, match="^inputs has non-finite entries$"):
+        with pytest.raises(ValueError, match=rf"^inputs has non-finite entries: inputs\[1, 0\] is {bad}$"):
             simulate(example_model, u)
-        with pytest.raises(ValueError, match="^x0 has non-finite entries$"):
+        with pytest.raises(ValueError, match=rf"^x0 has non-finite entries: x0\[1\] is {bad}$"):
             simulate(example_model, np.zeros((4, 1)), x0=[0.0, bad])
 
     # x_t = 1e10**t: the state overflows at x_31, with or without noise; the
@@ -519,7 +588,7 @@ class TestTrajectory:
     def test_non_finite_trajectory_rejected(self, bad, name):
         fields = {"inputs": np.ones((5, 1)), "outputs": np.ones((5, 1))}
         fields[name][1, 0] = bad
-        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        with pytest.raises(ValueError, match=rf"^{name} has non-finite entries: {name}\[1, 0\] is {bad}$"):
             Trajectory(**fields)
 
 
@@ -685,7 +754,7 @@ class TestStateSpaceModel:
     def test_non_finite_entry_rejected(self, name, bad):
         matrices = {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
         matrices[name] = [[bad]]
-        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        with pytest.raises(ValueError, match=rf"^{name} has non-finite entries: {name}\[0, 0\] is {bad}$"):
             StateSpaceModel(**matrices)
 
     # each case changes the example model's matrices (n = 2, m = p = 1); the
@@ -768,8 +837,19 @@ class TestModelFiles:
             parse_model(text)
 
     def test_dimension_mismatch_rejected(self):
+        # StateSpaceModel states the shape rule, named with the source
         text = "n = 2\nm = 1\np = 1\nA = 1 0 ; 0 1\nB = 1 ; 1\nC = 1\nD = 0\n"
-        with pytest.raises(ValueError, match="matrix C"):
+        with pytest.raises(ValueError, match=r"^<string>: C has 1 columns, expected 2$"):
+            parse_model(text)
+
+    @pytest.mark.parametrize("key", ["n", "m", "p"])
+    def test_declared_dimension_checked_against_the_matrices(self, key):
+        # the default model's matrices, which agree with each other, give
+        # (n, m, p) = (2, 1, 1); one declared count is 3
+        text = format_model(default_model()).replace(f"{key} = {getattr(default_model(), key)}", f"{key} = 3")
+        declared = tuple(3 if k == key else getattr(default_model(), k) for k in "nmp")
+        message = rf"^<string>: the matrices give \(n, m, p\) = \(2, 1, 1\), declared {re.escape(str(declared))}$"
+        with pytest.raises(ValueError, match=message):
             parse_model(text)
 
 

@@ -151,7 +151,8 @@ class TestSubspacePredict:
     def test_non_finite_context_rejected(self, field, bad):
         vectors = {"u_ini": [0.0] * 4, "u": [0.0] * 4, "y_ini": [0.0] * 4}
         vectors[field][2] = bad
-        with pytest.raises(ValueError, match=f"^{field} has non-finite entries$"):
+        message = rf"^{field} has non-finite entries: {field}\[2\] is {bad}$"
+        with pytest.raises(ValueError, match=message):
             PredictionContext(**vectors, m=1, p=1, Tini=4, Tf=4)
 
     @CONTEXT_FIELDS
