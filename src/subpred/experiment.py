@@ -98,9 +98,9 @@ class ExperimentConfig:
     ``kappa_grid``, explicit targets, is given instead of ``N`` and
     ``kappa_max`` (ValueError with either); it sets N to its length, and
     accepts an N of that length, so `dataclasses.replace` works.  The grid
-    is read by `lti._frozen` as a 1-D vector and each entry by `lti._real`,
-    so a string, a ragged or 2-D grid, a bool, string or complex entry and a
-    non-finite or negative target are refused by name.
+    is read by `lti._frozen` as a 1-D vector of at least one entry, so a
+    string, an empty, ragged or 2-D grid, a bool, string or complex entry
+    and a non-finite or negative target are refused by name.
     The lengths and N are read by `lti._count`, the seeds by `lti._seed` and
     ``sigma`` and ``kappa_max`` by `lti._real`, so a bool raises TypeError
     naming its key, as does a float length or seed, and ValueError names a
@@ -123,9 +123,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.kappa_grid is not None:
-            # a 1-D vector; numpy reads a bool among numbers as 1.0, so `_real` reads each entry
-            _frozen(self.kappa_grid, "kappa_grid", length=-1)
-            grid = tuple(_real(kappa, "kappa_grid") for kappa in self.kappa_grid)
+            grid = tuple(_frozen(self.kappa_grid, "kappa_grid", (None,)).tolist())
             if self.N is not None and _count(self.N, "N") == len(grid):
                 object.__setattr__(self, "N", None)  # the resolved count, as from replace()
             given = [key for key in ("N", "kappa_max") if getattr(self, key) is not None]
@@ -134,8 +132,6 @@ class ExperimentConfig:
                     f"kappa_grid is given together with {' and '.join(given)}: "
                     "give it instead of N and kappa_max"
                 )
-            if not grid:
-                raise ValueError("kappa_grid must not be empty")
             if min(grid) < 0:
                 raise ValueError(f"kappa_grid values must be nonnegative, got {grid}")
             object.__setattr__(self, "kappa_grid", grid)

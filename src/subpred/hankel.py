@@ -35,7 +35,7 @@ class PartitionedMatrix:
     Construction reads each dim with `lti._count`, so a float or bool dim
     raises TypeError, a dim below 1 is refused by name and a numpy integer is
     stored as an int, and then keeps a private read-only copy of ``data``
-    from `lti._frozen`.  Block views are pure slices of the data:
+    from `lti._frozen`, with (m+p)(Tini+Tf) rows and at least one column.  Block views are pure slices of the data:
     stacking (u_past, u_future, y_past, y_future) reproduces ``data``
     exactly.  An orthonormal one is a
     `grassmann.BehaviorBasis`, a subclass, so a basis goes wherever a
@@ -51,14 +51,8 @@ class PartitionedMatrix:
     def __post_init__(self):
         for name in ("m", "p", "Tini", "Tf"):
             object.__setattr__(self, name, _count(getattr(self, name), name))
-        data = _frozen(self.data, "data")
         q = (self.m + self.p) * (self.Tini + self.Tf)
-        if data.shape[0] != q:
-            raise ValueError(
-                f"data has {data.shape[0]} rows, expected (m+p)(Tini+Tf) = {q} "
-                f"for dims (m={self.m}, p={self.p}, Tini={self.Tini}, Tf={self.Tf})"
-            )
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _frozen(self.data, "data", (q, None)))
 
     @property
     def q(self) -> int:
@@ -102,12 +96,13 @@ class PartitionedMatrix:
 def hankel(z, depth: int) -> np.ndarray:
     """Hankel matrix of the given depth for a vector sequence.
 
-    ``z`` is a (T, d) array read by `lti._frozen`; column j of the result
-    stacks z(j), z(j+1), ..., z(j+depth-1), giving shape (d*depth, T-depth+1).
+    ``z`` is a (T, d) array, T and d at least 1, read by `lti._frozen`;
+    column j of the result stacks z(j), z(j+1), ..., z(j+depth-1), giving
+    shape (d*depth, T-depth+1).
     ``depth`` is read by `lti._count` and may not exceed T.
     """
     depth = _count(depth, "depth")
-    z = _frozen(z, "z", series=True)
+    z = _frozen(z, "z", (None, None))
     T, d = z.shape
     if depth > T:
         raise ValueError(f"depth {depth} out of range for a sequence of length {T}")
@@ -124,7 +119,7 @@ def is_persistently_exciting(u, order: int) -> bool:
     rank comes from `_linalg.svd` asked for at least the row count: the
     eigenvalues of the smaller Gram matrix settle a clear full row rank, and
     the SVD decides every other case, so only the SVD returns False."""
-    H = hankel(_frozen(u, "u", series=True), order)
+    H = hankel(_frozen(u, "u", (None, None)), order)
     return svd(H, least=H.shape[0])[3] == H.shape[0]
 
 
@@ -169,8 +164,8 @@ def stacked_data_matrix(u_data, y_data, Tini: int, Tf: int) -> PartitionedMatrix
     ``u_data`` and (T, p) ``y_data`` by `lti._frozen`.
     """
     Tini, Tf = _count(Tini, "Tini"), _count(Tf, "Tf")
-    u = _frozen(u_data, "u_data", series=True)
-    y = _frozen(y_data, "y_data", rows=len(u), series=True)
+    u = _frozen(u_data, "u_data", (None, None))
+    y = _frozen(y_data, "y_data", (len(u), None))
     L = Tini + Tf
     if len(u) < L:
         raise ValueError(f"sequence length {len(u)} is shorter than Tini+Tf = {L}")

@@ -33,56 +33,43 @@ __all__ = [
 ]
 
 
-def _frozen(
-    value,
-    name: str,
-    rows: int | None = None,
-    cols: int | None = None,
-    *,
-    length: int | None = None,
-    series: bool = False,
-) -> np.ndarray:
+def _frozen(value, name: str, shape: tuple, *, window: tuple | None = None) -> np.ndarray:
     """A private read-only C-ordered float copy of ``value``, checked by
-    name, every entry finite.  Without ``length`` it is 2-D, with ``rows``
-    rows and ``cols`` columns where given: a matrix, or, with ``series``, a
-    time series as (steps, channels) whose channel count `_count` reads, so
-    one with no channel is refused by name; a model matrix leaves an empty
-    dimension to the count its reader names (n, m or p).  With ``length``
-    it is a vector: 1-D of that length
-    (any length for -1), or, when ``cols`` channels are given, also the 2-D
-    (length // cols, cols) window that it stacks time-major.  Every other
-    shape is refused, the (cols, length // cols) transpose included; only a
-    square window cannot be told from its transpose.  ``value`` is converted
-    once and read by `_real`'s rule: a bool, string, bytes, complex or
-    object array raises TypeError by name, a non-finite entry ValueError
-    naming the first's index, and a ragged list numpy's ValueError
-    prefixed by ``name``."""
+    name, every entry finite.  ``shape`` gives the size of each dimension,
+    None for any size, and no dimension may be empty: a (rows, cols)
+    matrix, a (steps, channels) time series or a (length,) vector.  With a
+    (steps, channels) ``window`` a vector of length steps * channels may
+    also come as that window, which it stacks time-major.  Every other shape
+    is refused, the (channels, steps) transpose included; only a square
+    window cannot be told from its transpose.  ``value`` is converted once
+    and read by `_real`'s rule: a bool, string, bytes or complex array, or a
+    bool among numbers in a list, raises TypeError by name, an object array
+    names its first entry that `_real` refuses, a non-finite entry raises
+    ValueError naming the first's index, and a ragged list numpy's
+    ValueError prefixed by ``name``."""
     try:
         arr = np.array(value, order="C")
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
-    if arr.dtype.kind not in "iuf":
+    kind = arr.dtype.kind
+    if kind == "O" or kind in "iuf" and isinstance(value, (list, tuple)):
+        # numpy keeps an integer beyond the float range as an object, and
+        # reads a bool among numbers in a list as 1.0 or 0.0
+        for index, entry in np.ndenumerate(np.array(value, dtype=object)):
+            if kind == "O" or isinstance(entry, (bool, np.bool_)):
+                _real(entry, f"{name}{list(index)}")
+    if kind not in "iuf":
         kinds = {"b": "a bool", "U": "a string", "S": "a bytes", "c": "a complex", "O": "an object"}
-        kind = kinds.get(arr.dtype.kind, f"a {arr.dtype}")
-        raise TypeError(f"{name} must hold real numbers, got {kind} array")
+        raise TypeError(f"{name} must hold real numbers, got {kinds.get(kind, f'a {arr.dtype}')} array")
     arr = arr.astype(float, copy=False)
-    if length is not None:
-        window = None if cols is None else (length // cols, cols)
-        if arr.shape == window:
-            arr = arr.reshape(-1)
-        elif arr.ndim != 1:
-            shapes = "1-D" if window is None else f"1-D or of shape {window}"
-            raise ValueError(f"{name} must be {shapes}, got shape {arr.shape}")
-        elif length != -1 and arr.size != length:
-            raise ValueError(f"{name} has length {arr.size}, expected {length}")
-    elif arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    elif rows is not None and arr.shape[0] != rows:
-        raise ValueError(f"{name} has {arr.shape[0]} rows, expected {rows}")
-    elif cols is not None and arr.shape[1] != cols:
-        raise ValueError(f"{name} has {arr.shape[1]} columns, expected {cols}")
-    elif series:
-        _count(arr.shape[1], f"{name} channel count")
+    if arr.shape == window:
+        arr = arr.reshape(-1)
+    if arr.ndim != len(shape):
+        shapes = f"{len(shape)}-dimensional" + ("" if window is None else f" or of shape {window}")
+        raise ValueError(f"{name} must be {shapes}, got shape {arr.shape}")
+    for size, want, axis in zip(arr.shape, shape, ("rows", "columns") if arr.ndim == 2 else ("entries",)):
+        if size < 1 or want is not None and size != want:
+            raise ValueError(f"{name} has {size} {axis}, expected {'at least 1' if want is None else want}")
     if not np.isfinite(arr).all():
         first = np.argwhere(~np.isfinite(arr))[0].tolist()
         raise ValueError(f"{name} has non-finite entries: {name}{first} is {arr[tuple(first)]}")
@@ -137,9 +124,11 @@ class StateSpaceModel:
     """Matrices (A, B, C, D) of a discrete-time LTI system.
 
     A is n x n, B is n x m, C is p x n, D is p x m, each given 2-D, as a
-    model file gives it; a scalar or flat matrix is rejected by name, as is
-    a non-finite entry, and n, m and p are read by `_count`.  Instances are
-    immutable; the stored arrays are private read-only copies.
+    model file gives it, and read by `_frozen` against the sizes the
+    matrices before it give, so a scalar or flat matrix, an empty dimension,
+    a bool among numbers and a non-finite entry are rejected by name.
+    Instances are immutable; the stored arrays are private read-only
+    copies.
     """
 
     A: np.ndarray
@@ -148,14 +137,13 @@ class StateSpaceModel:
     D: np.ndarray
 
     def __post_init__(self):
-        A = _frozen(self.A, "A")
-        if A.shape[0] != A.shape[1]:
+        A = _frozen(self.A, "A", (None, None))
+        n = len(A)
+        if A.shape[1] != n:
             raise ValueError(f"A must be square, got shape {A.shape}")
-        n = _count(A.shape[0], "n")
-        B = _frozen(self.B, "B", rows=n)
-        C = _frozen(self.C, "C", cols=n)
-        m, p = _count(B.shape[1], "m"), _count(C.shape[0], "p")
-        D = _frozen(self.D, "D", rows=p, cols=m)
+        B = _frozen(self.B, "B", (n, None))
+        C = _frozen(self.C, "C", (None, n))
+        D = _frozen(self.D, "D", (len(C), B.shape[1]))
         for name, value in zip("ABCD", (A, B, C, D)):
             object.__setattr__(self, name, value)
 
@@ -210,17 +198,16 @@ class Trajectory:
 
     ``inputs`` is (T, m), ``outputs`` is (T, p): a trajectory of the
     behavior, which holds no states.  Each is read by `_frozen` into a
-    private read-only copy, and T by `_count`, so a flat array, a wrong
-    length, no sample or a non-finite entry is rejected by name.
+    private read-only copy, so a flat array, a wrong length, no sample, no
+    channel or a non-finite entry is rejected by name.
     """
 
     inputs: np.ndarray
     outputs: np.ndarray
 
     def __post_init__(self):
-        inputs = _frozen(self.inputs, "inputs", series=True)
-        T = _count(len(inputs), "T")
-        outputs = _frozen(self.outputs, "outputs", rows=T, series=True)
+        inputs = _frozen(self.inputs, "inputs", (None, None))
+        outputs = _frozen(self.outputs, "outputs", (len(inputs), None))
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
 
@@ -246,7 +233,7 @@ def simulate(
     model : StateSpaceModel
     inputs : array-like, shape (T, m)
         Input sequence of finite numbers, read by `_frozen`, so a flat
-        array is refused by name; `Trajectory` refuses T = 0.
+        array or one of no step is refused by name.
     x0 : array-like, shape (n,), optional
         Finite initial state, a 1-D vector of length n; any other shape,
         (n, 1) or a scalar included, is refused by name.  Defaults to the
@@ -262,9 +249,9 @@ def simulate(
     Trajectory
         The inputs and outputs, length T; the states stay local.
     """
-    u = _frozen(inputs, "inputs", cols=model.m)
+    u = _frozen(inputs, "inputs", (None, model.m))
     T = len(u)
-    x = np.zeros(model.n) if x0 is None else _frozen(x0, "x0", length=model.n)
+    x = np.zeros(model.n) if x0 is None else _frozen(x0, "x0", (model.n,))
 
     states = np.empty((T + 1, model.n))
     states[0] = x

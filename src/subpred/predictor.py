@@ -57,11 +57,12 @@ def _apply(matrix: np.ndarray, contexts: np.ndarray) -> np.ndarray:
 def pseudoinverse(M) -> np.ndarray:
     """Moore-Penrose inverse via SVD.
 
-    ``M`` is read by `lti._frozen` before the SVD.  Singular values at or
+    ``M`` is read by `lti._frozen` before the SVD, as a 2-D matrix with
+    no empty dimension.  Singular values at or
     below the shared rank cutoff of `_linalg.svd` are treated as zero.  A
     zero matrix maps to a zero matrix.
     """
-    return prediction_map(_frozen(M, "M"))[0]
+    return prediction_map(_frozen(M, "M", (None, None)))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +71,9 @@ class PredictionContext:
 
     ``u_ini`` has length m*Tini, ``u`` length m*Tf, ``y_ini`` length p*Tini.
     Each block is read by `lti._frozen` into a private read-only copy with
-    every entry finite: a 1-D vector of its length, or its (steps, channels)
-    window, such as (Tini, m) for ``u_ini``, which is stacked time-major.
+    every entry a finite real number, a bool among numbers refused: a 1-D
+    vector of its length, or its (steps, channels) window, such as
+    (Tini, m) for ``u_ini``, which is stacked time-major.
     Any other shape is refused by name, the (channels, steps) transpose
     included; only a square window (steps == channels) cannot be told from
     its transpose.  Each dim is read first, with `lti._count`, so a float
@@ -95,7 +97,7 @@ class PredictionContext:
             ("u", self.u, self.Tf, self.m),
             ("y_ini", self.y_ini, self.Tini, self.p),
         ):
-            block = _frozen(value, name, cols=channels, length=steps * channels)
+            block = _frozen(value, name, (steps * channels,), window=(steps, channels))
             object.__setattr__(self, name, block)
 
     @property

@@ -161,7 +161,7 @@ class TestPredictCommand:
         assert main(["predict", "--basis", str(path), "--context", str(ctx_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {ctx_path}: u_ini has length 2, expected 1\n"
+        assert captured.err == f"error: {ctx_path}: u_ini has 2 entries, expected 1\n"
 
     def test_rank_deficient_basis_exit_4(self, tmp_path, capsys):
         mat = np.zeros((4, 2))

@@ -41,8 +41,8 @@ class TestConfig:
         "grid, error, message",
         [
             pytest.param("12", TypeError, "must hold real numbers, got a string array", id="12-()"),
-            pytest.param(0.5, ValueError, "must be 1-D, got shape ()", id="0.5-()"),
-            pytest.param([[0.1, 0.2]], ValueError, "must be 1-D, got shape (1, 2)", id="grid2-(1, 2)"),
+            pytest.param(0.5, ValueError, "must be 1-dimensional, got shape ()", id="0.5-()"),
+            pytest.param([[0.1, 0.2]], ValueError, "must be 1-dimensional, got shape (1, 2)", id="grid2-(1, 2)"),
         ],
     )
     def test_kappa_grid_must_be_1d(self, grid, error, message):
@@ -62,16 +62,16 @@ class TestConfig:
     @pytest.mark.parametrize(
         "grid, message",
         [
-            ((True, 0.5), "must be a real number, got True"),
-            ([0.1, False], "must be a real number, got False"),
-            ((np.True_, 0.5), f"must be a real number, got {np.True_!r}"),
-            (np.array([0.5, True], dtype=object), "must hold real numbers, got an object array"),
+            ((True, 0.5), "[0] must be a real number, got True"),
+            ([0.1, False], "[1] must be a real number, got False"),
+            ((np.True_, 0.5), f"[0] must be a real number, got {np.True_!r}"),
+            (np.array([0.5, True], dtype=object), "[1] must be a real number, got True"),
         ],
         ids=["True-first", "False-last", "numpy-True", "object-array"],
     )
     def test_bool_among_numbers_rejected_by_name(self, grid, message):
         # numpy reads the list as floats, so (True, 0.5) used to sweep (1.0, 0.5)
-        with pytest.raises(TypeError, match=f"^kappa_grid {re.escape(message)}$"):
+        with pytest.raises(TypeError, match=f"^kappa_grid{re.escape(message)}$"):
             ExperimentConfig(model=default_model(), kappa_grid=grid)
 
     def test_grid_config_survives_replace(self):

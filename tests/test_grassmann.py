@@ -717,11 +717,11 @@ class TestBasisFiles:
         path = tmp_path / "basis.csv"
         save_basis(path, U)
         lines = path.read_text().splitlines()
-        # PartitionedMatrix states the row-count rule, named with the file;
-        # a header without rows is a basis of no rows
+        # PartitionedMatrix reads data with (m+p)(Tini+Tf) = 8 rows, named
+        # with the file; a header without rows is a basis of no rows
         for rows in (7, 0):
             path.write_text("\n".join(lines[: 1 + rows]) + "\n")
-            message = rf"^{re.escape(str(path))}: data has {rows} rows, expected \(m\+p\)\(Tini\+Tf\) = 8 "
+            message = rf"^{re.escape(str(path))}: data has {rows} rows, expected 8$"
             with pytest.raises(ValueError, match=message):
                 load_basis(path)
 

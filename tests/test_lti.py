@@ -221,23 +221,52 @@ def _nested(value, entry):
     return [_nested(v, entry) for v in value] if isinstance(value, list) else entry(value)
 
 
-# values whose entries `lti._real` refuses, each made from a list of floats:
-# (make, the kind of array it is refused as)
+def _last(value, entry):
+    """``value``, a list or a nested list, with its last entry replaced by ``entry``."""
+    return [*value[:-1], _last(value[-1], entry)] if isinstance(value, list) else entry
+
+
+# values whose entries `lti._real` refuses, each made from a list of floats
+# with at least two entries: (make, the error, its message, where {name} is
+# the input and {index} the index of the last entry)
 NON_REAL_VALUES = pytest.mark.parametrize(
-    ("make", "kind"),
+    ("make", "error", "message"),
     [
-        (lambda good: _nested(good, str), "a string"),
-        (lambda good: _nested(good, lambda v: str(v).encode()), "a bytes"),
-        (lambda good: _nested(good, lambda v: complex(v, 1.0)), "a complex"),
-        (lambda good: np.array(good) + 5j, "a complex"),
+        (lambda good: _nested(good, str), TypeError, "{name} must hold real numbers, got a string array"),
+        (
+            lambda good: _nested(good, lambda v: str(v).encode()),
+            TypeError, "{name} must hold real numbers, got a bytes array",
+        ),
+        (
+            lambda good: _nested(good, lambda v: complex(v, 1.0)),
+            TypeError, "{name} must hold real numbers, got a complex array",
+        ),
+        (lambda good: np.array(good) + 5j, TypeError, "{name} must hold real numbers, got a complex array"),
+        # numpy read a bool among numbers as 1.0 or 0.0
+        (lambda good: _last(good, True), TypeError, "{name}{index} must be a real number, got True"),
+        (
+            lambda good: _last(good, np.False_),
+            TypeError, "{name}{index} must be a real number, got " + repr(np.False_),
+        ),
+        # numpy keeps it in an object array, which was refused without naming the entry
+        (lambda good: _last(good, 10**400), ValueError, "{name}{index} must be finite, got inf"),
     ],
-    ids=["string", "bytes", "complex-list", "complex-array"],
+    ids=["string", "bytes", "complex-list", "complex-array", "bool-among-numbers",
+         "numpy-bool-among-numbers", "huge-int"],
 )
+
+
+def _refusal(message, name, good):
+    """A NON_REAL_VALUES message for the input ``name``, given ``good``, as a pattern."""
+    return f"^{re.escape(message.format(name=name, index=[size - 1 for size in np.shape(good)]))}$"
 
 
 # (T, 1) sequences of T = 4 steps, for the readers below
 _U = np.array([[1.0], [-2.0], [0.5], [3.0]])
 _Y = np.array([[0.0], [1.0], [-1.0], [2.0]])
+
+# a model with n = m = p = 2 and a context with m = p = 1, Tini = Tf = 2
+_A2, _I2, _CTX = [[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]
 
 
 def _hankel_by_hand(z, depth):
@@ -311,8 +340,8 @@ class TestSequenceReaders:
 
     @SEQUENCE_READERS
     @NON_REAL_VALUES
-    def test_non_real_series_rejected_by_name(self, svd_calls, read, name, good, want, make, kind):
-        with pytest.raises(TypeError, match=f"^{name} must hold real numbers, got {kind} array$"):
+    def test_non_real_series_rejected_by_name(self, svd_calls, read, name, good, want, make, error, message):
+        with pytest.raises(error, match=_refusal(message, name, good)):
             read(make(good.tolist()))
         assert svd_calls == [] and svd_calls.eigvalsh == [] and svd_calls.solve == []
 
@@ -322,32 +351,67 @@ class TestSequenceReaders:
         np.testing.assert_array_equal(read(good.tolist()), want)
 
 
-# every reader of a time series whose channel count is not given: (read,
-# the name it is refused by, the number of steps it expects)
-CHANNEL_READERS = pytest.mark.parametrize(
-    ("read", "name", "steps"),
+# every array reader, each given a value with an empty dimension: (read, the
+# empty value, the message it is refused with)
+EMPTY_READERS = pytest.mark.parametrize(
+    ("read", "empty", "message"),
     [
-        (lambda x: Trajectory(x, _Y), "inputs", 4),
-        (lambda x: Trajectory(_U, x), "outputs", 4),
-        (lambda x: hankel(x, 2), "z", 4),
-        (lambda x: is_persistently_exciting(x, 2), "u", 4),
-        (lambda x: stacked_data_matrix(x, _Y, 1, 1), "u_data", 4),
-        (lambda x: stacked_data_matrix(_U, x, 1, 1), "y_data", 4),
+        (lambda x: Trajectory(x, _Y), np.zeros((4, 0)), "inputs has 0 columns, expected at least 1"),
+        (lambda x: Trajectory(_U, x), np.zeros((4, 0)), "outputs has 0 columns, expected at least 1"),
+        (lambda x: hankel(x, 2), np.zeros((4, 0)), "z has 0 columns, expected at least 1"),
+        (lambda x: is_persistently_exciting(x, 2), np.zeros((4, 0)), "u has 0 columns, expected at least 1"),
+        (
+            lambda x: stacked_data_matrix(x, _Y, 1, 1), np.zeros((4, 0)),
+            "u_data has 0 columns, expected at least 1",
+        ),
+        (
+            lambda x: stacked_data_matrix(_U, x, 1, 1), np.zeros((4, 0)),
+            "y_data has 0 columns, expected at least 1",
+        ),
+        (lambda x: Trajectory(x, _Y), np.zeros((0, 1)), "inputs has 0 rows, expected at least 1"),
+        (lambda x: Trajectory(_U, x), np.zeros((0, 1)), "outputs has 0 rows, expected 4"),
+        (lambda x: simulate(default_model(), x), np.zeros((0, 1)), "inputs has 0 rows, expected at least 1"),
+        (lambda x: hankel(x, 1), np.zeros((0, 1)), "z has 0 rows, expected at least 1"),
+        (lambda x: is_persistently_exciting(x, 1), np.zeros((0, 1)), "u has 0 rows, expected at least 1"),
+        (
+            lambda x: stacked_data_matrix(x, _Y, 1, 1), np.zeros((0, 1)),
+            "u_data has 0 rows, expected at least 1",
+        ),
+        (lambda x: stacked_data_matrix(_U, x, 1, 1), np.zeros((0, 1)), "y_data has 0 rows, expected 4"),
+        (pseudoinverse, np.zeros((0, 3)), "M has 0 rows, expected at least 1"),
+        (pseudoinverse, np.zeros((3, 0)), "M has 0 columns, expected at least 1"),
+        (lambda x: PartitionedMatrix(x, 1, 1, 1, 1), np.zeros((4, 0)), "data has 0 columns, expected at least 1"),
+        (lambda x: PartitionedMatrix(x, 1, 1, 1, 1), np.zeros((0, 1)), "data has 0 rows, expected 4"),
+        (lambda x: BehaviorBasis(x, 1, 1, 1, 1), np.zeros((4, 0)), "data has 0 columns, expected at least 1"),
+        (
+            lambda x: ExperimentConfig(default_model(), kappa_grid=x), (),
+            "kappa_grid has 0 entries, expected at least 1",
+        ),
+        (lambda x: simulate(default_model(), [[1.0]], x0=x), [], "x0 has 0 entries, expected 2"),
+        (lambda x: PredictionContext(x, _CTX, _CTX, 1, 1, 2, 2), [], "u_ini has 0 entries, expected 2"),
+        (lambda x: PredictionContext(_CTX, x, _CTX, 1, 1, 2, 2), [], "u has 0 entries, expected 2"),
+        (lambda x: PredictionContext(_CTX, _CTX, x, 1, 1, 2, 2), [], "y_ini has 0 entries, expected 2"),
     ],
     ids=[
         "trajectory-inputs", "trajectory-outputs", "hankel-z", "pe-u",
         "stacked-u_data", "stacked-y_data",
+        "trajectory-inputs-steps", "trajectory-outputs-steps", "simulate-inputs-steps",
+        "hankel-z-steps", "pe-u-steps", "stacked-u_data-steps", "stacked-y_data-steps",
+        "pinv-M-rows", "pinv-M-columns", "partitioned-data-columns", "partitioned-data-rows",
+        "basis-data-columns", "grid", "x0", "context-u_ini", "context-u", "context-y_ini",
     ],
 )
 
 
 class TestSeriesChannels:
-    @CHANNEL_READERS
-    def test_no_channel_refused_by_name(self, svd_calls, read, name, steps):
-        # a (T, 0) series used to pass: a (0, T - 1) Hankel matrix had "full
-        # row rank" 0, and a Trajectory took m = 0
-        with pytest.raises(ValueError, match=f"^{name} channel count must be positive, got 0$"):
-            read(np.zeros((steps, 0)))
+    @EMPTY_READERS
+    def test_no_channel_refused_by_name(self, svd_calls, read, empty, message):
+        # an empty dimension, a series' channels among them, is refused by
+        # the reader: a (T, 0) series used to pass, as a (0, T - 1) Hankel
+        # matrix of "full row rank" 0 or a Trajectory with m = 0, and so did
+        # pseudoinverse's (0, 3) matrix and a zero-column data matrix
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(empty)
         assert svd_calls == [] and svd_calls.eigh == [] and svd_calls.eigvalsh == []
 
     def test_simulate_names_its_channel_count(self):
@@ -355,17 +419,23 @@ class TestSeriesChannels:
             simulate(default_model(), np.zeros((4, 0)))
 
 
-# every kind of array reader: (read, the name it is refused by, a value it accepts)
+# every array reader that is not a time series: (read, the name it is
+# refused by, a value of at least two entries that it accepts)
 ARRAY_READERS = pytest.mark.parametrize(
     ("read", "name", "good"),
     [
         (lambda x: ExperimentConfig(default_model(), kappa_grid=x).kappas, "kappa_grid", [0.1, 0.2]),
-        (lambda x: StateSpaceModel(x, [[1.0]], [[1.0]], [[0.0]]).A, "A", [[0.5]]),
-        (lambda x: StateSpaceModel([[0.5]], [[1.0]], [[1.0]], x).D, "D", [[0.5]]),
-        (lambda x: PredictionContext(x, [0.0], [0.0], 1, 1, 1, 1).u_ini, "u_ini", [0.5]),
+        (lambda x: StateSpaceModel(x, _I2, _I2, _I2).A, "A", _A2),
+        (lambda x: StateSpaceModel(_A2, _I2, _I2, x).D, "D", _A2),
+        (lambda x: PredictionContext(x, _CTX, _CTX, 1, 1, 2, 2).u_ini, "u_ini", [0.5, 0.5]),
         (lambda x: simulate(default_model(), [[1.0]], x0=x).outputs, "x0", [0.5, 0.5]),
+        (lambda x: StateSpaceModel(_A2, x, _I2, _I2).B, "B", _I2),
+        (lambda x: StateSpaceModel(_A2, _I2, x, _I2).C, "C", _I2),
+        (lambda x: PredictionContext(_CTX, x, _CTX, 1, 1, 2, 2).u, "u", [0.5, 0.5]),
+        (lambda x: PredictionContext(_CTX, _CTX, x, 1, 1, 2, 2).y_ini, "y_ini", [0.5, 0.5]),
+        (lambda x: PartitionedMatrix(x, 1, 1, 1, 1).data, "data", [[1.0], [0.0], [0.5], [0.0]]),
     ],
-    ids=["grid", "A", "D", "context", "x0"],
+    ids=["grid", "A", "D", "context", "x0", "B", "C", "context-u", "context-y_ini", "data"],
 )
 
 
@@ -400,10 +470,10 @@ class TestArrayReader:
 
     @ARRAY_READERS
     @NON_REAL_VALUES
-    def test_non_real_array_rejected_by_name(self, read, name, good, make, kind):
+    def test_non_real_array_rejected_by_name(self, read, name, good, make, error, message):
         # numpy parsed "0.5" and b"0.5" as numbers, and dropped the imaginary
         # part of a complex array with only a ComplexWarning
-        with pytest.raises(TypeError, match=f"^{name} must hold real numbers, got {kind} array$"):
+        with pytest.raises(error, match=_refusal(message, name, good)):
             read(make(good))
 
     @pytest.mark.parametrize(
@@ -508,12 +578,12 @@ class TestSimulate:
         )
 
     def test_bad_x0_dimension_is_named(self, example_model):
-        with pytest.raises(ValueError, match="x0 has length 3"):
+        with pytest.raises(ValueError, match="^x0 has 3 entries, expected 2$"):
             simulate(example_model, np.zeros((4, 1)), x0=[1.0, 2.0, 3.0])
         # x0 is 1-D: a column of n entries or a scalar is refused, not flattened
-        with pytest.raises(ValueError, match=r"^x0 must be 1-D, got shape \(2, 1\)$"):
+        with pytest.raises(ValueError, match=r"^x0 must be 1-dimensional, got shape \(2, 1\)$"):
             simulate(example_model, np.zeros((4, 1)), x0=np.ones((2, 1)))
-        with pytest.raises(ValueError, match=r"^x0 must be 1-D, got shape \(\)$"):
+        with pytest.raises(ValueError, match=r"^x0 must be 1-dimensional, got shape \(\)$"):
             simulate(example_model, np.zeros((4, 1)), x0=1.0)
 
     def test_bad_input_width_rejected(self, example_model):
@@ -763,21 +833,23 @@ class TestStateSpaceModel:
         "changes, message",
         [
             ({"A": [[0.8, 0.2]]}, r"A must be square, got shape \(1, 2\)"),
-            ({"A": np.zeros((0, 0))}, "n must be positive, got 0"),
+            ({"A": np.zeros((0, 0))}, "A has 0 rows, expected at least 1"),
             ({"B": [[0.3], [0.7], [0.1]]}, "B has 3 rows, expected 2"),
             ({"C": [[1.0, 1.0, 1.0]]}, "C has 3 columns, expected 2"),
             ({"D": [[0.0], [0.0]]}, "D has 2 rows, expected 1"),
             ({"D": [[0.0, 0.0]]}, "D has 2 columns, expected 1"),
             (
                 {"B": np.zeros((2, 0)), "D": np.zeros((1, 0))},
-                "m must be positive, got 0",
+                "B has 0 columns, expected at least 1",
             ),
+            ({"C": np.zeros((0, 2)), "D": np.zeros((0, 1))}, "C has 0 rows, expected at least 1"),
+            ({"D": np.zeros((0, 0))}, "D has 0 rows, expected 1"),
             ({"D": 0.5}, r"D must be 2-dimensional, got shape \(\)"),
             ({"B": [0.3, 0.7]}, r"B must be 2-dimensional, got shape \(2,\)"),
             ({"C": [1.0, 1.0, 1.0, 1.0]}, r"C must be 2-dimensional, got shape \(4,\)"),
         ],
-        ids=["A-wide", "A-empty", "B-rows", "C-cols", "D-rows", "D-cols", "m-zero",
-             "D-scalar", "B-flat", "C-flat"],
+        ids=["A-wide", "A-empty", "B-rows", "C-cols", "D-rows", "D-cols", "m-zero", "p-zero",
+             "D-empty", "D-scalar", "B-flat", "C-flat"],
     )
     def test_shapes_checked_by_name(self, changes, message):
         matrices = {"A": [[0.8, 0.2], [0.1, 0.9]], "B": [[0.3], [0.7]], "C": [[1.0, 1.0]], "D": [[0.0]]}

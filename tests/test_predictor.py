@@ -168,7 +168,7 @@ class TestSubspacePredict:
         assert getattr(ctx, field).shape == vectors[field].shape
         assert ctx.b.tobytes() == flat.b.tobytes()
         steps = len(window)
-        message = rf"^{field} must be 1-D or of shape \({steps}, 2\), got shape \(2, {steps}\)$"
+        message = rf"^{field} must be 1-dimensional or of shape \({steps}, 2\), got shape \(2, {steps}\)$"
         with pytest.raises(ValueError, match=message):
             PredictionContext(**{**vectors, field: window.T}, **dims)
 
