@@ -36,7 +36,6 @@ future_rows, rows=p)`` on the member basis's rows.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -412,18 +411,12 @@ def run_single(config: ExperimentConfig, n: int) -> tuple[list[SingleRecord], fl
     return records, out.block.kappa
 
 
-# The two sweep files keep named writers: the benchmark (bench/) times them
-# as the per-layer spans experiment.write_trials_csv and write_summary_csv.
-# trials.csv has one row per member and window and a member is one
-# TrialBlock, so its writer formats a block a column at a time: the scalars
-# once, the steps once per distinct steps tuple, the error and bound columns
-# in one repr pass each, and then joins each row with str.join.  The short
-# files go through _write_csv.
-
-
 def write_trials_csv(path, blocks: list[TrialBlock]) -> None:
-    """Write the rows of ``blocks`` with the bytes of ``_write_csv``, one
-    block at a time, without building a record per row."""
+    """Write the rows of ``blocks`` with the bytes of ``_write_csv``, a block
+    and a column at a time, without a record per row: the scalars once, the
+    steps once per distinct steps tuple and the error and bound columns in
+    one ``repr`` pass each.  The benchmark times this writer and
+    ``write_summary_csv`` as spans of their own."""
     steps, t_strs = None, []
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TrialBlock._fields) + "\n")
@@ -441,10 +434,10 @@ def write_summary_csv(path, summaries: list[SummaryRecord]) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """Write ``header`` and ``rows`` with the csv module, which writes floats
-    in their shortest round-trip (``repr``) form and ``None`` as an empty
-    field.  ``write_trials_csv`` reproduces these bytes without it."""
+    """Write ``header`` and ``rows`` by the cell rule of ``write_trials_csv``:
+    a float by ``repr``, None as an empty field and an int by ``str``, the
+    bytes that the csv module writes for such rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in [header, *rows]:
+            cells = ("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")

@@ -228,7 +228,11 @@ class Geodesic:
                 raise ConvergenceError(
                     f"tangent direction drawn from seed={seed} has rank {rank}, below {k}"
                 )
-            heading = np.ascontiguousarray(W[:, :k])
+            # W = M V / S carries M's rounding-sized span-U part scaled by
+            # 1/S, so a small singular value leaves W[:, :k] orthogonal to U
+            # to only ~eps/S: project it once more, which moves its Gram
+            # matrix by just the square of that part
+            heading = W[:, :k] - base @ (base.T @ W[:, :k])
             start = base @ Vt.T
             squares, defect = _blocks(base, start, heading)
             if defect <= ORTHONORMALITY_TOL:
@@ -236,8 +240,9 @@ class Geodesic:
         else:
             # The rank is relative to the projected draw itself, so a draw
             # inside span U, which projects to rounding error, passes it;
-            # ``defect`` holds ||H'S||_F = ||U'W||_F twice, so such a
-            # heading fails here.  NaN fails too.
+            # W then lies mostly in span U, so the projected heading is far
+            # from orthonormal and ``defect``, which holds ||H'H - I||_F,
+            # fails it here.  NaN fails too.
             raise ConvergenceError(
                 f"tangent direction drawn from seed={seed} is not orthogonal to the basis: "
                 f"member Gram defect bound {defect:.3e} exceeds {ORTHONORMALITY_TOL:.0e}"

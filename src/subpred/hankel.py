@@ -93,33 +93,36 @@ class PartitionedMatrix:
         return self.data[: self.q - self.p * self.Tf]
 
 
-def hankel(z, depth: int) -> np.ndarray:
-    """Hankel matrix of the given depth for a vector sequence.
-
-    ``z`` is a (T, d) array, T and d at least 1, read by `lti._frozen`;
-    column j of the result stacks z(j), z(j+1), ..., z(j+depth-1), giving
-    shape (d*depth, T-depth+1).
-    ``depth`` is read by `lti._count` and may not exceed T.
-    """
-    depth = _count(depth, "depth")
-    z = _frozen(z, "z", (None, None))
+def _windows(z: np.ndarray, depth: int, what: str = "depth") -> np.ndarray:
+    """The one window cut: row j is z(j), ..., z(j+depth-1) of the frozen
+    (T, d) array ``z``, stacked time-major, a read-only (T-depth+1, d*depth)
+    view from one sliding_window_view.  A T below ``depth``, named by
+    ``what``, is refused."""
     T, d = z.shape
-    if depth > T:
-        raise ValueError(f"depth {depth} out of range for a sequence of length {T}")
-    cols = T - depth + 1
-    out = np.empty((d * depth, cols))
-    for i in range(depth):
-        out[i * d : (i + 1) * d, :] = z[i : i + cols].T
-    return out
+    if T < depth:
+        raise ValueError(f"sequence length {T} is shorter than {what} = {depth}")
+    cut = np.lib.stride_tricks.sliding_window_view(z, depth, axis=0)
+    return cut.transpose(0, 2, 1).reshape(T - depth + 1, d * depth)
+
+
+def hankel(z, depth: int) -> np.ndarray:
+    """Hankel matrix of the given depth for a vector sequence: ``depth`` is
+    read by `lti._count`, then the (T, d) array ``z`` by `lti._frozen`, and
+    column j is window j of `_windows`, giving a C-ordered matrix of shape
+    (d*depth, T-depth+1)."""
+    depth = _count(depth, "depth")
+    return _windows(_frozen(z, "z", (None, None)), depth).T.copy()
 
 
 def is_persistently_exciting(u, order: int) -> bool:
     """True iff the depth-``order`` Hankel matrix of the (T, m) array ``u``,
-    read by `lti._frozen` before any factorization, has full row rank.  The
-    rank comes from `_linalg.svd` asked for at least the row count: the
-    eigenvalues of the smaller Gram matrix settle a clear full row rank, and
-    the SVD decides every other case, so only the SVD returns False."""
-    H = hankel(_frozen(u, "u", (None, None)), order)
+    read once by `lti._frozen`, and then ``order`` by `lti._count`, before
+    any factorization, has full row rank.  The rank comes from `_linalg.svd`
+    asked for at least the row count: the eigenvalues of the smaller Gram
+    matrix settle a clear full row rank, and the SVD decides every other
+    case, so only the SVD returns False."""
+    u = _frozen(u, "u", (None, None))
+    H = _windows(u, _count(order, "order"), "order").T.copy()
     return svd(H, least=H.shape[0])[3] == H.shape[0]
 
 
@@ -159,16 +162,12 @@ def stacked_data_matrix(u_data, y_data, Tini: int, Tf: int) -> PartitionedMatrix
     """Stack the depth-(Tini+Tf) input and output Hankel matrices of an
     offline trajectory into a partitioned data matrix.
 
-    The result has T - (Tini+Tf) + 1 columns, one per sliding window.
+    The result has T - (Tini+Tf) + 1 columns, one per window of `_windows`.
     ``Tini`` and ``Tf`` are read by `lti._count`, then the (T, m)
-    ``u_data`` and (T, p) ``y_data`` by `lti._frozen`.
+    ``u_data`` and (T, p) ``y_data`` once each by `lti._frozen`.
     """
     Tini, Tf = _count(Tini, "Tini"), _count(Tf, "Tf")
     u = _frozen(u_data, "u_data", (None, None))
     y = _frozen(y_data, "y_data", (len(u), None))
-    L = Tini + Tf
-    if len(u) < L:
-        raise ValueError(f"sequence length {len(u)} is shorter than Tini+Tf = {L}")
-    data = np.vstack([hankel(u, L), hankel(y, L)])
+    data = np.vstack([_windows(z, Tini + Tf, "Tini+Tf").T for z in (u, y)])
     return PartitionedMatrix(data=data, m=u.shape[1], p=y.shape[1], Tini=Tini, Tf=Tf)
-

@@ -43,21 +43,22 @@ def _frozen(value, name: str, shape: tuple, *, window: tuple | None = None) -> n
     is refused, the (channels, steps) transpose included; only a square
     window cannot be told from its transpose.  ``value`` is converted once
     and read by `_real`'s rule: a bool, string, bytes or complex array, or a
-    bool among numbers in a list, raises TypeError by name, an object array
-    names its first entry that `_real` refuses, a non-finite entry raises
-    ValueError naming the first's index, and a ragged list numpy's
-    ValueError prefixed by ``name``."""
+    bool among numbers in a list, which `_refuse_bools` finds by type,
+    raises TypeError by name, an object array names its first entry that
+    `_real` refuses, a non-finite entry raises ValueError naming the first's
+    index, and a ragged list numpy's ValueError prefixed by ``name``."""
     try:
         arr = np.array(value, order="C")
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
     kind = arr.dtype.kind
-    if kind == "O" or kind in "iuf" and isinstance(value, (list, tuple)):
-        # numpy keeps an integer beyond the float range as an object, and
-        # reads a bool among numbers in a list as 1.0 or 0.0
-        for index, entry in np.ndenumerate(np.array(value, dtype=object)):
-            if kind == "O" or isinstance(entry, (bool, np.bool_)):
-                _real(entry, f"{name}{list(index)}")
+    if kind == "O":
+        # numpy keeps an integer beyond the float range as an object
+        for index, entry in np.ndenumerate(arr):
+            _real(entry, f"{name}{list(index)}")
+    elif kind in "iuf" and isinstance(value, (list, tuple)):
+        # numpy reads a bool among numbers in a list as 1.0 or 0.0
+        _refuse_bools(value, name, [])
     if kind not in "iuf":
         kinds = {"b": "a bool", "U": "a string", "S": "a bytes", "c": "a complex", "O": "an object"}
         raise TypeError(f"{name} must hold real numbers, got {kinds.get(kind, f'a {arr.dtype}')} array")
@@ -75,6 +76,20 @@ def _frozen(value, name: str, shape: tuple, *, window: tuple | None = None) -> n
         raise ValueError(f"{name} has non-finite entries: {name}{first} is {arr[tuple(first)]}")
     arr.flags.writeable = False
     return arr
+
+
+def _refuse_bools(entries, name: str, index: list) -> None:
+    """`_real`'s TypeError, by its index, for the first bool (``np.bool_``
+    too) in the nested lists, tuples and arrays ``entries``, found from the
+    Python types of the entries; a level of floats and ints passes whole."""
+    if set(map(type, entries)) <= {float, int}:
+        return
+    for i, entry in enumerate(entries):
+        entry = entry.tolist() if isinstance(entry, np.ndarray) and entry.ndim else entry
+        if isinstance(entry, (list, tuple)):
+            _refuse_bools(entry, name, [*index, i])
+        elif isinstance(entry, (bool, np.bool_)):
+            _real(entry, f"{name}{[*index, i]}")
 
 
 def _index(value, name: str) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 from ._linalg import prediction_map
 from .errors import RankDeficientError
 from .grassmann import BehaviorBasis
-from .hankel import PartitionedMatrix, stacked_data_matrix
+from .hankel import PartitionedMatrix, _windows
 from .lti import Trajectory, _count, _frozen
 
 __all__ = [
@@ -156,17 +156,18 @@ def one_step(pred: Prediction) -> np.ndarray:
 
 def _context_matrix(measured: Trajectory, Tini: int, Tf: int) -> np.ndarray:
     """The context of every sliding window, shape (T - Tini - Tf + 1, len b):
-    row i, the context at t = Tini + i, is column i of the trajectory's own
-    data matrix without its future-output rows."""
-    data = stacked_data_matrix(measured.inputs, measured.outputs, Tini, Tf)
-    return np.ascontiguousarray(data.context_block.T)
+    row i, the context at t = Tini + i, is input window i of `_windows` at
+    depth Tini+Tf, then output window i cut to its first Tini steps."""
+    Tini, Tf = _count(Tini, "Tini"), _count(Tf, "Tf")
+    u, y = (_windows(z, Tini + Tf, "Tini+Tf") for z in (measured.inputs, measured.outputs))
+    return np.hstack([u, y[:, : measured.p * Tini]])
 
 
 def context_windows(
     measured: Trajectory, Tini: int, Tf: int
 ) -> Iterator[tuple[int, PredictionContext]]:
     """Sliding windows (t, context) over a measured trajectory, one view per
-    row of the stacked context matrix that `rolling_one_step` predicts from.
+    row of the context matrix that `rolling_one_step` predicts from.
 
     t runs from Tini through T - Tf inclusive, the last step for which the
     future input window still fits inside the data.

@@ -101,6 +101,17 @@ def simulate_reference(
     return states, outputs
 
 
+def hankel_reference(z, depth: int) -> np.ndarray:
+    """Per-lag Hankel oracle: block row i of the (d*depth, T-depth+1)
+    result is z[i : i + T - depth + 1].T for a (T, d) array ``z``."""
+    z = np.asarray(z, dtype=float)
+    cols = len(z) - depth + 1
+    out = np.empty((z.shape[1] * depth, cols))
+    for i in range(depth):
+        out[i * z.shape[1] : (i + 1) * z.shape[1], :] = z[i : i + cols].T
+    return out
+
+
 def unobservable_model(n: int = 2, m: int = 1) -> StateSpaceModel:
     """Diagonal model with a repeated mode seen through one coordinate only,
     unobservable for every window length."""

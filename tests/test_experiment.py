@@ -13,7 +13,15 @@ from subpred import _linalg, experiment, predictor, simulate
 from subpred.errors import ConvergenceError, RankDeficientError
 from subpred._linalg import prediction_map, spectral_norm
 from subpred.bounds import one_step_bound
-from subpred.experiment import TrialBlock, default_model, prepare, run_trial, write_trials_csv
+from subpred.experiment import (
+    SummaryRecord,
+    TrialBlock,
+    default_model,
+    prepare,
+    run_trial,
+    write_summary_csv,
+    write_trials_csv,
+)
 from subpred.grassmann import BehaviorBasis
 from subpred.predictor import _apply, context_windows, predict_from_subspace, rolling_one_step
 
@@ -590,13 +598,18 @@ HAND_BUILT = {
 
 class TestTrialsCsvBytes:
     """write_trials_csv writes the bytes of the csv module's writer fed with
-    the blocks' rows."""
+    the blocks' rows, and write_summary_csv, by the same cell rule, those of
+    the writer fed with the summaries' rows."""
 
     @staticmethod
-    def _assert_reference_bytes(tmp_path, blocks):
+    def _assert_reference_bytes(tmp_path, blocks, summaries):
         write_trials_csv(tmp_path / "trials.csv", blocks)
         write_csv_reference(tmp_path / "reference.csv", TrialBlock._fields, trial_rows(blocks))
         assert (tmp_path / "trials.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        write_summary_csv(tmp_path / "summary.csv", summaries)
+        rows = [rec[1:] for rec in summaries]
+        write_csv_reference(tmp_path / "reference.csv", SummaryRecord._fields[1:], rows)
+        assert (tmp_path / "summary.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     @pytest.mark.parametrize("shape", ["siso", "mimo", "longrun"])
     def test_sweep_records(self, shape, small_config, tmp_path):
@@ -608,11 +621,17 @@ class TestTrialsCsvBytes:
             config = ExperimentConfig(model=model, Tini=2, Tf=2, T=40, T_sim=12, N=3, kappa_max=0.2)
         elif shape == "longrun":
             config = ExperimentConfig(model=default_model(), T_sim=1000, N=25)
-        blocks, _ = run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "out")))
+        blocks, summaries = run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "out")))
         assert {b.bound is None for b in blocks} == {True, False}
         assert all(type(x) is float for row in trial_rows(blocks[:1]) for x in row[3:])
-        self._assert_reference_bytes(tmp_path, blocks)
+        self._assert_reference_bytes(tmp_path, blocks, summaries)
 
     @pytest.mark.parametrize("blocks", HAND_BUILT.values(), ids=HAND_BUILT.keys())
     def test_hand_built_records(self, blocks, tmp_path):
-        self._assert_reference_bytes(tmp_path, blocks)
+        # summary rows of each block's scalars: the extreme floats, the
+        # signed zeros, an int kappa and None
+        summaries = [
+            SummaryRecord(b.n, b.kappa, b.sigma_min_Mhat, None if b.bound is None else b.kappa)
+            for b in blocks
+        ]
+        self._assert_reference_bytes(tmp_path, blocks, summaries)

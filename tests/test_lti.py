@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     format_model,
+    hankel_reference,
     random_model,
     random_orthogonal,
     simulate_reference,
@@ -35,7 +36,7 @@ from subpred.hankel import (
     persistently_exciting_input,
     stacked_data_matrix,
 )
-from subpred.predictor import PredictionContext, pseudoinverse
+from subpred.predictor import PredictionContext, _context_matrix, pseudoinverse
 
 
 def _impulse_oracle(model, T):
@@ -269,13 +270,38 @@ _Y = np.array([[0.0], [1.0], [-1.0], [2.0]])
 _A2, _I2, _CTX = [[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]
 
 
-def _hankel_by_hand(z, depth):
-    cols = len(z) - depth + 1
-    return np.array([[z[i + j, 0] for j in range(cols)] for i in range(depth)])
+# a (T, 2) series of the same T = 4 steps
+_UY = np.hstack([_U, _Y])
+
+
+def _stacked_reference(u, y, Tini, Tf):
+    """The data matrix of ``u`` and ``y`` stacked from the per-lag oracle."""
+    L = Tini + Tf
+    data = np.vstack([hankel_reference(u, L), hankel_reference(y, L)])
+    return PartitionedMatrix(data, u.shape[1], y.shape[1], Tini, Tf)
+
+
+def _frozen_reads(x):
+    """The names subpred.hankel reads with `lti._frozen` while it checks
+    the persistency of ``x`` and stacks ``x`` with ``_Y``."""
+    names, frozen = [], hankel_module._frozen
+
+    def reading(value, name, *args, **kwargs):
+        names.append(name)
+        return frozen(value, name, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hankel_module, "_frozen", reading)
+        is_persistently_exciting(x, 2)
+        stacked_data_matrix(x, _Y, 1, 1)
+    return names
 
 
 # every reader of a time series, and pseudoinverse's matrix: (read, the name
-# it is refused by, a (T, 1) value it accepts, what it gives for that value)
+# it is refused by, a (T, 1) or (T, 2) value it accepts, what it gives for
+# that value, bit for bit).  Every window, of hankel, of the data matrix and
+# of the contexts, is checked against the per-lag oracle at depth 1, 2 and
+# T; the contexts against the context rows of the oracle's data matrix.
 SEQUENCE_READERS = pytest.mark.parametrize(
     ("read", "name", "good", "want"),
     [
@@ -285,21 +311,51 @@ SEQUENCE_READERS = pytest.mark.parametrize(
             lambda x: simulate(default_model(), x).outputs,
             "inputs", _U, simulate_reference(default_model(), _U)[1],
         ),
-        (lambda x: hankel(x, 2), "z", _U, _hankel_by_hand(_U, 2)),
+        (lambda x: hankel(x, 2), "z", _U, hankel_reference(_U, 2)),
         (lambda x: is_persistently_exciting(x, 2), "u", _U, True),
         (
             lambda x: stacked_data_matrix(x, _Y, 1, 1).data,
-            "u_data", _U, np.vstack([_hankel_by_hand(_U, 2), _hankel_by_hand(_Y, 2)]),
+            "u_data", _U, _stacked_reference(_U, _Y, 1, 1).data,
         ),
         (
             lambda x: stacked_data_matrix(_U, x, 1, 1).data,
-            "y_data", _Y, np.vstack([_hankel_by_hand(_U, 2), _hankel_by_hand(_Y, 2)]),
+            "y_data", _Y, _stacked_reference(_U, _Y, 1, 1).data,
         ),
         (pseudoinverse, "M", np.array([[2.0], [0.0]]), np.array([[0.5, 0.0]])),
+        (lambda x: hankel(x, 1), "z", _U, hankel_reference(_U, 1)),
+        (lambda x: hankel(x, 4), "z", _U, hankel_reference(_U, 4)),
+        (lambda x: hankel(x, 1), "z", _UY, hankel_reference(_UY, 1)),
+        (lambda x: hankel(x, 2), "z", _UY, hankel_reference(_UY, 2)),
+        (lambda x: hankel(x, 4), "z", _UY, hankel_reference(_UY, 4)),
+        (
+            lambda x: stacked_data_matrix(x, _Y, 2, 2).data,
+            "u_data", _UY, _stacked_reference(_UY, _Y, 2, 2).data,
+        ),
+        (
+            lambda x: stacked_data_matrix(_U, x, 1, 2).data,
+            "y_data", _UY, _stacked_reference(_U, _UY, 1, 2).data,
+        ),
+        (
+            lambda x: _context_matrix(Trajectory(x, _Y), 1, 1),
+            "inputs", _U, _stacked_reference(_U, _Y, 1, 1).context_block.T,
+        ),
+        (
+            lambda x: _context_matrix(Trajectory(x, _UY), 2, 1),
+            "inputs", _UY, _stacked_reference(_UY, _UY, 2, 1).context_block.T,
+        ),
+        (
+            lambda x: _context_matrix(Trajectory(_U, x), 2, 2),
+            "outputs", _UY, _stacked_reference(_U, _UY, 2, 2).context_block.T,
+        ),
+        # each input is read once; `data` is PartitionedMatrix reading the stacked matrix
+        (_frozen_reads, "u", _U, ["u", "u_data", "y_data", "data"]),
     ],
     ids=[
         "trajectory-inputs", "trajectory-outputs", "simulate-inputs",
         "hankel-z", "pe-u", "stacked-u_data", "stacked-y_data", "pinv-M",
+        "hankel-z-depth-1", "hankel-z-depth-T", "hankel-mimo-depth-1", "hankel-mimo",
+        "hankel-mimo-depth-T", "stacked-mimo-u_data-depth-T", "stacked-mimo-y_data",
+        "context-inputs", "context-mimo", "context-mimo-outputs-depth-T", "frozen-reads",
     ],
 )
 
@@ -347,8 +403,10 @@ class TestSequenceReaders:
 
     @SEQUENCE_READERS
     def test_column_accepted(self, read, name, good, want):
-        np.testing.assert_array_equal(read(good), want)
-        np.testing.assert_array_equal(read(good.tolist()), want)
+        for value in (good, good.tolist()):
+            got = np.asarray(read(value))
+            np.testing.assert_array_equal(got, want)
+            assert got.tobytes() == np.asarray(want).tobytes()
 
 
 # every array reader, each given a value with an empty dimension: (read, the
