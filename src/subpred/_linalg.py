@@ -3,13 +3,15 @@
 Every SVD in the library goes through `svd`, and every rank decision uses
 its relative cutoff: a singular value counts toward the rank when it exceeds
 ``max(rows, cols) * machine_eps * sigma_max``.  A caller that needs only to
-know whether the rank reaches some ``least``, with at most the leading
-``least`` singular vectors, passes it to `svd`, which then tries its Gram
-route (`_gram_svd`) first: `eigh`, or `eigvalsh` without vectors, of the
-smaller Gram matrix, M M' or M'M.  That route answers only in the clear
-case, where its error estimates put the rank at ``least`` or more and the
-vectors within tolerance; otherwise the SVD runs and decides, so every
-refusal comes from the SVD.
+know whether the rank reaches some ``least``, with the leading ``least``
+singular vectors, passes it to `svd`, which then tries its Gram route
+(`_gram_svd`) first: `eigh` of the smaller Gram matrix, M M' or M'M.
+`full_row_rank` asks only whether a matrix's rank is its row count, and
+tries a certificate first (`_cholesky_certificate`): one Cholesky
+factorization of the same Gram matrix, shifted down by its rounding
+bound.  Each answers only in the clear case, where its error estimates
+put the rank at ``least`` or more (and the vectors within tolerance);
+otherwise the SVD runs and decides, so every refusal comes from the SVD.
 `prediction_map` builds every prediction map and is the one place that
 picks its route: an orthonormal basis's map comes from its output Gram
 matrix (`_gram_map`) when that matches the SVD, and any other from one SVD.
@@ -44,15 +46,17 @@ def svd(matrix, vectors: bool = False, least: int = 0):
     shared cutoff (0 for an empty or zero matrix).  ``U`` and ``Vt`` are None
     unless ``vectors``; without them only the singular values are computed.
 
-    With ``least`` >= 1 the caller asks only whether the rank reaches
-    ``least`` and, with ``vectors``, for the leading ``least`` columns of U
-    and, when ``matrix`` has at least as many rows as columns, for all of
-    Vt.  The Gram route runs first, and when its estimates clear the case
-    (see `_gram_svd`) it returns ``(U[:, :least], s[:least], Vt, least)``, with
+    With ``vectors`` and ``least`` >= 1 the caller asks only whether the
+    rank reaches ``least``, for the leading ``least`` columns of U and,
+    when ``matrix`` has at least as many rows as columns, for all of Vt.
+    The Gram route runs first, and when its estimates clear the case (see
+    `_gram_svd`) it returns ``(U[:, :least], s[:least], Vt, least)``, with
     ``Vt`` None for a matrix with fewer rows than columns.  Otherwise this
-    SVD runs, so a rank below ``least`` is always the SVD's finding."""
-    if least >= 1:
-        routed = _gram_svd(matrix, least, vectors)
+    SVD runs, so a rank below ``least`` is always the SVD's finding.  A
+    caller that needs only to know whether the rank is full asks
+    `full_row_rank` instead."""
+    if vectors and least >= 1:
+        routed = _gram_svd(matrix, least)
         if routed is not None:
             return routed
     matrix = np.asarray(matrix, dtype=float)
@@ -64,10 +68,11 @@ def svd(matrix, vectors: bool = False, least: int = 0):
     return U, s, Vt, rank
 
 
-def _gram_svd(matrix, least, vectors):
-    """The Gram route of `svd`: its result from the eigendecomposition of
-    the smaller Gram matrix G of ``matrix`` M (see `_scaled_gram`), or None
-    outside the clear case that its estimates show.
+def _gram_svd(matrix, least):
+    """The Gram route of `svd`: its result, vectors included, from the
+    eigendecomposition of the smaller Gram matrix G of ``matrix`` M (see
+    `_scaled_gram`), or None outside the clear case that its estimates
+    show.
 
     G's eigenvalues are the squared singular values lambda_i = sigma_i^2.
     Forming G moves each by at most about gamma_cols * || |M| ||_2^2, at
@@ -78,8 +83,8 @@ def _gram_svd(matrix, least, vectors):
     an estimate of that bound up to its small constant: the SVD's cutoff,
     max(rows, cols) * eps * sigma_1 on sigma, lies far below it, and on the
     benchmark's inputs it is at most 2.1e-11 relative against a
-    lambda_least of 1.57e-4 or more.  With ``vectors``, the eigenvectors of
-    the leading ``least`` eigenvalues are accurate to about
+    lambda_least of 1.57e-4 or more.  The eigenvectors of the leading
+    ``least`` eigenvalues are accurate to about
     eps * lambda_1 / (lambda_least - lambda_least+1) (LAPACK Users' Guide,
     section 4.7), with lambda_least+1 = 0 past the last, and the route
     answers only while that estimate is at most IDENTITY_ERROR_TOL.  For a
@@ -100,16 +105,11 @@ def _gram_svd(matrix, least, vectors):
     if routed is None:
         return None
     scaled, scale, gram, wide = routed
-    if vectors:
-        lam, V = np.linalg.eigh(gram)
-        lam, V = lam[::-1], V[:, ::-1]
-    else:
-        lam = np.linalg.eigvalsh(gram)[::-1]
+    lam, V = np.linalg.eigh(gram)
+    lam, V = lam[::-1], V[:, ::-1]
     if not lam[least - 1] > matrix.size * EPS * lam[0]:  # NaN fails too
         return None
     sigma = np.sqrt(lam[:least])
-    if not vectors:
-        return None, sigma / scale, None, least
     gap = lam[least - 1] - (lam[least] if least < len(lam) else 0.0)
     if not EPS * lam[0] <= IDENTITY_ERROR_TOL * gap:
         return None
@@ -119,6 +119,50 @@ def _gram_svd(matrix, least, vectors):
     if not np.linalg.norm(U.T @ U - np.eye(least)) <= max(matrix.shape) * least * EPS:
         return None
     return U, sigma / scale, V.T, least
+
+
+def full_row_rank(matrix) -> bool:
+    """Whether ``matrix`` has rank equal to its row count under the shared
+    cutoff.  A matrix with no more rows than columns first tries
+    `_cholesky_certificate`, which proves a clear full rank; in every
+    other case the SVD decides, so every False is the SVD's finding."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape[0] <= matrix.shape[1] and _cholesky_certificate(matrix):
+        return True
+    return svd(matrix)[3] == matrix.shape[0]
+
+
+def _cholesky_certificate(matrix) -> bool:
+    """True when one Cholesky factorization proves that the 2-D float
+    array ``matrix`` M has full rank n = min(rows, cols) in the clear case
+    of `_gram_svd`: lambda_n > rows * cols * eps * lambda_1, for lambda_i
+    the eigenvalues of M's smaller Gram matrix G (see `_scaled_gram`).
+    False declines and proves nothing, as for a zero or non-finite M.
+
+    t = ||G||_inf bounds lambda_1 in O(n^2), and G's diagonal is shifted
+    down, in place, by s = (rows * cols + 2 n (n + 1)) * eps * t.  A
+    Cholesky factorization that runs to completion on a symmetric n x n A
+    is exact for some A + dA with ||dA||_2 at most about
+    n (n + 1) eps / 2 * ||A||_2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3), and A + dA is positive
+    definite.  With A = G - s I, ||A||_2 <= t + s, so
+    lambda_n > s - n (n + 1) eps (t + s) > rows * cols * eps * t, which is
+    at least the clear case's bound; a non-positive pivot raises
+    LinAlgError and declines.  The estimate that `_gram_svd` compares is
+    far above the SVD's own cutoff, so a certified matrix has full rank by
+    the SVD too."""
+    routed = _scaled_gram(matrix)
+    if routed is None:
+        return False
+    gram = routed[2]
+    n = len(gram)
+    t = float(np.abs(gram).sum(axis=1).max())  # ||G||_inf >= lambda_1 for a symmetric G
+    gram.flat[:: n + 1] -= (matrix.size + 2 * n * (n + 1)) * EPS * t
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _scaled_gram(matrix):

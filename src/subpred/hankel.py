@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import svd
+from ._linalg import full_row_rank
 from .errors import ConvergenceError
 from .lti import _count, _frozen, _seed
 
@@ -117,13 +117,13 @@ def hankel(z, depth: int) -> np.ndarray:
 def is_persistently_exciting(u, order: int) -> bool:
     """True iff the depth-``order`` Hankel matrix of the (T, m) array ``u``,
     read once by `lti._frozen`, and then ``order`` by `lti._count`, before
-    any factorization, has full row rank.  The rank comes from `_linalg.svd`
-    asked for at least the row count: the eigenvalues of the smaller Gram
-    matrix settle a clear full row rank, and the SVD decides every other
-    case, so only the SVD returns False."""
+    any factorization, has full row rank.  The rank comes from
+    `_linalg.full_row_rank`: a certificate, one Cholesky factorization of
+    the smaller Gram matrix shifted down by its rounding bound, settles a
+    clear full row rank, and the SVD decides every other case, so only the
+    SVD returns False."""
     u = _frozen(u, "u", (None, None))
-    H = _windows(u, _count(order, "order"), "order").T.copy()
-    return svd(H, least=H.shape[0])[3] == H.shape[0]
+    return full_row_rank(_windows(u, _count(order, "order"), "order").T.copy())
 
 
 _PE_ATTEMPTS = 10

@@ -274,8 +274,11 @@ def simulate(
     with np.errstate(over="ignore", invalid="ignore"):
         # Stacked matvecs, equal to the per-step B @ u[t] bit for bit.
         Bu = (model.B @ u[:, :, None])[..., 0]
-        for t in range(T):
-            states[t + 1] = model.A @ states[t] + Bu[t]
+        # Each step written into its own row, equal to A @ x + b bit for bit.
+        A, rows = model.A, list(states)
+        for x, x_next, b in zip(rows, rows[1:], Bu):
+            np.matmul(A, x, out=x_next)
+            x_next += b
         outputs = (model.C @ states[:-1, :, None])[..., 0] + (model.D @ u[:, :, None])[..., 0]
         if noise.sigma > 0:
             # Equal to np.linalg.norm(y_t) bit for bit; norm(axis=1) and einsum are not for p >= 3.

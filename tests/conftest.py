@@ -16,19 +16,21 @@ def rng():
 
 class FactorizationCalls(list):
     """Shapes of the matrices passed to np.linalg.svd, in call order, with
-    those passed to np.linalg.eigh, np.linalg.eigvalsh and np.linalg.solve
-    (the first argument's) in the lists of the same names; clear() empties
-    all four."""
+    those passed to np.linalg.eigh, np.linalg.eigvalsh, np.linalg.solve
+    (the first argument's) and np.linalg.cholesky in the lists of the same
+    names; clear() empties all five."""
+
+    KINDS = ("eigh", "eigvalsh", "solve", "cholesky")
 
     def __init__(self):
         super().__init__()
-        self.eigh, self.eigvalsh, self.solve = [], [], []
+        for kind in self.KINDS:
+            setattr(self, kind, [])
 
     def clear(self):
         super().clear()
-        self.eigh.clear()
-        self.eigvalsh.clear()
-        self.solve.clear()
+        for kind in self.KINDS:
+            getattr(self, kind).clear()
 
 
 @pytest.fixture
@@ -43,9 +45,7 @@ def svd_calls(monkeypatch):
 
         return recorded
 
-    kinds = (("svd", calls), ("eigh", calls.eigh), ("eigvalsh", calls.eigvalsh),
-             ("solve", calls.solve))
-    for name, shapes in kinds:
+    for name, shapes in [("svd", calls)] + [(kind, getattr(calls, kind)) for kind in calls.KINDS]:
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), shapes))
     return calls
 

@@ -2,6 +2,7 @@
 and prints one pass/fail line.  Criteria 7, 8 and 10 exercise the bundled
 experiment end to end; the rest are randomized property checks."""
 
+import dataclasses
 import tempfile
 import time
 from functools import lru_cache
@@ -365,12 +366,29 @@ def test_bounds_cover_the_estimated_basis(config):
     worst = np.linalg.norm(_one_step_map(Uhat, p) - _one_step_map(U, p), 2)
     bound = one_step_bound(sigma_hat, norm_first, kappa, 1.0)
     assert worst <= bound + 1e-9
+    # the distance bounded from the data alone: with X the noise-free data
+    # matrix (the same inputs, no noise) and E = Xhat - X, Û' and V̂ the
+    # leading r singular vectors of Xhat and s_r its r-th singular value,
+    # U_perp' Û = U_perp' E V̂ / s_r, so kappa <= kappa_E = ||E V̂||_F / s_r;
+    # at sigma = 0, E = 0 while kappa is the factorization's rounding
+    data_side = ""
+    if config.sigma > 0:
+        clean, _ = offline_data(dataclasses.replace(config, sigma=0.0))
+        _, s_hat, Vt_hat = np.linalg.svd(data.data, full_matrices=False)
+        kappa_E = np.linalg.norm((data.data - clean.data) @ Vt_hat[:r].T) / s_hat[r - 1]
+        assert kappa <= kappa_E
+        data_side = f", kappa_E {kappa_E:.3g} ({kappa_E / kappa:.3g} kappa"
+        if kappa_E <= sigma_hat / (2 * SQRT2):
+            bound_E = one_step_bound(sigma_hat, norm_first, kappa_E, 1.0)
+            assert worst <= bound_E + 1e-9
+            data_side += f", worst ratio at kappa_E {worst / bound_E:.3g}"
+        data_side += ")"
     if full_horizon:
         Q = np.linalg.qr(U.context_block)[0]
         worst_full = np.linalg.norm((_full_map(Uhat) - _full_map(U)) @ Q, 2)
         assert worst_full <= lipschitz_bound(g, kappa, 1.0) + 1e-9
     _report(
-        f"bounds at the estimated basis (kappa {kappa:.3g}, sigma_hat/(2 sqrt 2) "
+        f"bounds at the estimated basis (kappa {kappa:.3g}{data_side}, sigma_hat/(2 sqrt 2) "
         f"{sigma_hat / (2 * SQRT2):.3g}, gamma/(2 sqrt 2) {g / (2 * SQRT2):.3g}; ratio "
         f"worst {worst / bound:.3g}, genuine {genuine_ratio:.3g}; full horizon "
         f"{'checked' if full_horizon else 'not certified'})"

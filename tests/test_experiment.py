@@ -310,17 +310,17 @@ class TestRunExperiment:
             run_trial(workspace, small_config.N + 1)
 
     # the offline stage makes no SVD: the persistency-of-excitation check is
-    # one eigvalsh of the m(n + L)-row Hankel matrix's Gram matrix, the
-    # basis one eigh of the q x q Gram matrix of the wide data matrix and
-    # the geodesic direction one eigh of its r x r Gram matrix, each proven
-    # by the Gram route's guard; a member factors nothing.  The baseline's
+    # one Cholesky of the m(n + L)-row Hankel matrix's shifted Gram matrix,
+    # the basis one eigh of the q x q Gram matrix of the wide data matrix
+    # and the geodesic direction one eigh of its r x r Gram matrix, each
+    # proven by its route's guard; a member factors nothing.  The baseline's
     # map comes from the output Gram matrix of its basis (one pTf x pTf
     # eigvalsh and one solve).  A member's map comes from the rows of its
     # blend, with no member basis: one eigvalsh of its pTf x pTf Gram
     # matrix K, one solve with p right-hand sides for the map's first p
     # rows, and one p x p eigvalsh for the norm of y_future[:p].  That is
-    # 2N + 2 eigvalsh, 2 eigh and N + 1 solve calls per sweep, and the
-    # baseline is the only BehaviorBasis built.
+    # one cholesky, 2N + 1 eigvalsh, 2 eigh and N + 1 solve calls per
+    # sweep, and the baseline is the only BehaviorBasis built.
     @pytest.mark.parametrize("mimo", [False, True], ids=["default", "mimo"])
     def test_svd_budget(self, mimo, svd_calls, monkeypatch, tmp_path):
         from helpers import random_model
@@ -339,9 +339,8 @@ class TestRunExperiment:
         hankel_rows, q, r = model.m * (model.n + L), (model.m + model.p) * L, model.m * L + model.n
         assert svd_calls.eigh == [(q, q), (r, r)]
         future, p = cfg.model.p * cfg.Tf, cfg.model.p
-        assert svd_calls.eigvalsh == (
-            [(hankel_rows, hankel_rows), (future, future)] + [(future, future), (p, p)] * cfg.N
-        )
+        assert svd_calls.cholesky == [(hankel_rows, hankel_rows)]
+        assert svd_calls.eigvalsh == [(future, future)] + [(future, future), (p, p)] * cfg.N
         assert svd_calls.solve == [(future, future)] * (cfg.N + 1)
         assert len(built) == 1 and built[0].r == r
 

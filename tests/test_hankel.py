@@ -83,27 +83,26 @@ class TestHankel:
 
 class TestPersistencyOfExcitation:
     def test_constant_sequence_not_exciting(self, svd_calls):
-        # the Gram eigenvalues cannot prove full row rank, so the SVD of the
-        # 2 x 9 Hankel matrix finds rank 1 and decides
+        # the Cholesky certificate cannot prove full row rank, so the SVD of
+        # the 2 x 9 Hankel matrix finds rank 1 and decides
         assert not is_persistently_exciting(np.full((10, 1), 3.0), 2)
-        assert svd_calls.eigvalsh == [(2, 2)] and svd_calls == [(2, 9)]
+        assert svd_calls.cholesky == [(2, 2)] and svd_calls == [(2, 9)]
 
     def test_rank_deficient_mimo_hankel_not_exciting(self, svd_calls):
         # the second channel is twice the first: the 4 x 27 Hankel matrix has
         # rank 2
         first = np.random.default_rng(2).standard_normal((30, 1))
         assert not is_persistently_exciting(np.hstack([first, 2 * first]), 2)
-        assert svd_calls.eigvalsh == [(4, 4)] and svd_calls == [(4, 29)]
+        assert svd_calls.cholesky == [(4, 4)] and svd_calls == [(4, 29)]
 
     def test_rank_deficient_benchmark_sized_hankel_not_exciting(self, svd_calls):
         # sweep-mimo's 176 x 357 persistency check (m = 4, order 44) on an
         # input whose fourth channel repeats its third: rank 132, whose zero
-        # Gram eigenvalues the route's estimate cannot clear, so the SVD
-        # decides
+        # Gram eigenvalues fail the shifted Cholesky, so the SVD decides
         u = np.random.default_rng(1).standard_normal((400, 4))
         u[:, 3] = u[:, 2]
         assert not is_persistently_exciting(u, 44)
-        assert svd_calls.eigvalsh == [(176, 176)] and svd_calls == [(176, 357)]
+        assert svd_calls.cholesky == [(176, 176)] and svd_calls == [(176, 357)]
         assert svd(hankel(u, 44))[3] == 132
 
     def test_gaussian_sequence_exciting(self):
@@ -113,7 +112,7 @@ class TestPersistencyOfExcitation:
             assert svd(hankel(u, 10))[3] == 10
 
     def test_too_few_columns_never_exciting(self, svd_calls):
-        # rows m*k exceed columns T-k+1, so the Gram route, which proves a
+        # rows m*k exceed columns T-k+1, so the certificate, which proves a
         # rank of at most the column count, leaves the finding to the SVD
         u = np.random.default_rng(0).standard_normal((10, 1))
         assert not is_persistently_exciting(u, 8)

@@ -1,8 +1,13 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
 from helpers import MAP_RTOL, cs_basis, random_basis, random_orthogonal
-from subpred._linalg import EPS, prediction_map, spectral_norm, svd
+from subpred import _linalg
+from subpred._linalg import EPS, _cholesky_certificate, full_row_rank, prediction_map, spectral_norm, svd
+from subpred.hankel import hankel
 
 
 class TestSvd:
@@ -33,7 +38,8 @@ class TestSvd:
 class TestGramRoute:
     """`svd` with ``least``: the eigendecomposition of the smaller Gram
     matrix answers when it proves the rank and the vectors; the SVD
-    answers otherwise."""
+    answers otherwise.  `full_row_rank`: one Cholesky of the shifted Gram
+    matrix certifies a clear full rank, and the SVD decides the rest."""
 
     @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])  # squares under/overflow
     @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (6, 6)], ids=["wide", "tall", "square"])
@@ -51,39 +57,71 @@ class TestGramRoute:
             signs = np.sign(np.sum(Vt * Vte, axis=1))
             np.testing.assert_allclose(Vt * signs[:, None], Vte, rtol=0, atol=1e-12)
 
-    def test_values_only_from_eigvalsh(self, rng, svd_calls):
-        U, s, Vt, rank = svd(rng.standard_normal((4, 9)), least=4)
-        assert U is None and Vt is None and rank == 4 and s.shape == (4,)
-        assert svd_calls == [] and svd_calls.eigvalsh == [(4, 4)] and svd_calls.eigh == []
+    def test_full_row_rank_from_one_cholesky(self, rng, svd_calls):
+        assert full_row_rank(rng.standard_normal((4, 9)))
+        assert svd_calls == [] and svd_calls.cholesky == [(4, 4)]
+        assert svd_calls.eigvalsh == [] and svd_calls.eigh == []
 
     @pytest.mark.parametrize(
-        "M, least",
+        "M",
         [
-            (np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 2.0, 5.0]), 2),  # rank one
-            (np.diag([1.0, 1e-9]), 2),  # lambda_2 = 1e-18 is below 4 eps lambda_1
-            (np.array([[1.0, np.nan], [0.0, 1.0]]), 1),  # a non-finite entry
-            (np.ones((2, 3)), 3),  # least above min(rows, cols)
+            np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 2.0, 5.0]),  # rank one
+            np.diag([1.0, 1e-9]),  # lambda_2 = 1e-18 is below 4 eps lambda_1
+            np.array([[1.0, np.nan], [0.0, 1.0]]),  # a non-finite entry
+            np.array([[1.0, np.inf, 0.0], [0.0, 1.0, 2.0]]),
+            np.ones((3, 2)),  # more rows than columns
+            hankel(np.tile([1.0, -1.0], 10)[:, None], 3),  # a rank-2 Hankel matrix
         ],
-        ids=["rank-one", "ill-conditioned", "nan", "least-too-large"],
+        ids=["rank-one", "ill-conditioned", "nan", "inf", "tall", "rank-deficient-hankel"],
     )
-    def test_unproven_rank_is_the_svds(self, M, least):
-        # the SVD's own answer, bit for bit (or its own error)
+    def test_unproven_rank_is_the_svds(self, M, svd_calls):
+        # the certificate declines, and the answer is the SVD's own (or its
+        # own error), from the one SVD that full_row_rank then makes
+        assert not _cholesky_certificate(M)
         try:
-            expected = svd(M)
+            expected = svd(M)[3] == len(M)
         except np.linalg.LinAlgError:
+            svd_calls.clear()
             with pytest.raises(np.linalg.LinAlgError):
-                svd(M, least=least)
+                full_row_rank(M)
+            assert svd_calls == [M.shape]
             return
-        got = svd(M, least=least)
-        np.testing.assert_array_equal(got[1], expected[1])
-        assert got[3] == expected[3]
+        svd_calls.clear()
+        assert full_row_rank(M) == expected
+        assert svd_calls == [M.shape]
+
+    # sigma_n / sigma_1 from 1e-4 to 1e-9 straddles the certificate's
+    # threshold, about 3e-7 for these shapes, while the SVD finds full rank
+    # throughout; a certified matrix has full rank by the SVD, and a
+    # declined one gets the SVD's answer from the one SVD that follows
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])  # squares under/overflow
+    @pytest.mark.parametrize("shape", [(6, 10), (10, 6), (7, 7)], ids=["wide", "tall", "square"])
+    def test_certificate_against_the_svd(self, svd_calls, shape, scale):
+        n = min(shape)
+        certified = set()
+        for seed, floor in enumerate(np.geomspace(1e-4, 1e-9, 16)):
+            rng = np.random.default_rng(seed)
+            Q = random_orthogonal(rng, shape[0])[:, :n]
+            M = scale * (Q @ np.diag(np.geomspace(1.0, floor, n)) @ random_orthogonal(rng, shape[1])[:n])
+            expected_rank = svd(M)[3]
+            svd_calls.clear()
+            proven = _cholesky_certificate(M)
+            assert svd_calls.cholesky == [(n, n)] and svd_calls == []
+            if proven:
+                assert expected_rank == n
+            svd_calls.clear()
+            answer = full_row_rank(M)
+            assert answer == (expected_rank == shape[0])
+            assert svd_calls == ([] if proven and shape[0] <= shape[1] else [shape])
+            certified.add(proven)
+        assert certified == {True, False}
 
     def test_close_singular_values_leave_the_vectors_to_the_svd(self, rng, svd_calls):
         # lambda_2 - lambda_3 = 2e-9 against eps lambda_1 = 3.6e-15: the
-        # estimate 1.8e-6 exceeds IDENTITY_ERROR_TOL, and the rank alone is
-        # still proven
+        # estimate 1.8e-6 exceeds IDENTITY_ERROR_TOL, and the full rank alone
+        # is still proven, by the certificate
         M = np.diag([4.0, 1.0 + 1e-9, 1.0])
-        assert svd(M, least=2)[3] == 2 and svd_calls == []
+        assert full_row_rank(M) and svd_calls == []
         U = svd(M, vectors=True, least=2)[0]
         assert svd_calls == [(3, 3)]
         np.testing.assert_array_equal(U, np.linalg.svd(M)[0])
@@ -173,3 +211,18 @@ class TestOrthonormalMap:
         assert rank == ref_rank == 6
         # sigma_7 of 7 columns, not sigma_6, the smallest of the 6 rows
         assert sigma_min == ref_sigma_min == 0.0
+
+
+def test_every_factorization_kind_is_counted(svd_calls):
+    # each np.linalg function that _linalg calls, norm aside, is one that
+    # the svd_calls fixture records, so no factorization kind escapes the
+    # count tests
+    called = {
+        node.func.attr
+        for node in ast.walk(ast.parse(inspect.getsource(_linalg)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and ast.unparse(node.func.value) == "np.linalg"
+    }
+    assert "cholesky" in called
+    assert called - {"norm"} <= {"svd", *svd_calls.KINDS}

@@ -1019,11 +1019,11 @@ class TestPersistentlyExcitingInput:
         # order * m Hankel rows need as many columns, T - order + 1
         shortest = (m + 1) * order - 1
         u = persistently_exciting_input(m, shortest, order=order, seed=0)
-        # the square Hankel matrix's full rank is proven by one eigvalsh of
-        # its Gram matrix, with no SVD
+        # the square Hankel matrix's full rank is proven by one Cholesky of
+        # its shifted Gram matrix, with no SVD
         assert u.shape == (shortest, m)
-        assert svd_calls == [] and svd_calls.eigvalsh == [(m * order, m * order)]
+        assert svd_calls == [] and svd_calls.cholesky == [(m * order, m * order)]
         svd_calls.clear()
         with pytest.raises(ValueError, match=rf"T={shortest - 1} is too short.* = {shortest}$"):
             persistently_exciting_input(m, shortest - 1, order=order, seed=0)
-        assert svd_calls == [] and svd_calls.eigvalsh == []  # rejected before any draw
+        assert svd_calls == [] and svd_calls.cholesky == []  # rejected before any draw
