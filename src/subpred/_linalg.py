@@ -12,11 +12,17 @@ factorization of the same Gram matrix, shifted down by its rounding
 bound.  Each answers only in the clear case, where its error estimates
 put the rank at ``least`` or more (and the vectors within tolerance);
 otherwise the SVD runs and decides, so every refusal comes from the SVD.
-`prediction_map` builds every prediction map and is the one place that
-picks its route: an orthonormal basis's map comes from its output Gram
-matrix (`_gram_map`) when that matches the SVD, and any other from one SVD.
+`prediction_map` builds the prediction map of every basis and matrix and
+is the one place that picks its route: an orthonormal basis's map comes
+from its output Gram matrix (`_gram_map`) when that matches the SVD, and
+any other from one SVD.
 With ``rows``, either route builds only the map's first rows, as the
-experiment sweep does for a member's first p.  `spectral_norm` takes
+experiment sweep does for a member it cannot take from its pieces.
+`member_predictions` reads a member of a family of bases whose output Gram
+matrix and context cross product are weighted sums of fixed pieces
+(`QuadraticForms`), as the geodesic sweep's are, and is the one place that
+picks its route: those sums (`_forms_map`) while their guard admits the
+member, and the caller's own route otherwise.  `spectral_norm` takes
 sigma_max from a Gram eigenvalue; it and the Gram route share one
 scaling and orientation rule, `_scaled_gram`.
 """
@@ -24,6 +30,7 @@ scaling and orientation rule, `_scaled_gram`.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,6 +244,79 @@ def _gram_map(context_rows, future_rows, gram_defect, rows):
     else:
         matrix = (np.linalg.solve(eye - gram, eye[:, :rows]).T @ future_rows) @ context_rows.T
     return matrix, float(np.sqrt(gap))
+
+
+class QuadraticForms(NamedTuple):
+    """The pieces of a family of orthonormal bases [C; Y], ``q`` rows and
+    ``r`` columns each, with context rows C and future rows Y: for a
+    member's weights w, its output Gram matrix K = Y Y' is the sum over j
+    of w_j ``grams[j]`` and the cross product A C Y' with the stacked
+    contexts A the sum of w_j ``crosses[j]``.  Each entry of a piece is one
+    inner product of at most r terms, or the sum of two (the fourth piece),
+    of rows of norm at most 1 + ``defect``, and ``defect`` bounds every
+    member's ||B'B - I||_F.  `Geodesic.forms` builds them."""
+
+    # four arrays each rather than one stacked array, whose copy would be
+    # large enough to be mapped and faulted in afresh per sweep
+    grams: list[np.ndarray]  # (f, f) for f future rows
+    crosses: list[np.ndarray]  # (contexts, f)
+    q: int
+    r: int
+    defect: float
+
+
+def member_predictions(forms: QuadraticForms, weights, rows: int, declined, norm: bool = True):
+    """``(predictions, sigma_min, norm_first)`` of the member of ``forms``
+    with ``weights``: the first ``rows`` of the map applied to every stacked
+    context, sigma_min of its context rows and ||Y[:rows]||_2 (None
+    without ``norm``).  They come from `_forms_map` while its guard admits
+    the member, and otherwise from ``declined()``, the caller's route,
+    which returns the same triple."""
+    routed = _forms_map(forms, weights, rows, norm)
+    return declined() if routed is None else routed
+
+
+def _forms_map(forms, weights, rows, norm):
+    """The route of `member_predictions`, or None when its guard declines,
+    before any solve.  K = sum w_j grams[j] gives sigma_min^2 =
+    1 - lambda_max(K) by one `eigvalsh`, as in `_gram_map`; one solve of
+    (I - K) X = E_rows, with E_rows the first ``rows`` columns of I, gives
+    the predictions (sum w_j crosses[j]) X, and
+    ||Y[:rows]||_2 = sqrt(lambda_max(K[:rows, :rows])) takes one more.
+
+    The guard is `_gram_map`'s estimate (defect + q eps) / sigma_min^2 with
+    the pieces' own rounding added to its numerator.  Entry (i, j) of a
+    piece rounds by at most gamma_{r+1} times the sum of its products'
+    magnitudes (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., eq. 3.5), and each weight (one product of the blend coefficients
+    c and s), its product with the piece and the three additions add
+    gamma_5.  For the geodesic's weights (1, c^2, s^2, cs) the products'
+    magnitudes sum to z_i . z_j, with z_i the rows of
+    [|c| |Y1| + |s| |Yh|, |Y2|], whose norms Cauchy-Schwarz bounds by
+    (c^2 + s^2)^(1/2) (1 + defect).  So the assembled K lies within
+    gamma_{r+6} (1 + 3 defect) <= (r + 7) eps of Y Y' entry by entry,
+    ||K_pieces - Y Y'||_max <= 1 * (r + 7) eps: the scale of the q eps
+    term, which estimates the rounding of forming Y Y' directly by the same
+    rule.  The route runs only while
+    (defect + (q + r + 7) eps) / sigma_min^2 <= IDENTITY_ERROR_TOL, which
+    is stricter than `_gram_map`'s guard."""
+    grams, crosses, q, r, defect = forms
+    gram = _weighted(weights, grams)
+    gap = 1.0 - float(np.linalg.eigvalsh(gram).max(initial=0.0))
+    if not defect + (q + r + 7) * EPS <= IDENTITY_ERROR_TOL * gap:
+        return None
+    X = np.linalg.solve(np.eye(len(gram)) - gram, np.eye(len(gram), rows))
+    norm_first = math.sqrt(max(0.0, np.linalg.eigvalsh(gram[:rows, :rows])[-1])) if norm else None
+    return _weighted(weights, crosses) @ X, math.sqrt(gap), norm_first
+
+
+def _weighted(weights, pieces):
+    """sum w_j pieces[j], term by term in order: elementwise, so its bits
+    do not depend on how the arrays lie in memory."""
+    total = weights[0] * pieces[0]
+    for weight, piece in zip(weights[1:], pieces[1:]):
+        total += weight * piece
+    return total
 
 
 def spectral_norm(matrix: np.ndarray) -> float:

@@ -10,13 +10,16 @@ makes the average error a smooth, near-linear function of the distance, as
 opposed to independent per-member directions whose direction-dependent
 sensitivity scatters the trend.
 
-A member's map depends only on its subspace, so `_member` maps the blend
-itself, split into context and future rows, with no member basis: one
-`prediction_map` call builds the map's first p rows, and its Gram route's
-guard reads the geodesic's one bound on every member's Gram defect,
-checked by `Geodesic.draw`.  Its distance is `Geodesic.measure`'s, read
-from quadratic forms that the geodesic forms once when it is drawn.  The
-baseline's predictions are `rolling_one_step`'s, on the geodesic's origin.
+A member moves in only its two blend coefficients, so its output Gram
+matrix and its cross product with the stacked contexts are quadratic forms
+in them, whose pieces `prepare` forms once (`Geodesic.forms`).  `_member`
+reads a member's predictions, sigma_min and first-block norm from those
+pieces at its weights, with no member basis and no q x r blend, and its
+distance from `Geodesic.measure`, which reads the quadratic forms that the
+geodesic forms when it is drawn.  The guard on those pieces reads the
+geodesic's one bound on every member's Gram defect, checked by
+`Geodesic.draw`.  The baseline is the kappa = 0 member of the same pieces,
+so a kappa = 0 member's errors are exactly 0.
 
 Seeds are split into three independent streams (offline/online data input,
 measurement noise, perturbation direction).  The online streams use the
@@ -28,10 +31,11 @@ offline factorizations differently (the Gram matrices and their `eigh`,
 or the SVD where the guard leaves them to it), and with them every
 member's last digits.
 A member's ``kappa`` is bit for bit the one `Geodesic.member` returns.  Its
-map agrees with the library path (`perturb_subspace`,
-`predict_from_subspace`) to rounding, not bit for bit; a member whose Gram
-route the guard declines has the bits of ``prediction_map(context_rows,
-future_rows, rows=p)`` on the member basis's rows.
+predictions, and the baseline's, agree with the library path
+(`perturb_subspace`, `predict_from_subspace`, `rolling_one_step`) to
+rounding, not bit for bit.  A member whose guard declines the pieces is
+mapped from its blend's rows by ``prediction_map(context_rows, future_rows,
+defect, rows=p)``, and a declined baseline is `rolling_one_step`'s.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kv import floats, integer, named, read_pairs
-from ._linalg import prediction_map, spectral_norm
+from ._linalg import QuadraticForms, member_predictions, prediction_map, spectral_norm
 from .bounds import one_step_bound
 from .errors import HypothesisViolationError
 from .grassmann import Geodesic, check_distance, orthonormal_basis
@@ -247,8 +251,8 @@ class SingleRecord(NamedTuple):
 class ExperimentWorkspace:
     """Everything shared by the trials of one configuration: the geodesic the
     perturbed family lies on, whose ``origin`` is the baseline basis from
-    offline data, the measured online trajectory, the sliding contexts, and
-    the baseline one-step predictions."""
+    offline data, the measured online trajectory, the sliding contexts, the
+    geodesic's pieces on them, and the baseline one-step predictions."""
 
     config: ExperimentConfig
     geodesic: Geodesic
@@ -256,14 +260,18 @@ class ExperimentWorkspace:
     steps: tuple[int, ...]
     context_matrix: np.ndarray  # (steps, len(b)) stacked context vectors
     b_norms: np.ndarray
+    forms: QuadraticForms  # the geodesic's pieces on context_matrix
     baseline: np.ndarray  # (steps, p) one-step predictions of the baseline
 
 
 def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
     """Run the offline and online stages shared by every trial.  The online
-    contexts are stacked once; the baseline predictions are
-    `rolling_one_step`'s on them, which raises RankDeficientError when the
-    baseline basis's context rows lack full column rank."""
+    contexts are stacked once, and the geodesic's pieces on them are formed
+    once (`Geodesic.forms`).  The baseline predictions are the kappa = 0
+    member's, read from those pieces as every member's are; when their
+    guard declines, they are `rolling_one_step`'s on the origin, which
+    raises RankDeficientError when its context rows lack full column
+    rank."""
     model = config.model
     L = config.Tini + config.Tf
     r = model.m * L + model.n
@@ -288,6 +296,9 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
     )
 
     context_matrix = _context_matrix(measured, config.Tini, config.Tf)
+    forms = geodesic.forms(context_matrix)
+    baseline, _, _ = member_predictions(forms, geodesic.weights(0.0), model.p, norm=False,
+                                        declined=lambda: (_rolling(basis, context_matrix), None, None))
     return ExperimentWorkspace(
         config=config,
         geodesic=geodesic,
@@ -295,7 +306,8 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
         steps=tuple(range(config.Tini, config.T_sim - config.Tf + 1)),
         context_matrix=context_matrix,
         b_norms=np.linalg.norm(context_matrix, axis=1),
-        baseline=_rolling(basis, context_matrix),
+        forms=forms,
+        baseline=baseline,
     )
 
 
@@ -314,20 +326,29 @@ def _check_index(config: ExperimentConfig, n: int) -> int:
     return n
 
 
-def _member(geodesic: Geodesic, kappa: float):
-    """``(measured distance, map, sigma_min, ||Yf[:p]||_2)`` of the member
-    of ``geodesic`` at target ``kappa``, with Yf its future-output rows.
+def _member(geodesic: Geodesic, forms: QuadraticForms, contexts: np.ndarray, kappa: float):
+    """``(measured distance, predictions, sigma_min, ||Yf[:p]||_2)`` of the
+    member of ``geodesic`` at target ``kappa``, with one row of p one-step
+    predictions per row of ``contexts`` and Yf its future-output rows.
 
-    The distance is `Geodesic.measure`'s, with its checks.  The map's first
-    p rows come from one `prediction_map` call on the member's
-    `Geodesic.blend`, split into context and future rows; its Gram route's
-    guard reads ``geodesic.defect``, which `Geodesic.draw` has checked
-    against the basis tolerance."""
+    The distance is `Geodesic.measure`'s, with its checks.  The rest is read
+    from ``forms``, the geodesic's pieces on these contexts, at the
+    member's `Geodesic.weights`, by `_linalg.member_predictions`.  When its
+    guard declines, the member's `Geodesic.blend` is split into context and
+    future rows, one `prediction_map` call builds the map's first p rows
+    (its own Gram route's guard reads ``geodesic.defect``, which
+    `Geodesic.draw` has checked against the basis tolerance), and
+    `spectral_norm` takes the norm."""
     measured = geodesic.measure(kappa)
-    data, p = geodesic.blend(kappa), geodesic.origin.p
-    context_rows, future_rows = np.split(data, [len(data) - p * geodesic.origin.Tf])
-    matrix, _, sigma_min = prediction_map(context_rows, future_rows, geodesic.defect, rows=p)
-    return measured, matrix, sigma_min, spectral_norm(future_rows[:p])
+    p = geodesic.origin.p
+
+    def declined():
+        data = geodesic.blend(kappa)
+        context_rows, future_rows = np.split(data, [len(data) - p * geodesic.origin.Tf])
+        matrix, _, sigma_min = prediction_map(context_rows, future_rows, geodesic.defect, rows=p)
+        return _apply(matrix, contexts), sigma_min, spectral_norm(future_rows[:p])
+
+    return (measured, *member_predictions(forms, geodesic.weights(kappa), p, declined))
 
 
 def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
@@ -335,12 +356,14 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
 
     Member n lies at target distance kappas[n-1] along the shared geodesic
     drawn from seed_perturb; its reported kappa is the measured distance.
-    `_member` blends the member's matrix and maps its rows, with no member basis.
+    `_member` reads the member from the workspace's pieces, with no member
+    basis.
     """
     config = workspace.config
     n = _check_index(config, n)
-    kappa, matrix, sigma_min, norm_first = _member(workspace.geodesic, config.kappas[n - 1])
-    predictions = _apply(matrix, workspace.context_matrix)
+    kappa, predictions, sigma_min, norm_first = _member(
+        workspace.geodesic, workspace.forms, workspace.context_matrix, config.kappas[n - 1]
+    )
     errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
     try:
         bounds = one_step_bound(sigma_min, norm_first, kappa, 1.0) * workspace.b_norms

@@ -9,7 +9,9 @@ complement of the other, so it is evaluated without any SVD and checked
 against the projection taken the other way, of the first basis off the
 second.  A geodesic member's two norms are quadratic forms in its blend
 coefficients, whose blocks the geodesic forms once when it is drawn, so
-every member is measured without being built.
+every member is measured without being built; so are its output Gram
+matrix and its cross product with given contexts, whose pieces
+`Geodesic.forms` forms once for a sweep.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kv import floats, named
-from ._linalg import EPS, svd
+from ._linalg import EPS, QuadraticForms, svd
 from .errors import ConvergenceError, RankDeficientError
 from .hankel import PartitionedMatrix
 from .lti import _count, _real, _seed
@@ -181,9 +183,11 @@ class Geodesic:
 
     The rows of ``squares`` hold the member's squared distance and squared
     swapped residual, the two norms `chordal_distance` compares, as
-    quadratic forms in (c, s) weighted by (1, c^2, s^2, cs); `measure` reads
-    them.  ``defect`` bounds every member's Gram defect.  The arrays are
-    read-only, so one geodesic can serve concurrent callers.
+    quadratic forms in (c, s) weighted by `weights`, (1, c^2, s^2, cs);
+    `measure` reads them, and `forms` builds the member's prediction
+    pieces with the same weights.  ``defect`` bounds every member's Gram
+    defect.  The arrays are read-only, so one geodesic can serve concurrent
+    callers.
     """
 
     origin: BehaviorBasis
@@ -269,8 +273,7 @@ class Geodesic:
         `chordal_distance` checks its value, against the swapped residual
         to 1e-10 (ArithmeticError), and then against the closed form: a miss
         beyond 1e-6 * max(1, kappa) raises ConvergenceError."""
-        s, c = self._coefficients(kappa)
-        d, swapped = (math.sqrt(max(0.0, x)) for x in self.squares @ [1.0, c * c, s * s, c * s])
+        d, swapped = (math.sqrt(max(0.0, x)) for x in self.squares @ self.weights(kappa))
         measured = _cross_checked(d, swapped)
         if not abs(measured - kappa) <= 1e-6 * max(1.0, kappa):
             raise ConvergenceError(f"member for kappa={kappa} measures distance {measured!r}")
@@ -284,6 +287,35 @@ class Geodesic:
         data = self.start.copy()
         data[:, :k] = self.start[:, :k] * c + self.heading * s
         return data
+
+    def weights(self, kappa: float) -> np.ndarray:
+        """The weights (1, c^2, s^2, cs) of the blocks of ``squares`` and of
+        `forms` for the member at ``kappa``, unchecked."""
+        s, c = self._coefficients(kappa)
+        return np.array([1.0, c * c, s * s, c * s])
+
+    def forms(self, contexts: np.ndarray) -> QuadraticForms:
+        """The pieces of every member's output Gram matrix and of its cross
+        product with ``contexts``, one context per row, formed once: the
+        member's map, sigma_min and ||Y[:p]||_2 are then read at its
+        `weights` (see `_linalg.member_predictions`).
+
+        Split ``start`` at column k into S1 and S2, and the rows of S1, S2
+        and ``heading`` H into context rows C1, C2, Ch and the last p Tf,
+        the future rows Y1, Y2, Yh.  The member's future rows are
+        Y = [c Y1 + s Yh, Y2], so
+        Y Y' = Y2Y2' + c^2 Y1Y1' + s^2 YhYh' + cs (Y1Yh' + YhY1'), and with
+        A. = contexts C. its context rows give contexts C = [c A1 + s Ah, A2],
+        whose product with Y' has the same four pieces in (A, Y)."""
+        origin, k = self.origin, self.heading.shape[1]
+        split = origin.q - origin.p * origin.Tf
+        Y1, Y2 = np.split(self.start[split:], [k], axis=1)
+        A1, A2 = np.split(contexts @ self.start[:split], [k], axis=1)
+        Yh, Ah = self.heading[split:], contexts @ self.heading[:split]
+        M = Y1 @ Yh.T
+        grams = [Y2 @ Y2.T, Y1 @ Y1.T, Yh @ Yh.T, M + M.T]
+        crosses = [A2 @ Y2.T, A1 @ Y1.T, Ah @ Yh.T, A1 @ Yh.T + Ah @ Y1.T]
+        return QuadraticForms(grams, crosses, origin.q, origin.r, self.defect)
 
     def _coefficients(self, kappa: float) -> tuple[float, float]:
         """(s, c) at ``kappa``: s <= 1 as `check_distance` caps kappa at

@@ -185,16 +185,16 @@ class TestRunExperiment:
         assert len((out / "summary.csv").read_text().splitlines()) == small_config.N + 1
 
     def test_noise_free_zero_distance_gives_zero_error(self, tmp_path, example_model):
-        cfg = ExperimentConfig(
-            model=example_model,
-            Tini=4,
-            Tf=2,
-            sigma=0.0,
-            kappa_grid=(0.0,),
-            output_dir=str(tmp_path / "o"),
-        )
-        _, summaries = run_experiment(cfg)
-        assert summaries[0].avg_error <= 1e-9
+        # the kappa = 0 member and the baseline are read from the same pieces
+        # at the same weights, so every error is exactly 0, and the bound
+        # stays certified: noise-free, and on the default noisy config
+        for setting in ({"Tini": 4, "Tf": 2, "sigma": 0.0, "kappa_grid": (0.0,)},
+                        {"kappa_grid": (0.0, 0.01)}):
+            cfg = ExperimentConfig(model=example_model, output_dir=str(tmp_path / "o"), **setting)
+            blocks, summaries = run_experiment(cfg)
+            assert np.all(blocks[0].prediction_error == 0.0)
+            assert summaries[0].avg_error == 0.0
+            assert blocks[0].bound is not None
 
     def test_bound_covers_error_when_certified(self, small_config):
         blocks, _ = run_experiment(small_config)
@@ -261,9 +261,13 @@ class TestRunExperiment:
                 unit = one_step_bound(expected[0].sigma_min, spectral_norm(member.y_future[: model.p]),
                                       kappa, 1.0)
                 np.testing.assert_allclose(out.block.bound, unit * workspace.b_norms, rtol=MAP_RTOL)
-        for i, (_, ctx) in enumerate(windows):
-            expected = predict_from_subspace(workspace.geodesic.origin, ctx).y_pred[: model.p]
-            np.testing.assert_array_equal(workspace.baseline[i], expected)
+        # the baseline is the kappa = 0 member of the same pieces, bit for bit,
+        # and matches the library path on the origin as the members do
+        zero = experiment._member(workspace.geodesic, workspace.forms, workspace.context_matrix, 0.0)
+        np.testing.assert_array_equal(workspace.baseline, zero[1])
+        origin = workspace.geodesic.origin
+        expected = np.array([predict_from_subspace(origin, ctx).y_pred[: model.p] for _, ctx in windows])
+        assert np.linalg.norm(workspace.baseline - expected) <= MAP_RTOL * np.linalg.norm(expected)
 
     def test_target_at_reachable_limit_is_built_and_measured(self):
         # rank 10 in dimension 16: sqrt(min(r, q-r)) = sqrt(6), the end point
@@ -313,12 +317,12 @@ class TestRunExperiment:
     # one Cholesky of the m(n + L)-row Hankel matrix's shifted Gram matrix,
     # the basis one eigh of the q x q Gram matrix of the wide data matrix
     # and the geodesic direction one eigh of its r x r Gram matrix, each
-    # proven by its route's guard; a member factors nothing.  The baseline's
-    # map comes from the output Gram matrix of its basis (one pTf x pTf
-    # eigvalsh and one solve).  A member's map comes from the rows of its
-    # blend, with no member basis: one eigvalsh of its pTf x pTf Gram
-    # matrix K, one solve with p right-hand sides for the map's first p
-    # rows, and one p x p eigvalsh for the norm of y_future[:p].  That is
+    # proven by its route's guard; a member factors nothing.  The baseline,
+    # the kappa = 0 member, is read from the geodesic's pieces: one eigvalsh
+    # of its pTf x pTf Gram matrix K and one solve with p right-hand sides.
+    # A member is read from the same pieces, with no member basis and no
+    # blend: the same two calls and one p x p eigvalsh of K[:p, :p] for the
+    # norm of y_future[:p].  That is
     # one cholesky, 2N + 1 eigvalsh, 2 eigh and N + 1 solve calls per
     # sweep, and the baseline is the only BehaviorBasis built.
     @pytest.mark.parametrize("mimo", [False, True], ids=["default", "mimo"])
@@ -353,29 +357,39 @@ class TestRunExperiment:
         workspace = prepare(small_config)
         assert len(built) == 1
         monkeypatch.undo()
+        # bit for bit the kappa = 0 member on the same contexts, and the
+        # library path's to rounding
+        zero = experiment._member(workspace.geodesic, workspace.forms, workspace.context_matrix, 0.0)
+        np.testing.assert_array_equal(workspace.baseline, zero[1])
         expected = rolling_one_step(
             workspace.geodesic.origin, workspace.measured, small_config.Tini, small_config.Tf
         )
-        np.testing.assert_array_equal(workspace.baseline, expected)
+        assert np.linalg.norm(workspace.baseline - expected) <= MAP_RTOL * np.linalg.norm(expected)
 
     def test_declined_member_is_built_as_a_basis(self, small_config, monkeypatch):
-        # with the Gram route declined, a member's rows are mapped by one
-        # prediction_map SVD: the bits of the SVD route's first p rows on the
-        # member basis
+        # with the pieces' guard and the Gram route declined, a member's rows
+        # are mapped by one prediction_map SVD: the bits of the SVD route's
+        # first p rows on the member basis; and the baseline is
+        # rolling_one_step's
         workspace = prepare(small_config)
         geodesic, p = workspace.geodesic, small_config.model.p
         members = (1, small_config.N)  # certified, then not
         admitted = [run_trial(workspace, n).block for n in members]
+        monkeypatch.setattr(_linalg, "_forms_map", lambda *args, **kwargs: None)
         monkeypatch.setattr(_linalg, "_gram_map", lambda *args, **kwargs: None)
+        declined = prepare(small_config)
+        expected = rolling_one_step(geodesic.origin, workspace.measured,
+                                    small_config.Tini, small_config.Tf)
+        np.testing.assert_array_equal(declined.baseline, expected)
         for n, before in zip(members, admitted):
             kappa = small_config.kappas[n - 1]
             out = run_trial(workspace, n)
             block = out.block
             member, _ = geodesic.member(kappa)
             matrix, _, sigma_min = prediction_map(member.context_block, member.y_future, rows=p)
-            rows = experiment._member(geodesic, kappa)[1]
-            np.testing.assert_array_equal(rows, matrix)
             predictions = _apply(matrix, workspace.context_matrix)
+            rows = experiment._member(geodesic, workspace.forms, workspace.context_matrix, kappa)[1]
+            np.testing.assert_array_equal(rows, predictions)
             np.testing.assert_array_equal(out.predictions, predictions)
             errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
             np.testing.assert_array_equal(block.prediction_error, errors)
@@ -413,7 +427,11 @@ class TestRunExperiment:
         workspace = prepare(small_config)
         geodesic = workspace.geodesic
         kappa = small_config.kappas[0]  # 0.05
-        assert experiment._member(geodesic, kappa)[0] == run_trial(workspace, 1).block.kappa
+
+        def member(geodesic, kappa):
+            return experiment._member(geodesic, workspace.forms, workspace.context_matrix, kappa)
+
+        assert member(geodesic, kappa)[0] == run_trial(workspace, 1).block.kappa
         assert geodesic.member(kappa)[1] == run_trial(workspace, 1).block.kappa
         swapped_off = geodesic.squares + [[0.0] * 4, [1e-10, 0.0, 0.0, 0.0]]  # about 1e-9 off
         both_off = geodesic.squares * (1 + 1e-4)  # both 5e-5 relative, 2.5e-6 absolute, off
@@ -422,7 +440,7 @@ class TestRunExperiment:
             (both_off, ConvergenceError, "measures distance"),
         ):
             changed = dataclasses.replace(geodesic, squares=squares)
-            for solve in (changed.member, lambda kappa: experiment._member(changed, kappa)):
+            for solve in (changed.member, lambda kappa: member(changed, kappa)):
                 with pytest.raises(error, match=message):
                     solve(kappa)
 

@@ -35,7 +35,7 @@ from helpers import (
     write_csv_reference,
 )
 from subpred import chordal_distance, save_basis, simulate
-from subpred._linalg import IDENTITY_ERROR_TOL, _gram_map, prediction_map, spectral_norm
+from subpred._linalg import EPS, IDENTITY_ERROR_TOL, _forms_map, prediction_map, spectral_norm
 from subpred.cli import main
 from subpred.errors import ConvergenceError
 from subpred.experiment import (
@@ -219,11 +219,13 @@ class TestGeodesicMember:
 
 
 class TestMemberBlocks:
-    """A sweep member evaluated from its blend and its geodesic's squares
-    and defect (`_member`) against the member basis that `Geodesic.member` builds,
-    mapped by `prediction_map`: SISO and MIMO, k = r and k < r, and
-    distances from 1e-8 to the end of the geodesic.  The rank r is at most
-    the number of context rows, which then have full column rank."""
+    """A sweep member evaluated from its geodesic's pieces, squares and
+    defect (`_member`) against the member basis that `Geodesic.member`
+    builds, mapped by `prediction_map`: SISO and MIMO, k = r and k < r, and
+    distances from 1e-8 to the end of the geodesic.  The contexts are the
+    identity, so the member's predictions are its map's first p rows,
+    transposed.  The rank r is at most the number of context rows, which
+    then have full column rank."""
 
     @pytest.mark.parametrize("complement", ["large", "small"])  # k = r, or k < r
     @pytest.mark.parametrize("channels", ["siso", "mimo"])
@@ -253,18 +255,25 @@ class TestMemberBlocks:
         member, measured = geodesic.member(kappa)
         assert geodesic.defect >= member.gram_defect
         assert geodesic.defect <= ORTHONORMALITY_TOL
-        distance, rows, sigma_min, norm_first = _member(geodesic, kappa)
+        contexts = np.eye(q - future)
+        forms = geodesic.forms(contexts)
+        distance, predictions, sigma_min, norm_first = _member(geodesic, forms, contexts, kappa)
+        rows = predictions.T
         assert distance == measured
         assert abs(measured - chordal_distance(U, member)) <= 1e-12
-        assert norm_first == spectral_norm(member.y_future[:p])
-        if _gram_map(member.context_block, member.y_future, geodesic.defect, p) is None:
-            # the guard declined: one SVD of the member's rows, with the bits
-            # of its first p rows
-            reference, _, ref_sigma_min = prediction_map(member.context_block,
-                                                         member.y_future[:p])
+        reference_norm = spectral_norm(member.y_future[:p])
+        if _forms_map(forms, geodesic.weights(kappa), p, True) is None:
+            # the guard declined: the member's rows are mapped as a blend,
+            # with the bits of prediction_map's first p rows and spectral_norm
+            reference, _, ref_sigma_min = prediction_map(member.context_block, member.y_future,
+                                                         geodesic.defect, rows=p)
             np.testing.assert_array_equal(rows, reference)
             assert sigma_min == ref_sigma_min
+            assert norm_first == reference_norm
             return
+        # the squared norm is an eigenvalue of K[:p, :p], whose entries the
+        # pieces give to (r + 7) eps
+        assert abs(norm_first**2 - reference_norm**2) <= 2 * p * (r + 7) * EPS
         reference, _, ref_sigma_min = prediction_map(
             member.context_block, member.y_future, member.gram_defect
         )

@@ -630,7 +630,9 @@ class TestGeodesic:
         # both squared norms scaled alike: they still agree with each other,
         # and both read 0.3 + 2e-6, past the target tolerance 1e-6
         missed = dataclasses.replace(geodesic, squares=geodesic.squares * ((0.3 + 2e-6) / 0.3) ** 2)
-        for solve in (missed.member, lambda kappa: _member(missed, kappa)):
+        contexts = np.eye(U.q - U.p * U.Tf)
+        forms = missed.forms(contexts)
+        for solve in (missed.member, lambda kappa: _member(missed, forms, contexts, kappa)):
             with pytest.raises(ConvergenceError, match="measures distance"):
                 solve(0.3)
 
