@@ -20,9 +20,9 @@ With ``rows``, either route builds only the map's first rows, as the
 experiment sweep does for a member it cannot take from its pieces.
 `member_predictions` reads a member of a family of bases whose output Gram
 matrix and context cross product are weighted sums of fixed pieces
-(`QuadraticForms`), as the geodesic sweep's are, and is the one place that
-picks its route: those sums (`_forms_map`) while their guard admits the
-member, and the caller's own route otherwise.  `spectral_norm` takes
+(`QuadraticForms`), as the geodesic sweep's are, while its guard admits
+the member, and returns None otherwise, for the caller's own route.
+`spectral_norm` takes
 sigma_max from a Gram eigenvalue; it and the Gram route share one
 scaling and orientation rule, `_scaled_gram`.
 """
@@ -265,23 +265,14 @@ class QuadraticForms(NamedTuple):
     defect: float
 
 
-def member_predictions(forms: QuadraticForms, weights, rows: int, declined, norm: bool = True):
+def member_predictions(forms: QuadraticForms, weights, rows: int):
     """``(predictions, sigma_min, norm_first)`` of the member of ``forms``
     with ``weights``: the first ``rows`` of the map applied to every stacked
-    context, sigma_min of its context rows and ||Y[:rows]||_2 (None
-    without ``norm``).  They come from `_forms_map` while its guard admits
-    the member, and otherwise from ``declined()``, the caller's route,
-    which returns the same triple."""
-    routed = _forms_map(forms, weights, rows, norm)
-    return declined() if routed is None else routed
-
-
-def _forms_map(forms, weights, rows, norm):
-    """The route of `member_predictions`, or None when its guard declines,
-    before any solve.  K = sum w_j grams[j] gives sigma_min^2 =
-    1 - lambda_max(K) by one `eigvalsh`, as in `_gram_map`; one solve of
-    (I - K) X = E_rows, with E_rows the first ``rows`` columns of I, gives
-    the predictions (sum w_j crosses[j]) X, and
+    context, sigma_min of its context rows and ||Y[:rows]||_2; or None when
+    the guard declines the member, before any solve.  K = sum w_j grams[j]
+    gives sigma_min^2 = 1 - lambda_max(K) by one `eigvalsh`, as in
+    `_gram_map`; one solve of (I - K) X = E_rows, with E_rows the first
+    ``rows`` columns of I, gives the predictions (sum w_j crosses[j]) X, and
     ||Y[:rows]||_2 = sqrt(lambda_max(K[:rows, :rows])) takes one more.
 
     The guard is `_gram_map`'s estimate (defect + q eps) / sigma_min^2 with
@@ -294,10 +285,14 @@ def _forms_map(forms, weights, rows, norm):
     magnitudes sum to z_i . z_j, with z_i the rows of
     [|c| |Y1| + |s| |Yh|, |Y2|], whose norms Cauchy-Schwarz bounds by
     (c^2 + s^2)^(1/2) (1 + defect).  So the assembled K lies within
-    gamma_{r+6} (1 + 3 defect) <= (r + 7) eps of Y Y' entry by entry,
-    ||K_pieces - Y Y'||_max <= 1 * (r + 7) eps: the scale of the q eps
-    term, which estimates the rounding of forming Y Y' directly by the same
-    rule.  The route runs only while
+    gamma_{r+6} (1 + 3 defect) <= (r + 7) eps of Y Y' entry by entry.  The
+    guard adds that entrywise bound to the numerator as an estimate of the
+    change in lambda_max(K), on the same footing as the q eps term, which
+    estimates the rounding of forming Y Y' directly by the same entrywise
+    rule.  Neither is a bound on that change: with f future rows the error
+    E bounds it only by ||E||_2 <= f ||E||_max (Weyl's inequality and a row
+    sum bound), which a certified sigma_min would have to carry.
+    The route runs only while
     (defect + (q + r + 7) eps) / sigma_min^2 <= IDENTITY_ERROR_TOL, which
     is stricter than `_gram_map`'s guard."""
     grams, crosses, q, r, defect = forms
@@ -306,7 +301,7 @@ def _forms_map(forms, weights, rows, norm):
     if not defect + (q + r + 7) * EPS <= IDENTITY_ERROR_TOL * gap:
         return None
     X = np.linalg.solve(np.eye(len(gram)) - gram, np.eye(len(gram), rows))
-    norm_first = math.sqrt(max(0.0, np.linalg.eigvalsh(gram[:rows, :rows])[-1])) if norm else None
+    norm_first = math.sqrt(max(0.0, np.linalg.eigvalsh(gram[:rows, :rows])[-1]))
     return _weighted(weights, crosses) @ X, math.sqrt(gap), norm_first
 
 

@@ -297,8 +297,8 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
 
     context_matrix = _context_matrix(measured, config.Tini, config.Tf)
     forms = geodesic.forms(context_matrix)
-    baseline, _, _ = member_predictions(forms, geodesic.weights(0.0), model.p, norm=False,
-                                        declined=lambda: (_rolling(basis, context_matrix), None, None))
+    zero = member_predictions(forms, geodesic.weights(0.0), model.p)
+    baseline = _rolling(basis, context_matrix) if zero is None else zero[0]
     return ExperimentWorkspace(
         config=config,
         geodesic=geodesic,
@@ -341,14 +341,13 @@ def _member(geodesic: Geodesic, forms: QuadraticForms, contexts: np.ndarray, kap
     `spectral_norm` takes the norm."""
     measured = geodesic.measure(kappa)
     p = geodesic.origin.p
-
-    def declined():
-        data = geodesic.blend(kappa)
-        context_rows, future_rows = np.split(data, [len(data) - p * geodesic.origin.Tf])
-        matrix, _, sigma_min = prediction_map(context_rows, future_rows, geodesic.defect, rows=p)
-        return _apply(matrix, contexts), sigma_min, spectral_norm(future_rows[:p])
-
-    return (measured, *member_predictions(forms, geodesic.weights(kappa), p, declined))
+    routed = member_predictions(forms, geodesic.weights(kappa), p)
+    if routed is not None:
+        return (measured, *routed)
+    data = geodesic.blend(kappa)
+    context_rows, future_rows = np.split(data, [len(data) - p * geodesic.origin.Tf])
+    matrix, _, sigma_min = prediction_map(context_rows, future_rows, geodesic.defect, rows=p)
+    return measured, _apply(matrix, contexts), sigma_min, spectral_norm(future_rows[:p])
 
 
 def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:

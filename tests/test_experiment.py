@@ -317,13 +317,12 @@ class TestRunExperiment:
     # one Cholesky of the m(n + L)-row Hankel matrix's shifted Gram matrix,
     # the basis one eigh of the q x q Gram matrix of the wide data matrix
     # and the geodesic direction one eigh of its r x r Gram matrix, each
-    # proven by its route's guard; a member factors nothing.  The baseline,
-    # the kappa = 0 member, is read from the geodesic's pieces: one eigvalsh
-    # of its pTf x pTf Gram matrix K and one solve with p right-hand sides.
-    # A member is read from the same pieces, with no member basis and no
-    # blend: the same two calls and one p x p eigvalsh of K[:p, :p] for the
-    # norm of y_future[:p].  That is
-    # one cholesky, 2N + 1 eigvalsh, 2 eigh and N + 1 solve calls per
+    # proven by its route's guard; a member factors nothing.  Each member,
+    # and the baseline as the kappa = 0 member, is read from the geodesic's
+    # pieces, with no member basis and no blend: one eigvalsh of its
+    # pTf x pTf Gram matrix K, one solve with p right-hand sides and one
+    # p x p eigvalsh of K[:p, :p] for the norm of y_future[:p].  That is
+    # one cholesky, 2N + 2 eigvalsh, 2 eigh and N + 1 solve calls per
     # sweep, and the baseline is the only BehaviorBasis built.
     @pytest.mark.parametrize("mimo", [False, True], ids=["default", "mimo"])
     def test_svd_budget(self, mimo, svd_calls, monkeypatch, tmp_path):
@@ -344,7 +343,7 @@ class TestRunExperiment:
         assert svd_calls.eigh == [(q, q), (r, r)]
         future, p = cfg.model.p * cfg.Tf, cfg.model.p
         assert svd_calls.cholesky == [(hankel_rows, hankel_rows)]
-        assert svd_calls.eigvalsh == [(future, future)] + [(future, future), (p, p)] * cfg.N
+        assert svd_calls.eigvalsh == [(future, future), (p, p)] * (cfg.N + 1)
         assert svd_calls.solve == [(future, future)] * (cfg.N + 1)
         assert len(built) == 1 and built[0].r == r
 
@@ -375,7 +374,7 @@ class TestRunExperiment:
         geodesic, p = workspace.geodesic, small_config.model.p
         members = (1, small_config.N)  # certified, then not
         admitted = [run_trial(workspace, n).block for n in members]
-        monkeypatch.setattr(_linalg, "_forms_map", lambda *args, **kwargs: None)
+        monkeypatch.setattr(experiment, "member_predictions", lambda *args: None)
         monkeypatch.setattr(_linalg, "_gram_map", lambda *args, **kwargs: None)
         declined = prepare(small_config)
         expected = rolling_one_step(geodesic.origin, workspace.measured,

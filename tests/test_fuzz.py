@@ -35,7 +35,7 @@ from helpers import (
     write_csv_reference,
 )
 from subpred import chordal_distance, save_basis, simulate
-from subpred._linalg import EPS, IDENTITY_ERROR_TOL, _forms_map, prediction_map, spectral_norm
+from subpred._linalg import EPS, IDENTITY_ERROR_TOL, member_predictions, prediction_map, spectral_norm
 from subpred.cli import main
 from subpred.errors import ConvergenceError
 from subpred.experiment import (
@@ -262,7 +262,7 @@ class TestMemberBlocks:
         assert distance == measured
         assert abs(measured - chordal_distance(U, member)) <= 1e-12
         reference_norm = spectral_norm(member.y_future[:p])
-        if _forms_map(forms, geodesic.weights(kappa), p, True) is None:
+        if member_predictions(forms, geodesic.weights(kappa), p) is None:
             # the guard declined: the member's rows are mapped as a blend,
             # with the bits of prediction_map's first p rows and spectral_norm
             reference, _, ref_sigma_min = prediction_map(member.context_block, member.y_future,
@@ -272,7 +272,8 @@ class TestMemberBlocks:
             assert norm_first == reference_norm
             return
         # the squared norm is an eigenvalue of K[:p, :p], whose entries the
-        # pieces give to (r + 7) eps
+        # pieces give to (r + 7) eps, so its eigenvalues to p (r + 7) eps;
+        # spectral_norm's own Gram matrix rounds by as much again
         assert abs(norm_first**2 - reference_norm**2) <= 2 * p * (r + 7) * EPS
         reference, _, ref_sigma_min = prediction_map(
             member.context_block, member.y_future, member.gram_defect
