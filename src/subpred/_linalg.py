@@ -16,12 +16,11 @@ otherwise the SVD runs and decides, so every refusal comes from the SVD.
 is the one place that picks its route: an orthonormal basis's map comes
 from its output Gram matrix (`_gram_map`) when that matches the SVD, and
 any other from one SVD.
-With ``rows``, either route builds only the map's first rows, as the
-experiment sweep does for a member it cannot take from its pieces.
 `member_predictions` reads a member of a family of bases whose output Gram
 matrix and context cross product are weighted sums of fixed pieces
 (`QuadraticForms`), as the geodesic sweep's are, while its guard admits
-the member, and returns None otherwise, for the caller's own route.
+the member, and returns None otherwise, for the caller's own route.  The
+two Gram routes share one guard, `_guarded_gap`.
 `spectral_norm` takes
 sigma_max from a Gram eigenvalue; it and the Gram route share one
 scaling and orientation rule, `_scaled_gram`.
@@ -189,12 +188,11 @@ def _scaled_gram(matrix):
     return scaled, scale, (scaled @ scaled.T if wide else scaled.T @ scaled), wide
 
 
-def prediction_map(context_rows, future_rows=None, gram_defect=None, rows=None):
+def prediction_map(context_rows, future_rows=None, gram_defect=None):
     """``(future_rows @ pinv(context_rows), rank, sigma_min)``, with the rank
     of the context rows and sigma_min their r-th singular value for r
     columns, which is 0 when they have fewer rows than columns; without
-    ``future_rows`` the map is the pseudoinverse itself.  With ``rows``, the
-    map's first ``rows`` rows only.
+    ``future_rows`` the map is the pseudoinverse itself.
 
     Given ``gram_defect`` = ||U'U - I||_F of a basis U with these two row
     blocks, the map comes from its output Gram matrix: U'U = I makes
@@ -206,10 +204,10 @@ def prediction_map(context_rows, future_rows=None, gram_defect=None, rows=None):
     IDENTITY_ERROR_TOL, which excludes context rows without full column
     rank.  Otherwise one SVD of the context rows builds the map, dropping
     singular values at or below the shared cutoff, which truncates a
-    rank-deficient block, and maps ``future_rows[:rows]``.
+    rank-deficient block.
     """
     if gram_defect is not None:
-        routed = _gram_map(context_rows, future_rows, gram_defect, rows)
+        routed = _gram_map(context_rows, future_rows, gram_defect)
         if routed is not None:
             return routed[0], context_rows.shape[1], routed[1]
     U, svals, Vt, rank = svd(context_rows, vectors=True)
@@ -221,29 +219,30 @@ def prediction_map(context_rows, future_rows=None, gram_defect=None, rows=None):
         pinv = (Vt.T * inv) @ U.T
         height, width = np.shape(context_rows)
         sigma_min = float(svals[-1]) if height >= width else 0.0  # wide rows: sigma_cols is 0
-    return (pinv if future_rows is None else future_rows[:rows] @ pinv), rank, sigma_min
+    return (pinv if future_rows is None else future_rows @ pinv), rank, sigma_min
 
 
-def _gram_map(context_rows, future_rows, gram_defect, rows):
+def _gram_map(context_rows, future_rows, gram_defect):
     """The Gram route of `prediction_map`, as ``(map, sigma_min)``, for a
     basis with these two row blocks and an upper bound ``gram_defect`` on
-    its ||U'U - I||_F; None when the error estimate
-    (gram_defect + q * eps) / sigma_min^2 exceeds IDENTITY_ERROR_TOL, before
-    the cross product Yf C' (Yf the future rows, C the context rows) is
-    formed.  With ``rows``, the map's first ``rows`` rows only, from one
-    solve with that many right-hand sides: K = Yf Yf' is symmetric, so they
-    are the transposed solution times Yf, times C'."""
+    its ||U'U - I||_F: one solve (I - K) X = Yf C', with K = Yf Yf' (Yf the
+    future rows, C the context rows).  None when `_guarded_gap` declines K
+    with the error gram_defect + q * eps, before Yf C' is formed."""
     gram = future_rows @ future_rows.T
-    gap = 1.0 - float(np.linalg.eigvalsh(gram).max(initial=0.0))
     q = len(context_rows) + len(future_rows)
-    if not gram_defect + q * EPS <= IDENTITY_ERROR_TOL * gap:
+    gap = _guarded_gap(gram, gram_defect + q * EPS)
+    if gap is None:
         return None
-    eye = np.eye(len(gram))
-    if rows is None:
-        matrix = np.linalg.solve(eye - gram, future_rows @ context_rows.T)
-    else:
-        matrix = (np.linalg.solve(eye - gram, eye[:, :rows]).T @ future_rows) @ context_rows.T
-    return matrix, float(np.sqrt(gap))
+    matrix = np.linalg.solve(np.eye(len(gram)) - gram, future_rows @ context_rows.T)
+    return matrix, math.sqrt(gap)
+
+
+def _guarded_gap(gram, error):
+    """The Gram routes' one guard: sigma_min^2 = 1 - lambda_max(``gram``) by
+    one `eigvalsh`, or None unless the error estimate ``error`` /
+    sigma_min^2 is at most IDENTITY_ERROR_TOL (a NaN gap declines)."""
+    gap = 1.0 - float(np.linalg.eigvalsh(gram).max(initial=0.0))
+    return gap if error <= IDENTITY_ERROR_TOL * gap else None
 
 
 class QuadraticForms(NamedTuple):
@@ -270,8 +269,8 @@ def member_predictions(forms: QuadraticForms, weights, rows: int):
     with ``weights``: the first ``rows`` of the map applied to every stacked
     context, sigma_min of its context rows and ||Y[:rows]||_2; or None when
     the guard declines the member, before any solve.  K = sum w_j grams[j]
-    gives sigma_min^2 = 1 - lambda_max(K) by one `eigvalsh`, as in
-    `_gram_map`; one solve of (I - K) X = E_rows, with E_rows the first
+    gives sigma_min^2 = 1 - lambda_max(K) by `_guarded_gap`, the Gram
+    routes' one guard; one solve of (I - K) X = E_rows, with E_rows the first
     ``rows`` columns of I, gives the predictions (sum w_j crosses[j]) X, and
     ||Y[:rows]||_2 = sqrt(lambda_max(K[:rows, :rows])) takes one more.
 
@@ -297,8 +296,8 @@ def member_predictions(forms: QuadraticForms, weights, rows: int):
     is stricter than `_gram_map`'s guard."""
     grams, crosses, q, r, defect = forms
     gram = _weighted(weights, grams)
-    gap = 1.0 - float(np.linalg.eigvalsh(gram).max(initial=0.0))
-    if not defect + (q + r + 7) * EPS <= IDENTITY_ERROR_TOL * gap:
+    gap = _guarded_gap(gram, defect + (q + r + 7) * EPS)
+    if gap is None:
         return None
     X = np.linalg.solve(np.eye(len(gram)) - gram, np.eye(len(gram), rows))
     norm_first = math.sqrt(max(0.0, np.linalg.eigvalsh(gram[:rows, :rows])[-1]))

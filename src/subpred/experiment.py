@@ -34,8 +34,8 @@ A member's ``kappa`` is bit for bit the one `Geodesic.member` returns.  Its
 predictions, and the baseline's, agree with the library path
 (`perturb_subspace`, `predict_from_subspace`, `rolling_one_step`) to
 rounding, not bit for bit.  A member whose guard declines the pieces is
-mapped from its blend's rows by ``prediction_map(context_rows, future_rows,
-defect, rows=p)``, and a declined baseline is `rolling_one_step`'s.
+mapped from its blend's rows by one SVD, ``prediction_map(context_rows,
+future_rows[:p])``, and a declined baseline is `rolling_one_step`'s.
 """
 
 from __future__ import annotations
@@ -335,10 +335,10 @@ def _member(geodesic: Geodesic, forms: QuadraticForms, contexts: np.ndarray, kap
     from ``forms``, the geodesic's pieces on these contexts, at the
     member's `Geodesic.weights`, by `_linalg.member_predictions`.  When its
     guard declines, the member's `Geodesic.blend` is split into context and
-    future rows, one `prediction_map` call builds the map's first p rows
-    (its own Gram route's guard reads ``geodesic.defect``, which
-    `Geodesic.draw` has checked against the basis tolerance), and
-    `spectral_norm` takes the norm."""
+    future rows, one SVD of the context rows maps the first p future rows
+    (`prediction_map` without a Gram defect: any exact map gives the same
+    predictor, so no Gram route on nearly the declined K is retried), and
+    `spectral_norm` takes their norm."""
     measured = geodesic.measure(kappa)
     p = geodesic.origin.p
     routed = member_predictions(forms, geodesic.weights(kappa), p)
@@ -346,7 +346,7 @@ def _member(geodesic: Geodesic, forms: QuadraticForms, contexts: np.ndarray, kap
         return (measured, *routed)
     data = geodesic.blend(kappa)
     context_rows, future_rows = np.split(data, [len(data) - p * geodesic.origin.Tf])
-    matrix, _, sigma_min = prediction_map(context_rows, future_rows, geodesic.defect, rows=p)
+    matrix, _, sigma_min = prediction_map(context_rows, future_rows[:p])
     return measured, _apply(matrix, contexts), sigma_min, spectral_norm(future_rows[:p])
 
 
@@ -385,7 +385,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialBlock], list[Sum
     and ``summary.csv`` to the configured output directory.
 
     Returns one block and one summary per member; only these are kept, so a
-    member's basis and predictions are freed as the sweep goes on.  A
+    member's predictions are freed as the sweep goes on.  A
     summary holds the means of its block's error and bound columns, its
     ``avg_bound`` None when the block's ``bound`` is."""
     workspace = prepare(config)

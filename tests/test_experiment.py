@@ -9,7 +9,7 @@ import pytest
 from helpers import MAP_RTOL, format_model, random_basis, trial_rows, write_csv_reference
 from subpred import ExperimentConfig, chordal_distance, load_config, run_experiment, run_single
 from subpred import StateSpaceModel
-from subpred import _linalg, experiment, predictor, simulate
+from subpred import experiment, predictor, simulate
 from subpred.errors import ConvergenceError, RankDeficientError
 from subpred._linalg import prediction_map, spectral_norm
 from subpred.bounds import one_step_bound
@@ -246,10 +246,10 @@ class TestRunExperiment:
         workspace = prepare(cfg)
         windows = list(context_windows(workspace.measured, cfg.Tini, cfg.Tf))
         assert tuple(t for t, _ in windows) == workspace.steps
-        # a sweep member's map is the Gram route's first p rows, from its
-        # blend's rows, so it matches the per-basis path to rounding, not bit
-        # for bit; the member at 0.01 is certified (sigma_min about 0.072),
-        # the other two are not
+        # a sweep member's predictions are read from the geodesic's pieces,
+        # so they match the per-basis path to rounding, not bit for bit; the
+        # member at 0.01 is certified (sigma_min about 0.072), the other two
+        # are not
         for n in (1, 2, 3):
             out = run_trial(workspace, n)
             member, kappa = workspace.geodesic.member(cfg.kappas[n - 1])
@@ -365,27 +365,30 @@ class TestRunExperiment:
         )
         assert np.linalg.norm(workspace.baseline - expected) <= MAP_RTOL * np.linalg.norm(expected)
 
-    def test_declined_member_is_built_as_a_basis(self, small_config, monkeypatch):
-        # with the pieces' guard and the Gram route declined, a member's rows
-        # are mapped by one prediction_map SVD: the bits of the SVD route's
-        # first p rows on the member basis; and the baseline is
-        # rolling_one_step's
+    def test_declined_member_is_built_as_a_basis(self, small_config, monkeypatch, svd_calls):
+        # with the pieces' guard declined, a member's rows are mapped by one
+        # SVD of its blend's context rows, with no Gram route tried on the
+        # blend: the bits of the SVD map of the member basis's first p
+        # future rows; and the baseline is rolling_one_step's
         workspace = prepare(small_config)
         geodesic, p = workspace.geodesic, small_config.model.p
         members = (1, small_config.N)  # certified, then not
         admitted = [run_trial(workspace, n).block for n in members]
         monkeypatch.setattr(experiment, "member_predictions", lambda *args: None)
-        monkeypatch.setattr(_linalg, "_gram_map", lambda *args, **kwargs: None)
         declined = prepare(small_config)
         expected = rolling_one_step(geodesic.origin, workspace.measured,
                                     small_config.Tini, small_config.Tf)
         np.testing.assert_array_equal(declined.baseline, expected)
+        future = p * small_config.Tf
         for n, before in zip(members, admitted):
             kappa = small_config.kappas[n - 1]
-            out = run_trial(workspace, n)
-            block = out.block
             member, _ = geodesic.member(kappa)
-            matrix, _, sigma_min = prediction_map(member.context_block, member.y_future, rows=p)
+            svd_calls.clear()
+            out = run_trial(workspace, n)
+            assert svd_calls == [member.context_block.shape] and svd_calls.solve == []
+            assert (future, future) not in svd_calls.eigvalsh
+            block = out.block
+            matrix, _, sigma_min = prediction_map(member.context_block, member.y_future[:p])
             predictions = _apply(matrix, workspace.context_matrix)
             rows = experiment._member(geodesic, workspace.forms, workspace.context_matrix, kappa)[1]
             np.testing.assert_array_equal(rows, predictions)

@@ -263,10 +263,10 @@ class TestMemberBlocks:
         assert abs(measured - chordal_distance(U, member)) <= 1e-12
         reference_norm = spectral_norm(member.y_future[:p])
         if member_predictions(forms, geodesic.weights(kappa), p) is None:
-            # the guard declined: the member's rows are mapped as a blend,
-            # with the bits of prediction_map's first p rows and spectral_norm
-            reference, _, ref_sigma_min = prediction_map(member.context_block, member.y_future,
-                                                         geodesic.defect, rows=p)
+            # the guard declined: the member's rows are mapped as a blend by
+            # one SVD, with the bits of the SVD map of the first p future
+            # rows and of spectral_norm
+            reference, _, ref_sigma_min = prediction_map(member.context_block, member.y_future[:p])
             np.testing.assert_array_equal(rows, reference)
             assert sigma_min == ref_sigma_min
             assert norm_first == reference_norm

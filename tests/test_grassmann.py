@@ -600,9 +600,9 @@ class TestGeodesic:
     def test_wrapper_is_bit_identical_to_sweep_member(self, small_config):
         from subpred.experiment import prepare, run_trial
 
-        # the sweep maps the rows of a member's Geodesic.blend, the matrix of
-        # Geodesic.member, and reports its distance from Geodesic.measure,
-        # as Geodesic.member does
+        # a declined sweep member maps the rows of its Geodesic.blend, the
+        # matrix of Geodesic.member, and every member reports its distance
+        # from Geodesic.measure, as Geodesic.member does
         workspace = prepare(small_config)
         for n in (1, 5, small_config.N):
             out = run_trial(workspace, n)

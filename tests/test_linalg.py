@@ -174,24 +174,18 @@ class TestOrthonormalMap:
 
     DIMS = [(2, 3, 3, 3), (3, 3, 10, 10), (4, 4, 16, 16)]
 
-    # with first_p, only the map's first p rows, from a solve with p
-    # right-hand sides, against the first p rows of the SVD map
     @pytest.mark.parametrize(
-        "dims, first_p",
-        [pytest.param(dims, False, id=f"dims{i}") for i, dims in enumerate(DIMS)]
-        + [pytest.param(dims, True, id=f"dims{i}-first-p-rows") for i, dims in enumerate(DIMS)],
+        "dims", [pytest.param(dims, id=f"dims{i}") for i, dims in enumerate(DIMS)]
     )
-    def test_matches_svd_map_on_random_mimo_bases(self, rng, svd_calls, dims, first_p):
+    def test_matches_svd_map_on_random_mimo_bases(self, rng, svd_calls, dims):
         m, p, Tini, Tf = dims
         r = m * (Tini + Tf) + 2 * p
-        rows = p if first_p else None
         bases = [random_basis(rng, dims, r) for _ in range(3)]
         bases += [cs_basis(rng, dims, r, sigma_min) for sigma_min in (0.03, 0.3)]
         for U in bases:
             ref_matrix, ref_rank, ref_sigma_min = prediction_map(U.context_block, U.y_future)
-            ref_matrix = ref_matrix[:rows]
             svd_calls.clear()
-            pred, rank, sigma_min = prediction_map(U.context_block, U.y_future, U.gram_defect, rows)
+            pred, rank, sigma_min = prediction_map(U.context_block, U.y_future, U.gram_defect)
             assert svd_calls == []  # the Gram route: one eigvalsh and one solve
             assert svd_calls.eigvalsh == svd_calls.solve == [(p * Tf, p * Tf)]
             assert pred.shape == ref_matrix.shape
