@@ -6,7 +6,10 @@ import pytest
 
 from helpers import MAP_RTOL, cs_basis, random_basis, random_orthogonal
 from subpred import _linalg
-from subpred._linalg import EPS, _cholesky_certificate, full_row_rank, prediction_map, spectral_norm, svd
+from subpred._linalg import (
+    EPS, IDENTITY_ERROR_TOL, QuadraticForms, _cholesky_certificate, _guarded_gap, full_row_rank,
+    member_predictions, prediction_map, spectral_norm, svd,
+)
 from subpred.hankel import hankel
 
 
@@ -194,6 +197,29 @@ class TestOrthonormalMap:
             assert gap <= MAP_RTOL
             assert abs(sigma_min - ref_sigma_min) <= MAP_RTOL * ref_sigma_min
 
+    @pytest.mark.parametrize(
+        "dims", [pytest.param(dims, id=f"dims{i}") for i, dims in enumerate(DIMS)]
+    )
+    def test_svd_map_of_first_p_future_rows_matches_gram_maps_rows(self, rng, svd_calls, dims):
+        # a declined sweep member maps its first p future rows by one SVD;
+        # that is the first p rows of the Gram route's map, to rounding
+        m, p, Tini, Tf = dims
+        r = m * (Tini + Tf) + 2 * p
+        bases = [random_basis(rng, dims, r) for _ in range(2)]
+        bases += [cs_basis(rng, dims, r, sigma_min) for sigma_min in (0.03, 0.3)]
+        for U in bases:
+            gram_matrix, _, gram_sigma_min = prediction_map(
+                U.context_block, U.y_future, U.gram_defect
+            )
+            svd_calls.clear()
+            pred, rank, sigma_min = prediction_map(U.context_block, U.y_future[:p])
+            assert svd_calls == [U.context_block.shape] and svd_calls.solve == []
+            assert pred.shape == (p, U.context_block.shape[0])
+            assert rank == r
+            reference = gram_matrix[:p]
+            assert np.linalg.norm(pred - reference) <= MAP_RTOL * np.linalg.norm(reference)
+            assert abs(sigma_min - gram_sigma_min) <= MAP_RTOL * gram_sigma_min
+
     def test_wide_context_rows_decline(self, rng, svd_calls):
         # 6 context rows for 7 columns: sigma_min = 0, so 1 - lambda_max(K) = 0
         U = random_basis(rng, (1, 1, 1, 4), 7)
@@ -205,6 +231,55 @@ class TestOrthonormalMap:
         assert rank == ref_rank == 6
         # sigma_7 of 7 columns, not sigma_6, the smallest of the 6 rows
         assert sigma_min == ref_sigma_min == 0.0
+
+
+class TestGuardedGap:
+    """The Gram routes' one guard: the gap 1 - lambda_max(K) by one eigvalsh,
+    or None when error / gap exceeds IDENTITY_ERROR_TOL."""
+
+    @pytest.mark.parametrize("error", [1e-12, 5e-11])
+    @pytest.mark.parametrize("factor, admitted", [(1.05, True), (0.95, False)])
+    def test_splits_at_the_threshold(self, rng, svd_calls, error, factor, admitted):
+        gap = factor * error / IDENTITY_ERROR_TOL
+        Q = random_orthogonal(rng, 6)
+        gram = (Q * np.array([1.0 - gap, 0.5, 0.4, 0.3, 0.2, 0.0])) @ Q.T
+        gram = (gram + gram.T) / 2
+        got = _guarded_gap(gram, error)
+        assert svd_calls.eigvalsh == [(6, 6)] and svd_calls == [] and svd_calls.solve == []
+        if admitted:
+            assert got == 1.0 - float(np.linalg.eigvalsh(gram).max())
+            assert got == pytest.approx(gap, rel=1e-4)
+        else:
+            assert got is None
+
+    def test_empty_gram_has_gap_one(self):
+        assert _guarded_gap(np.zeros((0, 0)), 1e-12) == 1.0
+
+    def test_nan_declines(self):
+        assert _guarded_gap(np.eye(3) / 2, np.nan) is None
+        with np.errstate(invalid="ignore"):
+            assert _guarded_gap(np.full((2, 2), np.nan), 0.0) is None
+
+    def test_both_gram_routes_pass_their_error_expressions(self, rng, monkeypatch):
+        errors = []
+
+        def recorded(gram, error):
+            errors.append(error)
+            return _guarded_gap(gram, error)
+
+        monkeypatch.setattr(_linalg, "_guarded_gap", recorded)
+        dims = (2, 3, 3, 3)
+        r = 2 * (3 + 3) + 2 * 3
+        U = cs_basis(rng, dims, r, 0.3)
+        q = len(U.context_block) + len(U.y_future)
+        prediction_map(U.context_block, U.y_future, U.gram_defect)
+        assert errors == [U.gram_defect + q * EPS]
+        errors.clear()
+        forms = QuadraticForms(
+            [U.y_future @ U.y_future.T], [U.context_block @ U.y_future.T], q, r, U.gram_defect
+        )
+        assert member_predictions(forms, [1.0], 3) is not None
+        assert errors == [U.gram_defect + (q + r + 7) * EPS]
 
 
 def test_every_factorization_kind_is_counted(svd_calls):
