@@ -45,7 +45,9 @@ def _certified_bound(s: float, norm_Uyf1: float, kappa: float, b_norm: float, na
     """(2(1+sqrt(5)) * norm_Uyf1 / s^2 + 1/s) * sqrt(2) * kappa * b_norm, valid
     while kappa <= s / (2 sqrt(2)); ``name`` names s in the messages.  Each
     argument is read by `lti._real`, s must be positive and the others
-    nonnegative."""
+    nonnegative.  s^2, which underflows below about 1e-154, is never formed:
+    with t = b_norm * kappa / s the bound is
+    sqrt(2) * (2(1+sqrt(5)) * (t * norm_Uyf1) / s + t), 0 when t is."""
     s = _real(s, name)
     if s <= 0:
         raise ValueError(f"{name} must be positive, got {s}")
@@ -61,8 +63,8 @@ def _certified_bound(s: float, norm_Uyf1: float, kappa: float, b_norm: float, na
             f"bound hypothesis violated: kappa = {kappa:.6g} exceeds "
             f"{name}/(2*sqrt(2)) = {limit:.6g}"
         )
-    coeff = 2.0 * (1.0 + math.sqrt(5.0)) * norm_Uyf1 / s**2 + 1.0 / s
-    return coeff * math.sqrt(2.0) * kappa * b_norm
+    t = b_norm * (kappa / s)
+    return math.sqrt(2.0) * (2.0 * (1.0 + math.sqrt(5.0)) * (t * norm_Uyf1) / s + t)
 
 
 def lipschitz_bound(gamma: float, kappa: float, b_norm: float) -> float:

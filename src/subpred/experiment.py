@@ -14,12 +14,12 @@ A member moves in only its two blend coefficients, so its output Gram
 matrix and its cross product with the stacked contexts are quadratic forms
 in them, whose pieces `prepare` forms once (`Geodesic.forms`).  `_member`
 reads a member's predictions, sigma_min and first-block norm from those
-pieces at its weights, with no member basis and no q x r blend, and its
-distance from `Geodesic.measure`, which reads the quadratic forms that the
-geodesic forms when it is drawn.  The guard on those pieces reads the
-geodesic's one bound on every member's Gram defect, checked by
-`Geodesic.draw`.  The baseline is the kappa = 0 member of the same pieces,
-so a kappa = 0 member's errors are exactly 0.
+pieces at its weights, with no member basis and no q x r blend, and
+`run_trial` its distance from `Geodesic.measure`, which reads the
+quadratic forms that the geodesic forms when it is drawn.  The guard on
+those pieces reads the geodesic's one bound on every member's Gram defect,
+checked by `Geodesic.draw`.  The baseline is the kappa = 0 member, read by
+`_member` on the same route, so a kappa = 0 member's errors are exactly 0.
 
 Seeds are split into three independent streams (offline/online data input,
 measurement noise, perturbation direction).  The online streams use the
@@ -33,9 +33,10 @@ member's last digits.
 A member's ``kappa`` is bit for bit the one `Geodesic.member` returns.  Its
 predictions, and the baseline's, agree with the library path
 (`perturb_subspace`, `predict_from_subspace`, `rolling_one_step`) to
-rounding, not bit for bit.  A member whose guard declines the pieces is
-mapped from its blend's rows by one SVD, ``prediction_map(context_rows,
-future_rows[:p])``, and a declined baseline is `rolling_one_step`'s.
+rounding, not bit for bit.  A declined member, the baseline included, is
+mapped from its blend's rows by ``_basis_map(context_rows,
+future_rows[:p])``, one SVD that refuses rank-deficient context rows as
+the library does.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kv import floats, integer, named, read_pairs
-from ._linalg import QuadraticForms, member_predictions, prediction_map, spectral_norm
+from ._linalg import QuadraticForms, member_predictions, spectral_norm
 from .bounds import one_step_bound
 from .errors import HypothesisViolationError
 from .grassmann import Geodesic, check_distance, orthonormal_basis
 from .hankel import persistently_exciting_input, stacked_data_matrix
 from .lti import NoiseSpec, StateSpaceModel, Trajectory, load_model, simulate
 from .lti import _count, _frozen, _real, _seed
-from .predictor import _apply, _context_matrix, _rolling
+from .predictor import _apply, _basis_map, _context_matrix
 
 __all__ = [
     "ExperimentConfig",
@@ -268,10 +269,10 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
     """Run the offline and online stages shared by every trial.  The online
     contexts are stacked once, and the geodesic's pieces on them are formed
     once (`Geodesic.forms`).  The baseline predictions are the kappa = 0
-    member's, read from those pieces as every member's are; when their
-    guard declines, they are `rolling_one_step`'s on the origin, which
-    raises RankDeficientError when its context rows lack full column
-    rank."""
+    member's, read by `_member` as every member's are, so a declined
+    baseline takes one SVD of its blend's context rows, and context rows
+    without full column rank raise RankDeficientError before any member
+    is read."""
     model = config.model
     L = config.Tini + config.Tf
     r = model.m * L + model.n
@@ -283,8 +284,7 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
         model, u_offline, noise=NoiseSpec.relative_gaussian(config.sigma, config.seed_noise)
     )
     data = stacked_data_matrix(offline.inputs, offline.outputs, config.Tini, config.Tf)
-    basis = orthonormal_basis(data, r)
-    geodesic = Geodesic.draw(basis, config.seed_perturb)
+    geodesic = Geodesic.draw(orthonormal_basis(data, r), config.seed_perturb)
 
     u_online = np.random.default_rng(config.seed_data + ONLINE_SEED_OFFSET).standard_normal(
         (config.T_sim, model.m)
@@ -297,8 +297,7 @@ def prepare(config: ExperimentConfig) -> ExperimentWorkspace:
 
     context_matrix = _context_matrix(measured, config.Tini, config.Tf)
     forms = geodesic.forms(context_matrix)
-    zero = member_predictions(forms, geodesic.weights(0.0), model.p)
-    baseline = _rolling(basis, context_matrix) if zero is None else zero[0]
+    baseline = _member(geodesic, forms, context_matrix, 0.0)[0]
     return ExperimentWorkspace(
         config=config,
         geodesic=geodesic,
@@ -327,41 +326,42 @@ def _check_index(config: ExperimentConfig, n: int) -> int:
 
 
 def _member(geodesic: Geodesic, forms: QuadraticForms, contexts: np.ndarray, kappa: float):
-    """``(measured distance, predictions, sigma_min, ||Yf[:p]||_2)`` of the
-    member of ``geodesic`` at target ``kappa``, with one row of p one-step
-    predictions per row of ``contexts`` and Yf its future-output rows.
+    """``(predictions, sigma_min, ||Yf[:p]||_2)`` of the member of ``geodesic``
+    at target ``kappa``, the baseline at 0: one row of p one-step predictions
+    per row of ``contexts``, and Yf its future-output rows.
 
-    The distance is `Geodesic.measure`'s, with its checks.  The rest is read
-    from ``forms``, the geodesic's pieces on these contexts, at the
-    member's `Geodesic.weights`, by `_linalg.member_predictions`.  When its
-    guard declines, the member's `Geodesic.blend` is split into context and
-    future rows, one SVD of the context rows maps the first p future rows
-    (`prediction_map` without a Gram defect: any exact map gives the same
-    predictor, so no Gram route on nearly the declined K is retried), and
+    They are read from ``forms``, the geodesic's pieces on these contexts, at
+    the member's `Geodesic.weights`, by `_linalg.member_predictions`.  When
+    its guard declines, the member's `Geodesic.blend` is split into context
+    and future rows and `predictor._basis_map` maps the first p future rows
+    by one SVD of the context rows, with no Gram defect (any exact map gives
+    the same predictor, so no Gram route on nearly the declined K is
+    retried), refusing context rows without full column rank;
     `spectral_norm` takes their norm."""
-    measured = geodesic.measure(kappa)
     p = geodesic.origin.p
     routed = member_predictions(forms, geodesic.weights(kappa), p)
     if routed is not None:
-        return (measured, *routed)
+        return routed
     data = geodesic.blend(kappa)
     context_rows, future_rows = np.split(data, [len(data) - p * geodesic.origin.Tf])
-    matrix, _, sigma_min = prediction_map(context_rows, future_rows[:p])
-    return measured, _apply(matrix, contexts), sigma_min, spectral_norm(future_rows[:p])
+    matrix, _, sigma_min = _basis_map(context_rows, future_rows[:p])
+    return _apply(matrix, contexts), sigma_min, spectral_norm(future_rows[:p])
 
 
 def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
     """Evaluate perturbation index n (1-based) of the configured family.
 
     Member n lies at target distance kappas[n-1] along the shared geodesic
-    drawn from seed_perturb; its reported kappa is the measured distance.
-    `_member` reads the member from the workspace's pieces, with no member
-    basis.
+    drawn from seed_perturb; its reported kappa is the distance that
+    `Geodesic.measure` reads and checks.  `_member` reads the member from
+    the workspace's pieces, with no member basis.
     """
     config = workspace.config
     n = _check_index(config, n)
-    kappa, predictions, sigma_min, norm_first = _member(
-        workspace.geodesic, workspace.forms, workspace.context_matrix, config.kappas[n - 1]
+    target = config.kappas[n - 1]
+    kappa = workspace.geodesic.measure(target)
+    predictions, sigma_min, norm_first = _member(
+        workspace.geodesic, workspace.forms, workspace.context_matrix, target
     )
     errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
     try:

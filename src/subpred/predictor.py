@@ -36,14 +36,15 @@ __all__ = [
 ]
 
 
-def _basis_map(U: BehaviorBasis) -> tuple[np.ndarray, int, float]:
-    """`prediction_map` of a basis, rejecting context rows without full
-    column rank."""
-    matrix, rank, sigma_min = prediction_map(U.context_block, U.y_future, U.gram_defect)
-    if rank < U.r:
+def _basis_map(context_rows, future_rows, gram_defect=None) -> tuple[np.ndarray, int, float]:
+    """`prediction_map` of a basis's rows, with its Gram defect when it has
+    one, refusing context rows without full column rank: the one rank rule
+    of the library's basis maps and a declined sweep member's."""
+    matrix, rank, sigma_min = prediction_map(context_rows, future_rows, gram_defect)
+    if rank < context_rows.shape[1]:
         raise RankDeficientError(
             f"context rows of the basis are rank deficient: rank {rank} "
-            f"for {U.r} columns, sigma_min = {sigma_min:.3e}"
+            f"for {context_rows.shape[1]} columns, sigma_min = {sigma_min:.3e}"
         )
     return matrix, rank, sigma_min
 
@@ -145,7 +146,7 @@ def predict_from_subspace(U: BehaviorBasis, ctx: PredictionContext) -> Predictio
     factorization.
     """
     _check_dims(U, (ctx.m, ctx.p, ctx.Tini, ctx.Tf))
-    matrix, rank, sigma_min = _basis_map(U)
+    matrix, rank, sigma_min = _basis_map(U.context_block, U.y_future, U.gram_defect)
     return Prediction(_apply(matrix, ctx.b), sigma_min, rank, ctx.p)
 
 
@@ -188,10 +189,5 @@ def rolling_one_step(
     equals ``one_step(predict_from_subspace(U, ctx))`` for that window.
     """
     _check_dims(U, (measured.m, measured.p, Tini, Tf))
-    return _rolling(U, _context_matrix(measured, Tini, Tf))
-
-
-def _rolling(U: BehaviorBasis, contexts: np.ndarray) -> np.ndarray:
-    """`rolling_one_step` on contexts already stacked by `_context_matrix`
-    for the basis's dims."""
-    return _apply(_basis_map(U)[0], contexts)[:, : U.p]
+    matrix = _basis_map(U.context_block, U.y_future, U.gram_defect)[0]
+    return _apply(matrix, _context_matrix(measured, Tini, Tf))[:, : U.p]

@@ -175,6 +175,17 @@ class TestOneStepBound:
                 with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad}$"):
                     one_step_bound(*args)
 
+    # sigma^2 underflows below about 1e-154, to 0 at 1e-170 and to a
+    # subnormal at 1e-160; the bound is formed without it.  The second
+    # value is the closed form at 40 digits.
+    @pytest.mark.parametrize(
+        "sigma, kappa, expected",
+        [(1e-170, 0.0, 0.0), (1e-160, 1e-170, 9.152982445082948761601164537e150)],
+    )
+    def test_tiny_sigma_min(self, sigma, kappa, expected):
+        assert one_step_bound(sigma, 1.0, kappa, 1.0) == pytest.approx(expected, rel=1e-15)
+        assert lipschitz_bound(sigma, kappa, 1.0) == one_step_bound(sigma, 1.0, kappa, 1.0)
+
     def test_equals_lipschitz_bound_at_unit_first_block(self):
         # the full-horizon form is the one-step form with sigma = gamma, ||Uyf1|| = 1
         rng = np.random.default_rng(88)

@@ -11,7 +11,7 @@ from subpred import ExperimentConfig, chordal_distance, load_config, run_experim
 from subpred import StateSpaceModel
 from subpred import experiment, predictor, simulate
 from subpred.errors import ConvergenceError, RankDeficientError
-from subpred._linalg import prediction_map, spectral_norm
+from subpred._linalg import member_predictions, prediction_map, spectral_norm
 from subpred.bounds import one_step_bound
 from subpred.experiment import (
     SummaryRecord,
@@ -22,7 +22,7 @@ from subpred.experiment import (
     write_summary_csv,
     write_trials_csv,
 )
-from subpred.grassmann import BehaviorBasis
+from subpred.grassmann import BehaviorBasis, Geodesic
 from subpred.predictor import _apply, context_windows, predict_from_subspace, rolling_one_step
 
 
@@ -264,7 +264,7 @@ class TestRunExperiment:
         # the baseline is the kappa = 0 member of the same pieces, bit for bit,
         # and matches the library path on the origin as the members do
         zero = experiment._member(workspace.geodesic, workspace.forms, workspace.context_matrix, 0.0)
-        np.testing.assert_array_equal(workspace.baseline, zero[1])
+        np.testing.assert_array_equal(workspace.baseline, zero[0])
         origin = workspace.geodesic.origin
         expected = np.array([predict_from_subspace(origin, ctx).y_pred[: model.p] for _, ctx in windows])
         assert np.linalg.norm(workspace.baseline - expected) <= MAP_RTOL * np.linalg.norm(expected)
@@ -290,11 +290,15 @@ class TestRunExperiment:
         with pytest.raises(RankDeficientError, match="rank 6 for 7 columns"):
             run_experiment(cfg)
         assert not (tmp_path / "out").exists()
-        # the library path rejects any basis of these dimensions alike
+        # the library path rejects any basis of these dimensions alike, and
+        # so does the sweep's route for a declined member of its geodesic
         basis = random_basis(np.random.default_rng(0), (1, 1, 1, 4), 7)
         measured = simulate(cfg.model, np.ones((20, 1)))
         with pytest.raises(RankDeficientError, match="rank 6 for 7 columns"):
             rolling_one_step(basis, measured, cfg.Tini, cfg.Tf)
+        geodesic, contexts = Geodesic.draw(basis, 1), np.eye(6)
+        with pytest.raises(RankDeficientError, match="rank 6 for 7 columns"):
+            experiment._member(geodesic, geodesic.forms(contexts), contexts, 0.05)
 
     def test_bound_below_error_logged_per_row(self, small_config, monkeypatch, caplog):
         # a zero unit bound lies below every positive error
@@ -359,7 +363,7 @@ class TestRunExperiment:
         # bit for bit the kappa = 0 member on the same contexts, and the
         # library path's to rounding
         zero = experiment._member(workspace.geodesic, workspace.forms, workspace.context_matrix, 0.0)
-        np.testing.assert_array_equal(workspace.baseline, zero[1])
+        np.testing.assert_array_equal(workspace.baseline, zero[0])
         expected = rolling_one_step(
             workspace.geodesic.origin, workspace.measured, small_config.Tini, small_config.Tf
         )
@@ -369,17 +373,21 @@ class TestRunExperiment:
         # with the pieces' guard declined, a member's rows are mapped by one
         # SVD of its blend's context rows, with no Gram route tried on the
         # blend: the bits of the SVD map of the member basis's first p
-        # future rows; and the baseline is rolling_one_step's
+        # future rows; and the baseline is the kappa = 0 member's, by one
+        # SVD of the kappa = 0 blend's context rows and no solve
         workspace = prepare(small_config)
         geodesic, p = workspace.geodesic, small_config.model.p
+        future = p * small_config.Tf
         members = (1, small_config.N)  # certified, then not
         admitted = [run_trial(workspace, n).block for n in members]
         monkeypatch.setattr(experiment, "member_predictions", lambda *args: None)
+        svd_calls.clear()
         declined = prepare(small_config)
-        expected = rolling_one_step(geodesic.origin, workspace.measured,
-                                    small_config.Tini, small_config.Tf)
-        np.testing.assert_array_equal(declined.baseline, expected)
-        future = p * small_config.Tf
+        context_rows, future_rows = np.split(geodesic.blend(0.0), [geodesic.origin.q - future])
+        assert svd_calls == [context_rows.shape] and svd_calls.solve == []
+        assert (future, future) not in svd_calls.eigvalsh
+        matrix = prediction_map(context_rows, future_rows[:p])[0]
+        np.testing.assert_array_equal(declined.baseline, _apply(matrix, workspace.context_matrix))
         for n, before in zip(members, admitted):
             kappa = small_config.kappas[n - 1]
             member, _ = geodesic.member(kappa)
@@ -390,7 +398,7 @@ class TestRunExperiment:
             block = out.block
             matrix, _, sigma_min = prediction_map(member.context_block, member.y_future[:p])
             predictions = _apply(matrix, workspace.context_matrix)
-            rows = experiment._member(geodesic, workspace.forms, workspace.context_matrix, kappa)[1]
+            rows = experiment._member(geodesic, workspace.forms, workspace.context_matrix, kappa)[0]
             np.testing.assert_array_equal(rows, predictions)
             np.testing.assert_array_equal(out.predictions, predictions)
             errors = np.linalg.norm(predictions - workspace.baseline, axis=1)
@@ -403,6 +411,25 @@ class TestRunExperiment:
                 np.testing.assert_array_equal(block.bound, unit * workspace.b_norms)
             else:
                 assert block.bound is None
+
+    def test_baseline_declined_on_its_own_is_its_kappa_zero_member(self, tmp_path):
+        # square 8 x 8 context rows with sigma_min 9.0e-4: the pieces' guard
+        # declines the baseline and the kappa = 0 member alike, with no
+        # monkeypatch, and both take the one-SVD route, so member 1's
+        # errors are exactly 0
+        model = StateSpaceModel(
+            A=[[-0.6926720601669369, -1.2876122270984482], [-0.15549765088653913, 0.5492134640414514]],
+            B=[[0.5118440276808229, 1.0232382136634648], [-0.8821458480598934, 2.6522866971695453]],
+            C=[[-0.8769082522563802, 0.3735530621878692], [2.7395808181161874, -0.11425241215164042]],
+            D=[[0.11429451370904192, -0.5118795445527522], [0.33452648360440757, -2.1266836963811473]],
+        )
+        cfg = ExperimentConfig(model=model, Tini=1, Tf=2, T=35, T_sim=13, sigma=0.02,
+                               kappa_grid=(0.0, 0.01), output_dir=str(tmp_path))
+        workspace = prepare(cfg)
+        assert workspace.geodesic.origin.context_block.shape == (8, 8)
+        assert member_predictions(workspace.forms, workspace.geodesic.weights(0.0), model.p) is None
+        errors = run_trial(workspace, 1).block.prediction_error
+        assert len(errors) > 0 and np.all(errors == 0.0)
 
     def test_defect_past_tolerance_refused_at_the_draw(self, small_config, monkeypatch):
         # the sweep maps every member with the geodesic's one Gram defect
@@ -425,16 +452,15 @@ class TestRunExperiment:
     def test_block_member_checks_its_distance(self, small_config):
         # a member's distance from the geodesic's squares keeps the target
         # check and chordal_distance's cross-check, at their tolerances, in
-        # the sweep and in Geodesic.member alike
+        # the sweep's run_trial and in Geodesic.member alike
         workspace = prepare(small_config)
         geodesic = workspace.geodesic
-        kappa = small_config.kappas[0]  # 0.05
+        kappa = small_config.kappas[0]  # 0.05, member 1
 
-        def member(geodesic, kappa):
-            return experiment._member(geodesic, workspace.forms, workspace.context_matrix, kappa)
+        def trial(geodesic):
+            return run_trial(dataclasses.replace(workspace, geodesic=geodesic), 1)
 
-        assert member(geodesic, kappa)[0] == run_trial(workspace, 1).block.kappa
-        assert geodesic.member(kappa)[1] == run_trial(workspace, 1).block.kappa
+        assert geodesic.member(kappa)[1] == trial(geodesic).block.kappa
         swapped_off = geodesic.squares + [[0.0] * 4, [1e-10, 0.0, 0.0, 0.0]]  # about 1e-9 off
         both_off = geodesic.squares * (1 + 1e-4)  # both 5e-5 relative, 2.5e-6 absolute, off
         for squares, error, message in (
@@ -442,9 +468,9 @@ class TestRunExperiment:
             (both_off, ConvergenceError, "measures distance"),
         ):
             changed = dataclasses.replace(geodesic, squares=squares)
-            for solve in (changed.member, lambda kappa: member(changed, kappa)):
+            for solve in (lambda: changed.member(kappa), lambda: trial(changed)):
                 with pytest.raises(error, match=message):
-                    solve(kappa)
+                    solve()
 
     def test_default_config_certifies_its_first_eight_members(self, tmp_path):
         # the certified limit sigma_min / (2 sqrt(2)) of members 8 and 9 is

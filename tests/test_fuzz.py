@@ -219,13 +219,16 @@ class TestGeodesicMember:
 
 
 class TestMemberBlocks:
-    """A sweep member evaluated from its geodesic's pieces, squares and
-    defect (`_member`) against the member basis that `Geodesic.member`
-    builds, mapped by `prediction_map`: SISO and MIMO, k = r and k < r, and
-    distances from 1e-8 to the end of the geodesic.  The contexts are the
-    identity, so the member's predictions are its map's first p rows,
-    transposed.  The rank r is at most the number of context rows, which
-    then have full column rank."""
+    """A sweep member evaluated from its geodesic's pieces and defect
+    (`_member`) against the basis of its `Geodesic.blend`, mapped by
+    `prediction_map`, and its distance (`Geodesic.measure`) against the
+    member basis that `Geodesic.member` builds: SISO and MIMO, k = r and
+    k < r, and distances from 0, the baseline, through 1e-8 to the end of
+    the geodesic.  At 0 `Geodesic.member` returns the origin, and the blend
+    is ``start``, another basis of it.  The contexts are the identity, so
+    the member's predictions are its map's first p rows, transposed.  The
+    rank r is at most the number of context rows, which then have full
+    column rank."""
 
     @pytest.mark.parametrize("complement", ["large", "small"])  # k = r, or k < r
     @pytest.mark.parametrize("channels", ["siso", "mimo"])
@@ -244,7 +247,7 @@ class TestMemberBlocks:
         k = min(r, q - r)
         largest = math.sqrt(k)
         kappa = data.draw(st.one_of(
-            st.sampled_from([1e-8, largest]),
+            st.sampled_from([0.0, 1e-8, largest]),
             st.floats(-8.0, math.log10(largest)).map(lambda e: min(10.0**e, largest)),
         ))
         basis_seed, seed = (data.draw(st.integers(0, 2**32 - 1)) for _ in range(2))
@@ -253,20 +256,20 @@ class TestMemberBlocks:
         geodesic = Geodesic.draw(U, seed)
 
         member, measured = geodesic.member(kappa)
-        assert geodesic.defect >= member.gram_defect
+        blend = BehaviorBasis(geodesic.blend(kappa), m, p, Tini, Tf)
+        assert geodesic.defect >= blend.gram_defect
         assert geodesic.defect <= ORTHONORMALITY_TOL
+        assert abs(measured - chordal_distance(U, member)) <= 1e-12
         contexts = np.eye(q - future)
         forms = geodesic.forms(contexts)
-        distance, predictions, sigma_min, norm_first = _member(geodesic, forms, contexts, kappa)
+        predictions, sigma_min, norm_first = _member(geodesic, forms, contexts, kappa)
         rows = predictions.T
-        assert distance == measured
-        assert abs(measured - chordal_distance(U, member)) <= 1e-12
-        reference_norm = spectral_norm(member.y_future[:p])
+        reference_norm = spectral_norm(blend.y_future[:p])
         if member_predictions(forms, geodesic.weights(kappa), p) is None:
-            # the guard declined: the member's rows are mapped as a blend by
-            # one SVD, with the bits of the SVD map of the first p future
-            # rows and of spectral_norm
-            reference, _, ref_sigma_min = prediction_map(member.context_block, member.y_future[:p])
+            # the guard declined: the blend's rows are mapped by one SVD,
+            # with the bits of the SVD map of the first p future rows and
+            # of spectral_norm
+            reference, _, ref_sigma_min = prediction_map(blend.context_block, blend.y_future[:p])
             np.testing.assert_array_equal(rows, reference)
             assert sigma_min == ref_sigma_min
             assert norm_first == reference_norm
@@ -276,7 +279,7 @@ class TestMemberBlocks:
         # spectral_norm's own Gram matrix rounds by as much again
         assert abs(norm_first**2 - reference_norm**2) <= 2 * p * (r + 7) * EPS
         reference, _, ref_sigma_min = prediction_map(
-            member.context_block, member.y_future, member.gram_defect
+            blend.context_block, blend.y_future, blend.gram_defect
         )
         # the guard keeps either Gram route within IDENTITY_ERROR_TOL of the
         # SVD map; MAP_RTOL is what both show at sigma_min >= 0.03

@@ -623,16 +623,13 @@ class TestGeodesic:
                 solve(bad)
 
     def test_measured_miss_raises(self, rng):
-        from subpred.experiment import _member
-
         U = random_basis(rng, DIMS, 3)
         geodesic = Geodesic.draw(U, seed=0)
         # both squared norms scaled alike: they still agree with each other,
-        # and both read 0.3 + 2e-6, past the target tolerance 1e-6
+        # and both read 0.3 + 2e-6, past the target tolerance 1e-6; the
+        # sweep's run_trial reads its distance from measure too
         missed = dataclasses.replace(geodesic, squares=geodesic.squares * ((0.3 + 2e-6) / 0.3) ** 2)
-        contexts = np.eye(U.q - U.p * U.Tf)
-        forms = missed.forms(contexts)
-        for solve in (missed.member, lambda kappa: _member(missed, forms, contexts, kappa)):
+        for solve in (missed.member, missed.measure):
             with pytest.raises(ConvergenceError, match="measures distance"):
                 solve(0.3)
 
