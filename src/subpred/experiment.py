@@ -435,20 +435,38 @@ def run_single(config: ExperimentConfig, n: int) -> tuple[list[SingleRecord], fl
 
 def write_trials_csv(path, blocks: list[TrialBlock]) -> None:
     """Write the rows of ``blocks`` with the bytes of ``_write_csv``, a block
-    and a column at a time, without a record per row: the scalars once, the
-    steps once per distinct steps tuple and the error and bound columns in
-    one ``repr`` pass each.  The benchmark times this writer and
-    ``write_summary_csv`` as spans of their own."""
-    steps, t_strs = None, []
+    and a column at a time, without a record per row.
+
+    The ``"{t},"`` cells are made once per distinct steps tuple.  A block's
+    head ``"{n},{kappa!r},"`` and tail ``",{sigma_min!r}\\n"`` (``",,..."``
+    when it has no bound) are formatted once, and its text is assembled in
+    one list by extended-slice assignment: the t cells, the error column's
+    ``repr`` pass, for a certified block ``","`` and the bound column's
+    ``repr`` pass, and the separator tail + head, the last one cut back to
+    the tail.  Each block is one ``write``, so only one block's text is held
+    at a time.  The benchmark times this writer and ``write_summary_csv`` as
+    spans of their own."""
+    steps = None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TrialBlock._fields) + "\n")
         for b in blocks:
             if b.t is not steps:
-                steps, t_strs = b.t, list(map(str, b.t))
-            bounds = repeat("") if b.bound is None else map(repr, b.bound.tolist())
-            rows = zip(repeat(f"{b.n},{b.kappa!r}"), t_strs, map(repr, b.prediction_error.tolist()),
-                       bounds, repeat(f"{b.sigma_min_Mhat!r}\n"))
-            fh.write("".join(map(",".join, rows)))
+                steps, t_cells = b.t, [f"{t}," for t in b.t]
+            rows = len(t_cells)
+            if not rows:
+                continue
+            head, tail = f"{b.n},{b.kappa!r},", f",{b.sigma_min_Mhat!r}\n"
+            columns = [t_cells, map(repr, b.prediction_error.tolist())]
+            if b.bound is None:
+                tail = "," + tail
+            else:
+                columns += [repeat(",", rows), map(repr, b.bound.tolist())]
+            width = len(columns) + 1
+            parts = [tail + head] * (width * rows)
+            for i, column in enumerate(columns):
+                parts[i::width] = column
+            parts[-1] = tail
+            fh.write(head + "".join(parts))
 
 
 def write_summary_csv(path, summaries: list[SummaryRecord]) -> None:

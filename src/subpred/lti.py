@@ -274,10 +274,11 @@ def simulate(
     with np.errstate(over="ignore", invalid="ignore"):
         # Stacked matvecs, equal to the per-step B @ u[t] bit for bit.
         Bu = (model.B @ u[:, :, None])[..., 0]
-        # Each step written into its own row, equal to A @ x + b bit for bit.
+        # Each step written into its own row by np.dot, which skips matmul's
+        # ufunc dispatch: equal to A @ x + b bit for bit.
         A, rows = model.A, list(states)
         for x, x_next, b in zip(rows, rows[1:], Bu):
-            np.matmul(A, x, out=x_next)
+            np.dot(A, x, out=x_next)
             x_next += b
         outputs = (model.C @ states[:-1, :, None])[..., 0] + (model.D @ u[:, :, None])[..., 0]
         if noise.sigma > 0:

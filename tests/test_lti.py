@@ -566,7 +566,7 @@ class TestSimulate:
     # the example model, then random MIMO models as (n, m, p)
     @pytest.mark.parametrize(
         "dims",
-        [None, (3, 2, 3), (6, 3, 6), (12, 4, 5)],
+        [None, (1, 1, 1), (3, 2, 3), (6, 3, 6), (12, 4, 5)],
         ids=lambda d: "example" if d is None else "n{}m{}p{}".format(*d),
     )
     @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
