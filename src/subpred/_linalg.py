@@ -12,15 +12,14 @@ factorization of the same Gram matrix, shifted down by its rounding
 bound.  Each answers only in the clear case, where its error estimates
 put the rank at ``least`` or more (and the vectors within tolerance);
 otherwise the SVD runs and decides, so every refusal comes from the SVD.
-`prediction_map` builds the prediction map of every basis and matrix and
-is the one place that picks its route: an orthonormal basis's map comes
-from its output Gram matrix (`_gram_map`) when that matches the SVD, and
-any other from one SVD.
-`member_predictions` reads a member of a family of bases whose output Gram
-matrix and context cross product are weighted sums of fixed pieces
-(`QuadraticForms`), as the geodesic sweep's are, while its guard admits
-the member, and returns None otherwise, for the caller's own route.  The
-two Gram routes share one guard, `_guarded_gap`.
+`prediction_map` builds the prediction map of a matrix's rows by one SVD.
+`member_predictions` reads a member of a family of orthonormal bases whose
+output Gram matrix and context cross product are weighted sums of fixed
+pieces (`QuadraticForms`), as the geodesic sweep's are, while its guard
+admits the member, and returns None otherwise, for the caller's own route.
+A single basis is such a family with one piece at weight 1.0, so it is the
+one place that reads sigma_min^2 = 1 - lambda_max(K) from an output Gram
+matrix K and applies the guard.
 `spectral_norm` takes
 sigma_max from a Gram eigenvalue; it and the Gram route share one
 scaling and orientation rule, `_scaled_gram`.
@@ -35,9 +34,10 @@ import numpy as np
 
 EPS = float(np.finfo(np.float64).eps)
 
-# prediction_map's Gram-route relative error is about (gram_defect + q * eps) /
-# sigma_min^2: rounding and a Gram defect d perturb I - K by about q eps + d,
-# and (I - K)^-1 amplifies that by 1 / sigma_min^2.  At sigma_min = 0.035 the
+# member_predictions' relative error is about error / sigma_min^2, for the
+# numerator ``error`` that QuadraticForms carries: rounding and a Gram defect
+# d perturb I - K by about that much (q eps + d for a basis of q rows), and
+# (I - K)^-1 amplifies it by 1 / sigma_min^2.  At sigma_min = 0.035 the
 # error grew from 6e-13 at d = 2e-14 to 4e-10 at d = 2.5e-11, and on bases
 # built from a CS decomposition it reached 0.3 of the estimate.  A basis may
 # carry d up to 1e-10, so the identity runs only while the estimate is at
@@ -188,28 +188,13 @@ def _scaled_gram(matrix):
     return scaled, scale, (scaled @ scaled.T if wide else scaled.T @ scaled), wide
 
 
-def prediction_map(context_rows, future_rows=None, gram_defect=None):
-    """``(future_rows @ pinv(context_rows), rank, sigma_min)``, with the rank
-    of the context rows and sigma_min their r-th singular value for r
-    columns, which is 0 when they have fewer rows than columns; without
-    ``future_rows`` the map is the pseudoinverse itself.
-
-    Given ``gram_defect`` = ||U'U - I||_F of a basis U with these two row
-    blocks, the map comes from its output Gram matrix: U'U = I makes
-    context_rows' context_rows = I - Yf'Yf (Yf the future rows), so with
-    K = Yf Yf', sigma_min^2 = 1 - lambda_max(K) and, by the push-through
-    identity, the map is (I - K)^-1 Yf context_rows'.  K has as many rows as
-    Yf, far fewer than the context rows.  That route runs only while the
-    error estimate (gram_defect + q * eps) / sigma_min^2 is at most
-    IDENTITY_ERROR_TOL, which excludes context rows without full column
-    rank.  Otherwise one SVD of the context rows builds the map, dropping
-    singular values at or below the shared cutoff, which truncates a
-    rank-deficient block.
-    """
-    if gram_defect is not None:
-        routed = _gram_map(context_rows, future_rows, gram_defect)
-        if routed is not None:
-            return routed[0], context_rows.shape[1], routed[1]
+def prediction_map(context_rows, future_rows=None):
+    """``(future_rows @ pinv(context_rows), rank, sigma_min)`` by one SVD of
+    the context rows, with their rank and sigma_min their r-th singular
+    value for r columns, which is 0 when they have fewer rows than columns;
+    without ``future_rows`` the map is the pseudoinverse itself.  Singular
+    values at or below the shared cutoff are dropped, which truncates a
+    rank-deficient block."""
     U, svals, Vt, rank = svd(context_rows, vectors=True)
     if rank == 0:
         pinv, sigma_min = np.zeros(np.shape(context_rows)[::-1]), 0.0
@@ -222,86 +207,51 @@ def prediction_map(context_rows, future_rows=None, gram_defect=None):
     return (pinv if future_rows is None else future_rows @ pinv), rank, sigma_min
 
 
-def _gram_map(context_rows, future_rows, gram_defect):
-    """The Gram route of `prediction_map`, as ``(map, sigma_min)``, for a
-    basis with these two row blocks and an upper bound ``gram_defect`` on
-    its ||U'U - I||_F: one solve (I - K) X = Yf C', with K = Yf Yf' (Yf the
-    future rows, C the context rows).  None when `_guarded_gap` declines K
-    with the error gram_defect + q * eps, before Yf C' is formed."""
-    gram = future_rows @ future_rows.T
-    q = len(context_rows) + len(future_rows)
-    gap = _guarded_gap(gram, gram_defect + q * EPS)
-    if gap is None:
-        return None
-    matrix = np.linalg.solve(np.eye(len(gram)) - gram, future_rows @ context_rows.T)
-    return matrix, math.sqrt(gap)
-
-
-def _guarded_gap(gram, error):
-    """The Gram routes' one guard: sigma_min^2 = 1 - lambda_max(``gram``) by
-    one `eigvalsh`, or None unless the error estimate ``error`` /
-    sigma_min^2 is at most IDENTITY_ERROR_TOL (a NaN gap declines)."""
-    gap = 1.0 - float(np.linalg.eigvalsh(gram).max(initial=0.0))
-    return gap if error <= IDENTITY_ERROR_TOL * gap else None
-
-
 class QuadraticForms(NamedTuple):
-    """The pieces of a family of orthonormal bases [C; Y], ``q`` rows and
-    ``r`` columns each, with context rows C and future rows Y: for a
-    member's weights w, its output Gram matrix K = Y Y' is the sum over j
-    of w_j ``grams[j]`` and the cross product A C Y' with the stacked
-    contexts A the sum of w_j ``crosses[j]``.  Each entry of a piece is one
-    inner product of at most r terms, or the sum of two (the fourth piece),
-    of rows of norm at most 1 + ``defect``, and ``defect`` bounds every
-    member's ||B'B - I||_F.  `Geodesic.forms` builds them."""
+    """The pieces of a family of orthonormal bases [C; Y], with context rows
+    C and future rows Y: for a member's weights w, its output Gram matrix
+    K = Y Y' is the sum over j of w_j ``grams[j]`` and the cross product
+    A C Y' with the stacked contexts A the sum of w_j ``crosses[j]``.
+    ``error``, the numerator of `member_predictions`' guard, estimates how
+    far I - K, as the pieces assemble it, lies from C'C for any member: the
+    members' Gram defect plus the rounding of K.  The code that forms the
+    pieces sets it, `Geodesic.forms` for a geodesic sweep and
+    `predictor._basis_map` for one basis, each with its own derivation."""
 
     # four arrays each rather than one stacked array, whose copy would be
     # large enough to be mapped and faulted in afresh per sweep
     grams: list[np.ndarray]  # (f, f) for f future rows
     crosses: list[np.ndarray]  # (contexts, f)
-    q: int
-    r: int
-    defect: float
+    error: float
 
 
 def member_predictions(forms: QuadraticForms, weights, rows: int):
     """``(predictions, sigma_min, norm_first)`` of the member of ``forms``
     with ``weights``: the first ``rows`` of the map applied to every stacked
     context, sigma_min of its context rows and ||Y[:rows]||_2; or None when
-    the guard declines the member, before any solve.  K = sum w_j grams[j]
-    gives sigma_min^2 = 1 - lambda_max(K) by `_guarded_gap`, the Gram
-    routes' one guard; one solve of (I - K) X = E_rows, with E_rows the first
-    ``rows`` columns of I, gives the predictions (sum w_j crosses[j]) X, and
-    ||Y[:rows]||_2 = sqrt(lambda_max(K[:rows, :rows])) takes one more.
+    the guard declines the member, before any solve.
 
-    The guard is `_gram_map`'s estimate (defect + q eps) / sigma_min^2 with
-    the pieces' own rounding added to its numerator.  Entry (i, j) of a
-    piece rounds by at most gamma_{r+1} times the sum of its products'
-    magnitudes (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., eq. 3.5), and each weight (one product of the blend coefficients
-    c and s), its product with the piece and the three additions add
-    gamma_5.  For the geodesic's weights (1, c^2, s^2, cs) the products'
-    magnitudes sum to z_i . z_j, with z_i the rows of
-    [|c| |Y1| + |s| |Yh|, |Y2|], whose norms Cauchy-Schwarz bounds by
-    (c^2 + s^2)^(1/2) (1 + defect).  So the assembled K lies within
-    gamma_{r+6} (1 + 3 defect) <= (r + 7) eps of Y Y' entry by entry.  The
-    guard adds that entrywise bound to the numerator as an estimate of the
-    change in lambda_max(K), on the same footing as the q eps term, which
-    estimates the rounding of forming Y Y' directly by the same entrywise
-    rule.  Neither is a bound on that change: with f future rows the error
-    E bounds it only by ||E||_2 <= f ||E||_max (Weyl's inequality and a row
-    sum bound), which a certified sigma_min would have to carry.
-    The route runs only while
-    (defect + (q + r + 7) eps) / sigma_min^2 <= IDENTITY_ERROR_TOL, which
-    is stricter than `_gram_map`'s guard."""
-    grams, crosses, q, r, defect = forms
+    U'U = I makes C'C = I - Y'Y, so with K = sum w_j grams[j],
+    sigma_min^2 = 1 - lambda_max(K) by one `eigvalsh`, and by the
+    push-through identity the map is (I - K)^-1 Y C'.  The guard admits the
+    member only while the error estimate ``forms.error`` / sigma_min^2 is
+    at most IDENTITY_ERROR_TOL (a NaN declines), which excludes context
+    rows without full column rank.  One solve of (I - K) X = E_rows, with
+    E_rows the first ``rows`` columns of I, gives the predictions
+    (sum w_j crosses[j]) X, and
+    ||Y[:rows]||_2 = sqrt(lambda_max(K[:rows, :rows])) takes one more
+    `eigvalsh` unless ``rows`` is all of K, whose lambda_max the guard has
+    already read."""
+    grams, crosses, error = forms
     gram = _weighted(weights, grams)
-    gap = _guarded_gap(gram, defect + (q + r + 7) * EPS)
-    if gap is None:
+    top = float(np.linalg.eigvalsh(gram).max())
+    gap = 1.0 - top
+    if not error <= IDENTITY_ERROR_TOL * gap:
         return None
     X = np.linalg.solve(np.eye(len(gram)) - gram, np.eye(len(gram), rows))
-    norm_first = math.sqrt(max(0.0, np.linalg.eigvalsh(gram[:rows, :rows])[-1]))
-    return _weighted(weights, crosses) @ X, math.sqrt(gap), norm_first
+    if rows < len(gram):
+        top = float(np.linalg.eigvalsh(gram[:rows, :rows])[-1])
+    return _weighted(weights, crosses) @ X, math.sqrt(gap), math.sqrt(max(0.0, top))
 
 
 def _weighted(weights, pieces):

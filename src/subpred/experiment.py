@@ -35,8 +35,9 @@ predictions, and the baseline's, agree with the library path
 (`perturb_subspace`, `predict_from_subspace`, `rolling_one_step`) to
 rounding, not bit for bit.  A declined member, the baseline included, is
 mapped from its blend's rows by ``_basis_map(context_rows,
-future_rows[:p])``, one SVD that refuses rank-deficient context rows as
-the library does.
+future_rows[:p])``: given no Gram defect, `predictor._basis_map` skips the
+Gram route that the library's bases take through the same guard, and maps
+by one SVD that refuses rank-deficient context rows as the library does.
 """
 
 from __future__ import annotations
@@ -335,8 +336,8 @@ def _member(geodesic: Geodesic, forms: QuadraticForms, contexts: np.ndarray, kap
     its guard declines, the member's `Geodesic.blend` is split into context
     and future rows and `predictor._basis_map` maps the first p future rows
     by one SVD of the context rows, with no Gram defect (any exact map gives
-    the same predictor, so no Gram route on nearly the declined K is
-    retried), refusing context rows without full column rank;
+    the same predictor, so its one-piece read of nearly the declined K is
+    not tried), refusing context rows without full column rank;
     `spectral_norm` takes their norm."""
     p = geodesic.origin.p
     routed = member_predictions(forms, geodesic.weights(kappa), p)

@@ -306,7 +306,26 @@ class Geodesic:
         Y = [c Y1 + s Yh, Y2], so
         Y Y' = Y2Y2' + c^2 Y1Y1' + s^2 YhYh' + cs (Y1Yh' + YhY1'), and with
         A. = contexts C. its context rows give contexts C = [c A1 + s Ah, A2],
-        whose product with Y' has the same four pieces in (A, Y)."""
+        whose product with Y' has the same four pieces in (A, Y).
+
+        The forms' ``error`` is ``defect`` + (q + r + 7) eps: the basis
+        route's estimate d + q eps (see `predictor._basis_map`) with the
+        pieces' own rounding added.  Entry (i, j) of a piece rounds by at
+        most gamma_{r+1} times the sum of its products' magnitudes (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 3.5),
+        and each weight (one product of c and s), its product with the
+        piece and the three additions add gamma_5.  For the weights
+        (1, c^2, s^2, cs) the products' magnitudes sum to z_i . z_j, with
+        z_i the rows of [|c| |Y1| + |s| |Yh|, |Y2|], whose norms
+        Cauchy-Schwarz bounds by (c^2 + s^2)^(1/2) (1 + defect).  So the
+        assembled K lies within gamma_{r+6} (1 + 3 defect) <= (r + 7) eps of
+        Y Y' entry by entry.  That entrywise bound estimates the change in
+        lambda_max(K), on the same footing as the q eps term, which
+        estimates the rounding of forming Y Y' directly by the same
+        entrywise rule.  Neither is a bound on that change: with f future
+        rows the error E bounds it only by ||E||_2 <= f ||E||_max (Weyl's
+        inequality and a row sum bound), which a certified sigma_min would
+        have to carry.  So its guard is stricter than a single basis's."""
         origin, k = self.origin, self.heading.shape[1]
         split = origin.q - origin.p * origin.Tf
         Y1, Y2 = np.split(self.start[split:], [k], axis=1)
@@ -315,7 +334,7 @@ class Geodesic:
         M = Y1 @ Yh.T
         grams = [Y2 @ Y2.T, Y1 @ Y1.T, Yh @ Yh.T, M + M.T]
         crosses = [A2 @ Y2.T, A1 @ Y1.T, Ah @ Yh.T, A1 @ Yh.T + Ah @ Y1.T]
-        return QuadraticForms(grams, crosses, origin.q, origin.r, self.defect)
+        return QuadraticForms(grams, crosses, self.defect + (origin.q + origin.r + 7) * EPS)
 
     def _coefficients(self, kappa: float) -> tuple[float, float]:
         """(s, c) at ``kappa``: s <= 1 as `check_distance` caps kappa at

@@ -44,23 +44,27 @@ def _frozen(value, name: str, shape: tuple, *, window: tuple | None = None) -> n
     window cannot be told from its transpose.  ``value`` is converted once
     and read by `_real`'s rule: a bool, string, bytes or complex array, or a
     bool among numbers in a list, which `_refuse_bools` finds by type,
-    raises TypeError by name, an object array names its first entry that
-    `_real` refuses, a non-finite entry raises ValueError naming the first's
-    index, and a ragged list numpy's ValueError prefixed by ``name``."""
+    raises TypeError by name, an object array is read entry by entry by
+    `_real`, which names the first entry it refuses, a non-finite entry
+    raises ValueError naming the first's index, and a ragged list numpy's
+    ValueError prefixed by ``name``."""
     try:
         arr = np.array(value, order="C")
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
-    kind = arr.dtype.kind
-    if kind == "O":
-        # numpy keeps an integer beyond the float range as an object
+    if arr.dtype.kind == "O":
+        # an object array, or an integer beyond the float range that numpy
+        # keeps as an object, is read entry by entry
+        reals = np.empty(arr.shape)
         for index, entry in np.ndenumerate(arr):
-            _real(entry, f"{name}{list(index)}")
-    elif kind in "iuf" and isinstance(value, (list, tuple)):
+            reals[index] = _real(entry, f"{name}{list(index)}")
+        arr = reals
+    elif arr.dtype.kind in "iuf" and isinstance(value, (list, tuple)):
         # numpy reads a bool among numbers in a list as 1.0 or 0.0
         _refuse_bools(value, name, [])
+    kind = arr.dtype.kind
     if kind not in "iuf":
-        kinds = {"b": "a bool", "U": "a string", "S": "a bytes", "c": "a complex", "O": "an object"}
+        kinds = {"b": "a bool", "U": "a string", "S": "a bytes", "c": "a complex"}
         raise TypeError(f"{name} must hold real numbers, got {kinds.get(kind, f'a {arr.dtype}')} array")
     arr = arr.astype(float, copy=False)
     if arr.shape == window:

@@ -6,9 +6,10 @@ predicted future output is  y_future_rows(X) @ pinv(context_rows(X)) @ b.
 The prediction depends only on the column space of X, not on the particular
 spanning matrix, as long as the context rows have full column rank; that
 invariance is the core property exercised by the test suite.  Every
-prediction goes through one map per matrix, built by `_linalg.prediction_map`:
-for an orthonormal basis from its output Gram matrix when that is accurate,
-and otherwise from one SVD of the context rows.
+prediction goes through one map per matrix: for an orthonormal basis from
+its output Gram matrix by `_linalg.member_predictions`, read as a one-piece
+family, when its guard admits it, and otherwise from one SVD of the context
+rows by `_linalg.prediction_map`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._linalg import prediction_map
+from ._linalg import EPS, QuadraticForms, member_predictions, prediction_map
 from .errors import RankDeficientError
 from .grassmann import BehaviorBasis
 from .hankel import PartitionedMatrix, _windows
@@ -37,10 +38,30 @@ __all__ = [
 
 
 def _basis_map(context_rows, future_rows, gram_defect=None) -> tuple[np.ndarray, int, float]:
-    """`prediction_map` of a basis's rows, with its Gram defect when it has
-    one, refusing context rows without full column rank: the one rank rule
-    of the library's basis maps and a declined sweep member's."""
-    matrix, rank, sigma_min = prediction_map(context_rows, future_rows, gram_defect)
+    """The map of a basis's context rows C and future rows Yf, with its rank
+    and sigma_min, refusing context rows without full column rank: the one
+    rank rule of the library's basis maps and a declined sweep member's.
+
+    Given the basis's Gram defect d = ||U'U - I||_F, the basis is read by
+    `_linalg.member_predictions` as the one-piece family [Yf Yf'], [C Yf']
+    at weight 1.0, for every future row, and the map is its result
+    transposed, contiguous for `_apply`.  The guard's numerator is d + q eps
+    for a basis of q rows: the defect moves C'C off I - Yf'Yf by about d,
+    and each entry of Yf Yf', an inner product of r <= q terms, rounds by
+    about r eps, an estimate of the change in lambda_max(K) as in
+    `Geodesic.forms`.  One piece at weight 1.0 is Yf Yf' bit for bit (1.0 x
+    is exact and nothing is added), so the sum adds no rounding to that.
+    When the guard declines, or without a Gram defect,
+    `_linalg.prediction_map` maps by one SVD of the context rows."""
+    if gram_defect is not None:
+        q = len(context_rows) + len(future_rows)
+        forms = QuadraticForms(
+            [future_rows @ future_rows.T], [context_rows @ future_rows.T], gram_defect + q * EPS
+        )
+        routed = member_predictions(forms, (1.0,), len(future_rows))
+        if routed is not None:
+            return np.ascontiguousarray(routed[0].T), context_rows.shape[1], routed[1]
+    matrix, rank, sigma_min = prediction_map(context_rows, future_rows)
     if rank < context_rows.shape[1]:
         raise RankDeficientError(
             f"context rows of the basis are rank deficient: rank {rank} "

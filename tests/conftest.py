@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from subpred import ExperimentConfig, default_model
+
+# ``pytest --hypothesis-profile=deep`` runs every property test of
+# test_fuzz.py at this many examples instead of its own tier-1 count (see
+# test_fuzz._examples); CI runs it at fixed hypothesis seeds.
+settings.register_profile("deep", max_examples=1500)
 
 
 @pytest.fixture

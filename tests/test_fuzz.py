@@ -46,10 +46,21 @@ from subpred.experiment import (
 )
 from subpred.grassmann import ORTHONORMALITY_TOL, BehaviorBasis, Geodesic, orthonormal_basis
 from subpred.hankel import persistently_exciting_input, stacked_data_matrix
+from subpred.predictor import _basis_map
 
 EXIT_CODES = {0, 2, 3, 4}
+
+
+def _examples(count: int) -> int:
+    """``count`` examples under hypothesis's default profile, and the loaded
+    profile's own count under another, such as conftest.py's ``deep``."""
+    if settings.get_current_profile_name() == "default":
+        return count
+    return settings.default.max_examples
+
+
 FUZZ = settings(
-    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=_examples(25), deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 _CHARS = st.characters(blacklist_categories=("Nd", "Cs"))  # no decimal digits
@@ -186,7 +197,7 @@ _SIZES = st.integers(1, 3)
 
 class TestGeodesicMember:
     @pytest.mark.parametrize("complement", ["large", "small"])  # q - r >= r, or q - r < r
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=_examples(60), deadline=None)
     @given(dims=st.tuples(_SIZES, _SIZES, _SIZES, _SIZES), data=st.data())
     def test_member_is_the_closed_form(self, complement, dims, data):
         m, p, Tini, Tf = dims
@@ -221,8 +232,8 @@ class TestGeodesicMember:
 class TestMemberBlocks:
     """A sweep member evaluated from its geodesic's pieces and defect
     (`_member`) against the basis of its `Geodesic.blend`, mapped by
-    `prediction_map`, and its distance (`Geodesic.measure`) against the
-    member basis that `Geodesic.member` builds: SISO and MIMO, k = r and
+    `predictor._basis_map`, and its distance (`Geodesic.measure`) against
+    the member basis that `Geodesic.member` builds: SISO and MIMO, k = r and
     k < r, and distances from 0, the baseline, through 1e-8 to the end of
     the geodesic.  At 0 `Geodesic.member` returns the origin, and the blend
     is ``start``, another basis of it.  The contexts are the identity, so
@@ -232,7 +243,7 @@ class TestMemberBlocks:
 
     @pytest.mark.parametrize("complement", ["large", "small"])  # k = r, or k < r
     @pytest.mark.parametrize("channels", ["siso", "mimo"])
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=_examples(40), deadline=None)
     @given(data=st.data())
     def test_blocks_match_the_member_basis(self, complement, channels, data):
         m, p = (1, 1) if channels == "siso" else data.draw(
@@ -278,11 +289,12 @@ class TestMemberBlocks:
         # pieces give to (r + 7) eps, so its eigenvalues to p (r + 7) eps;
         # spectral_norm's own Gram matrix rounds by as much again
         assert abs(norm_first**2 - reference_norm**2) <= 2 * p * (r + 7) * EPS
-        reference, _, ref_sigma_min = prediction_map(
+        reference, _, ref_sigma_min = _basis_map(
             blend.context_block, blend.y_future, blend.gram_defect
         )
-        # the guard keeps either Gram route within IDENTITY_ERROR_TOL of the
-        # SVD map; MAP_RTOL is what both show at sigma_min >= 0.03
+        # the guard keeps the Gram route, on the pieces or on the blend's own
+        # K, within IDENTITY_ERROR_TOL of the SVD map; MAP_RTOL is what both
+        # show at sigma_min >= 0.03
         rtol = MAP_RTOL if ref_sigma_min >= 0.03 else IDENTITY_ERROR_TOL
         assert np.linalg.norm(rows - reference[:p]) <= rtol * np.linalg.norm(reference[:p])
         assert abs(sigma_min - ref_sigma_min) <= rtol * ref_sigma_min
@@ -321,7 +333,7 @@ def _trial_blocks(draw):
 
 class TestTrialsCsvWriter:
     # Both files are rewritten whole by every example, so one tmp_path serves all.
-    @settings(max_examples=50, deadline=None,
+    @settings(max_examples=_examples(50), deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(blocks=_trial_blocks())
     def test_bytes_match_the_csv_module(self, tmp_path, blocks):

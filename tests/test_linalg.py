@@ -1,16 +1,20 @@
 import ast
 import inspect
+import math
 
 import numpy as np
 import pytest
 
 from helpers import MAP_RTOL, cs_basis, random_basis, random_orthogonal
-from subpred import _linalg
+from subpred import _linalg, predictor
 from subpred._linalg import (
-    EPS, IDENTITY_ERROR_TOL, QuadraticForms, _cholesky_certificate, _guarded_gap, full_row_rank,
+    EPS, IDENTITY_ERROR_TOL, QuadraticForms, _cholesky_certificate, full_row_rank,
     member_predictions, prediction_map, spectral_norm, svd,
 )
+from subpred.errors import RankDeficientError
+from subpred.grassmann import BehaviorBasis, Geodesic
 from subpred.hankel import hankel
+from subpred.predictor import _basis_map
 
 
 class TestSvd:
@@ -172,8 +176,9 @@ class TestSpectralNorm:
 
 
 class TestOrthonormalMap:
-    """The map of an orthonormal basis from its output Gram matrix, against
-    the SVD map that `prediction_map` builds without a Gram defect."""
+    """The map of an orthonormal basis from its output Gram matrix, read as a
+    one-piece family by `member_predictions` through `predictor._basis_map`,
+    against the SVD map that `prediction_map` builds."""
 
     DIMS = [(2, 3, 3, 3), (3, 3, 10, 10), (4, 4, 16, 16)]
 
@@ -188,10 +193,10 @@ class TestOrthonormalMap:
         for U in bases:
             ref_matrix, ref_rank, ref_sigma_min = prediction_map(U.context_block, U.y_future)
             svd_calls.clear()
-            pred, rank, sigma_min = prediction_map(U.context_block, U.y_future, U.gram_defect)
+            pred, rank, sigma_min = _basis_map(U.context_block, U.y_future, U.gram_defect)
             assert svd_calls == []  # the Gram route: one eigvalsh and one solve
             assert svd_calls.eigvalsh == svd_calls.solve == [(p * Tf, p * Tf)]
-            assert pred.shape == ref_matrix.shape
+            assert pred.shape == ref_matrix.shape and pred.flags.c_contiguous
             assert rank == ref_rank == r
             gap = np.linalg.norm(pred - ref_matrix) / np.linalg.norm(ref_matrix)
             assert gap <= MAP_RTOL
@@ -208,7 +213,7 @@ class TestOrthonormalMap:
         bases = [random_basis(rng, dims, r) for _ in range(2)]
         bases += [cs_basis(rng, dims, r, sigma_min) for sigma_min in (0.03, 0.3)]
         for U in bases:
-            gram_matrix, _, gram_sigma_min = prediction_map(
+            gram_matrix, _, gram_sigma_min = _basis_map(
                 U.context_block, U.y_future, U.gram_defect
             )
             svd_calls.clear()
@@ -221,21 +226,25 @@ class TestOrthonormalMap:
             assert abs(sigma_min - gram_sigma_min) <= MAP_RTOL * gram_sigma_min
 
     def test_wide_context_rows_decline(self, rng, svd_calls):
-        # 6 context rows for 7 columns: sigma_min = 0, so 1 - lambda_max(K) = 0
+        # 6 context rows for 7 columns: sigma_min = 0, so 1 - lambda_max(K) = 0;
+        # the guard declines before any solve, and the SVD finds the rank
         U = random_basis(rng, (1, 1, 1, 4), 7)
         assert U.context_block.shape == (6, 7)
-        pred, rank, sigma_min = prediction_map(U.context_block, U.y_future, U.gram_defect)
-        assert svd_calls == [(6, 7)] and svd_calls.solve == []
+        with pytest.raises(RankDeficientError, match=r"rank 6 for 7 columns, sigma_min = 0\.000e\+00$"):
+            _basis_map(U.context_block, U.y_future, U.gram_defect)
+        assert svd_calls == [(6, 7)] and svd_calls.solve == [] and svd_calls.eigvalsh == [(4, 4)]
         reference, ref_rank, ref_sigma_min = prediction_map(U.context_block, U.y_future)
-        np.testing.assert_array_equal(pred, reference)
-        assert rank == ref_rank == 6
+        assert reference.shape == (4, 6)
+        assert ref_rank == 6
         # sigma_7 of 7 columns, not sigma_6, the smallest of the 6 rows
-        assert sigma_min == ref_sigma_min == 0.0
+        assert ref_sigma_min == 0.0
 
 
-class TestGuardedGap:
-    """The Gram routes' one guard: the gap 1 - lambda_max(K) by one eigvalsh,
-    or None when error / gap exceeds IDENTITY_ERROR_TOL."""
+class TestMemberGuard:
+    """`member_predictions`' guard, the one place that reads a Gram matrix's
+    gap 1 - lambda_max(K), by one eigvalsh: the member is read while
+    error / gap is at most IDENTITY_ERROR_TOL, and declined, before any
+    solve, otherwise."""
 
     @pytest.mark.parametrize("error", [1e-12, 5e-11])
     @pytest.mark.parametrize("factor, admitted", [(1.05, True), (0.95, False)])
@@ -244,42 +253,52 @@ class TestGuardedGap:
         Q = random_orthogonal(rng, 6)
         gram = (Q * np.array([1.0 - gap, 0.5, 0.4, 0.3, 0.2, 0.0])) @ Q.T
         gram = (gram + gram.T) / 2
-        got = _guarded_gap(gram, error)
-        assert svd_calls.eigvalsh == [(6, 6)] and svd_calls == [] and svd_calls.solve == []
+        forms = QuadraticForms([gram], [rng.standard_normal((3, 6))], error)
+        got = member_predictions(forms, (1.0,), 6)
+        # rows = len(K): the guard's lambda_max gives the norm, no second eigvalsh
+        assert svd_calls.eigvalsh == [(6, 6)] and svd_calls == []
+        assert svd_calls.solve == ([(6, 6)] if admitted else [])
         if admitted:
-            assert got == 1.0 - float(np.linalg.eigvalsh(gram).max())
-            assert got == pytest.approx(gap, rel=1e-4)
+            top = float(np.linalg.eigvalsh(gram).max())
+            assert got[1] == math.sqrt(1.0 - top)
+            assert got[1] ** 2 == pytest.approx(gap, rel=1e-4)
+            assert got[2] == math.sqrt(top)
         else:
             assert got is None
 
-    def test_empty_gram_has_gap_one(self):
-        assert _guarded_gap(np.zeros((0, 0)), 1e-12) == 1.0
+    def test_empty_gram_is_unreachable(self, rng):
+        # every basis has p * Tf >= 1 future rows, so K is never empty
+        data = random_orthogonal(rng, 2)[:, :1]
+        with pytest.raises(ValueError, match="^Tf must be positive, got 0$"):
+            BehaviorBasis(data, 1, 1, 1, 0)
+        with pytest.raises(ValueError, match="^p must be positive, got 0$"):
+            BehaviorBasis(data, 2, 0, 1, 0)
 
     def test_nan_declines(self):
-        assert _guarded_gap(np.eye(3) / 2, np.nan) is None
+        forms = QuadraticForms([np.eye(3) / 2], [np.eye(3)], np.nan)
+        assert member_predictions(forms, (1.0,), 3) is None
         with np.errstate(invalid="ignore"):
-            assert _guarded_gap(np.full((2, 2), np.nan), 0.0) is None
+            forms = QuadraticForms([np.full((2, 2), np.nan)], [np.eye(2)], 0.0)
+            assert member_predictions(forms, (1.0,), 2) is None
 
-    def test_both_gram_routes_pass_their_error_expressions(self, rng, monkeypatch):
+    def test_each_form_sets_its_error_expression(self, rng, monkeypatch):
         errors = []
 
-        def recorded(gram, error):
-            errors.append(error)
-            return _guarded_gap(gram, error)
+        def recorded(forms, weights, rows):
+            errors.append(forms.error)
+            return member_predictions(forms, weights, rows)
 
-        monkeypatch.setattr(_linalg, "_guarded_gap", recorded)
+        monkeypatch.setattr(predictor, "member_predictions", recorded)
         dims = (2, 3, 3, 3)
         r = 2 * (3 + 3) + 2 * 3
         U = cs_basis(rng, dims, r, 0.3)
         q = len(U.context_block) + len(U.y_future)
-        prediction_map(U.context_block, U.y_future, U.gram_defect)
+        _basis_map(U.context_block, U.y_future, U.gram_defect)
         assert errors == [U.gram_defect + q * EPS]
-        errors.clear()
-        forms = QuadraticForms(
-            [U.y_future @ U.y_future.T], [U.context_block @ U.y_future.T], q, r, U.gram_defect
-        )
-        assert member_predictions(forms, [1.0], 3) is not None
-        assert errors == [U.gram_defect + (q + r + 7) * EPS]
+        geodesic = Geodesic.draw(U, 5)
+        forms = geodesic.forms(np.eye(len(U.context_block)))
+        assert forms.error == geodesic.defect + (q + r + 7) * EPS
+        assert member_predictions(forms, geodesic.weights(0.1), 3) is not None
 
 
 def test_every_factorization_kind_is_counted(svd_calls):

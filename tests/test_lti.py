@@ -251,9 +251,18 @@ NON_REAL_VALUES = pytest.mark.parametrize(
         ),
         # numpy keeps it in an object array, which was refused without naming the entry
         (lambda good: _last(good, 10**400), ValueError, "{name}{index} must be finite, got inf"),
+        # an object array is read entry by entry, as a list is
+        (
+            lambda good: np.array(_last(good, True), dtype=object),
+            TypeError, "{name}{index} must be a real number, got True",
+        ),
+        (
+            lambda good: np.array(_last(good, np.nan), dtype=object),
+            ValueError, "{name}{index} must be finite, got nan",
+        ),
     ],
     ids=["string", "bytes", "complex-list", "complex-array", "bool-among-numbers",
-         "numpy-bool-among-numbers", "huge-int"],
+         "numpy-bool-among-numbers", "huge-int", "bool-in-object-array", "nan-in-object-array"],
 )
 
 
@@ -403,7 +412,8 @@ class TestSequenceReaders:
 
     @SEQUENCE_READERS
     def test_column_accepted(self, read, name, good, want):
-        for value in (good, good.tolist()):
+        # an object array of reals reads as its list does; it was refused
+        for value in (good, good.tolist(), good.astype(object)):
             got = np.asarray(read(value))
             np.testing.assert_array_equal(got, want)
             assert got.tobytes() == np.asarray(want).tobytes()

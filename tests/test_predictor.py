@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conditioned_invertible, cs_basis, random_model, random_orthogonal
+from helpers import conditioned_invertible, cs_basis, random_basis, random_model, random_orthogonal
 from subpred import (
     NoiseSpec,
     StateSpaceModel,
@@ -17,11 +17,11 @@ from subpred import (
     subspace_predict,
     trajectory_generation_matrix,
 )
-from subpred._linalg import EPS, IDENTITY_ERROR_TOL, prediction_map
+from subpred._linalg import EPS, IDENTITY_ERROR_TOL, member_predictions, prediction_map
 from subpred.errors import RankDeficientError
-from subpred.grassmann import BehaviorBasis
+from subpred.grassmann import BehaviorBasis, Geodesic
 from subpred.hankel import PartitionedMatrix, persistently_exciting_input
-from subpred.predictor import PredictionContext, context_windows
+from subpred.predictor import PredictionContext, _basis_map, context_windows
 
 
 CONTEXT_FIELDS = pytest.mark.parametrize("field", ["u_ini", "u", "y_ini"])
@@ -345,15 +345,28 @@ class TestSharedMap:
     def test_one_svd_per_basis(self, rng, svd_calls):
         U, measured = _noisy_mimo_basis(rng)
         _, ctx = next(context_windows(measured, 10, 10))
+        future = (U.p * U.Tf,) * 2
+        # The map of an orthonormal basis comes from its output Gram matrix:
+        # one eigvalsh and one solve of its shape, and no SVD, on each path.
+        for predict in (
+            lambda: rolling_one_step(U, measured, 10, 10).shape[0] > 1,
+            lambda: predict_from_subspace(U, ctx),
+        ):
+            svd_calls.clear()
+            assert predict()
+            assert svd_calls == [] and svd_calls.eigvalsh == svd_calls.solve == [future]
+        # A sweep member at Tf = 1 reads all of K, so the guard's eigvalsh
+        # also gives its first block's norm.
+        geodesic = Geodesic.draw(random_basis(rng, (2, 3, 4, 1), 12), 5)
+        forms = geodesic.forms(np.eye(len(geodesic.origin.context_block)))
         svd_calls.clear()
-        # The map of an orthonormal basis comes from its output Gram matrix.
-        assert rolling_one_step(U, measured, 10, 10).shape[0] > 1
-        predict_from_subspace(U, ctx)
-        assert svd_calls == []
+        assert member_predictions(forms, geodesic.weights(0.1), 3) is not None
+        assert svd_calls == [] and svd_calls.eigvalsh == svd_calls.solve == [(3, 3)]
         # Stretching one column by 2.5e-11 keeps the span but fails the
         # guard: one SVD serves both the rank check and the map.
         stretched = BehaviorBasis(U.matrix * _stretch(U.r, 2.5e-11), *U.dims)
-        prediction_map(stretched.context_block, stretched.y_future, stretched.gram_defect)
+        svd_calls.clear()
+        _basis_map(stretched.context_block, stretched.y_future, stretched.gram_defect)
         assert svd_calls == [U.context_block.shape]
         svd_calls.clear()
         rolling_one_step(stretched, measured, 10, 10)
@@ -401,7 +414,7 @@ class TestGramRoute:
         threshold = (gram_defect + q * EPS) / IDENTITY_ERROR_TOL  # sigma_min^2 at the guard
         U = cs_basis(rng, self.DIMS, self.R, np.sqrt(factor * threshold), gram_defect)
         assert U.gram_defect == pytest.approx(gram_defect, rel=0.01)
-        matrix, rank, sigma_min = prediction_map(U.context_block, U.y_future, U.gram_defect)
+        matrix, rank, sigma_min = _basis_map(U.context_block, U.y_future, U.gram_defect)
         assert len(svd_calls) == svds
         ref_matrix, ref_rank, ref_sigma_min = prediction_map(U.context_block, U.y_future)
         assert matrix.shape == ref_matrix.shape
@@ -417,7 +430,7 @@ class TestGramRoute:
         # defect of 5e-11 leaves the identity only about 5e-8 accurate.
         U = cs_basis(rng, self.DIMS, self.R, 0.03, gram_defect=5e-11)
         assert 4e-11 < U.gram_defect <= 1e-10
-        matrix, _, sigma_min = prediction_map(U.context_block, U.y_future, U.gram_defect)
+        matrix, _, sigma_min = _basis_map(U.context_block, U.y_future, U.gram_defect)
         assert svd_calls == [U.context_block.shape]
         ref_matrix, _, ref_sigma_min = prediction_map(U.context_block, U.y_future)
         np.testing.assert_array_equal(matrix, ref_matrix)
