@@ -23,6 +23,9 @@ matrix K and applies the guard.
 `spectral_norm` takes
 sigma_max from a Gram eigenvalue; it and the Gram route share one
 scaling and orientation rule, `_scaled_gram`.
+Each route is picked here and only here: a caller states what it needs
+(``least``, or full row rank) and takes the answer, and never factors the
+same matrix again by another route.
 """
 
 from __future__ import annotations
@@ -95,8 +98,10 @@ def _gram_svd(matrix, least):
     section 4.7), with lambda_least+1 = 0 past the last, and the route
     answers only while that estimate is at most IDENTITY_ERROR_TOL.  For a
     wide M they are U; for a tall or square M they are V, the full
-    eigenbasis gives Vt, and U's leading columns are M V / sigma, whose
-    orthonormality the factorization's residual degrades by about
+    eigenbasis gives Vt, and U's leading columns are M V / sigma, with M
+    scaled afresh after the `eigh` (the bits of the copy that G was formed
+    from, which is not kept across it), whose orthonormality the
+    factorization's residual degrades by about
     eps * lambda_1 / lambda_least.  So that U is measured, and the route
     answers only while ||U'U - I||_F is at most
     max(rows, cols) * least * eps, about the rounding of an SVD's U over
@@ -110,7 +115,7 @@ def _gram_svd(matrix, least):
     routed = _scaled_gram(matrix)
     if routed is None:
         return None
-    scaled, scale, gram, wide = routed
+    scale, gram, wide = routed
     lam, V = np.linalg.eigh(gram)
     lam, V = lam[::-1], V[:, ::-1]
     if not lam[least - 1] > matrix.size * EPS * lam[0]:  # NaN fails too
@@ -121,7 +126,7 @@ def _gram_svd(matrix, least):
         return None
     if wide:
         return V[:, :least], sigma / scale, None, least
-    U = (scaled @ V[:, :least]) / sigma
+    U = ((matrix * scale) @ V[:, :least]) / sigma
     if not np.linalg.norm(U.T @ U - np.eye(least)) <= max(matrix.shape) * least * EPS:
         return None
     return U, sigma / scale, V.T, least
@@ -156,11 +161,12 @@ def _cholesky_certificate(matrix) -> bool:
     at least the clear case's bound; a non-positive pivot raises
     LinAlgError and declines.  The estimate that `_gram_svd` compares is
     far above the SVD's own cutoff, so a certified matrix has full rank by
-    the SVD too."""
+    the SVD too.  Only M and G are alive across the `cholesky`: G is the
+    one array read from `_scaled_gram`, which keeps no scaled copy of M."""
     routed = _scaled_gram(matrix)
     if routed is None:
         return False
-    gram = routed[2]
+    _, gram, _ = routed
     n = len(gram)
     t = float(np.abs(gram).sum(axis=1).max())  # ||G||_inf >= lambda_1 for a symmetric G
     gram.flat[:: n + 1] -= (matrix.size + 2 * n * (n + 1)) * EPS * t
@@ -172,20 +178,22 @@ def _cholesky_certificate(matrix) -> bool:
 
 
 def _scaled_gram(matrix):
-    """``(scaled, scale, gram, wide)`` for the 2-D float array ``matrix`` M:
-    ``scaled`` is M times ``scale``, a power of two that brings its largest
-    magnitude into [0.5, 1) exactly, so that its squares neither overflow
-    nor underflow, and ``gram`` the smaller Gram matrix of ``scaled``,
-    scaled scaled' when M is ``wide`` (fewer rows than columns) and
-    scaled' scaled otherwise.  None when M has no nonzero entry or a
-    non-finite one."""
+    """``(scale, gram, wide)`` for the 2-D float array ``matrix`` M:
+    ``scale`` is a power of two that brings M's largest magnitude into
+    [0.5, 1) exactly, so that the squares of S = M * scale neither overflow
+    nor underflow, and ``gram`` the smaller Gram matrix of S, S S' when M
+    is ``wide`` (fewer rows than columns) and S'S otherwise.  S itself is
+    dropped on return: scaling by a power of two is exact, so a caller
+    that needs S again forms the same bits after factoring ``gram`` rather
+    than holding a copy of M across that factorization.  None when M has
+    no nonzero entry or a non-finite one."""
     peak = float(np.abs(matrix).max(initial=0.0))
     if not 0.0 < peak < np.inf:
         return None
     scale = math.ldexp(1.0, -math.frexp(peak)[1])
     scaled = matrix * scale
     wide = matrix.shape[0] < matrix.shape[1]
-    return scaled, scale, (scaled @ scaled.T if wide else scaled.T @ scaled), wide
+    return scale, (scaled @ scaled.T if wide else scaled.T @ scaled), wide
 
 
 def prediction_map(context_rows, future_rows=None):
@@ -266,12 +274,13 @@ def _weighted(weights, pieces):
 def spectral_norm(matrix: np.ndarray) -> float:
     """Largest singular value of ``matrix`` (0 for an empty one), without an
     SVD: the root of lambda_max of its smaller Gram matrix (see
-    `_scaled_gram`), by `eigvalsh`.  lambda_max is perfectly conditioned, so
+    `_scaled_gram`), by `eigvalsh`, over the scale; only the Gram matrix
+    and the scale are read.  lambda_max is perfectly conditioned, so
     this is accurate to a few eps relative.  An inf or nan entry gives its
     own magnitude, inf or nan."""
     matrix = np.asarray(matrix, dtype=float)
     routed = _scaled_gram(matrix)
     if routed is None:
         return float(np.abs(matrix).max(initial=0.0))
-    _, scale, gram, _ = routed
+    scale, gram, _ = routed
     return float(np.sqrt(np.linalg.eigvalsh(gram)[-1])) / scale

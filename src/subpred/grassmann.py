@@ -201,17 +201,29 @@ class Geodesic:
         """The geodesic in a random tangent direction: a standard normal
         q x r draw from the integer ``seed``, projected onto the orthogonal
         complement of span U and factored as W S V', with
-        k = min(r, q - r).  ``start`` is U V and ``heading`` the first k
-        columns of W.  The factors come from `_linalg.svd`'s Gram route,
-        the eigenbasis V of the r x r Gram matrix and W = M V / S on the
-        leading k, when its estimates clear them and W's measured
-        orthonormality passes, and from one SVD otherwise.  Raises
-        ConvergenceError when the projected draw has numerical rank below k
-        or ``defect``, which bounds every member's Gram defect, exceeds
-        ``ORTHONORMALITY_TOL``; both are the SVD's findings, since a Gram
-        route draw with too large a ``defect`` is factored again by the
-        SVD.  ``seed`` is read by `lti._seed`: a float or a bool raises
-        TypeError and a negative seed ValueError.
+        k = min(r, q - r), by one `_linalg.svd` call that asks whether the
+        rank reaches k.  ``start`` is U V and ``heading`` the first k
+        columns of W.  `svd` picks the route: the eigenbasis V of the r x r
+        Gram matrix and W = M V / S on the leading k, when its estimates
+        clear them and W's measured orthonormality passes, and one SVD
+        otherwise.  Raises ConvergenceError when the projected draw has
+        numerical rank below k, the SVD's finding, or when ``defect``,
+        which bounds every member's Gram defect, exceeds
+        ``ORTHONORMALITY_TOL``.
+
+        A ``defect`` past the tolerance is not factored again by the SVD,
+        since the other route would not change the verdict.
+        defect^2 = ||Es||^2 + 2 ||Eh||^2 + ||Ehh||^2 (see `_blocks`), and
+        up to rounding only Ehh = H'H - I depends on the route: Es is the
+        basis's own Gram defect turned by V, and Eh = H'S is rounding on
+        either route.  A Gram-route W has ||W'W - I||_F at most
+        max(q, r) k eps (6.6e-12 on the benchmark's sweep-mimo), and
+        removing an Ehh that small moves a ``defect`` near 1e-10 by about
+        ||Ehh||^2 / 2e-10, 2e-13 at most.  So the SVD could turn a refusal
+        around only for a basis whose own Gram defect lies within about
+        2e-13 of 1e-10, which only a basis file can hold.  ``seed`` is read
+        by `lti._seed`: a float or a bool raises TypeError and a negative
+        seed ValueError.
 
         The factorization is reused per live basis and seed: the fields of
         the last seed drawn from ``U`` are kept while ``U`` is alive, so a
@@ -226,22 +238,19 @@ class Geodesic:
         direction = rng.standard_normal((U.q, U.r))
         direction -= base @ (base.T @ direction)
         k = min(U.r, U.q - U.r)
-        for least in (k, 0):  # the Gram route when k >= 1, then the SVD
-            W, _, Vt, rank = svd(direction, vectors=True, least=least)
-            if rank < k:
-                raise ConvergenceError(
-                    f"tangent direction drawn from seed={seed} has rank {rank}, below {k}"
-                )
-            # W = M V / S carries M's rounding-sized span-U part scaled by
-            # 1/S, so a small singular value leaves W[:, :k] orthogonal to U
-            # to only ~eps/S: project it once more, which moves its Gram
-            # matrix by just the square of that part
-            heading = W[:, :k] - base @ (base.T @ W[:, :k])
-            start = base @ Vt.T
-            squares, defect = _blocks(base, start, heading)
-            if defect <= ORTHONORMALITY_TOL:
-                break
-        else:
+        W, _, Vt, rank = svd(direction, vectors=True, least=k)
+        if rank < k:
+            raise ConvergenceError(
+                f"tangent direction drawn from seed={seed} has rank {rank}, below {k}"
+            )
+        # W = M V / S carries M's rounding-sized span-U part scaled by 1/S,
+        # so a small singular value leaves W[:, :k] orthogonal to U to only
+        # ~eps/S: project it once more, which moves its Gram matrix by just
+        # the square of that part
+        heading = W[:, :k] - base @ (base.T @ W[:, :k])
+        start = base @ Vt.T
+        squares, defect = _blocks(base, start, heading)
+        if not defect <= ORTHONORMALITY_TOL:
             # The rank is relative to the projected draw itself, so a draw
             # inside span U, which projects to rounding error, passes it;
             # W then lies mostly in span U, so the projected heading is far

@@ -137,7 +137,13 @@ def benchmark_config(workload: str, seed: int, directory):
     """The configuration that the benchmark runs for ``workload`` at
     ``seed``, read from the model and configuration files that
     bench/workloads.py writes into ``directory``."""
-    return load_config(_bench_workloads().write_inputs(workload, seed, Path(directory))[0])
+    return load_config(benchmark_config_file(workload, seed, directory))
+
+
+def benchmark_config_file(workload: str, seed: int, directory) -> Path:
+    """The path of the configuration file of `benchmark_config`, written
+    into ``directory`` with its model file."""
+    return _bench_workloads().write_inputs(workload, seed, Path(directory))[0]
 
 
 def format_model(model) -> str:

@@ -1,12 +1,16 @@
 import csv
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import MAP_RTOL, benchmark_config, format_model, random_basis, trial_rows, write_csv_reference
+from helpers import benchmark_config_file
 from subpred import ExperimentConfig, chordal_distance, load_config, run_experiment, run_single
 from subpred import StateSpaceModel
 from subpred import experiment, predictor, simulate
@@ -431,9 +435,11 @@ class TestRunExperiment:
         errors = run_trial(workspace, 1).block.prediction_error
         assert len(errors) > 0 and np.all(errors == 0.0)
 
-    def test_defect_past_tolerance_refused_at_the_draw(self, small_config, monkeypatch):
+    def test_defect_past_tolerance_refused_at_the_draw(self, small_config, monkeypatch, svd_calls):
         # the sweep maps every member with the geodesic's one Gram defect
-        # bound, so a bound past ORTHONORMALITY_TOL stops the draw
+        # bound, so a bound past ORTHONORMALITY_TOL stops the draw, on the
+        # route that svd picked: a Gram-route draw is refused after its one
+        # (3, 3) eigh, without an SVD
         from subpred import grassmann
 
         blocks = grassmann._blocks
@@ -446,8 +452,11 @@ class TestRunExperiment:
         message = f"seed={small_config.seed_perturb} is not orthogonal to the basis: .* exceeds 1e-10"
         with pytest.raises(ConvergenceError, match=message):
             prepare(small_config)
+        U = random_basis(np.random.default_rng(1), (1, 1, 2, 2), 3)
+        svd_calls.clear()
         with pytest.raises(ConvergenceError, match="seed=0 is not orthogonal to the basis"):
-            grassmann.Geodesic.draw(random_basis(np.random.default_rng(1), (1, 1, 2, 2), 3), 0)
+            grassmann.Geodesic.draw(U, 0)
+        assert svd_calls.eigh == [(3, 3)] and svd_calls == []
 
     def test_block_member_checks_its_distance(self, small_config):
         # a member's distance from the geodesic's squares keeps the target
@@ -693,3 +702,82 @@ class TestTrialsCsvBytes:
             for b in blocks
         ]
         self._assert_reference_bytes(tmp_path, blocks, summaries)
+
+
+# One sweep in a fresh interpreter, for TestThreadCount: the arguments are a
+# configuration file, the output directory, the .npz file that receives each
+# member's scalars and predictions, and optionally a kappa grid that replaces
+# the file's N and kappa_max.
+_SWEEP = """
+import dataclasses, sys
+import numpy as np
+from subpred.experiment import load_config, prepare, run_experiment, run_trial
+
+path, out_dir, record, *grid = sys.argv[1:]
+config = dataclasses.replace(load_config(path), output_dir=out_dir)
+if grid:
+    config = dataclasses.replace(config, N=None, kappa_max=None, kappa_grid=tuple(map(float, grid)))
+run_experiment(config)
+workspace = prepare(config)
+outs = [run_trial(workspace, n) for n in range(1, config.N + 1)]
+np.savez(
+    record,
+    baseline=workspace.baseline,
+    predictions=np.array([out.predictions for out in outs]),
+    kappa=[out.block.kappa for out in outs],
+    sigma_min=[out.block.sigma_min_Mhat for out in outs],
+    certified=[out.block.bound is not None for out in outs],
+)
+"""
+
+# The CI's MIMO CLI configuration (n = 2, m = p = 2)
+_CI_MIMO_MODEL = "n = 2\nm = 2\np = 2\nA = 0.5 0.1 ; -0.2 0.7\nB = 1 0 ; 0.5 1\nC = 1 0 ; 0.3 1\nD = 0 0 ; 0.1 0\n"
+_CI_MIMO_CONFIG = "model = model.txt\nTini = 2\nTf = 2\nT = 40\nT_sim = 14\nN = 4\nkappa_max = 0.3\noutput_dir = out\n"
+
+
+class TestThreadCount:
+    """Reruns are byte-identical only at one BLAS thread count (see the
+    `experiment` module docstring); at another the offline factorizations
+    may round differently.  What may change is pinned here: at 1 and 2
+    OpenBLAS/OpenMP threads, set only in the two subprocesses, the sweep
+    keeps its header, row order and certified members, kappa within
+    `Geodesic.measure`'s tolerance, and every member's predictions, the
+    baseline's and sigma_min within MAP_RTOL.  The two cases take about
+    0.5 s and 0.7 s on a 2-core x86-64 host, most of it the start-up of
+    their four interpreters."""
+
+    @staticmethod
+    def _sweep(config_path, directory, threads, grid):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out_dir, record = directory / f"out-{threads}", directory / f"record-{threads}.npz"
+        args = [sys.executable, "-c", _SWEEP, str(config_path), str(out_dir), str(record), *map(str, grid)]
+        subprocess.run(args, env=env, check=True, timeout=120)
+        with np.load(record) as arrays:
+            members = dict(arrays)
+        with open(out_dir / "trials.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        return members, rows
+
+    @pytest.mark.parametrize("workload", ["ci-mimo", "sweep-mimo"])
+    def test_one_and_two_threads_agree(self, tmp_path, workload):
+        if workload == "ci-mimo":
+            (tmp_path / "model.txt").write_text(_CI_MIMO_MODEL)
+            config_path, grid = tmp_path / "mimo.cfg", ()
+            config_path.write_text(_CI_MIMO_CONFIG)
+        else:
+            # sweep-mimo's model and data at targets below the baseline's
+            # certified limit, so that members are certified
+            config_path, grid = benchmark_config_file(workload, 1, tmp_path), (0.001, 0.004, 0.012)
+        (one, one_rows), (two, two_rows) = (self._sweep(config_path, tmp_path, t, grid) for t in (1, 2))
+        assert one_rows[0] == two_rows[0] == list(TrialBlock._fields)
+        assert [row[:3:2] for row in one_rows] == [row[:3:2] for row in two_rows]  # n and t
+        np.testing.assert_array_equal(one["certified"], two["certified"])
+        if workload == "sweep-mimo":
+            assert one["certified"].all()
+        for a, b in zip(one["kappa"], two["kappa"]):
+            assert abs(a - b) <= 1e-6 * max(1.0, a)
+        np.testing.assert_allclose(two["sigma_min"], one["sigma_min"], rtol=MAP_RTOL, atol=0)
+        for a, b in zip([one["baseline"], *one["predictions"]], [two["baseline"], *two["predictions"]]):
+            assert np.linalg.norm(b - a) <= MAP_RTOL * np.linalg.norm(a)

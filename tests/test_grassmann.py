@@ -212,26 +212,6 @@ class TestGramRoute:
         for name in ("start", "heading", "squares"):
             np.testing.assert_array_equal(getattr(geodesic, name), getattr(plain, name))
 
-    def test_gram_draw_past_tolerance_is_factored_again(self, rng, monkeypatch, svd_calls):
-        # a Gram-route draw whose member Gram-defect bound exceeds the
-        # tolerance is not refused: the SVD factors it again and decides
-        U = random_basis(rng, DIMS, 3)
-        blocks, bounds = grassmann._blocks, []
-
-        def first_loose(*args):
-            squares, defect = blocks(*args)
-            bounds.append(defect)
-            return squares, defect + (ORTHONORMALITY_TOL if len(bounds) == 1 else 0.0)
-
-        monkeypatch.setattr(grassmann, "_blocks", first_loose)
-        geodesic = Geodesic.draw(U, seed=3)
-        assert svd_calls.eigh == [(3, 3)] and svd_calls == [(8, 3)] and len(bounds) == 2
-        monkeypatch.setattr(grassmann, "_blocks", blocks)
-        _svd_only(monkeypatch)
-        plain = Geodesic.draw(_twin(U), seed=3)
-        for name in ("start", "heading", "squares"):
-            np.testing.assert_array_equal(getattr(geodesic, name), getattr(plain, name))
-
 
 class TestPrincipalAngles:
     def test_identical_subspaces_zero_angles(self, rng):
@@ -663,13 +643,22 @@ class TestGeodesic:
             Geodesic.draw(U, seed=5)
         assert asked == [3] and svd_calls == [(8, 3)] and svd_calls.eigh == []
 
-    def test_draw_inside_the_basis_span_raises(self):
+    def test_draw_inside_the_basis_span_raises(self, monkeypatch, svd_calls):
         # U spans the columns of the normal draw of seed 7, so the projected
-        # draw is rounding error of full relative rank
+        # draw is rounding error of full relative rank.  The Gram route
+        # clears it and the draw is refused on that one factorization: the
+        # SVD refuses the same draw, so it is not asked again
         U = random_basis(np.random.default_rng(7), DIMS, 3)
+        svd_calls.clear()
         with pytest.raises(ConvergenceError, match="seed=7 is not orthogonal to the basis"):
             Geodesic.draw(U, seed=7)
+        assert svd_calls.eigh == [(3, 3)] and svd_calls == []
         Geodesic.draw(U, seed=8)
+        _svd_only(monkeypatch)
+        svd_calls.clear()
+        with pytest.raises(ConvergenceError, match="seed=7 is not orthogonal to the basis"):
+            Geodesic.draw(U, seed=7)
+        assert svd_calls.eigh == [] and svd_calls == [(8, 3)]
 
     def test_full_space_basis_serves_zero_distance(self):
         U = _coordinate_basis(8, range(8))
