@@ -383,7 +383,9 @@ def run_trial(workspace: ExperimentWorkspace, n: int) -> TrialOutput:
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[TrialBlock], list[SummaryRecord]]:
     """Run every trial of the sweep, in trial order, and write ``trials.csv``
-    and ``summary.csv`` to the configured output directory.
+    and ``summary.csv`` to the configured output directory, made if it is
+    missing.  Each is a new file that replaces the entry at its path (see
+    `_create`), so a rerun never writes into the last run's files.
 
     Returns one block and one summary per member; only these are kept, so a
     member's predictions are freed as the sweep goes on.  A
@@ -397,7 +399,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialBlock], list[Sum
         blocks.append(b)
         summaries.append(SummaryRecord(n, b.kappa, float(np.mean(b.prediction_error)), avg_bound))
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_trials_csv(out_dir / "trials.csv", blocks)
     write_summary_csv(out_dir / "summary.csv", summaries)
     return blocks, summaries
@@ -407,9 +408,10 @@ def run_single(config: ExperimentConfig, n: int) -> tuple[list[SingleRecord], fl
     """Trace one perturbation: per-step baseline and perturbed one-step
     predictions, their gap, and the computable bound where it is certified.
 
-    Writes ``single_<n>.csv`` to the configured output directory, with
-    columns t,baseline,perturbed,error,bound (output channels are expanded
-    to baseline_i/perturbed_i when p > 1).
+    Writes ``single_<n>.csv`` to the configured output directory, made if
+    it is missing, as a new file that replaces the entry at its path (see
+    `_create`), with columns t,baseline,perturbed,error,bound (output
+    channels are expanded to baseline_i/perturbed_i when p > 1).
     Returns the records and the measured chordal distance.  An ``n`` that
     is not an integer, a bool included, raises TypeError, and one outside
     1..N ValueError, before any simulation runs.
@@ -422,7 +424,6 @@ def run_single(config: ExperimentConfig, n: int) -> tuple[list[SingleRecord], fl
     records = list(map(SingleRecord, block.t, workspace.baseline, out.predictions,
                        block.prediction_error.tolist(), bounds))
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     p = config.model.p
     channels = [""] if p == 1 else [f"_{i}" for i in range(p)]
     columns = [f"{name}{c}" for name in ("baseline", "perturbed") for c in channels]
@@ -445,10 +446,10 @@ def write_trials_csv(path, blocks: list[TrialBlock]) -> None:
     ``repr`` pass, for a certified block ``","`` and the bound column's
     ``repr`` pass, and the separator tail + head, the last one cut back to
     the tail.  Each block is one ``write``, so only one block's text is held
-    at a time.  The benchmark times this writer and ``write_summary_csv`` as
-    spans of their own."""
+    at a time.  The file is a new one made by `_create`.  The benchmark
+    times this writer and ``write_summary_csv`` as spans of their own."""
     steps = None
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         fh.write(",".join(TrialBlock._fields) + "\n")
         for b in blocks:
             if b.t is not steps:
@@ -477,8 +478,30 @@ def write_summary_csv(path, summaries: list[SummaryRecord]) -> None:
 def _write_csv(path: Path, header, rows) -> None:
     """Write ``header`` and ``rows`` by the cell rule of ``write_trials_csv``:
     a float by ``repr``, None as an empty field and an int by ``str``, the
-    bytes that the csv module writes for such rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    bytes that the csv module writes for such rows, to a new file made by
+    `_create`."""
+    with _create(path) as fh:
         for row in [header, *rows]:
             cells = ("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row)
             fh.write(",".join(cells) + "\n")
+
+
+def _create(path):
+    """Open a new text file at ``path`` for writing, in place of whatever
+    entry is there: the one place where the program's CSV files are opened.
+
+    The parent directory is made if it is missing.  The old entry is
+    unlinked first, so a symlink or hard link at ``path`` is replaced, not
+    written through, and the new file's mode comes from the umask.  Writing
+    into a truncated file instead would make ext4 (with delayed allocation)
+    flush it to disk at close, which a rerun into the same directory paid
+    on every ``trials.csv``.  The file is opened with mode ``"x"``, so an
+    entry made between the two calls, say by a concurrent run into the
+    same directory, raises FileExistsError instead of mixing two runs'
+    bytes, and a directory at ``path`` fails at the unlink (an OSError).
+    Nothing is synced: every output can be written again, byte for byte,
+    by a rerun."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)
+    return open(path, "x", encoding="utf-8", newline="")

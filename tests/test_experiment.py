@@ -17,6 +17,7 @@ from subpred import experiment, predictor, simulate
 from subpred.errors import ConvergenceError, RankDeficientError
 from subpred._linalg import member_predictions, prediction_map, spectral_norm
 from subpred.bounds import one_step_bound
+from subpred.cli import main
 from subpred.experiment import (
     SummaryRecord,
     TrialBlock,
@@ -224,6 +225,48 @@ class TestRunExperiment:
                 ((out / "trials.csv").read_bytes(), (out / "summary.csv").read_bytes())
             )
         assert texts[0] == texts[1]
+
+    def test_rerun_replaces_the_last_runs_files(self, small_config, tmp_path):
+        # a rerun into the same directory writes new files: a longer stale
+        # trials.csv, hard-linked to a file outside the directory, and a
+        # summary.csv symlinked to one are replaced, and neither outside
+        # file is written through
+        run_experiment(small_config)
+        out = Path(small_config.output_dir)
+        first = {name: (out / name).read_bytes() for name in ("trials.csv", "summary.csv")}
+        stale, target = tmp_path / "stale.csv", tmp_path / "target.csv"
+        stale.write_bytes(first["trials.csv"] * 2)
+        target.write_bytes(b"kept\n")
+        (out / "trials.csv").unlink()
+        os.link(stale, out / "trials.csv")
+        (out / "summary.csv").unlink()
+        (out / "summary.csv").symlink_to(target)
+        run_experiment(small_config)
+        assert {name: (out / name).read_bytes() for name in first} == first
+        assert not (out / "summary.csv").is_symlink() and (out / "summary.csv").is_file()
+        assert stale.read_bytes() == first["trials.csv"] * 2
+        assert target.read_bytes() == b"kept\n"
+        # a directory at trials.csv is not removed: the CLI exits 2
+        (out / "trials.csv").unlink()
+        (out / "trials.csv").mkdir()
+        config_file = tmp_path / "tiny.cfg"
+        config_file.write_text(f"Tini = 2\nTf = 2\nT_sim = 14\nN = 4\nkappa_max = 0.3\noutput_dir = {out}\n")
+        assert main(["experiment", "--config", str(config_file)]) == 2
+        assert (out / "trials.csv").is_dir()
+
+    def test_entry_made_before_the_open_is_refused(self, small_config, monkeypatch):
+        # an entry that appears between the unlink and the open, as from a
+        # concurrent run into the same directory, is not written into
+        unlink = Path.unlink
+
+        def unlink_then_race(path, missing_ok=False):
+            unlink(path, missing_ok=missing_ok)
+            path.write_bytes(b"other run\n")
+
+        monkeypatch.setattr(Path, "unlink", unlink_then_race)
+        with pytest.raises(FileExistsError):
+            run_experiment(small_config)
+        assert (Path(small_config.output_dir) / "trials.csv").read_bytes() == b"other run\n"
 
     def test_kappa_measured_matches_family_member(self, small_config):
         workspace = prepare(small_config)
